@@ -97,7 +97,8 @@ class CacheArray
 
     /**
      * Enumerate replacement candidates for inserting addr.
-     * Candidates appear in expansion order; out is cleared first.
+     * Candidates appear in expansion order; out's previous contents
+     * are replaced.
      */
     virtual void victimCandidates(Addr addr,
                                   std::vector<Candidate> &out) const = 0;

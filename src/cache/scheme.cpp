@@ -1,5 +1,7 @@
 #include "cache/scheme.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace ubik {
@@ -119,29 +121,29 @@ SharedLru::missInstall(Addr addr, const AccessContext &ctx,
                        AccessOutcome &out)
 {
     // Globally oldest candidate; empty slots win outright. The
-    // selection is fused into the walk: the visitor fires per
-    // candidate in ascending order, so "first empty wins, else
-    // running strict-minimum" picks exactly the candidate the
-    // original post-walk scan did.
-    std::size_t best = 0;
-    std::uint64_t best_touch = ~0ull;
-    bool found_empty = false;
+    // selection is fused into the walk and branch-free: the visitor
+    // fires per candidate in ascending order, keeping the first empty
+    // index and a running maximum of ~lastTouch over valid lines,
+    // taken only when strictly greater. That picks exactly the
+    // candidate the original post-walk scan did ("first empty wins,
+    // else first strict minimum of lastTouch").
+    constexpr std::size_t kNone = ~std::size_t(0);
+    std::size_t first_empty = kNone;
+    std::size_t oldest = 0;
+    std::uint64_t oldest_key = 0;
     arrayVictimsVisit(addr, candScratch_,
                       [&](std::size_t i, const LineMeta &line) {
-                          if (found_empty)
-                              return;
-                          if (!line.valid) {
-                              best = i;
-                              best_touch = 0;
-                              found_empty = true;
-                              return;
-                          }
-                          if (line.lastTouch < best_touch) {
-                              best_touch = line.lastTouch;
-                              best = i;
-                          }
+                          const bool valid = line.valid != 0;
+                          first_empty =
+                              std::min(first_empty, valid ? kNone : i);
+                          const std::uint64_t key =
+                              valid ? ~line.lastTouch : 0;
+                          const bool take = key > oldest_key;
+                          oldest_key = take ? key : oldest_key;
+                          oldest = take ? i : oldest;
                       });
     ubik_assert(!candScratch_.empty());
+    const std::size_t best = first_empty != kNone ? first_empty : oldest;
 
     noteEviction(candScratch_[best].slot, out);
     std::uint64_t slot = arrayInstall(addr, candScratch_, best);

@@ -57,10 +57,16 @@ class SetAssocArray final : public CacheArray
     void
     victimCandidates(Addr addr, std::vector<Candidate> &out) const override
     {
-        out.clear();
+        // Sized once and filled through a raw pointer: a push_back
+        // per way stays out of line.
+        if (out.size() != ways_)
+            out.resize(ways_);
+        Candidate *cand = out.data();
         std::uint64_t base = probeBase(addr);
-        for (std::uint32_t w = 0; w < ways_; w++)
-            out.push_back({base + w, -1});
+        for (std::uint32_t w = 0; w < ways_; w++) {
+            cand[w].slot = base + w;
+            cand[w].parent = -1;
+        }
     }
 
     std::uint64_t install(Addr addr, const std::vector<Candidate> &cands,

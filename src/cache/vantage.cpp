@@ -1,5 +1,6 @@
 #include "cache/vantage.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -11,7 +12,7 @@ Vantage::Vantage(std::unique_ptr<CacheArray> array,
                  std::uint32_t num_partitions, double unmanaged_frac)
     : PartitionScheme(std::move(array), num_partitions),
       unmanagedFrac_(unmanaged_frac),
-      effTargets_(num_partitions, 0)
+      effTargets_(num_partitions, 0), demoteRank_(num_partitions, 0)
 {
     ubik_assert(unmanaged_frac > 0 && unmanaged_frac < 0.5);
     unmanagedTarget_ = static_cast<std::uint64_t>(
@@ -101,39 +102,49 @@ Vantage::missInstall(Addr addr, const AccessContext &ctx,
     // explicit (touch, index) comparison — precisely the order the
     // original post-demotion scan selected by — and the rare second
     // demotion round falls back to a real rescan.
+    //
+    // Both choices are branch-free running maxima over packed keys,
+    // taken only when strictly greater so the earlier candidate wins
+    // ties — the staged scans' strict comparisons. The demotion key
+    // is (excess + 1, ~lastTouch): a larger key is a larger excess,
+    // then an older line. Partition excesses cannot change during
+    // the walk, so the high half comes from a per-partition table,
+    // 0 for the unmanaged region and under-target partitions;
+    // ineligible keys then compete only below every eligible one and
+    // are told apart by that zero afterwards. The unmanaged key is
+    // ~lastTouch, zero for any other line.
+    for (PartId p = 0; p < numParts_; p++) {
+        std::int64_t excess = static_cast<std::int64_t>(actual_[p]) -
+                              static_cast<std::int64_t>(effTargets_[p]);
+        demoteRank_[p] = p != 0 && excess >= 0
+                             ? static_cast<std::uint64_t>(excess) + 1
+                             : 0;
+    }
+    const std::uint64_t *rank = demoteRank_.data();
     constexpr std::size_t kNone = ~std::size_t(0);
     std::size_t empty_best = kNone;
     std::size_t demote_best = kNone;
-    std::int64_t demote_excess = -1;
-    std::uint64_t demote_touch = ~0ull;
+    unsigned __int128 demote_key = 0;
     std::size_t best = kNone;
-    std::uint64_t best_touch = ~0ull;
+    std::uint64_t best_key = 0;
     arrayVictimsVisit(
         addr, candScratch_,
         [&](std::size_t i, const LineMeta &line) {
-            if (!line.valid) {
-                if (empty_best == kNone)
-                    empty_best = i;
-                return;
-            }
-            std::int64_t excess =
-                static_cast<std::int64_t>(actual_[line.part]) -
-                static_cast<std::int64_t>(effTargets_[line.part]);
-            bool demotable = line.part != 0 && excess >= 0 &&
-                             (excess > demote_excess ||
-                              (excess == demote_excess &&
-                               line.lastTouch < demote_touch));
-            if (demotable) {
-                demote_best = i;
-                demote_excess = excess;
-                demote_touch = line.lastTouch;
-            }
-            bool unmanaged =
-                line.part == 0 && line.lastTouch < best_touch;
-            if (unmanaged) {
-                best = i;
-                best_touch = line.lastTouch;
-            }
+            const std::uint64_t valid = line.valid != 0;
+            empty_best = std::min(empty_best, valid ? kNone : i);
+            const std::uint64_t age = ~line.lastTouch;
+            const unsigned __int128 dkey =
+                static_cast<unsigned __int128>(rank[line.part] & -valid)
+                    << 64 |
+                age;
+            const bool take_d = dkey > demote_key;
+            demote_key = take_d ? dkey : demote_key;
+            demote_best = take_d ? i : demote_best;
+            const std::uint64_t ukey =
+                age & -(valid & static_cast<std::uint64_t>(line.part == 0));
+            const bool take_u = ukey > best_key;
+            best_key = take_u ? ukey : best_key;
+            best = take_u ? i : best;
         });
     ubik_assert(!candScratch_.empty());
 
@@ -146,10 +157,11 @@ Vantage::missInstall(Addr addr, const AccessContext &ctx,
         noteInstall(slot, ctx);
         return slot;
     }
-    if (demote_best == kNone)
-        demote_best = ncand;
+    if (demote_key >> 64 == 0)
+        demote_best = ncand; // no eligible line: only ineligible keys
     if (best == kNone)
         best = ncand;
+    std::uint64_t best_touch = ~best_key;
 
     // Stage 1: demotions keep the unmanaged region fed (up to two
     // rounds, exactly as the staged version ran demotePass(2)).

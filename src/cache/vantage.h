@@ -82,6 +82,9 @@ class Vantage : public PartitionScheme
     double unmanagedFrac_;
     std::uint64_t unmanagedTarget_;
     std::vector<std::uint64_t> effTargets_;
+    /** missInstall() scratch: per partition, excess over target + 1
+     *  if demotable, else 0 (the demotion key's high half). */
+    std::vector<std::uint64_t> demoteRank_;
     std::uint64_t demotions_ = 0;
     std::uint64_t underTargetEvictions_ = 0;
 };

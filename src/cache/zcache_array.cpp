@@ -21,7 +21,7 @@ ZCacheArray::ZCacheArray(std::uint64_t num_lines, std::uint32_t ways,
     std::uint32_t dedup_cap = 64;
     while (dedup_cap < 4 * candidates)
         dedup_cap *= 2;
-    dedup_.assign(dedup_cap, kDedupEmpty);
+    dedup_.assign(dedup_cap, 0);
     dedupMask_ = dedup_cap - 1;
     probeSlots_.assign(ways, 0);
     tagFp_.assign(num_lines, tagFingerprint(kInvalidAddr));

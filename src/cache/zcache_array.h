@@ -13,18 +13,19 @@
  * This is the hottest code in the simulator: every access probes W
  * slots and every miss walks ~52. The class is final with the probe
  * path defined inline here so the schemes' devirtualized dispatch
- * (scheme.h) inlines it; the walk touches exactly one 32-byte hot
- * record per candidate (validity and the way-bank cache live in
- * LineMeta, so neither tags nor hashing are needed to expand a
- * node); and the W way hashes of the accessed address are computed
- * once per access — lookup() memoizes its probe slots and the victim
- * walk of the same address reuses them. The memo is keyed on the
- * address and way slots are pure functions of (addr, salt), so a
- * stale entry can never yield wrong slots.
+ * (scheme.h) inlines it; the walk touches exactly one 64-byte
+ * LineMeta record (one host cache line) per candidate — validity and
+ * the way-bank cache live there, so neither tags nor hashing are
+ * needed to expand a node; and the W way hashes of the accessed
+ * address are computed once per access — lookup() memoizes its probe
+ * slots and the victim walk of the same address reuses them. The
+ * memo is keyed on the address and way slots are pure functions of
+ * (addr, salt), so a stale entry can never yield wrong slots.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/array.h"
@@ -99,8 +100,17 @@ class ZCacheArray final : public CacheArray
     victimCandidatesVisit(Addr addr, std::vector<Candidate> &out,
                           Visit &&visit) const
     {
-        out.clear();
-        out.reserve(candidates_);
+        // The candidate list is written through a raw pointer into a
+        // vector sized to the cap once, then trimmed if the walk ends
+        // short: a push_back per candidate stays out of line and
+        // reloads the element it was just handed.
+        const std::uint32_t cap = candidates_;
+        const std::uint32_t ways = ways_;
+        const std::uint64_t bank_lines = bankLines_;
+        if (out.size() != cap)
+            out.resize(cap);
+        Candidate *cand = out.data();
+        std::uint32_t n = 0;
 
         // Breadth-first walk: level 0 is the incoming address's own W
         // positions; deeper levels are the alternative positions of
@@ -112,79 +122,84 @@ class ZCacheArray final : public CacheArray
         // per candidate and nothing else: validity and the ways<=4
         // bank cache live in LineMeta.
         const LineMeta *meta = meta_.data();
-        std::uint32_t *dedup = dedup_.data();
+        std::uint64_t *dedup = dedup_.data();
         const std::uint32_t mask = dedupMask_;
-        std::fill(dedup_.begin(), dedup_.end(), kDedupEmpty);
+        const std::uint64_t live = nextWalkStamp();
         auto push = [&](std::uint64_t slot, std::int32_t parent) {
-            std::uint32_t s32 = static_cast<std::uint32_t>(slot);
+            const std::uint64_t key =
+                live | static_cast<std::uint32_t>(slot);
             std::uint32_t h = static_cast<std::uint32_t>(
                                   slot * 0x9e3779b97f4a7c15ull >> 32) &
                               mask;
-            while (dedup[h] != kDedupEmpty) {
-                if (dedup[h] == s32)
+            for (;;) {
+                const std::uint64_t e = dedup[h];
+                if (e < live) // free: empty or from an earlier walk
+                    break;
+                if (e == key)
                     return;
                 h = (h + 1) & mask;
             }
-            dedup[h] = s32;
+            dedup[h] = key;
             // The FIFO expansion reads this slot's record several
             // iterations from now; start the load while the walk
             // still has work to hide it behind.
             __builtin_prefetch(&meta[slot], 0, 3);
-            out.push_back({slot, parent});
+            cand[n].slot = slot;
+            cand[n].parent = parent;
+            n++;
         };
 
         if (probeAddr_ == addr) {
             // The lookup that preceded this miss already hashed the
             // address's own positions; reuse them.
-            for (std::uint32_t w = 0;
-                 w < ways_ && out.size() < candidates_; w++)
+            for (std::uint32_t w = 0; w < ways && n < cap; w++)
                 push(probeSlots_[w], -1);
         } else {
-            for (std::uint32_t w = 0;
-                 w < ways_ && out.size() < candidates_; w++)
+            for (std::uint32_t w = 0; w < ways && n < cap; w++)
                 push(waySlot(addr, w), -1);
         }
 
-        // Expand in FIFO order; out itself is the queue.
-        const bool cached_banks = ways_ <= kAuxWays;
-        std::size_t head = 0;
-        for (; head < out.size() && out.size() < candidates_; head++) {
-            std::uint64_t own = out[head].slot;
+        // Expand in FIFO order; the candidate list itself is the queue.
+        const bool cached_banks = ways <= kAuxWays;
+        std::uint32_t head = 0;
+        for (; head < n && n < cap; head++) {
+            std::uint64_t own = cand[head].slot;
             const LineMeta &r = meta[own];
-            visit(head, r);
+            visit(std::size_t{head}, r);
             if (!r.valid) {
                 // Empty slot: nothing to relocate, no children.
                 continue;
             }
+            const std::int32_t parent = static_cast<std::int32_t>(head);
             if (cached_banks) {
                 // Children come from the bank cache written at
                 // install time, not from re-hashing the resident
                 // line — at 52 candidates that removes ~150 mix64
                 // evaluations and ~50 tag-array touches per miss.
-                for (std::uint32_t w = 0;
-                     w < ways_ && out.size() < candidates_; w++) {
+                for (std::uint32_t w = 0; w < ways && n < cap; w++) {
                     std::uint64_t alt =
-                        static_cast<std::uint64_t>(w) * bankLines_ +
+                        static_cast<std::uint64_t>(w) * bank_lines +
                         r.aux[w];
                     if (alt == own)
                         continue;
-                    push(alt, static_cast<std::int32_t>(head));
+                    push(alt, parent);
                 }
             } else {
                 // Wide geometries (> kAuxWays, tests only): re-hash.
                 Addr resident = tags_[own];
-                for (std::uint32_t w = 0;
-                     w < ways_ && out.size() < candidates_; w++) {
+                for (std::uint32_t w = 0; w < ways && n < cap; w++) {
                     std::uint64_t alt = waySlot(resident, w);
                     if (alt == own)
                         continue;
-                    push(alt, static_cast<std::int32_t>(head));
+                    push(alt, parent);
                 }
             }
         }
         // Tail sweep: candidates the size cap kept un-expanded.
-        for (; head < out.size(); head++)
-            visit(head, meta[out[head].slot]);
+        for (; head < n; head++)
+            visit(std::size_t{head}, meta[cand[head].slot]);
+        if (n < cap)
+            out.resize(n);
     }
     std::uint64_t install(Addr addr, const std::vector<Candidate> &cands,
                           std::size_t victim_idx) override;
@@ -244,17 +259,36 @@ class ZCacheArray final : public CacheArray
 
     /**
      * Replacement-walk dedup scratch: a small open-addressed slot set
-     * (power-of-two capacity a few times `candidates_`), cleared per
-     * walk. ~1 L1 probe per push — measurably cheaper than both a
-     * linear rescan of collected candidates (O(R^2) compares) and the
-     * per-slot generation-stamp array it replaced, whose random
+     * (power-of-two capacity a few times `candidates_`). ~1 L1 probe
+     * per push — measurably cheaper than both a linear rescan of
+     * collected candidates (O(R^2) compares) and a per-slot
+     * generation-stamp array over the whole cache, whose random
      * read-modify-writes stalled the walk and wasted host cache on
-     * 4 bytes per line. Mutable because victimCandidates() is
-     * logically const.
+     * 4 bytes per line. Each entry packs (walk stamp << 32 | slot);
+     * an entry belongs to the current walk iff its stamp is the
+     * current one, so a new walk empties the set by bumping the
+     * stamp instead of clearing it, and the table is cleared only
+     * when the 32-bit stamp wraps. Mutable because
+     * victimCandidates() is logically const.
      */
-    mutable std::vector<std::uint32_t> dedup_;
+    mutable std::vector<std::uint64_t> dedup_;
     std::uint32_t dedupMask_ = 0;
-    static constexpr std::uint32_t kDedupEmpty = ~0u;
+    mutable std::uint32_t walkStamp_ = 0;
+
+    /**
+     * Start a walk: advance the dedup stamp and return it shifted
+     * into an entry's high half. Every entry of an earlier walk
+     * compares below the result.
+     */
+    std::uint64_t
+    nextWalkStamp() const
+    {
+        if (++walkStamp_ == 0) {
+            std::fill(dedup_.begin(), dedup_.end(), 0);
+            walkStamp_ = 1;
+        }
+        return static_cast<std::uint64_t>(walkStamp_) << 32;
+    }
 
     /** lookup() memo: the accessed address's own way slots. */
     mutable std::vector<std::uint64_t> probeSlots_;

@@ -154,11 +154,12 @@ ZipfDistribution::ZipfDistribution(std::uint64_t n, double theta)
         eta_ = (1.0 -
                 std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
                (1.0 - zeta2_ / zetan_);
+        rank1Cut_ = 1.0 + std::pow(0.5, theta);
         return;
     }
     // theta ~>= 1 (the approximation's parameterization breaks down):
-    // build an exact CDF table and sample by binary search. Hot-set
-    // sizes using high skew are modest, so the table stays small.
+    // build an exact CDF table and sample it through a guide table.
+    // Hot-set sizes using high skew are modest, so both stay small.
     ubik_assert(n <= (1ull << 22));
     cdf_.resize(n);
     double sum = 0;
@@ -168,6 +169,21 @@ ZipfDistribution::ZipfDistribution(std::uint64_t n, double theta)
     }
     for (std::uint64_t i = 0; i < n; i++)
         cdf_[i] /= sum;
+    // The last entry is sum / sum == 1, above every draw, so a walk
+    // from any guide entry stops inside the table.
+    ubik_assert(cdf_.back() == 1.0);
+    // One pass: bucket() is monotone and the CDF is sorted, so the
+    // entries' buckets are nondecreasing. guide_[b] counts the entries
+    // in buckets below b; each is < every draw of bucket b, hence
+    // guide_[b] <= lower_bound(u) for all of them. Draws reach bucket
+    // n when u * n rounds up to n.
+    guide_.resize(n + 1);
+    std::uint64_t i = 0;
+    for (std::uint64_t b = 0; b <= n; b++) {
+        while (i < n && bucket(cdf_[i]) < b)
+            i++;
+        guide_[b] = static_cast<std::uint32_t>(i);
+    }
 }
 
 double
@@ -192,21 +208,21 @@ ZipfDistribution::zeta(std::uint64_t n, double theta) const
 }
 
 std::uint64_t
-ZipfDistribution::operator()(Rng &rng) const
+ZipfDistribution::quantile(double u) const
 {
     if (!cdf_.empty()) {
-        double u = rng.uniform();
-        auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-        if (it == cdf_.end())
-            return n_ - 1;
-        return static_cast<std::uint64_t>(it - cdf_.begin());
+        // First entry >= u, i.e. std::lower_bound's index.
+        ubik_assert(u >= 0.0 && u < 1.0);
+        std::uint64_t i = guide_[bucket(u)];
+        while (cdf_[i] < u)
+            i++;
+        return i;
     }
     // Gray et al. quantile approximation (as used by YCSB).
-    double u = rng.uniform();
     double uz = u * zetan_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rank1Cut_)
         return 1;
     double v = static_cast<double>(n_) *
                std::pow(eta_ * u - eta_ + 1.0, alpha_);

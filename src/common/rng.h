@@ -75,16 +75,27 @@ class Rng
  * Zipfian integer distribution over [0, n) with exponent theta.
  * theta < 1 uses the Gray et al. quantile approximation (O(1) setup
  * and sampling); theta >= 1, where that parameterization breaks
- * down, falls back to an exact CDF table with binary-search sampling
- * (n is bounded in that mode). Used for query-popularity and hot-set
- * address draws.
+ * down, falls back to an exact CDF table (n is bounded in that
+ * mode) searched through a guide table: a draw u starts at the first
+ * CDF entry of its 1/n-wide bucket and walks to the first entry
+ * >= u, which is std::lower_bound's index in about one step. Used
+ * for query-popularity and hot-set address draws.
  */
 class ZipfDistribution
 {
   public:
     ZipfDistribution(std::uint64_t n, double theta);
 
-    std::uint64_t operator()(Rng &rng) const;
+    /** One draw: quantile(rng.uniform()). */
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        return quantile(rng.uniform());
+    }
+
+    /** The rank a uniform draw u in [0, 1) maps to (panics on a u
+     *  outside that range in exact-table mode). */
+    std::uint64_t quantile(double u) const;
 
     std::uint64_t n() const { return n_; }
     double theta() const { return theta_; }
@@ -92,13 +103,26 @@ class ZipfDistribution
   private:
     double zeta(std::uint64_t n, double theta) const;
 
+    /** Guide bucket of a probability: floor(p * n), as computed. */
+    std::uint64_t
+    bucket(double p) const
+    {
+        return static_cast<std::uint64_t>(p * static_cast<double>(n_));
+    }
+
     std::uint64_t n_;
     double theta_;
     double alpha_ = 0;
     double zetan_ = 0;
     double eta_ = 0;
     double zeta2_ = 0;
-    std::vector<double> cdf_; ///< exact-table mode (theta >= 1)
+    double rank1Cut_ = 0; ///< 1 + 0.5^theta: uz below it draws rank 1
+
+    /** Exact-table mode (theta >= 0.995): the CDF, and per bucket b
+     *  the number of CDF entries whose bucket is below b — none of
+     *  them can be >= a draw in bucket b, so the search starts there. */
+    std::vector<double> cdf_;
+    std::vector<std::uint32_t> guide_;
 };
 
 /**

@@ -650,9 +650,9 @@ Cmp::run()
         batch_roi_accesses = std::max<std::uint64_t>(200000, lines * 16);
     }
 
-    // Heap over per-core next-event times. The two periodic timers
-    // stay outside it (two comparisons beat heap churn); ties keep
-    // the legacy precedence reconfig > trace > lowest core index.
+    // Queue of per-core next-event times. The two periodic timers
+    // stay outside it (two comparisons per event); ties keep the
+    // legacy precedence reconfig > trace > lowest core index.
     {
         std::vector<Cycles> times;
         times.reserve(cores_.size());

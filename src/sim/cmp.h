@@ -288,8 +288,9 @@ class Cmp
     Cycles nextTrace_;
     Cycles maxCycles_ = 0;
 
-    /** Per-core next-event times, kept heap-ordered so each event is
-     *  dequeued in O(log cores) instead of a scan (sim/event_queue.h). */
+    /** Per-core next-event times with the earliest cached; serving
+     *  a core re-finds it with one branch-free scan
+     *  (sim/event_queue.h). */
     EventQueue events_;
 
     std::vector<std::unique_ptr<Core>> cores_;

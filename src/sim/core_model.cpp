@@ -12,6 +12,8 @@ CoreModel::CoreModel(CoreParams params, CoreTraits traits)
     ubik_assert(traits_.apki > 0);
     ubik_assert(traits_.baseIpc > 0);
     ubik_assert(traits_.mlp >= 1.0);
+    hitStall_ = hitCycles();
+    missStall_ = missCycles();
 }
 
 double
@@ -52,6 +54,8 @@ CoreModel::missCycles() const
 Cycles
 CoreModel::exposedMemDelay(Cycles extra) const
 {
+    if (extra == 0)
+        return 0; // every miss under the fixed-latency memory model
     if (params_.outOfOrder) {
         double stall = static_cast<double>(extra) / traits_.mlp;
         return static_cast<Cycles>(std::llround(stall));
@@ -63,13 +67,17 @@ Cycles
 CoreModel::access(bool hit, double instr_per_access, Cycles extra_mem)
 {
     ubik_assert(!hit || extra_mem == 0);
-    Cycles gap = gapCycles(instr_per_access);
-    Cycles mem = (hit ? hitCycles() : missCycles()) + extra_mem;
-    Cycles total = gap + mem;
+    if (instr_per_access != memoIpa_) {
+        memoIpa_ = instr_per_access;
+        memoGap_ = gapCycles(instr_per_access);
+        memoInstr_ =
+            static_cast<std::uint64_t>(std::llround(instr_per_access));
+    }
+    Cycles mem = (hit ? hitStall_ : missStall_) + extra_mem;
+    Cycles total = memoGap_ + mem;
 
     interval_.cycles += total;
-    interval_.instructions +=
-        static_cast<std::uint64_t>(std::llround(instr_per_access));
+    interval_.instructions += memoInstr_;
     interval_.llcAccesses++;
     if (!hit) {
         interval_.llcMisses++;

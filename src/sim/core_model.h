@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "mon/mlp_profiler.h"
 #include "common/types.h"
@@ -94,6 +95,20 @@ class CoreModel
     CoreParams params_;
     CoreTraits traits_;
     IntervalCounters interval_;
+
+    /** hitCycles() and missCycles(), fixed at construction. */
+    Cycles hitStall_ = 0;
+    Cycles missStall_ = 0;
+
+    /**
+     * access() memo, keyed on the last instructions-per-access value
+     * (constant per batch core and per LC request): its gap cycles
+     * and rounded instruction count. NaN never compares equal, so
+     * the first access always fills it.
+     */
+    double memoIpa_ = std::numeric_limits<double>::quiet_NaN();
+    Cycles memoGap_ = 0;
+    std::uint64_t memoInstr_ = 0;
 };
 
 } // namespace ubik

@@ -1,18 +1,22 @@
 /**
  * @file
- * Indexed min-heap over per-core next-event times.
+ * Per-core next-event times with the earliest one cached.
  *
- * Cmp::run previously found the earliest event with a linear scan
- * over all cores on every iteration — O(cores) per simulated event.
- * This queue keeps (time, core) pairs in a binary heap with a
- * position index so the served core's new event time is an O(log n)
- * sift instead of a rescan.
+ * Cmp::run asks for the earliest core event once per simulated event
+ * and then reschedules the core it served. The queue keeps the times
+ * in one flat array and, on every update, re-finds the minimum with a
+ * branch-free scan. At the core counts the simulator runs (one core
+ * for baselines, six for mixes, 24 at most in the scalability
+ * ablation) that scan is a handful of compare-and-move instructions
+ * over one or two host cache lines, cheaper than sifting an indexed
+ * binary heap and chasing its position index.
  *
- * Determinism: ties are broken by the lower core index, which is
- * exactly what the legacy strict-less-than scan over cores 0..N-1
- * selected, so replacing the scan changes zero simulated behaviour
- * (pinned by tests/sim/hotpath_golden_test.cpp; ordering unit-tested
- * in tests/sim/event_queue_test.cpp).
+ * Determinism: the scan takes the first strictly smaller time, so
+ * ties go to the lowest core index — the selection order of the
+ * original linear scan over cores 0..N-1, which is part of simulated
+ * behaviour (pinned by tests/sim/hotpath_golden_test.cpp; ordering
+ * unit-tested against a reference scan in
+ * tests/sim/event_queue_test.cpp).
  */
 
 #pragma once
@@ -25,102 +29,58 @@
 
 namespace ubik {
 
-/** Min-heap of (event time, index) with O(log n) key updates. */
+/** Earliest of (event time, index) with O(n) branch-free updates. */
 class EventQueue
 {
   public:
-    /** (Re)build the heap over `times[i]` for index i. */
+    /** (Re)load the queue with `times[i]` for index i. */
     void
     init(const std::vector<Cycles> &times)
     {
-        std::size_t n = times.size();
-        heap_.resize(n);
-        pos_.resize(n);
-        for (std::size_t i = 0; i < n; i++) {
-            heap_[i] = {times[i], static_cast<std::uint32_t>(i)};
-            pos_[i] = i;
-        }
-        // Bottom-up heapify.
-        for (std::size_t i = n / 2; i-- > 0;)
-            siftDown(i);
+        times_ = times;
+        rescan();
     }
 
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return times_.empty(); }
 
     /** Earliest event time. */
-    Cycles topTime() const { return heap_[0].time; }
+    Cycles topTime() const { return topTime_; }
 
     /** Index owning the earliest event (lowest index on ties). */
-    std::uint32_t topIndex() const { return heap_[0].idx; }
+    std::uint32_t topIndex() const { return topIdx_; }
 
-    /** Change index idx's event time and restore heap order. */
+    /** Change index idx's event time and re-find the earliest. */
     void
     update(std::uint32_t idx, Cycles t)
     {
-        std::size_t i = pos_[idx];
-        ubik_assert(i < heap_.size() && heap_[i].idx == idx);
-        heap_[i].time = t;
-        if (!siftUp(i))
-            siftDown(i);
+        ubik_assert(idx < times_.size());
+        times_[idx] = t;
+        rescan();
     }
 
   private:
-    struct Node
-    {
-        Cycles time;
-        std::uint32_t idx;
-    };
-
-    /** Heap order: earlier time first; lower index on equal times
-     *  (matches the legacy linear scan's first-strictly-smaller
-     *  selection). */
-    static bool
-    before(const Node &a, const Node &b)
-    {
-        return a.time < b.time || (a.time == b.time && a.idx < b.idx);
-    }
-
-    bool
-    siftUp(std::size_t i)
-    {
-        bool moved = false;
-        while (i > 0) {
-            std::size_t parent = (i - 1) / 2;
-            if (!before(heap_[i], heap_[parent]))
-                break;
-            swapNodes(i, parent);
-            i = parent;
-            moved = true;
-        }
-        return moved;
-    }
-
+    /** First strictly smaller time wins: lowest index on ties. */
     void
-    siftDown(std::size_t i)
+    rescan()
     {
-        for (;;) {
-            std::size_t l = 2 * i + 1, r = 2 * i + 2, best = i;
-            if (l < heap_.size() && before(heap_[l], heap_[best]))
-                best = l;
-            if (r < heap_.size() && before(heap_[r], heap_[best]))
-                best = r;
-            if (best == i)
-                return;
-            swapNodes(i, best);
-            i = best;
+        const std::size_t n = times_.size();
+        if (n == 0)
+            return;
+        const Cycles *t = times_.data();
+        Cycles best = t[0];
+        std::uint32_t idx = 0;
+        for (std::uint32_t i = 1; i < n; i++) {
+            const bool take = t[i] < best;
+            best = take ? t[i] : best;
+            idx = take ? i : idx;
         }
+        topTime_ = best;
+        topIdx_ = idx;
     }
 
-    void
-    swapNodes(std::size_t a, std::size_t b)
-    {
-        std::swap(heap_[a], heap_[b]);
-        pos_[heap_[a].idx] = a;
-        pos_[heap_[b].idx] = b;
-    }
-
-    std::vector<Node> heap_;
-    std::vector<std::size_t> pos_; ///< pos_[idx] = heap slot of idx
+    std::vector<Cycles> times_;
+    Cycles topTime_ = 0;
+    std::uint32_t topIdx_ = 0;
 };
 
 } // namespace ubik

@@ -103,10 +103,16 @@ make(BatchClass cls, std::uint32_t variation)
 } // namespace batch_presets
 
 BatchApp::BatchApp(BatchAppParams params, std::uint32_t instance, Rng rng)
-    : params_(std::move(params)), rng_(rng),
-      zipf_(params_.wsLines ? params_.wsLines : 1,
-            params_.theta > 0 ? params_.theta : 0.01)
+    : params_(std::move(params)), rng_(rng)
 {
+    // Only the skewed classes draw from a Zipf distribution; building
+    // one for a scan class would cost up to 2^20 pow() calls (a
+    // streaming app's 2^26-line footprint) for a table never read.
+    // The constructor draws no randomness either way.
+    if (params_.cls == BatchClass::Insensitive ||
+        params_.cls == BatchClass::Friendly)
+        zipf_.emplace(params_.wsLines ? params_.wsLines : 1,
+                      params_.theta > 0 ? params_.theta : 0.01);
     // Batch instances live above LC instances in the address space.
     base_ = static_cast<Addr>(instance + 64) << 40;
 }
@@ -136,7 +142,7 @@ BatchApp::nextAddr()
     switch (params_.cls) {
       case BatchClass::Insensitive:
       case BatchClass::Friendly:
-        return base_ + zipf_(rng_);
+        return base_ + (*zipf_)(rng_);
       case BatchClass::Fitting: {
         Addr a = base_ + cursor_;
         cursor_ = (cursor_ + 1) % params_.wsLines;

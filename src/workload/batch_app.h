@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -107,7 +108,9 @@ class BatchApp
   private:
     BatchAppParams params_;
     Rng rng_;
-    ZipfDistribution zipf_;
+    /** Address skew of the classes that sample one (Insensitive,
+     *  Friendly); the scan classes never build it. */
+    std::optional<ZipfDistribution> zipf_;
     Addr base_;
     std::uint64_t cursor_ = 0; ///< scan/stream/replay position
 

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cache/zcache_array.h"
+#include "common/rng.h"
 
 namespace ubik {
 namespace {
@@ -187,6 +191,142 @@ TEST_P(ZCacheStress, LookupAlwaysFindsLastInstall)
         ASSERT_EQ(a.addrAt(slot), addr);
     }
 }
+
+/**
+ * Naive breadth-first reference for the replacement walk: plain
+ * vectors, linear-search dedup, and every resident line re-hashed
+ * through waySlot() (never the install-time bank cache).
+ */
+std::vector<Candidate>
+referenceWalk(const ZCacheArray &a, Addr addr)
+{
+    const std::size_t cap = a.associativity();
+    std::vector<Candidate> ref;
+    auto push = [&](std::uint64_t slot, std::int32_t parent) {
+        for (const Candidate &c : ref)
+            if (c.slot == slot)
+                return;
+        ref.push_back({slot, parent});
+    };
+    for (std::uint32_t w = 0; w < a.ways() && ref.size() < cap; w++)
+        push(a.waySlot(addr, w), -1);
+    for (std::size_t head = 0; head < ref.size() && ref.size() < cap;
+         head++) {
+        std::uint64_t own = ref[head].slot;
+        if (!a.validAt(own))
+            continue;
+        Addr resident = a.addrAt(own);
+        for (std::uint32_t w = 0; w < a.ways() && ref.size() < cap;
+             w++) {
+            std::uint64_t alt = a.waySlot(resident, w);
+            if (alt != own)
+                push(alt, static_cast<std::int32_t>(head));
+        }
+    }
+    return ref;
+}
+
+/** Equal (slot, parent) sequences, or the first divergence. */
+::testing::AssertionResult
+sameWalk(const std::vector<Candidate> &got,
+         const std::vector<Candidate> &want)
+{
+    const std::size_t n = std::min(got.size(), want.size());
+    for (std::size_t i = 0; i < n; i++) {
+        if (got[i].slot != want[i].slot ||
+            got[i].parent != want[i].parent)
+            return ::testing::AssertionFailure()
+                   << "candidate " << i << ": walk (slot " << got[i].slot
+                   << ", parent " << got[i].parent << "), reference (slot "
+                   << want[i].slot << ", parent " << want[i].parent << ")";
+    }
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure()
+               << "walk has " << got.size() << " candidates, reference "
+               << want.size() << " (the first " << n << " agree)";
+    return ::testing::AssertionSuccess();
+}
+
+struct WalkCase
+{
+    const char *name;
+    std::uint64_t lines;
+    std::uint32_t ways;
+    std::uint32_t candidates;
+    int installs;        ///< seeded random installs before/among walks
+    Addr addrRange;      ///< addresses drawn from [0, addrRange)
+    bool expectShort;    ///< some walks must end below the cap
+};
+
+void
+PrintTo(const WalkCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ZCacheWalkLockstep : public ::testing::TestWithParam<WalkCase>
+{
+};
+
+/**
+ * The walk's fast paths (raw-pointer fill, stamped dedup set, bank
+ * cache, lookup memo) must yield exactly the reference's candidate
+ * sequence. Every miss is checked before its install, reusing the
+ * probe slots its lookup memoized; a walk-only probe of another
+ * address after each install, and a final run of back-to-back walks,
+ * hash afresh. One array thus serves thousands of consecutive walks
+ * (the dedup stamp advances on every one).
+ */
+TEST_P(ZCacheWalkLockstep, MatchesReferenceWalk)
+{
+    const WalkCase &c = GetParam();
+    ZCacheArray a(c.lines, c.ways, c.candidates, 0x5eed);
+    Rng rng(4242);
+    std::vector<Candidate> cands;
+    int walks = 0, short_walks = 0;
+    auto check = [&](Addr addr) {
+        a.victimCandidates(addr, cands);
+        walks++;
+        if (cands.size() < c.candidates)
+            short_walks++;
+        EXPECT_TRUE(sameWalk(cands, referenceWalk(a, addr)))
+            << c.name << ", walk " << walks << ", addr " << addr;
+    };
+    for (int i = 0; i < c.installs && !HasFailure(); i++) {
+        Addr addr = rng.uniformInt(c.addrRange);
+        if (a.lookup(addr) >= 0)
+            continue;
+        check(addr);
+        if (HasFailure())
+            return;
+        a.install(addr, cands, rng.uniformInt(cands.size()));
+        check(rng.uniformInt(c.addrRange));
+    }
+    for (int i = 0; i < 5000 && !HasFailure(); i++)
+        check(rng.uniformInt(4 * c.addrRange));
+    EXPECT_GT(walks, 5000);
+    if (c.expectShort) {
+        EXPECT_GT(short_walks, 0) << c.name;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ZCacheWalkLockstep,
+    ::testing::Values(
+        WalkCase{"Z4/52", 8192, 4, 52, 12000, 32768, false},
+        WalkCase{"Z4/16", 2048, 4, 16, 6000, 8192, false},
+        // Wider than the bank cache: children come from re-hashing.
+        WalkCase{"Z8/64", 4096, 8, 64, 8000, 16384, false},
+        // Mostly empty: walks stop at empty slots and end short.
+        WalkCase{"Z4/52-partly-empty", 16384, 4, 52, 2500, 1 << 20,
+                 true}),
+    [](const ::testing::TestParamInfo<WalkCase> &info) {
+        std::string name = info.param.name;
+        for (char &ch : name)
+            if (ch == '/' || ch == '-')
+                ch = '_';
+        return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ZCacheStress,

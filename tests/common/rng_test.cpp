@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -276,6 +277,136 @@ TEST(Zipf, HeadMassMonotoneInTheta)
         double mass = static_cast<double>(head) / draws;
         EXPECT_GT(mass, prev - 0.005) << "theta = " << theta;
         prev = mass;
+    }
+}
+
+/** The exact-table CDF, built the way ZipfDistribution builds it. */
+std::vector<double>
+exactZipfCdf(std::uint64_t n, double theta)
+{
+    std::vector<double> cdf(n);
+    double sum = 0;
+    for (std::uint64_t i = 0; i < n; i++) {
+        sum += std::pow(1.0 / static_cast<double>(i + 1), theta);
+        cdf[i] = sum;
+    }
+    for (double &c : cdf)
+        c /= sum;
+    return cdf;
+}
+
+/** Binary-search sampling over the CDF: the exact-mode definition. */
+std::uint64_t
+lowerBoundRank(const std::vector<double> &cdf, double u)
+{
+    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    if (it == cdf.end())
+        return cdf.size() - 1;
+    return static_cast<std::uint64_t>(it - cdf.begin());
+}
+
+class ZipfExactTable
+    : public ::testing::TestWithParam<std::tuple<double, std::uint64_t>>
+{
+};
+
+/**
+ * The guide-table search must return std::lower_bound's index for
+ * every u, in particular at the edges where a draw changes guide
+ * bucket (k/n and its neighbours) and where it crosses a CDF entry.
+ */
+TEST_P(ZipfExactTable, BoundariesMatchLowerBound)
+{
+    const auto [theta, n] = GetParam();
+    ZipfDistribution zipf(n, theta);
+    const std::vector<double> cdf = exactZipfCdf(n, theta);
+    auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0))
+            return;
+        EXPECT_EQ(zipf.quantile(u), lowerBoundRank(cdf, u))
+            << "theta " << theta << ", n " << n << ", u " << u;
+    };
+    auto around = [&](double u) {
+        check(std::nextafter(u, 0.0));
+        check(u);
+        check(std::nextafter(u, 1.0));
+    };
+    for (std::uint64_t k = 0; k <= n && !HasFailure(); k++)
+        around(static_cast<double>(k) / static_cast<double>(n));
+    for (std::uint64_t i = 0; i < n && !HasFailure(); i++)
+        around(cdf[i]);
+    check(0.0);
+    check(std::nextafter(1.0, 0.0));
+}
+
+TEST_P(ZipfExactTable, SeededDrawsMatchLowerBound)
+{
+    const auto [theta, n] = GetParam();
+    ZipfDistribution zipf(n, theta);
+    const std::vector<double> cdf = exactZipfCdf(n, theta);
+    Rng rng(20261017), twin(20261017);
+    for (int i = 0; i < 1000000; i++) {
+        std::uint64_t got = zipf(rng);
+        std::uint64_t want = lowerBoundRank(cdf, twin.uniform());
+        if (got != want) {
+            FAIL() << "theta " << theta << ", n " << n << ", draw " << i
+                   << ": " << got << " != " << want;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThetasAndSizes, ZipfExactTable,
+    ::testing::Combine(::testing::Values(1.0, 1.1, 1.2),
+                       ::testing::Values(std::uint64_t{1},
+                                         std::uint64_t{2},
+                                         std::uint64_t{3},
+                                         std::uint64_t{128},
+                                         std::uint64_t{3072})));
+
+/**
+ * Gray-mode draws are bit-identical to the quantile formula with
+ * every constant recomputed per draw, the way it was first written.
+ */
+TEST(Zipf, GrayDrawsMatchReferenceFormula)
+{
+    auto zeta = [](std::uint64_t n, double theta) {
+        double sum = 0;
+        for (std::uint64_t i = 1; i <= n; i++)
+            sum += std::pow(1.0 / static_cast<double>(i), theta);
+        return sum;
+    };
+    for (double theta : {0.25, 0.6, 0.9, 0.99}) {
+        for (std::uint64_t n : {std::uint64_t{1000},
+                                std::uint64_t{24576}}) {
+            const double zetan = zeta(n, theta);
+            const double alpha = 1.0 / (1.0 - theta);
+            const double eta =
+                (1.0 - std::pow(2.0 / static_cast<double>(n),
+                                1.0 - theta)) /
+                (1.0 - zeta(2, theta) / zetan);
+            ZipfDistribution zipf(n, theta);
+            Rng rng(99), twin(99);
+            for (int i = 0; i < 200000; i++) {
+                double u = twin.uniform();
+                double uz = u * zetan;
+                std::uint64_t want;
+                if (uz < 1.0) {
+                    want = 0;
+                } else if (uz < 1.0 + std::pow(0.5, theta)) {
+                    want = 1;
+                } else {
+                    double v = static_cast<double>(n) *
+                               std::pow(eta * u - eta + 1.0, alpha);
+                    want = std::min(static_cast<std::uint64_t>(v), n - 1);
+                }
+                std::uint64_t got = zipf(rng);
+                if (got != want)
+                    FAIL() << "theta " << theta << ", n " << n
+                           << ", draw " << i << ": " << got
+                           << " != " << want;
+            }
+        }
     }
 }
 

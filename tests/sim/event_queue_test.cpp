@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the indexed min-heap behind Cmp's event loop. The heap
- * replaced a linear scan whose selection order (earliest time, ties
- * to the lowest core index) is part of simulated behaviour, so the
- * ordering is checked against a reference scan over random updates.
+ * Tests for the event queue behind Cmp's event loop. Its selection
+ * order (earliest time, ties to the lowest core index) is part of
+ * simulated behaviour, so the ordering is checked against a
+ * reference scan over random updates.
  */
 
 #include <gtest/gtest.h>
