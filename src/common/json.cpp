@@ -1,12 +1,14 @@
 #include "common/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/hex.h"
 #include "common/log.h"
 
 namespace ubik {
@@ -126,7 +128,7 @@ Json::find(const std::string &key) const
 }
 
 Json &
-Json::set(const std::string &key, Json v)
+Json::set(std::string key, Json v)
 {
     if (kind_ != Kind::Object)
         fatal("json: set(\"%s\") on %s", key.c_str(), kindName(kind_));
@@ -136,7 +138,7 @@ Json::set(const std::string &key, Json v)
             return *this;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    obj_.emplace_back(std::move(key), std::move(v));
     return *this;
 }
 
@@ -187,35 +189,94 @@ Json::operator==(const Json &o) const
 // Writer
 // ---------------------------------------------------------------------------
 
-std::string
-jsonNumberText(double d)
+namespace {
+
+/** Longest number text: "-" + 17 digits + "." + "e-308". */
+constexpr std::size_t kNumberTextMax = 32;
+
+/**
+ * The double that the number text [first, last) denotes, as strtod
+ * reads it. from_chars leaves its output untouched when it reports
+ * the value out of range, so such text takes strtod's answer:
+ * overflow (1e999) is infinite, and underflow keeps its sign (1e-999
+ * is +0.0, -1e-999 is -0.0).
+ */
+double
+numberValue(const char *first, const char *last)
+{
+    double d = 0;
+    if (std::from_chars(first, last, d).ec ==
+        std::errc::result_out_of_range)
+        d = std::strtod(std::string(first, last).c_str(), nullptr);
+    return d;
+}
+
+/** Write jsonNumberText(d) into `buf` (kNumberTextMax bytes); returns
+ *  the end of the text. */
+char *
+numberText(char *buf, double d)
 {
     if (!std::isfinite(d))
         fatal("json: cannot serialize non-finite number");
+    char *const end = buf + kNumberTextMax;
     // 2^53: largest range where every integer is exact in a double.
-    if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(d));
-        return buf;
+    if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0)
+        return std::to_chars(buf, end, static_cast<long long>(d)).ptr;
+
+    // printf's %.<p>g for the smallest p of 15, 16 and 17 whose text
+    // parses back to the same bits. No text with fewer significant
+    // digits than the shortest round-trip text (k digits) parses back,
+    // so the search starts at p = max(15, k).
+    char sci[kNumberTextMax];
+    char *const sciEnd =
+        std::to_chars(sci, sci + sizeof sci, d,
+                      std::chars_format::scientific)
+            .ptr;
+    int k = 0;
+    for (const char *c = sci; c < sciEnd && *c != 'e'; c++)
+        k += *c >= '0' && *c <= '9';
+    for (int p = std::max(15, k);; p++) {
+        char *text =
+            std::to_chars(buf, end, d, std::chars_format::general, p).ptr;
+        if (p == 17 || numberValue(buf, text) == d)
+            return text;
     }
-    // Shortest of %.15g/%.16g/%.17g that parses back bit-exact.
-    for (int prec = 15; prec <= 17; prec++) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, d);
-        if (std::strtod(buf, nullptr) == d)
-            return buf;
-    }
-    panic("json: %%.17g failed to round-trip a finite double");
+}
+
+} // namespace
+
+std::string
+jsonNumberText(double d)
+{
+    char buf[kNumberTextMax];
+    return std::string(buf, numberText(buf, d));
 }
 
 namespace {
+
+/** Characters a JSON string must escape: '"', '\\' and controls. */
+bool
+needsEscape(unsigned char c)
+{
+    return c < 0x20 || c == '"' || c == '\\';
+}
 
 void
 dumpString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (unsigned char c : s) {
+    const char *p = s.data();
+    const char *const end = p + s.size();
+    while (p < end) {
+        // Copy the run of plain bytes in one append. Bytes >= 0x80
+        // pass through: strings are treated as (already valid) UTF-8.
+        const char *run = p;
+        while (p < end && !needsEscape(static_cast<unsigned char>(*p)))
+            p++;
+        out.append(run, static_cast<std::size_t>(p - run));
+        if (p == end)
+            break;
+        unsigned char c = static_cast<unsigned char>(*p++);
         switch (c) {
           case '"':
             out += "\\\"";
@@ -238,16 +299,12 @@ dumpString(std::string &out, const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                // Bytes >= 0x80 pass through: strings are treated
-                // as (already valid) UTF-8.
-                out += static_cast<char>(c);
-            }
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char esc[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                 kHex[c & 15]};
+            out.append(esc, sizeof esc);
+          }
         }
     }
     out += '"';
@@ -272,9 +329,11 @@ Json::dumpTo(std::string &out, bool pretty, int indent) const
       case Kind::Bool:
         out += bool_ ? "true" : "false";
         return;
-      case Kind::Number:
-        out += jsonNumberText(num_);
+      case Kind::Number: {
+        char buf[kNumberTextMax];
+        out.append(buf, numberText(buf, num_));
         return;
+      }
       case Kind::String:
         dumpString(out, str_);
         return;
@@ -360,9 +419,7 @@ class Parser
     bool
     fail(std::string &err)
     {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "byte %zu: ", errPos_);
-        err = buf + errMsg_;
+        err = "byte " + std::to_string(errPos_) + ": " + errMsg_;
         return false;
     }
 
@@ -518,18 +575,6 @@ class Parser
         }
     }
 
-    int
-    hexNibble(char c)
-    {
-        if (c >= '0' && c <= '9')
-            return c - '0';
-        if (c >= 'a' && c <= 'f')
-            return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F')
-            return c - 'A' + 10;
-        return -1;
-    }
-
     bool
     hex4(std::uint32_t &out)
     {
@@ -539,7 +584,7 @@ class Parser
         }
         out = 0;
         for (int i = 0; i < 4; i++) {
-            int n = hexNibble(s_[pos_ + static_cast<std::size_t>(i)]);
+            int n = hexDigitValue(s_[pos_ + static_cast<std::size_t>(i)]);
             if (n < 0) {
                 error("bad hex digit in \\u escape");
                 return false;
@@ -591,8 +636,13 @@ class Parser
                 return false;
             }
             if (c != '\\') {
-                v += static_cast<char>(c);
-                pos_++;
+                // Copy the run of plain bytes in one append.
+                std::size_t run = pos_;
+                while (pos_ < s_.size() && s_[pos_] != '"' &&
+                       s_[pos_] != '\\' &&
+                       static_cast<unsigned char>(s_[pos_]) >= 0x20)
+                    pos_++;
+                v.append(s_, run, pos_ - run);
                 continue;
             }
             pos_++; // '\'
@@ -664,8 +714,8 @@ class Parser
     bool
     number(Json &out)
     {
-        // Validate the JSON number grammar by hand: strtod() accepts
-        // forms JSON forbids (hex, "inf", leading '+', ".5").
+        // Validate the JSON number grammar by hand: the converters
+        // accept forms JSON forbids (hex, "inf", leading '+', ".5").
         std::size_t start = pos_;
         if (pos_ < s_.size() && s_[pos_] == '-')
             pos_++;
@@ -707,8 +757,10 @@ class Parser
                    s_[pos_] <= '9')
                 pos_++;
         }
-        std::string tok = s_.substr(start, pos_ - start);
-        double d = std::strtod(tok.c_str(), nullptr);
+        // The span is valid JSON number grammar, which from_chars
+        // converts as is.
+        const double d =
+            numberValue(s_.data() + start, s_.data() + pos_);
         if (!std::isfinite(d)) {
             // Overflowing literals (1e999) have valid grammar but no
             // finite value; reject rather than store infinity.

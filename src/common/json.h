@@ -12,10 +12,8 @@
  * act on (and the fuzz-ish tests can exercise every reject path).
  *
  * Losslessness contract: `parse(dump(v))` reproduces `v` exactly.
- * Numbers are stored as doubles; the writer emits integers without
- * an exponent or fraction when the value is integral below 2^53, and
- * otherwise the shortest decimal form that strtod() parses back to
- * the identical bit pattern. Object members keep insertion order, so
+ * Numbers are stored as doubles; the writer emits them as
+ * jsonNumberText() does. Object members keep insertion order, so
  * dump() output is deterministic and diff-friendly.
  */
 
@@ -99,7 +97,7 @@ class Json
 
     /** Insert or overwrite an object member, keeping first-insertion
      *  order (fatal() unless object). Returns *this for chaining. */
-    Json &set(const std::string &key, Json v);
+    Json &set(std::string key, Json v);
 
     /** Object members in insertion order (fatal() unless object). */
     const std::vector<std::pair<std::string, Json>> &members() const;
@@ -150,11 +148,15 @@ class Json
 };
 
 /**
- * Render a finite double the way the writer does: integral values
- * below 2^53 as plain integers, everything else as the shortest
- * decimal that round-trips through strtod() to the same bits.
- * Exposed for the report layer's structured exports, which need the
- * same "bit-identical runs produce byte-identical files" guarantee.
+ * Render a finite double the way the writer does. Integral values
+ * below 2^53 print as plain integers. Every other value prints as
+ * printf's "%.<p>g" would, with p the smallest of 15, 16 and 17 whose
+ * text parses back to the same bits. The search starts at
+ * p = max(15, k), where k is the digit count of the shortest text that
+ * round-trips, since no text with fewer digits parses back; p rises
+ * past that start only in rare cases next to a power of two. Exposed
+ * for the report layer's structured exports, which need the same
+ * "bit-identical runs produce byte-identical files" guarantee.
  */
 std::string jsonNumberText(double d);
 

@@ -196,12 +196,18 @@ ServeDaemon::handleScenario(const Json &req)
         }
     }
 
-    ScenarioResult res = runScenario(spec, cfg_, cache_.get());
+    // The sweep's progress and cache lines are a terminal user's;
+    // the daemon's log gets them only under --verbose.
+    ScenarioResult res = runScenario(spec, cfg_, cache_.get(),
+                                     opt_.verbose ? stderr : nullptr);
     Json resp = Json::object();
     resp.set("ok", true);
     resp.set("results",
              scenarioResultsJson(spec, res, /*accounting=*/false));
     std::string body = resp.dump(/*pretty=*/true);
+    // The memo keeps its key for the daemon's lifetime: drop the
+    // slack the dump's growth left (up to half the key).
+    key.shrink_to_fit();
     std::lock_guard<std::mutex> lk(memoMu_);
     memo_.emplace(std::move(key), body);
     return body;

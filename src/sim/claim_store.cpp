@@ -5,13 +5,13 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/hex.h"
 #include "common/log.h"
 #include "common/retry.h"
 
@@ -20,14 +20,6 @@ namespace ubik {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string
-hexU64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
-}
 
 std::uint64_t
 fnvString(const std::string &s)
@@ -88,8 +80,8 @@ ClaimStore::leasePath(const std::string &key) const
     // filesystem-safe, and 128 bits keeps accidental collision
     // (which would only serialize two unrelated jobs, never corrupt
     // a result) out of reach for any practical sweep size.
-    return dir_ + "/" + hexU64(fnvString(key)) +
-           hexU64(fnvString(key + "#2")) + ".lease";
+    return dir_ + "/" + hex64(fnvString(key)) +
+           hex64(fnvString(key + "#2")) + ".lease";
 }
 
 bool

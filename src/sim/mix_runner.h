@@ -77,7 +77,7 @@ struct SchemeUnderTest
     double slack = 0.05;
 
     /** Remaining Ubik tunables (slack above wins over ubik.slack). */
-    UbikConfig ubik;
+    UbikConfig ubik{};
 
     /** Multiplier on the coarse reconfiguration interval (1 = the
      *  paper's 50ms, scaled); used by the parameter ablation. */
@@ -86,7 +86,7 @@ struct SchemeUnderTest
     /** Memory-model extension (src/mem/); Fixed is the paper's
      *  model and leaves mix runs untouched. */
     MemKind mem = MemKind::Fixed;
-    MemoryParams memParams;
+    MemoryParams memParams{};
 
     /** Partitioned memory only: bandwidth reserved for the LC
      *  instances. The LC apps run unregulated (strict priority); the

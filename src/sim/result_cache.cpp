@@ -2,15 +2,20 @@
 
 #include <unistd.h>
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <shared_mutex>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "common/hex.h"
 #include "common/log.h"
 #include "common/retry.h"
 #include "sim/claim_store.h"
@@ -24,74 +29,62 @@ namespace {
 // ---------------------------------------------------------------------------
 
 std::uint64_t
-fnv1a64(const std::string &s)
+fnvFold(std::uint64_t h, std::string_view s)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return fnv1a64Bytes(
+        h, reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
-std::string
-hexU64(std::uint64_t v)
+/** Record checksum: FNV-1a over the unescaped fields joined by an
+ *  unambiguous separator that cannot appear inside them post-escape
+ *  (kind 0x1f key 0x1f payload). */
+std::uint64_t
+recordChecksum(char kind, std::string_view key, std::string_view payload)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
+    const char sep = '\x1f';
+    std::uint64_t h = fnvFold(kFnvOffsetBasis, std::string_view(&kind, 1));
+    h = fnvFold(h, std::string_view(&sep, 1));
+    h = fnvFold(h, key);
+    h = fnvFold(h, std::string_view(&sep, 1));
+    return fnvFold(h, payload);
 }
 
-/** Exact bit pattern: the only double encoding that round-trips. */
-std::string
-hexDouble(double d)
+/** Decimal text of `v`, appended. */
+void
+appendDec(std::string &out, std::uint64_t v)
 {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    return hexU64(u);
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
+/** Strict base-10 field: digits only, no sign or space. */
 bool
-parseHex64(const std::string &tok, std::uint64_t &out)
+parseDec(std::string_view s, std::uint64_t &out)
 {
-    if (tok.size() != 16)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(tok.c_str(), &end, 16);
-    return end == tok.c_str() + 16;
+    const char *end = s.data() + s.size();
+    auto r = std::from_chars(s.data(), end, out);
+    return r.ec == std::errc() && r.ptr == end;
 }
 
-bool
-parseHexDouble(const std::string &tok, double &out)
+/** Append `s` made safe as one space-separated record token. */
+void
+appendEscapedToken(std::string &out, std::string_view s)
 {
-    std::uint64_t u;
-    if (!parseHex64(tok, u))
-        return false;
-    std::memcpy(&out, &u, sizeof(out));
-    return true;
-}
-
-/** Make a string safe as one space-separated record token. */
-std::string
-escapeToken(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
+    for (char c : s) {
         if (c == ' ' || c == '%' || c == '\n' || c == '\r' ||
             c == '\t' || c == '\0') {
-            char buf[4];
-            std::snprintf(buf, sizeof(buf), "%%%02X", c);
-            out += buf;
+            static constexpr char kHex[] = "0123456789ABCDEF";
+            auto u = static_cast<unsigned char>(c);
+            const char esc[3] = {'%', kHex[u >> 4], kHex[u & 15]};
+            out.append(esc, sizeof esc);
         } else {
-            out += static_cast<char>(c);
+            out += c;
         }
     }
-    return out;
 }
 
 bool
-unescapeToken(const std::string &s, std::string &out)
+unescapeToken(std::string_view s, std::string &out)
 {
     out.clear();
     out.reserve(s.size());
@@ -102,16 +95,7 @@ unescapeToken(const std::string &s, std::string &out)
         }
         if (i + 2 >= s.size())
             return false;
-        auto nib = [](char c) -> int {
-            if (c >= '0' && c <= '9')
-                return c - '0';
-            if (c >= 'A' && c <= 'F')
-                return c - 'A' + 10;
-            if (c >= 'a' && c <= 'f')
-                return c - 'a' + 10;
-            return -1;
-        };
-        int hi = nib(s[i + 1]), lo = nib(s[i + 2]);
+        int hi = hexDigitValue(s[i + 1]), lo = hexDigitValue(s[i + 2]);
         if (hi < 0 || lo < 0)
             return false;
         out += static_cast<char>(hi * 16 + lo);
@@ -120,35 +104,91 @@ unescapeToken(const std::string &s, std::string &out)
     return true;
 }
 
-std::vector<std::string>
-splitOn(const std::string &s, char sep)
+/** Walks the `sep`-separated fields of a record or payload in place. */
+class Fields
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); i++) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
+  public:
+    Fields(std::string_view s, char sep) : rest_(s), sep_(sep) {}
 
-/** Builds the canonical `v<schema>|name=value|...` key string. */
+    /** The next field; false once every field was taken. */
+    bool next(std::string_view &field)
+    {
+        if (done_)
+            return false;
+        std::size_t i = rest_.find(sep_);
+        if (i == std::string_view::npos) {
+            field = rest_;
+            done_ = true;
+        } else {
+            field = rest_.substr(0, i);
+            rest_.remove_prefix(i + 1);
+        }
+        return true;
+    }
+
+    bool nextHex(std::uint64_t &v)
+    {
+        std::string_view f;
+        return next(f) && parseHex64(f, v);
+    }
+
+    bool nextHexDouble(double &v)
+    {
+        std::string_view f;
+        return next(f) && parseHexDouble(f, v);
+    }
+
+    /** True once every field was taken. */
+    bool done() const { return done_; }
+
+    /** Fields not yet taken. */
+    std::size_t remaining() const
+    {
+        if (done_)
+            return 0;
+        return 1 + static_cast<std::size_t>(
+                       std::count(rest_.begin(), rest_.end(), sep_));
+    }
+
+  private:
+    std::string_view rest_;
+    char sep_;
+    bool done_ = false;
+};
+
+/**
+ * Builds the canonical `v<schema>|name=value|...` key string, each
+ * field appended in place.
+ */
 class KeyBuilder
 {
   public:
     explicit KeyBuilder(const char *what, std::uint32_t schema)
     {
-        out_ = "v" + std::to_string(schema) + "|" + what;
+        out_.reserve(2048);
+        out_ += 'v';
+        appendDec(out_, schema);
+        out_ += '|';
+        out_ += what;
     }
 
-    KeyBuilder &add(const char *name, const std::string &v)
+    /** Prefix for the names of the fields added next ("b0."). */
+    KeyBuilder &scope(std::string_view prefix)
     {
+        scope_ = prefix;
+        return *this;
+    }
+
+    /** A string field. '|' and '=' structure the key and '%'
+     *  escapes; nothing else needs quoting (spaces are handled at the
+     *  record layer). */
+    KeyBuilder &add(std::string_view name, std::string_view v)
+    {
+        if (std::none_of(v.begin(), v.end(), [](char c) {
+                return c == '|' || c == '=' || c == '%';
+            }))
+            return put(name, v);
         std::string esc;
-        esc.reserve(v.size());
-        // '|' and '=' structure the key, '%' escapes; nothing else
-        // needs quoting (spaces are handled at the record layer).
         for (char c : v) {
             if (c == '|')
                 esc += "%7C";
@@ -159,42 +199,67 @@ class KeyBuilder
             else
                 esc += c;
         }
-        out_ += "|";
+        return put(name, esc);
+    }
+
+    KeyBuilder &add(std::string_view name, const std::string &v)
+    {
+        return add(name, std::string_view(v));
+    }
+
+    KeyBuilder &add(std::string_view name, const char *v)
+    {
+        return add(name, std::string_view(v));
+    }
+
+    KeyBuilder &add(std::string_view name, std::uint64_t v)
+    {
+        char buf[20];
+        char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+        return put(name, std::string_view(buf, end - buf));
+    }
+
+    KeyBuilder &add(std::string_view name, std::uint32_t v)
+    {
+        return add(name, static_cast<std::uint64_t>(v));
+    }
+
+    KeyBuilder &add(std::string_view name, int v)
+    {
+        char buf[12];
+        char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+        return put(name, std::string_view(buf, end - buf));
+    }
+
+    KeyBuilder &add(std::string_view name, bool v)
+    {
+        return put(name, v ? "1" : "0");
+    }
+
+    /** Doubles key as their exact bit pattern. */
+    KeyBuilder &add(std::string_view name, double v)
+    {
+        char buf[16];
+        writeHex64(buf, doubleBits(v));
+        return put(name, std::string_view(buf, sizeof buf));
+    }
+
+    std::string take() { return std::move(out_); }
+
+  private:
+    /** Append "|<scope><name>=<value>" (value already escaped). */
+    KeyBuilder &put(std::string_view name, std::string_view value)
+    {
+        out_ += '|';
+        out_ += scope_;
         out_ += name;
-        out_ += "=";
-        out_ += esc;
+        out_ += '=';
+        out_ += value;
         return *this;
     }
 
-    KeyBuilder &add(const char *name, std::uint64_t v)
-    {
-        return add(name, std::to_string(v));
-    }
-
-    KeyBuilder &add(const char *name, std::uint32_t v)
-    {
-        return add(name, std::to_string(v));
-    }
-
-    KeyBuilder &add(const char *name, int v)
-    {
-        return add(name, std::to_string(v));
-    }
-
-    KeyBuilder &add(const char *name, bool v)
-    {
-        return add(name, std::string(v ? "1" : "0"));
-    }
-
-    KeyBuilder &add(const char *name, double v)
-    {
-        return add(name, hexDouble(v));
-    }
-
-    std::string str() const { return out_; }
-
-  private:
     std::string out_;
+    std::string_view scope_;
 };
 
 void
@@ -224,24 +289,26 @@ addLcApp(KeyBuilder &kb, const LcAppParams &p)
 void
 addBatchApp(KeyBuilder &kb, const BatchAppParams &p, int i)
 {
-    std::string pre = "b" + std::to_string(i) + ".";
-    kb.add((pre + "name").c_str(), p.name)
-        .add((pre + "cls").c_str(),
-             std::string(1, batchClassCode(p.cls)))
-        .add((pre + "apki").c_str(), p.apki)
-        .add((pre + "wsLines").c_str(), p.wsLines)
-        .add((pre + "theta").c_str(), p.theta)
-        .add((pre + "mlp").c_str(), p.mlp)
-        .add((pre + "baseIpc").c_str(), p.baseIpc);
+    const char prefix[] = {'b', static_cast<char>('0' + i), '.'};
+    const char cls = batchClassCode(p.cls);
+    kb.scope(std::string_view(prefix, sizeof prefix))
+        .add("name", p.name)
+        .add("cls", std::string_view(&cls, 1))
+        .add("apki", p.apki)
+        .add("wsLines", p.wsLines)
+        .add("theta", p.theta)
+        .add("mlp", p.mlp)
+        .add("baseIpc", p.baseIpc)
+        .scope({});
 }
 
 void
 addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
 {
     kb.add("sut.label", sut.label)
-        .add("sut.scheme", std::string(schemeKindName(sut.scheme)))
-        .add("sut.array", std::string(arrayKindName(sut.array)))
-        .add("sut.policy", std::string(policyKindName(sut.policy)))
+        .add("sut.scheme", schemeKindName(sut.scheme))
+        .add("sut.array", arrayKindName(sut.array))
+        .add("sut.policy", policyKindName(sut.policy))
         .add("sut.slack", sut.slack)
         .add("ubik.slack", sut.ubik.slack)
         .add("ubik.idleOptions", sut.ubik.idleOptions)
@@ -250,7 +317,7 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
         .add("ubik.dutyAlpha", sut.ubik.dutyAlpha)
         .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
         .add("sut.reconfigScale", sut.reconfigScale)
-        .add("sut.mem", std::string(memKindName(sut.mem)))
+        .add("sut.mem", memKindName(sut.mem))
         .add("mem.baseLatency", sut.memParams.baseLatency)
         .add("mem.channels", sut.memParams.channels)
         .add("mem.channelOccupancy", sut.memParams.channelOccupancy)
@@ -264,42 +331,50 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
 std::string
 serializeMix(const MixRunResult &r)
 {
-    std::string out = hexDouble(r.lcTailMean) + "," +
-                      hexDouble(r.tailDegradation) + "," +
-                      hexDouble(r.meanDegradation) + "," +
-                      hexDouble(r.weightedSpeedup) + "," +
-                      std::to_string(r.batchSpeedups.size());
-    for (double s : r.batchSpeedups)
-        out += "," + hexDouble(s);
-    out += "," + hexU64(r.ubikDeboosts);
-    out += "," + hexU64(r.ubikDeadlineDeboosts);
-    out += "," + hexU64(r.ubikWatermarks);
+    std::string out;
+    out.reserve(17 * (8 + r.batchSpeedups.size()) + 4);
+    for (double d : {r.lcTailMean, r.tailDegradation, r.meanDegradation,
+                     r.weightedSpeedup}) {
+        appendHex64(out, doubleBits(d));
+        out += ',';
+    }
+    appendDec(out, r.batchSpeedups.size());
+    for (double s : r.batchSpeedups) {
+        out += ',';
+        appendHex64(out, doubleBits(s));
+    }
+    for (std::uint64_t v : {r.ubikDeboosts, r.ubikDeadlineDeboosts,
+                            r.ubikWatermarks}) {
+        out += ',';
+        appendHex64(out, v);
+    }
     return out;
 }
 
 bool
-parseMix(const std::string &payload, MixRunResult &out)
+parseMix(std::string_view payload, MixRunResult &out)
 {
-    std::vector<std::string> t = splitOn(payload, ',');
-    if (t.size() < 8)
-        return false;
+    Fields f(payload, ',');
     MixRunResult r;
-    if (!parseHexDouble(t[0], r.lcTailMean) ||
-        !parseHexDouble(t[1], r.tailDegradation) ||
-        !parseHexDouble(t[2], r.meanDegradation) ||
-        !parseHexDouble(t[3], r.weightedSpeedup))
+    std::string_view count;
+    std::uint64_t n;
+    if (!f.nextHexDouble(r.lcTailMean) ||
+        !f.nextHexDouble(r.tailDegradation) ||
+        !f.nextHexDouble(r.meanDegradation) ||
+        !f.nextHexDouble(r.weightedSpeedup) || !f.next(count) ||
+        !parseDec(count, n))
         return false;
-    char *end = nullptr;
-    std::uint64_t n = std::strtoull(t[4].c_str(), &end, 10);
-    if (end == t[4].c_str() || *end || t.size() != 8 + n)
+    // n speedups, then the three Ubik counters.
+    const std::size_t rest = f.remaining();
+    if (rest < 3 || n != rest - 3)
         return false;
     r.batchSpeedups.resize(n);
-    for (std::uint64_t i = 0; i < n; i++)
-        if (!parseHexDouble(t[5 + i], r.batchSpeedups[i]))
+    for (double &s : r.batchSpeedups)
+        if (!f.nextHexDouble(s))
             return false;
-    if (!parseHex64(t[5 + n], r.ubikDeboosts) ||
-        !parseHex64(t[6 + n], r.ubikDeadlineDeboosts) ||
-        !parseHex64(t[7 + n], r.ubikWatermarks))
+    if (!f.nextHex(r.ubikDeboosts) ||
+        !f.nextHex(r.ubikDeadlineDeboosts) ||
+        !f.nextHex(r.ubikWatermarks))
         return false;
     out = std::move(r);
     return true;
@@ -308,40 +383,35 @@ parseMix(const std::string &payload, MixRunResult &out)
 std::string
 serializeLcBaseline(const LcBaseline &b)
 {
-    return hexDouble(b.meanServiceCycles) + "," +
-           hexDouble(b.meanInterarrival) + "," +
-           hexDouble(b.meanLatency) + "," + hexDouble(b.tailMean) +
-           "," + hexU64(b.p95);
+    std::string out;
+    out.reserve(17 * 5);
+    for (double d : {b.meanServiceCycles, b.meanInterarrival,
+                     b.meanLatency, b.tailMean}) {
+        appendHex64(out, doubleBits(d));
+        out += ',';
+    }
+    appendHex64(out, b.p95);
+    return out;
 }
 
 bool
-parseLcBaseline(const std::string &payload, LcBaseline &out)
+parseLcBaseline(std::string_view payload, LcBaseline &out)
 {
-    std::vector<std::string> t = splitOn(payload, ',');
-    if (t.size() != 5)
-        return false;
+    Fields f(payload, ',');
     LcBaseline b;
-    if (!parseHexDouble(t[0], b.meanServiceCycles) ||
-        !parseHexDouble(t[1], b.meanInterarrival) ||
-        !parseHexDouble(t[2], b.meanLatency) ||
-        !parseHexDouble(t[3], b.tailMean) || !parseHex64(t[4], b.p95))
+    if (!f.nextHexDouble(b.meanServiceCycles) ||
+        !f.nextHexDouble(b.meanInterarrival) ||
+        !f.nextHexDouble(b.meanLatency) ||
+        !f.nextHexDouble(b.tailMean) || !f.nextHex(b.p95) || !f.done())
         return false;
     out = b;
     return true;
 }
 
-/** Checksum input: unescaped fields joined by an unambiguous
- *  separator that cannot appear inside them post-escape. */
-std::string
-checksumInput(char kind, const std::string &key,
-              const std::string &payload)
+bool
+parseBatchIpc(std::string_view payload, double &out)
 {
-    std::string s(1, kind);
-    s += '\x1f';
-    s += key;
-    s += '\x1f';
-    s += payload;
-    return s;
+    return parseHexDouble(payload, out);
 }
 
 constexpr char kRecordMagic[] = "U1";
@@ -350,6 +420,22 @@ constexpr char kRecordMagic[] = "U1";
 constexpr char kKindMix = 'm';
 constexpr char kKindLc = 'l';
 constexpr char kKindBatch = 'b';
+
+/** The index slot of a record kind, or -1 for kinds this build never
+ *  writes (their records are valid but unreachable). */
+int
+kindSlot(char kind)
+{
+    switch (kind) {
+      case kKindMix:
+        return 0;
+      case kKindLc:
+        return 1;
+      case kKindBatch:
+        return 2;
+    }
+    return -1;
+}
 
 /** How one append attempt ended. */
 enum class AppendOutcome
@@ -431,7 +517,7 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
     kb.add("lc.ntraces",
            static_cast<std::uint64_t>(mix.lc.traces.size()));
     for (std::size_t i = 0; i < mix.lc.traces.size(); i++)
-        kb.add(("lc.trace" + std::to_string(i)).c_str(),
+        kb.add("lc.trace" + std::to_string(i),
                mix.lc.traces[i]->contentHash());
     kb.add("batch.name", mix.batch.name);
     for (int i = 0; i < 3; i++)
@@ -441,11 +527,11 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
     kb.add("batch.ntraces",
            static_cast<std::uint64_t>(mix.batch.traces.size()));
     for (std::size_t i = 0; i < mix.batch.traces.size(); i++)
-        kb.add(("batch.trace" + std::to_string(i)).c_str(),
+        kb.add("batch.trace" + std::to_string(i),
                mix.batch.traces[i]->contentHash());
     addScheme(kb, sut);
     kb.add("seed", seed);
-    return kb.str();
+    return kb.take();
 }
 
 std::string
@@ -458,7 +544,7 @@ lcBaselineKey(const ExperimentConfig &cfg, const LcAppParams &params,
     addLcApp(kb, params);
     kb.add("lc.load", load);
     kb.add("seed", seed);
-    return kb.str();
+    return kb.take();
 }
 
 std::string
@@ -470,7 +556,7 @@ batchBaselineKey(const ExperimentConfig &cfg,
     addExperiment(kb, cfg, out_of_order);
     addBatchApp(kb, params, 0);
     kb.add("seed", seed);
-    return kb.str();
+    return kb.take();
 }
 
 // ---------------------------------------------------------------------------
@@ -490,12 +576,32 @@ struct ResultCache::Shard
     /** Offset of the torn tail already counted as corrupt, so a
      *  permanently-dead tail is counted once, not once per poll. */
     std::uint64_t tornCountedAt = ~0ull;
-    /** (kind + key) -> payload. */
-    std::map<std::string, std::string> entries;
+};
+
+/**
+ * Every loaded record, across shards: key -> payload, one hashed
+ * index per record kind (kindSlot), so a lookup takes the caller's
+ * key as is and a hit never hashes the key for its shard (an indexed
+ * key's shard is loaded already). Never iterated. Lock order: a
+ * shard's mutex, then `mu`.
+ */
+struct ResultCache::Index
+{
+    std::shared_mutex mu;
+    std::unordered_map<std::string, std::string> byKind[3];
+
+    /** The payload under (kind, key), or nullptr; caller holds mu. */
+    const std::string *find(char kind, const std::string &key) const
+    {
+        const auto &m = byKind[kindSlot(kind)];
+        auto it = m.find(key);
+        return it == m.end() ? nullptr : &it->second;
+    }
 };
 
 ResultCache::ResultCache(std::string dir)
-    : dir_(std::move(dir)), shards_(new Shard[kShards])
+    : dir_(std::move(dir)), shards_(new Shard[kShards]),
+      index_(new Index)
 {
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
@@ -520,7 +626,8 @@ ResultCache::open(const std::string &dir)
 std::size_t
 ResultCache::shardOf(const std::string &key)
 {
-    return static_cast<std::size_t>(fnv1a64(key) % kShards);
+    return static_cast<std::size_t>(fnvFold(kFnvOffsetBasis, key) %
+                                    kShards);
 }
 
 std::string
@@ -549,42 +656,52 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
     in.seekg(static_cast<std::streamoff>(s.parsedBytes));
     if (!in)
         return;
-    std::string buf((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+    std::string buf;
+    char chunk[16384];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
+        buf.append(chunk, static_cast<std::size_t>(in.gcount()));
 
     enum class Rec { Valid, Evicted, Bad };
-    auto classify = [&](const std::string &line) -> Rec {
-        std::vector<std::string> tok = splitOn(line, ' ');
-        // U1 <schema> <kind> <key> <payload> <crc>
-        if (tok.size() != 6 || tok[0] != kRecordMagic ||
-            tok[2].size() != 1)
-            return Rec::Bad;
+    std::string key, payload;
+    struct Parsed
+    {
+        int slot;
         std::string key, payload;
-        std::uint64_t crc;
-        if (!unescapeToken(tok[3], key) ||
-            !unescapeToken(tok[4], payload) ||
-            !parseHex64(tok[5], crc) ||
-            crc != fnv1a64(checksumInput(tok[2][0], key, payload)))
+    };
+    std::vector<Parsed> parsed;
+    auto classify = [&](std::string_view line) -> Rec {
+        // U1 <schema> <kind> <key> <payload> <crc>
+        Fields f(line, ' ');
+        std::string_view magic, schemaTok, kindTok, keyTok, payloadTok,
+            crcTok;
+        if (!f.next(magic) || !f.next(schemaTok) || !f.next(kindTok) ||
+            !f.next(keyTok) || !f.next(payloadTok) || !f.next(crcTok) ||
+            !f.done() || magic != kRecordMagic || kindTok.size() != 1)
             return Rec::Bad;
-        char *end = nullptr;
-        std::uint64_t schema = std::strtoull(tok[1].c_str(), &end, 10);
-        if (end == tok[1].c_str() || *end)
+        std::uint64_t crc, schema;
+        if (!unescapeToken(keyTok, key) ||
+            !unescapeToken(payloadTok, payload) ||
+            !parseHex64(crcTok, crc) ||
+            crc != recordChecksum(kindTok[0], key, payload))
+            return Rec::Bad;
+        if (!parseDec(schemaTok, schema))
             return Rec::Bad;
         if (schema != kResultCacheSchemaVersion)
             return Rec::Evicted;
-        // First record wins; duplicates from racing appends carry the
-        // same deterministic value anyway.
-        s.entries.emplace(tok[2] + key, std::move(payload));
+        int slot = kindSlot(kindTok[0]);
+        if (slot >= 0)
+            parsed.push_back({slot, key, payload});
         return Rec::Valid;
     };
 
     const std::uint64_t base = s.parsedBytes;
+    const std::string_view all(buf);
     std::size_t start = 0;
-    while (start < buf.size()) {
-        std::size_t nl = buf.find('\n', start);
-        bool terminated = nl != std::string::npos;
-        std::size_t len = (terminated ? nl : buf.size()) - start;
-        std::string line = buf.substr(start, len);
+    while (start < all.size()) {
+        std::size_t nl = all.find('\n', start);
+        bool terminated = nl != std::string_view::npos;
+        std::string_view line =
+            all.substr(start, (terminated ? nl : all.size()) - start);
         std::uint64_t off = base + start;
         if (terminated) {
             Rec r = line.empty() ? Rec::Valid : classify(line);
@@ -614,62 +731,82 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
             // newline: consume it.
             if (r == Rec::Evicted)
                 evicted_.fetch_add(1, std::memory_order_relaxed);
-            s.parsedBytes = base + buf.size();
+            s.parsedBytes = base + all.size();
         }
         break;
     }
+    if (parsed.empty())
+        return;
+    // First record wins; duplicates from racing appends carry the
+    // same deterministic value anyway.
+    std::unique_lock<std::shared_mutex> lock(index_->mu);
+    for (Parsed &p : parsed)
+        index_->byKind[p.slot].try_emplace(std::move(p.key),
+                                           std::move(p.payload));
 }
 
-std::optional<std::string>
-ResultCache::load(char kind, const std::string &key)
+template <typename T>
+bool
+ResultCache::lookup(char kind, const std::string &key, bool refresh,
+                    bool (*decode)(std::string_view, T &),
+                    std::optional<T> &out)
 {
-    std::size_t idx = shardOf(key);
-    Shard &s = shards_[idx];
-    std::optional<std::string> out;
-    {
+    auto findDecode = [&](bool &ok) {
+        std::shared_lock<std::shared_mutex> lock(index_->mu);
+        const std::string *payload = index_->find(kind, key);
+        if (payload)
+            ok = decode(*payload, out.emplace());
+        return payload != nullptr;
+    };
+    bool ok = false;
+    bool found = !refresh && findDecode(ok);
+    if (!found) {
+        std::size_t idx = shardOf(key);
+        Shard &s = shards_[idx];
         std::lock_guard<std::mutex> lock(s.mu);
-        if (!s.loaded)
+        if (refresh || !s.loaded)
             refreshShardLocked(s, idx);
-        auto it = s.entries.find(std::string(1, kind) + key);
-        if (it != s.entries.end())
-            out = it->second;
+        // Again, also after no refresh: a store may have indexed the
+        // key since the first look.
+        found = findDecode(ok);
     }
-    if (out) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (kind == kKindMix)
-            mixHits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (kind == kKindMix)
-            mixMisses_.fetch_add(1, std::memory_order_relaxed);
+    if (!found)
+        return false;
+    if (!ok) {
+        out.reset();
+        corrupt_.fetch_add(1, std::memory_order_relaxed);
     }
+    return true;
+}
+
+void
+ResultCache::countLookup(char kind, bool hit)
+{
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    if (kind == kKindMix)
+        (hit ? mixHits_ : mixMisses_)
+            .fetch_add(1, std::memory_order_relaxed);
+}
+
+template <typename T>
+std::optional<T>
+ResultCache::load(char kind, const std::string &key,
+                  bool (*decode)(std::string_view, T &))
+{
+    std::optional<T> out;
+    countLookup(kind, lookup(kind, key, /*refresh=*/false, decode, out));
     return out;
 }
 
-std::optional<std::string>
-ResultCache::peek(char kind, const std::string &key, bool count_hit)
+bool
+ResultCache::probe(char kind, const std::string &key)
 {
-    std::size_t idx = shardOf(key);
-    Shard &s = shards_[idx];
-    std::optional<std::string> out;
-    {
-        std::lock_guard<std::mutex> lock(s.mu);
-        // Unconditional refresh: the point of a peek is seeing what
-        // cooperating processes appended since the shard was loaded.
-        refreshShardLocked(s, idx);
-        auto it = s.entries.find(std::string(1, kind) + key);
-        if (it != s.entries.end())
-            out = it->second;
-    }
-    // Never a miss: a fleet worker may peek the same key many times
-    // while a peer computes it, and that polling is not recomputation
-    // (the "0 misses" warm-sweep invariant must survive fleet mode).
-    if (out && count_hit) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (kind == kKindMix)
-            mixHits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return out;
+    // Unconditional refresh: the point of a probe is seeing what
+    // cooperating processes appended since the shard was loaded.
+    std::optional<bool> unused;
+    return lookup<bool>(kind, key, /*refresh=*/true,
+                        [](std::string_view, bool &) { return true; },
+                        unused);
 }
 
 void
@@ -683,18 +820,27 @@ ResultCache::store(char kind, const std::string &key,
     // have appended this very record since we last looked, and
     // skipping the duplicate append keeps shard files minimal.
     refreshShardLocked(s, idx);
-    std::string mapKey = std::string(1, kind) + key;
-    auto it = s.entries.find(mapKey);
-    if (it != s.entries.end() && it->second == payload)
-        return; // already persisted (e.g. a racing process beat us)
+    {
+        std::shared_lock<std::shared_mutex> ilock(index_->mu);
+        const std::string *have = index_->find(kind, key);
+        if (have && *have == payload)
+            return; // already persisted (a racing process beat us)
+    }
 
-    std::string line = std::string(kRecordMagic) + " " +
-                       std::to_string(kResultCacheSchemaVersion) + " " +
-                       std::string(1, kind) + " " + escapeToken(key) +
-                       " " + escapeToken(payload) + " " +
-                       hexU64(fnv1a64(checksumInput(kind, key,
-                                                    payload))) +
-                       "\n";
+    std::string line;
+    line.reserve(key.size() + payload.size() + 32);
+    line += kRecordMagic;
+    line += ' ';
+    appendDec(line, kResultCacheSchemaVersion);
+    line += ' ';
+    line += kind;
+    line += ' ';
+    appendEscapedToken(line, key);
+    line += ' ';
+    appendEscapedToken(line, payload);
+    line += ' ';
+    appendHex64(line, recordChecksum(kind, key, payload));
+    line += '\n';
     // One append per record: concurrent processes interleave at
     // record granularity at worst (a torn tail fails its checksum and
     // reads as a miss). Persistence failures degrade, never kill: the
@@ -759,22 +905,17 @@ ResultCache::store(char kind, const std::string &key,
                  "uncached — this worker keeps its results in memory",
                  shardPath(idx).c_str(), std::strerror(errno));
     }
-    s.entries[mapKey] = payload;
+    {
+        std::unique_lock<std::shared_mutex> ilock(index_->mu);
+        index_->byKind[kindSlot(kind)].insert_or_assign(key, payload);
+    }
     stores_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<MixRunResult>
 ResultCache::loadMix(const std::string &key)
 {
-    std::optional<std::string> payload = load(kKindMix, key);
-    if (!payload)
-        return std::nullopt;
-    MixRunResult r;
-    if (!parseMix(*payload, r)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    return r;
+    return load(kKindMix, key, parseMix);
 }
 
 void
@@ -786,27 +927,25 @@ ResultCache::storeMix(const std::string &key, const MixRunResult &res)
 std::optional<MixRunResult>
 ResultCache::peekMix(const std::string &key)
 {
-    std::optional<std::string> payload = peek(kKindMix, key, true);
-    if (!payload)
-        return std::nullopt;
-    MixRunResult r;
-    if (!parseMix(*payload, r)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    return r;
+    // Never a miss: a fleet worker may peek the same key many times
+    // while a peer computes it, and that polling is not recomputation
+    // (the "0 misses" warm-sweep invariant must survive fleet mode).
+    std::optional<MixRunResult> out;
+    if (lookup(kKindMix, key, /*refresh=*/true, parseMix, out))
+        countLookup(kKindMix, true);
+    return out;
 }
 
 bool
 ResultCache::hasLcBaseline(const std::string &key)
 {
-    return peek(kKindLc, key, false).has_value();
+    return probe(kKindLc, key);
 }
 
 bool
 ResultCache::hasBatchIpc(const std::string &key)
 {
-    return peek(kKindBatch, key, false).has_value();
+    return probe(kKindBatch, key);
 }
 
 void
@@ -830,15 +969,7 @@ ResultCache::noteSoloFallback()
 std::optional<LcBaseline>
 ResultCache::loadLcBaseline(const std::string &key)
 {
-    std::optional<std::string> payload = load(kKindLc, key);
-    if (!payload)
-        return std::nullopt;
-    LcBaseline b;
-    if (!parseLcBaseline(*payload, b)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    return b;
+    return load(kKindLc, key, parseLcBaseline);
 }
 
 void
@@ -851,15 +982,7 @@ ResultCache::storeLcBaseline(const std::string &key,
 std::optional<double>
 ResultCache::loadBatchIpc(const std::string &key)
 {
-    std::optional<std::string> payload = load(kKindBatch, key);
-    if (!payload)
-        return std::nullopt;
-    double ipc;
-    if (!parseHexDouble(*payload, ipc)) {
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    return ipc;
+    return load(kKindBatch, key, parseBatchIpc);
 }
 
 void
@@ -869,7 +992,7 @@ ResultCache::storeBatchIpc(const std::string &key, double ipc)
 }
 
 CacheStats
-ResultCache::stats() const
+ResultCache::counters() const
 {
     CacheStats st;
     st.hits = hits_.load(std::memory_order_relaxed);
@@ -891,6 +1014,19 @@ ResultCache::stats() const
     st.hbReleases = hbReleases_.load(std::memory_order_relaxed);
     st.soloFallbacks =
         soloFallbacks_.load(std::memory_order_relaxed);
+    return st;
+}
+
+std::uint64_t
+ResultCache::degraded() const
+{
+    return counters().degraded();
+}
+
+CacheStats
+ResultCache::stats() const
+{
+    CacheStats st = counters();
     std::error_code ec;
     std::filesystem::directory_iterator it(
         dir_ + "/" + ClaimStore::kSubdir, ec),

@@ -29,6 +29,9 @@
  * are parsed incrementally from a per-shard byte offset, so peekMix
  * (the fleet executor's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.
+ * Loaded records live in one in-memory hashed index per record kind,
+ * shared by all shards: a warm hit hashes its key once and decodes
+ * the payload in place, without hashing the key for its shard.
  *
  * Determinism contract: values round-trip bit-exactly (doubles are
  * stored as their 64-bit patterns), so a warm-cache sweep is
@@ -44,6 +47,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/mix_runner.h"
 
@@ -219,7 +223,12 @@ class ResultCache
      *  (sim/sweep_executor.cpp). */
     void noteSoloFallback();
 
+    /** stats(): the counters, plus a scan of the claims directory
+     *  for CacheStats::claimsLive. */
     CacheStats stats() const;
+
+    /** stats().degraded() without the directory scan. */
+    std::uint64_t degraded() const;
 
     const std::string &dir() const { return dir_; }
 
@@ -228,10 +237,28 @@ class ResultCache
 
   private:
     struct Shard;
+    struct Index;
 
-    std::optional<std::string> load(char kind, const std::string &key);
-    std::optional<std::string> peek(char kind, const std::string &key,
-                                    bool count_hit);
+    /**
+     * Look (kind, key) up in the index and decode a found payload in
+     * place, under the index lock. A miss, or `refresh`, first reads
+     * the key's shard file under its shard lock (on a miss, only if
+     * the shard was never loaded). Returns whether the key is present;
+     * `out` holds the value only if it decoded (a payload that does
+     * not decode counts as corrupt).
+     */
+    template <typename T>
+    bool lookup(char kind, const std::string &key, bool refresh,
+                bool (*decode)(std::string_view, T &),
+                std::optional<T> &out);
+    /** lookup() counting a hit or a miss. */
+    template <typename T>
+    std::optional<T> load(char kind, const std::string &key,
+                          bool (*decode)(std::string_view, T &));
+    /** Presence after a refresh; counts nothing. */
+    bool probe(char kind, const std::string &key);
+    void countLookup(char kind, bool hit);
+    CacheStats counters() const; ///< stats() minus claimsLive
     void store(char kind, const std::string &key,
                const std::string &payload);
     void refreshShardLocked(Shard &s, std::size_t idx);
@@ -239,6 +266,7 @@ class ResultCache
 
     std::string dir_;
     std::unique_ptr<Shard[]> shards_;
+    std::unique_ptr<Index> index_;
     bool durable_ = false; ///< fsync records before store() returns
 
     std::atomic<std::uint64_t> hits_{0};

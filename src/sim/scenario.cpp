@@ -864,7 +864,8 @@ std::vector<SweepResult>
 runSchemeSweep(const ExperimentConfig &cfg,
                const std::vector<SchemeUnderTest> &schemes,
                const std::vector<MixSpec> &mixes, bool ooo,
-               ResultCache *shared, SweepAccounting *acct)
+               ResultCache *shared, SweepAccounting *acct,
+               std::FILE *progress)
 {
     MixRunner runner(cfg, ooo);
     std::unique_ptr<ResultCache> owned;
@@ -898,8 +899,8 @@ runSchemeSweep(const ExperimentConfig &cfg,
     std::vector<MixRunResult> results =
         engine.run(jobs, [&](const SweepProgress &p) {
             last = p;
-            if (p.done % step == 0 || p.done == p.total)
-                std::fprintf(stderr,
+            if (progress && (p.done % step == 0 || p.done == p.total))
+                std::fprintf(progress,
                              "  [sweep] %zu/%zu runs done "
                              "(%zu cached, %zu computed, %zu remote, "
                              "%.1fs)\n",
@@ -911,19 +912,19 @@ runSchemeSweep(const ExperimentConfig &cfg,
     // `degraded=` counts fault-tolerance events (0 on a clean run),
     // and elapsed/rate give each worker's wall-clock throughput
     // (rate is computed-per-second — cache hits are free).
-    std::uint64_t degraded =
-        cache ? cache->stats().degraded() : 0;
+    std::uint64_t degraded = cache ? cache->degraded() : 0;
     double rate = last.elapsedSec > 0
                       ? last.computed / last.elapsedSec
                       : 0.0;
-    std::fprintf(stderr,
-                 "  [sweep-summary] worker=%s jobs=%zu hits=%zu "
-                 "computed=%zu remote=%zu degraded=%llu "
-                 "elapsed=%.2fs rate=%.2f/s\n",
-                 worker.empty() ? "local" : worker.c_str(),
-                 jobs.size(), last.hits, last.computed, last.remote,
-                 static_cast<unsigned long long>(degraded),
-                 last.elapsedSec, rate);
+    if (progress)
+        std::fprintf(progress,
+                     "  [sweep-summary] worker=%s jobs=%zu hits=%zu "
+                     "computed=%zu remote=%zu degraded=%llu "
+                     "elapsed=%.2fs rate=%.2f/s\n",
+                     worker.empty() ? "local" : worker.c_str(),
+                     jobs.size(), last.hits, last.computed, last.remote,
+                     static_cast<unsigned long long>(degraded),
+                     last.elapsedSec, rate);
     if (acct) {
         acct->worker = worker.empty() ? "local" : worker;
         acct->jobs = jobs.size();
@@ -934,8 +935,8 @@ runSchemeSweep(const ExperimentConfig &cfg,
         acct->elapsedSec = last.elapsedSec;
         acct->workers = engine.workers();
     }
-    if (cache)
-        printCacheStats(*cache);
+    if (cache && progress)
+        printCacheStats(*cache, progress);
 
     // Regroup the flat job-ordered results per scheme (jobs are
     // scheme-major, so each scheme's block is contiguous).
@@ -951,9 +952,10 @@ runSchemeSweep(const ExperimentConfig &cfg,
                 sr.mixLoads.push_back(mix.lc.load);
                 sr.seeds.push_back(s + 1);
             }
-        std::fprintf(stderr, "  [%s] %zu runs done (%u workers)\n",
-                     sr.label.c_str(), sr.runs.size(),
-                     engine.workers());
+        if (progress)
+            std::fprintf(progress, "  [%s] %zu runs done (%u workers)\n",
+                         sr.label.c_str(), sr.runs.size(),
+                         engine.workers());
         out.push_back(std::move(sr));
     }
     return out;
@@ -961,7 +963,7 @@ runSchemeSweep(const ExperimentConfig &cfg,
 
 ScenarioResult
 runScenario(const ScenarioSpec &spec, const ExperimentConfig &cfg0,
-            ResultCache *shared)
+            ResultCache *shared, std::FILE *progress)
 {
     if (spec.schemes.empty())
         fatal("scenario '%s': no schemes to run", spec.name.c_str());
@@ -980,7 +982,7 @@ runScenario(const ScenarioSpec &spec, const ExperimentConfig &cfg0,
     ResultCache *cache = shared ? shared : owned.get();
     ScenarioResult res;
     res.sweeps = runSchemeSweep(cfg, spec.schemes, mixes, spec.ooo,
-                                cache, &res.accounting);
+                                cache, &res.accounting, progress);
     if (spec.fleet.servers) {
         res.fleet = runFleet(spec.fleet, spec.schemes, mixes,
                              res.sweeps, cfg, spec.ooo, cache);

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -220,14 +221,17 @@ struct SweepAccounting
  * one sweep path: scenarios, benches, and tools all run through it.
  * A non-null `shared` cache is used instead of opening cfg.cacheDir
  * (the serving daemon keeps one warm cache across requests); `acct`
- * receives the per-worker accounting when non-null.
+ * receives the per-worker accounting when non-null. The progress,
+ * [sweep-summary], [cache] and per-scheme lines go to `progress`;
+ * nullptr prints nothing (the daemon, unless --verbose).
  */
 std::vector<SweepResult>
 runSchemeSweep(const ExperimentConfig &cfg,
                const std::vector<SchemeUnderTest> &schemes,
                const std::vector<MixSpec> &mixes, bool ooo = true,
                ResultCache *shared = nullptr,
-               SweepAccounting *acct = nullptr);
+               SweepAccounting *acct = nullptr,
+               std::FILE *progress = stderr);
 
 struct ScenarioResult
 {
@@ -239,10 +243,12 @@ struct ScenarioResult
 };
 
 /** Execute a spec end to end (validation, mixes, sweep, and the
- *  fleet composition when spec.fleet.servers > 0). */
+ *  fleet composition when spec.fleet.servers > 0). `progress` is
+ *  runSchemeSweep's. */
 ScenarioResult runScenario(const ScenarioSpec &spec,
                            const ExperimentConfig &cfg,
-                           ResultCache *shared = nullptr);
+                           ResultCache *shared = nullptr,
+                           std::FILE *progress = stderr);
 
 /** Render the spec's report blocks for a finished run. */
 void renderReports(const ScenarioSpec &spec,

@@ -1,6 +1,7 @@
 #include "stats/latency_recorder.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/log.h"
@@ -22,13 +23,68 @@ LatencyRecorder::merge(const LatencyRecorder &other)
     sortedValid_ = false;
 }
 
+namespace {
+
+/**
+ * LSD radix sort of `in` into `out`, one byte per pass. Passes run
+ * only over the bytes some sample sets, and a pass whose byte is the
+ * same in every sample is skipped; each pass is a stable counting
+ * scatter, so the result equals std::sort's.
+ */
+void
+radixSortInto(const std::vector<Cycles> &in, std::vector<Cycles> &out)
+{
+    constexpr int kBytes = sizeof(Cycles);
+    const std::size_t n = in.size();
+    Cycles used = 0;
+    for (Cycles c : in)
+        used |= c;
+    int bytes = 0;
+    while (bytes < kBytes && (used >> (8 * bytes)) != 0)
+        bytes++;
+    std::vector<std::array<std::size_t, 256>> count(
+        static_cast<std::size_t>(bytes));
+    for (Cycles c : in)
+        for (int b = 0; b < bytes; b++)
+            count[static_cast<std::size_t>(b)][(c >> (8 * b)) & 0xff]++;
+    std::vector<int> passes;
+    for (int b = 0; b < bytes; b++) {
+        const auto &h = count[static_cast<std::size_t>(b)];
+        if (h[(in[0] >> (8 * b)) & 0xff] != n)
+            passes.push_back(b);
+    }
+    out.resize(n);
+    if (passes.empty()) {
+        std::copy(in.begin(), in.end(), out.begin());
+        return;
+    }
+    // Ping-pong so that the last pass writes into `out`.
+    std::vector<Cycles> tmp(passes.size() > 1 ? n : 0);
+    const Cycles *src = in.data();
+    for (std::size_t k = 0; k < passes.size(); k++) {
+        Cycles *dst = (passes.size() - 1 - k) % 2 ? tmp.data() : out.data();
+        const int shift = 8 * passes[k];
+        auto &h = count[static_cast<std::size_t>(passes[k])];
+        std::size_t sum = 0;
+        for (std::size_t &c : h) {
+            std::size_t v = c;
+            c = sum;
+            sum += v;
+        }
+        for (std::size_t i = 0; i < n; i++)
+            dst[h[(src[i] >> shift) & 0xff]++] = src[i];
+        src = dst;
+    }
+}
+
+} // namespace
+
 void
 LatencyRecorder::ensureSorted() const
 {
     if (sortedValid_)
         return;
-    sortedCache_ = samples_;
-    std::sort(sortedCache_.begin(), sortedCache_.end());
+    radixSortInto(samples_, sortedCache_);
     sortedValid_ = true;
 }
 

@@ -1,9 +1,8 @@
 #include "workload/load_profile.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
+#include "common/hex.h"
 #include "common/log.h"
 
 namespace ubik {
@@ -152,32 +151,24 @@ LoadProfile::canonical() const
     // Doubles as bit patterns: canonical and lossless, mirroring
     // ServiceDistribution::canonical() and the result cache's own
     // key encoding.
-    auto hex = [](double d) {
-        std::uint64_t u;
-        std::memcpy(&u, &d, sizeof(u));
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(u));
-        return std::string(buf);
-    };
     std::string out = loadProfileKindName(kind);
     switch (kind) {
       case LoadProfileKind::Constant:
         break;
       case LoadProfileKind::Diurnal:
-        out += ":" + hex(amplitude) + ":" + hex(periods);
+        out += ":" + hexDouble(amplitude) + ":" + hexDouble(periods);
         break;
       case LoadProfileKind::FlashCrowd:
-        out += ":" + hex(start) + ":" + hex(duration) + ":" +
-               hex(multiplier);
+        out += ":" + hexDouble(start) + ":" + hexDouble(duration) + ":" +
+               hexDouble(multiplier);
         break;
       case LoadProfileKind::Bursts:
-        out += ":" + std::to_string(bursts) + ":" + hex(duration) +
-               ":" + hex(multiplier) + ":" +
+        out += ":" + std::to_string(bursts) + ":" + hexDouble(duration) +
+               ":" + hexDouble(multiplier) + ":" +
                std::to_string(burstSeed);
         break;
       case LoadProfileKind::Churn:
-        out += ":" + hex(start) + ":" + hex(duration);
+        out += ":" + hexDouble(start) + ":" + hexDouble(duration);
         break;
     }
     return out;

@@ -58,7 +58,7 @@ struct LcConfig
      * rate, so the SLO reference point is load-profile-independent.
      * The profile's canonical form enters the ResultCache mix key.
      */
-    LoadProfile profile;
+    LoadProfile profile{};
 
     /**
      * Trace-backed replay. Empty: the three instances run the
@@ -73,7 +73,7 @@ struct LcConfig
      * params from `ubik_trace --analyze` first. The traces' content
      * hashes enter the ResultCache key (sim/result_cache.h).
      */
-    std::vector<std::shared_ptr<const TraceApp>> traces;
+    std::vector<std::shared_ptr<const TraceApp>> traces{};
 };
 
 /** One full six-core mix: 3 LC instances + 3 batch apps. */

@@ -1,9 +1,8 @@
 #include "workload/service_distribution.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
+#include "common/hex.h"
 #include "common/log.h"
 
 namespace ubik {
@@ -78,22 +77,23 @@ ServiceDistribution::canonical() const
 {
     // Doubles as bit patterns: canonical and lossless, like the
     // result cache's own key encoding.
-    auto hex = [](double d) {
-        std::uint64_t u;
-        std::memcpy(&u, &d, sizeof(u));
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(u));
-        return std::string(buf);
-    };
     const char *kind = kind_ == Kind::Constant     ? "const"
                        : kind_ == Kind::Lognormal ? "logn"
                                                    : "multi";
-    std::string out = std::string(kind) + ":" + hex(mean_) + ":" +
-                      hex(mu_) + ":" + hex(sigma_);
-    for (const auto &m : modes_)
-        out += ":(" + hex(m.weight) + "," + hex(m.meanInstr) + "," +
-               hex(m.jitterFrac) + ")";
+    std::string out = kind;
+    for (double d : {mean_, mu_, sigma_}) {
+        out += ':';
+        appendHex64(out, doubleBits(d));
+    }
+    for (const auto &m : modes_) {
+        out += ":(";
+        appendHex64(out, doubleBits(m.weight));
+        out += ',';
+        appendHex64(out, doubleBits(m.meanInstr));
+        out += ',';
+        appendHex64(out, doubleBits(m.jitterFrac));
+        out += ')';
+    }
     return out;
 }
 

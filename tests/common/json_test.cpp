@@ -10,8 +10,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 
 #include "common/json.h"
@@ -123,6 +126,178 @@ TEST(Json, DoublesRoundTripBitExactly)
     EXPECT_EQ(Json(4.0).dump(), "4");
     EXPECT_EQ(Json(-17.0).dump(), "-17");
     EXPECT_EQ(jsonNumberText(1048576.0), "1048576");
+}
+
+/** Reference for the writer's number text, in libc terms: integers
+ *  below 2^53 through "%lld", everything else the shortest of
+ *  "%.15g"/"%.16g"/"%.17g" that strtod() parses back bit-exact.
+ *  jsonNumberText() must match it byte for byte. */
+std::string
+referenceNumberText(double d)
+{
+    char buf[40];
+    if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0) {
+        std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+        return buf;
+    }
+    for (int prec = 15; prec <= 17; prec++) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, d);
+        if (std::strtod(buf, nullptr) == d)
+            return buf;
+    }
+    return "%.17g failed to round-trip";
+}
+
+std::uint64_t
+bitsOf(double d)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof(u));
+    return u;
+}
+
+/** Counts values whose text differs from the reference (reporting
+ *  the first few). */
+struct NumberTextChecker
+{
+    std::size_t checked = 0;
+    std::size_t mismatches = 0;
+
+    void operator()(double d)
+    {
+        if (!std::isfinite(d))
+            return;
+        checked++;
+        std::string want = referenceNumberText(d);
+        std::string got = jsonNumberText(d);
+        if (got != want && mismatches++ < 10)
+            ADD_FAILURE() << std::hexfloat << d << ": wrote " << got
+                          << ", reference " << want;
+    }
+};
+
+TEST(JsonNumberText, MatchesPrintfReferenceOnSeededDoubles)
+{
+    std::mt19937_64 rng(0x5eed2026);
+    NumberTextChecker check;
+    for (int i = 0; i < 600000; i++) {
+        std::uint64_t u = rng();
+        double d;
+        std::memcpy(&d, &u, sizeof(d));
+        check(d);
+    }
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_real_distribution<double> wide(-1e9, 1e9);
+    std::uniform_real_distribution<double> cycles(0.0, 1e12);
+    for (int i = 0; i < 150000; i++) {
+        check(unit(rng));
+        check(wide(rng));
+        check(cycles(rng));
+        // Short decimals (a spec's 0.35, a load's 0.2) and ratios.
+        check(static_cast<double>(rng() % 100000) / 1000.0);
+    }
+    EXPECT_GE(check.checked, 1000000u);
+    EXPECT_EQ(check.mismatches, 0u);
+}
+
+TEST(JsonNumberText, MatchesPrintfReferenceOnEdgeCases)
+{
+    NumberTextChecker check;
+    const double lim[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          1e-310,
+                          std::numeric_limits<double>::min() -
+                              std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::epsilon(),
+                          9007199254740991.0,  // 2^53 - 1
+                          9007199254740992.0,  // 2^53
+                          9007199254740994.0,  // 2^53 + 2
+                          1.0 / 3.0,           // 16 digits
+                          0.1 + 0.2,           // 17 digits
+                          0.1};                // 15 digits
+    for (double d : lim) {
+        check(d);
+        check(-d);
+    }
+    for (double p = 1e15; p <= 1e23; p *= 10) {
+        check(p);
+        check(std::nextafter(p, 0.0));
+        check(std::nextafter(p, 1e300));
+    }
+    // Every power of two and its neighbours: next to a power of two
+    // the rounding interval is lopsided, where the shortest digit
+    // count alone picks one digit too few.
+    for (int e = -1074; e <= 1023; e++) {
+        double d = std::ldexp(1.0, e);
+        for (double v : {d, std::nextafter(d, 0.0),
+                         std::nextafter(
+                             d, std::numeric_limits<double>::infinity())}) {
+            check(v);
+            check(-v);
+        }
+    }
+    EXPECT_EQ(check.mismatches, 0u);
+    EXPECT_EQ(jsonNumberText(1.0 / 3.0), "0.3333333333333333");
+    EXPECT_EQ(jsonNumberText(0.1 + 0.2), "0.30000000000000004");
+    EXPECT_EQ(jsonNumberText(0.1), "0.1");
+    EXPECT_EQ(jsonNumberText(-0.0), "0");
+    EXPECT_EQ(jsonNumberText(9007199254740992.0), "9007199254740992");
+    EXPECT_EQ(jsonNumberText(1e23), "1e+23");
+    EXPECT_EQ(jsonNumberText(std::ldexp(1.0, -1017)),
+              "7.1202363472230444e-307");
+}
+
+TEST(JsonNumberText, ParserMatchesStrtodOnSeededText)
+{
+    // Texts of every precision the writer (and hand-written specs)
+    // produce; the parser must read each as strtod() does.
+    std::mt19937_64 rng(0x9a25e);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 200000; i++) {
+        std::uint64_t u = rng();
+        double d;
+        std::memcpy(&d, &u, sizeof(d));
+        if (!std::isfinite(d))
+            continue;
+        char text[40];
+        std::snprintf(text, sizeof text, "%.*g",
+                      1 + static_cast<int>(rng() % 17), d);
+        double want = std::strtod(text, nullptr);
+        Json out;
+        std::string err;
+        bool ok = Json::parse(text, out, err);
+        if (!std::isfinite(want)) {
+            EXPECT_FALSE(ok) << text;
+            continue;
+        }
+        if ((!ok || bitsOf(out.number()) != bitsOf(want)) &&
+            mismatches++ < 10)
+            ADD_FAILURE() << text << ": " << err;
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonNumberText, ParserRangeEdges)
+{
+    parseErr("1e999");
+    parseErr("-1e999");
+    parseErr("[1.7976931348623159e308]");
+    // Underflow keeps its sign: +0.0 and -0.0.
+    double pos = parseOk("1e-999").number();
+    double neg = parseOk("-1e-999").number();
+    EXPECT_EQ(pos, 0.0);
+    EXPECT_FALSE(std::signbit(pos));
+    EXPECT_EQ(neg, 0.0);
+    EXPECT_TRUE(std::signbit(neg));
+    EXPECT_EQ(bitsOf(parseOk("4.9e-324").number()),
+              bitsOf(std::numeric_limits<double>::denorm_min()));
+    EXPECT_EQ(bitsOf(parseOk("2.4e-324").number()), bitsOf(0.0));
+    EXPECT_EQ(parseOk("1.7976931348623157e308").number(),
+              std::numeric_limits<double>::max());
+    EXPECT_EQ(bitsOf(parseOk("-0").number()), bitsOf(-0.0));
 }
 
 TEST(Json, EqualityIgnoresObjectOrderButNotContent)

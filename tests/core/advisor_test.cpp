@@ -115,8 +115,9 @@ TEST(Advisor, OptionsAreOrderedAndConsistent)
         const SizingOption &o = rep.options[i];
         EXPECT_LT(o.sIdle, kTarget);
         EXPECT_EQ(o.freedLines, kTarget - o.sIdle);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(o.sIdle, rep.options[i - 1].sIdle);
+        }
         if (o.feasible) {
             EXPECT_GE(o.sBoost, kTarget);
             EXPECT_GT(o.transientCycles, 0.0);

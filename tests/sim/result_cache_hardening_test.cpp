@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -405,6 +410,165 @@ TEST(ResultCacheHardening, DurableFsyncFailureDegradesNotDies)
     // guarantee was weakened.
     ResultCache cache(dir.path());
     ASSERT_TRUE(cache.loadMix(key).has_value());
+}
+
+/** Append one hand-made record with a valid checksum to the shard
+ *  `key` lands in: `U1 <schema> <kind> <key> <payload> <crc>`. The
+ *  payload's spaces are escaped as the writer escapes them. */
+void
+appendRecord(const std::string &dir, char kind, const std::string &key,
+             const std::string &payload)
+{
+    std::uint64_t crc = 0xcbf29ce484222325ull;
+    auto fold = [&crc](const std::string &s) {
+        for (unsigned char c : s) {
+            crc ^= c;
+            crc *= 0x100000001b3ull;
+        }
+    };
+    fold(std::string(1, kind) + '\x1f' + key + '\x1f' + payload);
+    std::string escaped;
+    for (char c : payload)
+        escaped += c == ' ' ? std::string("%20") : std::string(1, c);
+    char name[32], crcText[17];
+    std::snprintf(name, sizeof name, "/shard_%02zx.ubikcache",
+                  ResultCache::shardOf(key));
+    std::snprintf(crcText, sizeof crcText, "%016llx",
+                  static_cast<unsigned long long>(crc));
+    std::filesystem::create_directories(dir);
+    std::ofstream out(dir + name, std::ios::app | std::ios::binary);
+    out << "U1 " << kResultCacheSchemaVersion << ' ' << kind << ' '
+        << key << ' ' << escaped << ' ' << crcText << '\n';
+}
+
+TEST(ResultCacheHardening, HexFieldsAreExactlySixteenDigits)
+{
+    // A libc-style hex parser (strtoull) takes a leading space or
+    // sign and would decode these to 0x1f, 0x1f and ~0. Records are
+    // written with bare digits only, so anything else is corrupt, even
+    // under a valid checksum.
+    const std::string good = "000000000000001f";
+    const std::string bad[] = {" 00000000000001f", "+00000000000001f",
+                               "-000000000000001"};
+    const std::string mixHead = "0000000000000000,0000000000000000,"
+                                "0000000000000000,0000000000000000,1,"
+                                "0000000000000000,";
+    const std::string mixTail = ",0000000000000000,0000000000000000";
+    const std::string lcHead = "0000000000000000,0000000000000000,"
+                               "0000000000000000,0000000000000000,";
+    for (std::size_t i = 0; i <= std::size(bad); i++) {
+        const bool ok = i == std::size(bad);
+        const std::string &field = ok ? good : bad[i];
+        TempCacheDir dir("hexfield");
+        const std::string tag = std::to_string(i);
+        appendRecord(dir.path(), 'b', "v4|batch|" + tag, field);
+        appendRecord(dir.path(), 'l', "v4|lc|" + tag, lcHead + field);
+        appendRecord(dir.path(), 'm', "v4|mix|" + tag,
+                     mixHead + field + mixTail);
+        ResultCache cache(dir.path());
+        auto ipc = cache.loadBatchIpc("v4|batch|" + tag);
+        auto lc = cache.loadLcBaseline("v4|lc|" + tag);
+        auto mix = cache.loadMix("v4|mix|" + tag);
+        EXPECT_EQ(ipc.has_value(), ok) << "'" << field << "'";
+        EXPECT_EQ(lc.has_value(), ok) << "'" << field << "'";
+        EXPECT_EQ(mix.has_value(), ok) << "'" << field << "'";
+        EXPECT_EQ(cache.stats().corrupt, ok ? 0u : 3u) << "'" << field
+                                                        << "'";
+        if (ok) {
+            EXPECT_EQ(lc->p95, 0x1fu);
+            ASSERT_EQ(mix->batchSpeedups.size(), 1u);
+            EXPECT_EQ(mix->ubikDeboosts, 0x1fu);
+        }
+    }
+}
+
+TEST(ResultCacheHardening, HugeSpeedupCountIsCorruptNotACrash)
+{
+    // A checksum-valid mix record whose speedup count is huge must
+    // read as corrupt, never size a vector. The first three counts
+    // plus 3 wrap around to the number of fields that follow them.
+    TempCacheDir dir("hugecount");
+    const std::string z = "0000000000000000";
+    const std::pair<const char *, int> cases[] = {
+        {"18446744073709551613", 0}, {"18446744073709551614", 1},
+        {"18446744073709551615", 2}, {"99999999999999999999", 3},
+        {"4", 3}};
+    for (const auto &[count, trailing] : cases) {
+        std::string payload = z + "," + z + "," + z + "," + z + "," + count;
+        for (int i = 0; i < trailing; i++)
+            payload += "," + z;
+        appendRecord(dir.path(), 'm', std::string("v4|count|") + count,
+                     payload);
+    }
+    ResultCache cache(dir.path());
+    for (const auto &[count, trailing] : cases)
+        EXPECT_FALSE(
+            cache.loadMix(std::string("v4|count|") + count).has_value())
+            << count << " + " << trailing << " fields";
+    EXPECT_EQ(cache.stats().corrupt, std::size(cases));
+}
+
+TEST(ResultCacheHardening, EveryPayloadKindRoundTripsBitExactly)
+{
+    TempCacheDir dir("roundtrip");
+    const double odd[] = {-0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::max(),
+                          -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN(),
+                          1.0 / 3.0};
+    std::vector<MixRunResult> mixes;
+    for (std::size_t n : {0u, 1u, 3u, 7u}) {
+        MixRunResult r = sampleResult(static_cast<double>(n) + 0.5);
+        r.batchSpeedups.assign(odd, odd + std::min<std::size_t>(n, 6));
+        r.lcTailMean = odd[n % 6];
+        r.ubikDeboosts = ~0ull - n;
+        r.ubikDeadlineDeboosts = n << 40;
+        r.ubikWatermarks = 0x0123456789abcdefull;
+        mixes.push_back(r);
+    }
+    LcBaseline lc;
+    lc.meanServiceCycles = 1.0 / 7.0;
+    lc.meanInterarrival = -0.0;
+    lc.meanLatency = std::numeric_limits<double>::min();
+    lc.tailMean = 123456.789;
+    lc.p95 = ~0ull;
+    const double ipc = std::numeric_limits<double>::denorm_min();
+    {
+        ResultCache cache(dir.path());
+        for (std::size_t i = 0; i < mixes.size(); i++)
+            cache.storeMix("v4|rt|mix" + std::to_string(i), mixes[i]);
+        cache.storeLcBaseline("v4|rt|lc", lc);
+        cache.storeBatchIpc("v4|rt|batch", ipc);
+    }
+    ResultCache cache(dir.path());
+    std::vector<MixRunResult> back;
+    for (std::size_t i = 0; i < mixes.size(); i++) {
+        auto r = cache.loadMix("v4|rt|mix" + std::to_string(i));
+        ASSERT_TRUE(r.has_value());
+        back.push_back(*r);
+    }
+    test::expectSameResults(back, mixes);
+    auto lcBack = cache.loadLcBaseline("v4|rt|lc");
+    ASSERT_TRUE(lcBack.has_value());
+    expectBitIdentical(lcBack->meanServiceCycles, lc.meanServiceCycles,
+                       "meanServiceCycles", 0);
+    expectBitIdentical(lcBack->meanInterarrival, lc.meanInterarrival,
+                       "meanInterarrival", 0);
+    expectBitIdentical(lcBack->meanLatency, lc.meanLatency,
+                       "meanLatency", 0);
+    expectBitIdentical(lcBack->tailMean, lc.tailMean, "tailMean", 0);
+    EXPECT_EQ(lcBack->p95, lc.p95);
+    auto ipcBack = cache.loadBatchIpc("v4|rt|batch");
+    ASSERT_TRUE(ipcBack.has_value());
+    expectBitIdentical(*ipcBack, ipc, "ipc", 0);
+    // Kinds index separately: one key under another kind misses.
+    EXPECT_FALSE(cache.loadBatchIpc("v4|rt|lc").has_value());
+    EXPECT_FALSE(cache.loadMix("v4|rt|batch").has_value());
+    CacheStats st = cache.stats();
+    EXPECT_EQ(st.corrupt, 0u);
+    EXPECT_EQ(st.hits, mixes.size() + 2);
+    EXPECT_EQ(st.misses, 2u);
 }
 
 } // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 #include "stats/histogram.h"
@@ -121,6 +123,81 @@ TEST(StreamingStats, Ci95UsesStudentTForSmallSamples)
 }
 
 // --- LatencyRecorder ---
+
+/** percentile/tailMean/cdf/sorted() against a std::sort reference. */
+void
+expectMatchesSortReference(const std::vector<Cycles> &samples)
+{
+    LatencyRecorder r;
+    for (Cycles c : samples)
+        r.record(c);
+    std::vector<Cycles> ref = samples;
+    std::sort(ref.begin(), ref.end());
+    const std::size_t n = ref.size();
+    ASSERT_EQ(r.sorted(), ref) << "n=" << n;
+    for (double pct : {0.1, 1.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9,
+                       100.0}) {
+        std::size_t rank = static_cast<std::size_t>(
+            std::ceil(pct / 100.0 * static_cast<double>(n)));
+        rank = std::min(std::max<std::size_t>(rank, 1), n);
+        EXPECT_EQ(r.percentile(pct), static_cast<double>(ref[rank - 1]))
+            << "n=" << n << " pct=" << pct;
+        double sum = 0; // ascending, as tailMean sums
+        for (std::size_t i = rank - 1; i < n; i++)
+            sum += static_cast<double>(ref[i]);
+        EXPECT_EQ(r.tailMean(pct),
+                  sum / static_cast<double>(n - (rank - 1)))
+            << "n=" << n << " pct=" << pct;
+    }
+    for (std::size_t i = 0; i < n; i += 1 + n / 40) {
+        for (Cycles x : {ref[i], ref[i] - 1, ref[i] + 1}) {
+            double want =
+                static_cast<double>(
+                    std::upper_bound(ref.begin(), ref.end(), x) -
+                    ref.begin()) /
+                static_cast<double>(n);
+            EXPECT_EQ(r.cdf(x), want) << "n=" << n << " x=" << x;
+        }
+    }
+}
+
+TEST(LatencyRecorder, RadixSortMatchesStdSort)
+{
+    // From single samples through the simulator's ~180-sample mix
+    // recorders to fleet tails of thousands of requests.
+    std::mt19937_64 rng(42);
+    for (std::size_t n : {1, 2, 3, 17, 180, 255, 256, 257, 3300, 5000}) {
+        std::vector<Cycles> lat(n), dup(n), wide(n), flat(n, 7);
+        for (std::size_t i = 0; i < n; i++) {
+            lat[i] = 1000 + rng() % 2000000;    // cycle latencies
+            dup[i] = 100 * (rng() % 8);         // heavy duplicates
+            const unsigned shift = rng() % 64;
+            wide[i] = rng() >> shift;           // values >= 2^32
+        }
+        wide[0] = ~0ull;
+        expectMatchesSortReference(lat);
+        expectMatchesSortReference(dup);
+        expectMatchesSortReference(wide);
+        expectMatchesSortReference(flat);
+    }
+}
+
+TEST(LatencyRecorder, RadixSortedRecorderStaysCorrectAfterMerge)
+{
+    std::mt19937_64 rng(7);
+    LatencyRecorder a, b;
+    std::vector<Cycles> all;
+    for (int i = 0; i < 600; i++) {
+        Cycles c = (rng() % 3 == 0) ? (1ull << 40) + rng() % 999
+                                    : rng() % 100000;
+        (i % 2 ? a : b).record(c);
+        all.push_back(c);
+    }
+    EXPECT_GT(a.percentile(50), 0.0); // sorts a once
+    a.merge(b);
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(a.sorted(), all);
+}
 
 TEST(LatencyRecorder, Empty)
 {
