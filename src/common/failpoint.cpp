@@ -37,6 +37,44 @@ const struct
     {"ECONNABORTED", ECONNABORTED},
 };
 
+/**
+ * Every failpoint site compiled into the binary: the only names a
+ * schedule may arm. `random:<seed>` draws from the fleet-fabric
+ * sites, whose failures the system degrades through gracefully. The
+ * trace sites are never drawn — their contract is fail-fast with a
+ * precise message, so random schedules would just kill runs.
+ */
+const struct
+{
+    const char *site;
+    bool random;            ///< drawn by random:<seed> schedules
+    const char *actions[3]; ///< candidate random action templates
+} kSites[] = {
+    {"cache.open", true, {"err:EIO", "err:EACCES", nullptr}},
+    {"cache.append", true, {"short_write:%u", "err:EIO", "torn:%u"}},
+    {"cache.fsync", true, {"err:EIO", nullptr, nullptr}},
+    {"cache.refresh", true, {"err:EIO", nullptr, nullptr}},
+    {"claim.create", true, {"err:EIO", "err:EACCES", nullptr}},
+    {"claim.heartbeat", true, {"err:EIO", "err:ENOENT", nullptr}},
+    {"claim.release", true, {"err:EIO", nullptr, nullptr}},
+    {"claim.break", true, {"err:EIO", nullptr, nullptr}},
+    {"serve.accept", true, {"err:EMFILE", "err:ECONNABORTED", nullptr}},
+    {"serve.read", true, {"err:EIO", "err:ECONNRESET", nullptr}},
+    {"serve.write", true, {"err:EPIPE", "short_write:%u", nullptr}},
+    {"trace.write", false, {nullptr, nullptr, nullptr}},
+    {"trace.read", false, {nullptr, nullptr, nullptr}},
+    {"trace.checksum", false, {nullptr, nullptr, nullptr}},
+};
+
+bool
+knownSite(const std::string &site)
+{
+    for (const auto &c : kSites)
+        if (site == c.site)
+            return true;
+    return false;
+}
+
 std::string
 errnoName(int err)
 {
@@ -147,6 +185,15 @@ parseEntry(const std::string &entry, std::string &site, SiteRule &rule)
         fatal("failpoint '%s': expected <site>=<action>@<trigger>",
               entry.c_str());
     site = entry.substr(0, eq);
+    if (!knownSite(site)) {
+        // A misspelled site would arm nothing, and a chaos gate would
+        // pass without injecting a single fault.
+        std::string known;
+        for (const auto &c : kSites)
+            known += std::string(known.empty() ? "" : ", ") + c.site;
+        fatal("failpoint '%s': unknown site '%s' (%s)", entry.c_str(),
+              site.c_str(), known.c_str());
+    }
     std::string rest = entry.substr(eq + 1);
 
     std::size_t at = rest.rfind('@');
@@ -276,30 +323,6 @@ formatEntry(const std::string &site, const SiteRule &r)
     return out;
 }
 
-/**
- * The site catalog `random:<seed>` draws from: every fleet-fabric
- * site whose failure the system degrades through gracefully. The
- * trace sites are deliberately absent — their contract is fail-fast
- * with a precise message, so random schedules would just kill runs.
- */
-const struct
-{
-    const char *site;
-    const char *actions[3]; ///< candidate action templates
-} kChaosCatalog[] = {
-    {"cache.open", {"err:EIO", "err:EACCES", nullptr}},
-    {"cache.append", {"short_write:%u", "err:EIO", "torn:%u"}},
-    {"cache.fsync", {"err:EIO", nullptr, nullptr}},
-    {"cache.refresh", {"err:EIO", nullptr, nullptr}},
-    {"claim.create", {"err:EIO", "err:EACCES", nullptr}},
-    {"claim.heartbeat", {"err:EIO", "err:ENOENT", nullptr}},
-    {"claim.release", {"err:EIO", nullptr, nullptr}},
-    {"claim.break", {"err:EIO", nullptr, nullptr}},
-    {"serve.accept", {"err:EMFILE", "err:ECONNABORTED", nullptr}},
-    {"serve.read", {"err:EIO", "err:ECONNRESET", nullptr}},
-    {"serve.write", {"err:EPIPE", "short_write:%u", nullptr}},
-};
-
 /** Expand `random:<seed>` into a concrete schedule string. */
 std::string
 expandRandom(const std::string &spec)
@@ -311,7 +334,9 @@ expandRandom(const std::string &spec)
     // Purity: the whole schedule is a function of the seed alone.
     Rng rng = Rng::jobStream(seed, 0xfa17u);
     std::string out;
-    for (const auto &c : kChaosCatalog) {
+    for (const auto &c : kSites) {
+        if (!c.random)
+            continue;
         // Arm roughly half the sites each run so schedules differ in
         // shape, not just in parameters.
         if (!rng.chance(0.5))
@@ -368,8 +393,12 @@ evalSlow(const char *site)
         }
         if (st == 2) {
             auto it = reg.sites.find(site);
-            if (it == reg.sites.end())
+            if (it == reg.sites.end()) {
+                // Schedules only arm table sites, so an evaluated site
+                // missing from the table could never be armed.
+                ubik_assert(knownSite(site));
                 return FailpointHit{};
+            }
             SiteRule &r = it->second;
             r.evals++;
             bool fire = false;

@@ -28,8 +28,11 @@
  *            | p<frac>    fire each evaluation with probability <frac>,
  *                         drawn from a seeded Rng stream — replayable
  *
- * `random:<seed>` expands to a seeded schedule over the built-in site
- * catalog (the nightly chaos loop uses this; the expanded schedule is
+ * Sites are the fixed set compiled into the binary (the table in
+ * failpoint.cpp); a schedule naming any other site is rejected, so a
+ * typo cannot arm nothing and pass as a fault-free chaos run.
+ * `random:<seed>` expands to a seeded schedule over the site table
+ * (the nightly chaos loop uses this; the expanded schedule is
  * available via failpointScheduleString() for replay).
  *
  * Everything is deterministic given the schedule string: probability
@@ -93,9 +96,10 @@ failpointEval(const char *site)
 
 /**
  * Replace the active schedule. An empty string disarms every site.
- * `random:<seed>` expands to a seeded schedule over the site catalog.
- * Malformed schedules are a configuration error: fatal() with the
- * offending entry. Resets all per-site counters.
+ * `random:<seed>` expands to a seeded schedule over the site table.
+ * Malformed schedules, and entries naming an unknown site, are a
+ * configuration error: fatal() with the offending entry. Resets all
+ * per-site counters.
  */
 void failpointConfigure(const std::string &schedule);
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -55,7 +56,7 @@ ageSec(fs::file_time_type mtime)
 
 ClaimStore::ClaimStore(const std::string &cache_dir, std::string owner,
                        double ttl_sec)
-    : dir_(cache_dir + "/" + kSubdir),
+    : cacheDir_(cache_dir), dir_(cache_dir + "/" + kSubdir),
       owner_(sanitizeOwner(std::move(owner))), ttlSec_(ttl_sec)
 {
     if (ttlSec_ <= 0)
@@ -65,7 +66,7 @@ ClaimStore::ClaimStore(const std::string &cache_dir, std::string owner,
     if (!fs::is_directory(dir_)) {
         // Claims only deduplicate work across fleet workers; a worker
         // that cannot reach them degrades to solo execution instead of
-        // dying (sweep_executor.cpp checks usable()).
+        // dying (parallel_sweep.cpp checks usable()).
         warn("claim store: cannot create '%s' (%s); degrading to solo "
              "execution",
              dir_.c_str(), ec.message().c_str());
@@ -106,7 +107,7 @@ ClaimStore::tryAcquire(const std::string &key)
     if (fd < 0) {
         if (errno != EEXIST) {
             // Persistent real I/O errors mean the claims dir is gone
-            // or broken; mark the store unusable so the executor can
+            // or broken; mark the store unusable so the fleet sweep can
             // fall back to solo execution rather than hot-looping on
             // "claimable but unclaimable" keys.
             if (!createWarned_.exchange(true))
@@ -117,8 +118,8 @@ ClaimStore::tryAcquire(const std::string &key)
         }
         return false;
     }
-    // Contents are for humans debugging a wedged fleet; existence +
-    // mtime are the protocol.
+    // Contents are for inspection (leases(), `ubik_run
+    // --fleet-status`); existence + mtime are the protocol.
     std::string body = owner_ + " " + key + "\n";
     ssize_t unused = ::write(fd, body.data(), body.size());
     (void)unused;
@@ -226,27 +227,45 @@ std::uint64_t
 ClaimStore::gcStale()
 {
     std::uint64_t reclaimed = 0;
-    std::error_code ec;
-    fs::directory_iterator it(dir_, ec), end;
-    if (ec)
-        return 0;
-    for (; it != end; it.increment(ec)) {
-        if (ec)
-            break;
-        std::string path = it->path().string();
-        if (path.size() < 6 ||
-            path.compare(path.size() - 6, 6, ".lease") != 0)
+    for (const Lease &l : leases(cacheDir_)) {
+        if (!staleAt(l.path))
             continue;
-        if (!staleAt(path))
-            continue;
-        std::string tomb = path + ".rip-" + owner_;
-        if (std::rename(path.c_str(), tomb.c_str()) == 0) {
+        std::string tomb = l.path + ".rip-" + owner_;
+        if (std::rename(l.path.c_str(), tomb.c_str()) == 0) {
             std::error_code rec;
             fs::remove(tomb, rec);
             reclaimed++;
         }
     }
     return reclaimed;
+}
+
+std::vector<ClaimStore::Lease>
+ClaimStore::leases(const std::string &cache_dir)
+{
+    std::vector<Lease> out;
+    std::error_code ec;
+    fs::directory_iterator it(cache_dir + "/" + kSubdir, ec), end;
+    for (; !ec && it != end; it.increment(ec)) {
+        Lease l;
+        l.path = it->path().string();
+        if (l.path.size() < 6 ||
+            l.path.compare(l.path.size() - 6, 6, ".lease") != 0)
+            continue;
+        // The payload tryAcquire writes: "<owner> <key>\n". Owners
+        // are sanitized, so the first space ends the owner.
+        std::ifstream in(l.path);
+        std::string line;
+        if (std::getline(in, line)) {
+            std::size_t sp = line.find(' ');
+            if (sp != std::string::npos) {
+                l.owner = line.substr(0, sp);
+                l.key = line.substr(sp + 1);
+            }
+        }
+        out.push_back(std::move(l));
+    }
+    return out;
 }
 
 std::vector<std::string>

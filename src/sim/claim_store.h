@@ -108,6 +108,19 @@ class ClaimStore
      *  (crash leftovers); returns how many were reclaimed. */
     std::uint64_t gcStale();
 
+    /** One lease file present in a claims directory. */
+    struct Lease
+    {
+        std::string path;
+        std::string owner; ///< empty until the claimant writes it
+        std::string key;   ///< the claimed work's cache key
+    };
+
+    /** Every lease under `cache_dir`'s claims directory, held or
+     *  expired-but-unbroken, with the owner and key its claimant
+     *  wrote into it. */
+    static std::vector<Lease> leases(const std::string &cache_dir);
+
     /** Lease path for `key` (exposed for tests and for crash
      *  injection: backdating a lease's mtime simulates a dead
      *  owner without waiting out the TTL). */
@@ -125,6 +138,7 @@ class ClaimStore
   private:
     bool staleAt(const std::string &path) const;
 
+    std::string cacheDir_;
     std::string dir_; ///< <cache-dir>/claims
     std::string owner_;
     double ttlSec_;

@@ -23,7 +23,7 @@
  *                 caching; see sim/result_cache.h)
  *   UBIK_FLEET    1 = cooperate with other processes sharing
  *                 UBIK_CACHE_DIR via work-claiming leases (see
- *                 sim/sweep_executor.h); requires a cache dir
+ *                 sim/parallel_sweep.h); requires a cache dir
  *   UBIK_WORKER_ID fleet worker identity (default: host + pid)
  *   UBIK_LEASE_TTL fleet claim lease TTL, seconds (default 60); a
  *                 worker silent this long is presumed dead and its

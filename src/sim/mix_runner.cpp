@@ -201,7 +201,7 @@ MixRunner::runAlone(const LcAppParams &params, double load,
 
 MixRunResult
 MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
-                  std::uint64_t seed)
+                  std::uint64_t seed, MixTrace *trace_out)
 {
     const std::size_t ntraces = spec.lc.traces.size();
     if (ntraces != 0 && ntraces != 1 && ntraces != 3)
@@ -218,6 +218,7 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
 
     CmpConfig cc = cfg_.baseCmpConfig(ooo_);
     sut.applyTo(cc);
+    cc.traceAllocations = trace_out != nullptr;
 
     std::vector<LcAppSpec> lc(3);
     for (std::size_t i = 0; i < lc.size(); i++) {
@@ -269,6 +270,10 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
         res.ubikDeboosts = ubik->deboostInterrupts();
         res.ubikDeadlineDeboosts = ubik->deadlineDeboosts();
         res.ubikWatermarks = ubik->watermarkInterrupts();
+    }
+    if (trace_out) {
+        trace_out->alloc = cmp.allocTrace();
+        trace_out->latencies = std::move(merged);
     }
     return res;
 }

@@ -67,6 +67,17 @@ struct MixRunResult
     std::uint64_t ubikWatermarks = 0;
 };
 
+/** Plot data from one mix run (MixRunner::runMix's optional output):
+ *  what `ubik_cli --csv-prefix` exports. */
+struct MixTrace
+{
+    /** Per-partition allocation targets over time (Fig 4). */
+    std::vector<AllocSample> alloc;
+
+    /** ROI latencies of the three LC instances, merged. */
+    LatencyRecorder latencies;
+};
+
 /** A policy/scheme configuration under evaluation. */
 struct SchemeUnderTest
 {
@@ -148,10 +159,12 @@ class MixRunner
      * (MixSpec::lc.traces) and batch mixes (MixSpec::batch.traces)
      * replay inside the shared-LLC simulation; baselines always come
      * from the synthetic params, so a traced mix and its source
-     * preset share them (workload/mix.h).
+     * preset share them (workload/mix.h). A non-null `trace_out`
+     * also receives the allocation trace and the merged LC
+     * latencies; recording them leaves the result bit-identical.
      */
     MixRunResult runMix(const MixSpec &spec, const SchemeUnderTest &sut,
-                        std::uint64_t seed);
+                        std::uint64_t seed, MixTrace *trace_out = nullptr);
 
     /** Master seed runMix hands the mix Cmp for sweep seed `seed` —
      *  capture-fidelity harnesses derive per-core app RNGs from it

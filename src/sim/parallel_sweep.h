@@ -18,15 +18,28 @@
  * all cores; 1 recovers the legacy sequential path on the calling
  * thread).
  *
- * Execution is delegated to a SweepExecutor (sim/sweep_executor.h):
- * the in-process JobPool path by default, or — via enableFleet — a
- * work-claiming executor that lets N independent processes sharing
- * one cache directory cooperatively fill a single sweep matrix.
+ * run() first serves cache hits, then fills the misses one of two
+ * ways:
+ *
+ *  - locally (the default): prewarm the misses' baselines, then one
+ *    JobPool task per missed job;
+ *  - as a fleet worker (enableFleet): N independent processes sharing
+ *    one cache directory partition the misses between them by leasing
+ *    claim records (sim/claim_store.h). Every job is filled either by
+ *    computing it under an owned lease (publishing the result to the
+ *    shared cache before release) or by observing a peer's published
+ *    result. Results are pure functions of their descriptors and
+ *    round-trip bit-exactly, so the filled matrix is identical to the
+ *    single-process one at any fleet size, and a worker killed
+ *    mid-sweep costs at most its in-flight jobs (whose leases expire
+ *    and are reclaimed).
  */
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/job_pool.h"
@@ -76,13 +89,8 @@ struct FleetOptions
     std::string workerId;
 
     /** Lease age beyond which a worker is presumed dead and its
-     *  in-flight items are reclaimed by peers. */
+     *  in-flight jobs are reclaimed by peers. */
     double leaseTtlSec = 60.0;
-
-    /** Poll backoff while peers hold the remaining leases: starts at
-     *  pollSec, doubles to pollMaxSec while nothing changes. */
-    double pollSec = 0.05;
-    double pollMaxSec = 1.0;
 };
 
 /** Executes SweepJob batches through a shared MixRunner. */
@@ -108,12 +116,12 @@ class ParallelSweep
     void attachCache(ResultCache *cache) { cache_ = cache; }
 
     /**
-     * Fleet mode: execute cache misses through the work-claiming
-     * FleetExecutor (sim/sweep_executor.h) so N processes sharing the
-     * attached cache directory partition one sweep between them.
-     * Requires an attached cache (run() fatals otherwise); put the
-     * cache in durable mode so "claim released" implies "result on
-     * disk". Results stay bit-identical to the single-process path.
+     * Fleet mode: fill cache misses by claiming them through leases
+     * in the attached cache directory, so N processes sharing it
+     * partition one sweep between them. Requires an attached cache
+     * (run() fatals otherwise), which run() switches to durable mode
+     * so "claim released" implies "result on disk". Results stay
+     * bit-identical to the single-process path.
      */
     void enableFleet(const FleetOptions &opt);
 
@@ -130,17 +138,6 @@ class ParallelSweep
     run(const std::vector<SweepJob> &jobs,
         const std::function<void(const SweepProgress &)> &on_done =
             nullptr);
-
-    /**
-     * Compute every LC and batch baseline the jobs will need, in
-     * parallel, so the mix phase hits only warm caches. run() calls
-     * this itself; it is public for benches that use the baselines
-     * directly (e.g. Fig 1 latency curves).
-     */
-    void prewarmBaselines(const std::vector<SweepJob> &jobs);
-
-    /** The underlying pool, for auxiliary parallel phases. */
-    JobPool &pool() { return pool_; }
 
   private:
     MixRunner &runner_;

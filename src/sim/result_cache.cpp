@@ -1027,16 +1027,7 @@ CacheStats
 ResultCache::stats() const
 {
     CacheStats st = counters();
-    std::error_code ec;
-    std::filesystem::directory_iterator it(
-        dir_ + "/" + ClaimStore::kSubdir, ec),
-        end;
-    for (; !ec && it != end; it.increment(ec)) {
-        std::string p = it->path().string();
-        if (p.size() >= 6 &&
-            p.compare(p.size() - 6, 6, ".lease") == 0)
-            st.claimsLive++;
-    }
+    st.claimsLive = ClaimStore::leases(dir_).size();
     return st;
 }
 

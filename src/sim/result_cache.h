@@ -27,7 +27,7 @@
  * (counted, skipped, and rewritten on the next store) — a corrupt
  * shard can cost recomputation but never poisons a result. Shards
  * are parsed incrementally from a per-shard byte offset, so peekMix
- * (the fleet executor's poll primitive) and store() pick up records
+ * (the fleet sweep's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.
  * Loaded records live in one in-memory hashed index per record kind,
  * shared by all shards: a warm hit hashes its key once and decodes
@@ -120,7 +120,7 @@ struct CacheStats
     std::uint64_t hbReleases = 0;
 
     /** Fleet workers that fell back to solo execution because the
-     *  claims directory was unusable (FleetExecutor ->
+     *  claims directory was unusable (ParallelSweep ->
      *  noteSoloFallback). */
     std::uint64_t soloFallbacks = 0;
 
@@ -220,7 +220,7 @@ class ResultCache
     void noteHbReleases(std::uint64_t n);
 
     /** Record a fleet worker degrading to solo execution
-     *  (sim/sweep_executor.cpp). */
+     *  (sim/parallel_sweep.cpp). */
     void noteSoloFallback();
 
     /** stats(): the counters, plus a scan of the claims directory

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <dirent.h>
-#include <fstream>
 #include <map>
 #include <set>
 
@@ -880,9 +878,6 @@ runSchemeSweep(const ExperimentConfig &cfg,
         if (!cache)
             fatal("--fleet needs a shared cache: pass --cache-dir "
                   "(or UBIK_CACHE_DIR)");
-        // Claim release must imply "result on disk" for peers (and
-        // for crash recovery), so records are fsync'd before release.
-        cache->setDurable(true);
         if (worker.empty())
             worker = ClaimStore::defaultOwner();
         FleetOptions opt;
@@ -1137,31 +1132,20 @@ printFleetStatus(const ScenarioSpec &spec,
                 jobs.empty() ? 100.0 : 100.0 * done / jobs.size(),
                 lcDone, lcTotal, batchDone, batchTotal);
 
-    // Live claim leases: who is mid-computation right now. The lease
-    // payload is "<owner> <key>\n" (claim_store.cpp); a key outside
-    // this scenario's matrix counts as foreign (another scenario, or
-    // another scale, sharing the cache).
+    // Live claim leases: who is mid-computation right now. A key
+    // outside this scenario's matrix counts as foreign (another
+    // scenario, or another scale, sharing the cache); a lease whose
+    // claimant has not written its payload yet is not counted.
     std::map<std::string, std::pair<std::size_t, std::size_t>> owners;
     std::size_t leases = 0;
-    std::string claimDir =
-        cfg.cacheDir + "/" + ClaimStore::kSubdir;
-    if (DIR *d = opendir(claimDir.c_str())) {
-        while (struct dirent *e = readdir(d)) {
-            std::string name = e->d_name;
-            if (name.size() < 6 ||
-                name.compare(name.size() - 6, 6, ".lease") != 0)
-                continue;
-            std::ifstream in(claimDir + "/" + name);
-            std::string owner, key;
-            if (!(in >> owner >> key))
-                continue;
-            leases++;
-            auto &c = owners[owner];
-            c.first++;
-            if (jobKeys.count(key))
-                c.second++;
-        }
-        closedir(d);
+    for (const ClaimStore::Lease &l : ClaimStore::leases(cfg.cacheDir)) {
+        if (l.owner.empty())
+            continue;
+        leases++;
+        auto &c = owners[l.owner];
+        c.first++;
+        if (jobKeys.count(l.key))
+            c.second++;
     }
     std::printf("[fleet-status] claims: live=%zu workers=%zu\n",
                 leases, owners.size());
@@ -1170,17 +1154,6 @@ printFleetStatus(const ScenarioSpec &spec,
                     "in_matrix=%zu\n",
                     o.first.c_str(), o.second.first,
                     o.second.second);
-}
-
-int
-runRegisteredScenario(const std::string &name)
-{
-    setVerbose(false);
-    const ScenarioSpec *spec = ScenarioRegistry::instance().find(name);
-    if (!spec)
-        fatal("unknown scenario '%s' (ubik_run --list names them)",
-              name.c_str());
-    return executeScenario(*spec, ExperimentConfig::fromEnv());
 }
 
 const ScenarioSpec *

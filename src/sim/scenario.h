@@ -17,8 +17,8 @@
  * `scenarioFromJson(scenarioToJson(s))` is canonical-equal to `s`,
  * which is what lets `ubik_run --spec file.json` and `--dump` treat
  * experiments as data. Every paper figure/ablation that sweeps mixes
- * is registered as a named built-in spec (ScenarioRegistry), and the
- * legacy bench executables are thin wrappers over the registry.
+ * is registered as a named built-in spec (ScenarioRegistry), which
+ * `ubik_run <name>` runs.
  *
  * Experiment *scale* stays environmental (UBIK_SCALE, UBIK_REQUESTS,
  * ... — sim/experiment.h): a spec describes *what* to run, the
@@ -218,7 +218,7 @@ struct SweepAccounting
  * engine with the persistent result cache attached (cfg.cacheDir).
  * Results are grouped per scheme with full mix metadata, and are
  * bit-identical across worker counts and cache states. This is the
- * one sweep path: scenarios, benches, and tools all run through it.
+ * one sweep path: scenarios and tools all run through it.
  * A non-null `shared` cache is used instead of opening cfg.cacheDir
  * (the serving daemon keeps one warm cache across requests); `acct`
  * receives the per-worker accounting when non-null. The progress,
@@ -267,8 +267,8 @@ Json scenarioResultsJson(const ScenarioSpec &spec,
  * The whole experiment, stdout to epilogue: apply the spec's config
  * overrides, print the header, run, render the report blocks, write
  * the structured JSON results to `results_path` (empty = skip), and
- * print the notes. The one execution path `ubik_run` and the bench
- * wrappers share. Returns the process exit code.
+ * print the notes. The one execution path `ubik_run` takes. Returns
+ * the process exit code.
  */
 int executeScenario(const ScenarioSpec &spec, ExperimentConfig cfg,
                     const std::string &results_path = "",
@@ -282,10 +282,6 @@ int executeScenario(const ScenarioSpec &spec, ExperimentConfig cfg,
  */
 void printFleetStatus(const ScenarioSpec &spec,
                       const ExperimentConfig &cfg);
-
-/** executeScenario() on a registry spec by name — the legacy
- *  figure/ablation executables are one-line wrappers over this. */
-int runRegisteredScenario(const std::string &name);
 
 // ---------------------------------------------------------------------------
 // Registry

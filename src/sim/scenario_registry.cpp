@@ -1,9 +1,8 @@
 /**
  * @file
  * The built-in scenario registry: every mix-sweeping paper figure
- * and ablation as a named ScenarioSpec. The legacy bench executables
- * (bench/fig9_schemes.cpp, ...) are one-line wrappers over these
- * names, and `ubik_run` enumerates and parameterizes them.
+ * and ablation as a named ScenarioSpec, which `ubik_run` enumerates,
+ * parameterizes and runs by name.
  *
  * Specs here must expand to exactly the mixes and schemes the legacy
  * bench loops built — the fig9 equivalence is golden-tested against

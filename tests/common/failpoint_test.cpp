@@ -61,72 +61,75 @@ TEST_F(FailpointTest, ErrDefaultsToEio)
 
 TEST_F(FailpointTest, ErrnoByNameAndNumber)
 {
-    failpointConfigure("a=err:ENOSPC@1;b=err:ENOENT@1;c=err:13@1");
-    EXPECT_EQ(failpointEval("a").err, ENOSPC);
-    EXPECT_EQ(failpointEval("b").err, ENOENT);
-    EXPECT_EQ(failpointEval("c").err, 13);
+    failpointConfigure("cache.open=err:ENOSPC@1;cache.append=err:ENOENT@1;"
+                       "cache.fsync=err:13@1");
+    EXPECT_EQ(failpointEval("cache.open").err, ENOSPC);
+    EXPECT_EQ(failpointEval("cache.append").err, ENOENT);
+    EXPECT_EQ(failpointEval("cache.fsync").err, 13);
 }
 
 TEST_F(FailpointTest, FromTriggerFiresOnward)
 {
-    failpointConfigure("s=err@3+");
-    EXPECT_EQ(firePattern("s", 6), "001111");
+    failpointConfigure("claim.create=err@3+");
+    EXPECT_EQ(firePattern("claim.create", 6), "001111");
 }
 
 TEST_F(FailpointTest, EveryTrigger)
 {
-    failpointConfigure("s=err@*");
-    EXPECT_EQ(firePattern("s", 4), "1111");
+    failpointConfigure("claim.create=err@*");
+    EXPECT_EQ(firePattern("claim.create", 4), "1111");
 }
 
 TEST_F(FailpointTest, ShortWriteCarriesByteCount)
 {
-    failpointConfigure("s=short_write:7@1");
-    FailpointHit hit = failpointEval("s");
+    failpointConfigure("cache.append=short_write:7@1");
+    FailpointHit hit = failpointEval("cache.append");
     ASSERT_EQ(hit.kind, FailpointHit::Kind::ShortWrite);
     EXPECT_EQ(hit.arg, 7u);
     // Default byte count is 1 (minimal progress, maximal retries).
-    failpointConfigure("s=short_write@1");
-    EXPECT_EQ(failpointEval("s").arg, 1u);
+    failpointConfigure("cache.append=short_write@1");
+    EXPECT_EQ(failpointEval("cache.append").arg, 1u);
 }
 
 TEST_F(FailpointTest, TornCarriesByteCount)
 {
-    failpointConfigure("s=torn:5@1");
-    FailpointHit hit = failpointEval("s");
+    failpointConfigure("cache.append=torn:5@1");
+    FailpointHit hit = failpointEval("cache.append");
     ASSERT_EQ(hit.kind, FailpointHit::Kind::Torn);
     EXPECT_EQ(hit.arg, 5u);
 }
 
 TEST_F(FailpointTest, HangSleepsAndProceeds)
 {
-    failpointConfigure("s=hang:0.01s@1");
-    FailpointHit hit = failpointEval("s");
+    failpointConfigure("claim.heartbeat=hang:0.01s@1");
+    FailpointHit hit = failpointEval("claim.heartbeat");
     ASSERT_EQ(hit.kind, FailpointHit::Kind::Hang);
     EXPECT_DOUBLE_EQ(hit.hangSec, 0.01);
-    EXPECT_FALSE(failpointEval("s")); // @1: second eval clean
+    // @1: the second evaluation is clean.
+    EXPECT_FALSE(failpointEval("claim.heartbeat"));
 }
 
 TEST_F(FailpointTest, ChanceTriggerReplaysIdentically)
 {
-    const char *sched = "s=err@p0.3,seed42";
+    const char *sched = "claim.create=err@p0.3,seed42";
     failpointConfigure(sched);
-    std::string first = firePattern("s", 500);
+    std::string first = firePattern("claim.create", 500);
     failpointConfigure(sched); // counters and Rng reset
-    EXPECT_EQ(firePattern("s", 500), first);
+    EXPECT_EQ(firePattern("claim.create", 500), first);
     // A fair draw actually fires sometimes and skips sometimes.
     EXPECT_NE(first.find('1'), std::string::npos);
     EXPECT_NE(first.find('0'), std::string::npos);
     // A different seed draws a different pattern.
-    failpointConfigure("s=err@p0.3,seed43");
-    EXPECT_NE(firePattern("s", 500), first);
+    failpointConfigure("claim.create=err@p0.3,seed43");
+    EXPECT_NE(firePattern("claim.create", 500), first);
 }
 
 TEST_F(FailpointTest, ChanceStreamsArePerSite)
 {
-    failpointConfigure("a=err@p0.5,seed7;b=err@p0.5,seed7");
-    std::string pa = firePattern("a", 200);
-    std::string pb = firePattern("b", 200);
+    failpointConfigure(
+        "claim.create=err@p0.5,seed7;claim.release=err@p0.5,seed7");
+    std::string pa = firePattern("claim.create", 200);
+    std::string pb = firePattern("claim.release", 200);
     // Same seed, different sites: independent streams.
     EXPECT_NE(pa, pb);
 }
@@ -174,22 +177,22 @@ TEST_F(FailpointTest, RandomSchedulesNeverArmTraceSites)
 
 TEST_F(FailpointTest, StatsCountEvalsAndFires)
 {
-    failpointConfigure("s=err@2");
-    firePattern("s", 5);
+    failpointConfigure("claim.create=err@2");
+    firePattern("claim.create", 5);
     std::vector<FailpointSiteStats> st = failpointStats();
     ASSERT_EQ(st.size(), 1u);
-    EXPECT_EQ(st[0].site, "s");
+    EXPECT_EQ(st[0].site, "claim.create");
     EXPECT_EQ(st[0].evals, 5u);
     EXPECT_EQ(st[0].fires, 1u);
 }
 
 TEST_F(FailpointTest, ResetDisarms)
 {
-    failpointConfigure("s=err@*");
-    EXPECT_TRUE(failpointEval("s"));
+    failpointConfigure("claim.create=err@*");
+    EXPECT_TRUE(failpointEval("claim.create"));
     failpointReset();
     EXPECT_FALSE(failpointsArmed());
-    EXPECT_FALSE(failpointEval("s"));
+    EXPECT_FALSE(failpointEval("claim.create"));
 }
 
 using FailpointDeathTest = FailpointTest;
@@ -198,18 +201,32 @@ TEST_F(FailpointDeathTest, MalformedSchedulesDieWithTheEntry)
 {
     EXPECT_DEATH(failpointConfigure("nonsense"),
                  "expected <site>=<action>@<trigger>");
-    EXPECT_DEATH(failpointConfigure("s=err"), "missing @<trigger>");
-    EXPECT_DEATH(failpointConfigure("s=explode@1"),
+    EXPECT_DEATH(failpointConfigure("cache.append=err"),
+                 "missing @<trigger>");
+    EXPECT_DEATH(failpointConfigure("cache.append=explode@1"),
                  "unknown action 'explode'");
-    EXPECT_DEATH(failpointConfigure("s=err:EWHAT@1"),
+    EXPECT_DEATH(failpointConfigure("cache.append=err:EWHAT@1"),
                  "unknown errno 'EWHAT'");
-    EXPECT_DEATH(failpointConfigure("s=err@0"), "bad trigger");
-    EXPECT_DEATH(failpointConfigure("s=err@p1.5"),
+    EXPECT_DEATH(failpointConfigure("cache.append=err@0"),
+                 "bad trigger");
+    EXPECT_DEATH(failpointConfigure("cache.append=err@p1.5"),
                  "not in \\[0, 1\\]");
-    EXPECT_DEATH(failpointConfigure("s=hang:2@1"),
+    EXPECT_DEATH(failpointConfigure("cache.append=hang:2@1"),
                  "hang needs a duration");
-    EXPECT_DEATH(failpointConfigure("s=err@1;s=err@2"),
-                 "configured twice");
+    EXPECT_DEATH(
+        failpointConfigure("cache.append=err@1;cache.append=err@2"),
+        "configured twice");
+    // A misspelled site would arm nothing and let a chaos gate pass
+    // without a single fault.
+    EXPECT_DEATH(failpointConfigure("cache.apend=err@*"),
+                 "failpoint 'cache.apend=err@\\*': unknown site "
+                 "'cache.apend'");
+}
+
+TEST_F(FailpointDeathTest, ArmedEvaluationOfAnUnlistedSiteAsserts)
+{
+    failpointConfigure("cache.append=err@*");
+    EXPECT_DEATH(failpointEval("cache.apend"), "knownSite");
 }
 
 } // namespace

@@ -67,7 +67,6 @@ runFleetWorker(const std::string &cache_dir, const std::string &id,
 {
     MixRunner runner(cacheTestCfg());
     std::unique_ptr<ResultCache> cache = ResultCache::open(cache_dir);
-    cache->setDurable(true);
     runner.attachCache(cache.get());
     ParallelSweep sweep(runner, 2);
     sweep.attachCache(cache.get());
@@ -117,6 +116,9 @@ TEST_F(ChaosFleetTest, AppendFaultScheduleKeepsZeroDuplicates)
     EXPECT_GT(a.stats.appendRetries + b.stats.appendRetries, 0u);
     EXPECT_EQ(a.stats.storesDropped + b.stats.storesDropped, 0u);
     EXPECT_EQ(a.stats.corrupt + b.stats.corrupt, 0u);
+    // The fsync faults bit too, so fleet mode put the caches in
+    // durable mode on its own.
+    EXPECT_GT(a.stats.fsyncDegraded + b.stats.fsyncDegraded, 0u);
 
     // A clean post-chaos worker reads a fully intact cache.
     failpointReset();
@@ -158,7 +160,7 @@ TEST_F(ChaosFleetTest, UnusableClaimsDirFallsBackToSolo)
     TempCacheDir dir("chaos_solo");
     // Block the claims *directory* with a plain file: ClaimStore's
     // create_directories fails, the store reports unusable, and the
-    // executor must degrade to solo execution instead of dying.
+    // fleet sweep must degrade to solo execution instead of dying.
     std::filesystem::create_directories(dir.path());
     {
         std::ofstream block(dir.path() + "/" + ClaimStore::kSubdir);

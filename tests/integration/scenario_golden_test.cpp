@@ -1,11 +1,11 @@
 /**
  * @file
  * Golden equivalence for the scenario redesign: running fig9 through
- * the registry (`ubik_run fig9` / the rewritten bench wrapper) must
- * produce MixRunResults bit-identical to the pre-refactor sweep
- * path — paperSchemes over the standard mix matrix, pushed directly
- * through MixRunner + ParallelSweep, exactly the loops
- * bench/fig9_schemes.cpp ran before scenarios existed. Also pins the
+ * the registry (`ubik_run fig9`) must produce MixRunResults
+ * bit-identical to the pre-refactor sweep path — paperSchemes over
+ * the standard mix matrix, pushed directly through MixRunner +
+ * ParallelSweep, exactly the loops the fig9 bench ran before
+ * scenarios existed. Also pins the
  * report-time lo/hi split: filtering on structured load metadata
  * partitions the runs the same way the legacy name-substring split
  * did, without dropping or duplicating a run.

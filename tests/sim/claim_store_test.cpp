@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -155,6 +156,35 @@ TEST(ClaimStore, GcReclaimsOnlyExpiredLeases)
     EXPECT_EQ(store.gcStale(), 0u);
 }
 
+TEST(ClaimStore, LeasesListsHeldClaimsWithOwnerAndKey)
+{
+    TempCacheDir dir("claims_list");
+    // No claims directory yet: nothing to list, and no error.
+    EXPECT_TRUE(ClaimStore::leases(dir.path()).empty());
+
+    ClaimStore a(dir.path(), "worker-a", 60.0);
+    ClaimStore b(dir.path(), "worker-b", 60.0);
+    ASSERT_TRUE(a.tryAcquire("v4|mix|name=x y"));
+    ASSERT_TRUE(b.tryAcquire("key-b"));
+
+    std::vector<ClaimStore::Lease> live =
+        ClaimStore::leases(dir.path());
+    ASSERT_EQ(live.size(), 2u);
+    std::sort(live.begin(), live.end(), [](const auto &x, const auto &y) {
+        return x.owner < y.owner;
+    });
+    EXPECT_EQ(live[0].owner, "worker-a");
+    EXPECT_EQ(live[0].key, "v4|mix|name=x y"); // spaces survive
+    EXPECT_EQ(live[0].path, a.leasePath("v4|mix|name=x y"));
+    EXPECT_EQ(live[1].owner, "worker-b");
+    EXPECT_EQ(live[1].key, "key-b");
+    EXPECT_EQ(live[1].path, b.leasePath("key-b"));
+
+    a.release("v4|mix|name=x y");
+    b.release("key-b");
+    EXPECT_TRUE(ClaimStore::leases(dir.path()).empty());
+}
+
 TEST(ClaimStore, HeartbeatSurvivesClaimsDirDisappearing)
 {
     // The claims directory vanishing mid-run (operator rm -rf, NFS
@@ -214,7 +244,7 @@ TEST(ClaimStore, PersistentCreateErrorsDegradeToUnusable)
 
     // Every lease create fails with a real I/O error (not EEXIST):
     // after bounded retries the store marks itself unusable so the
-    // executor can fall back to solo execution instead of spinning.
+    // fleet sweep can fall back to solo execution instead of spinning.
     failpointConfigure("claim.create=err:EIO@*");
     EXPECT_FALSE(store.tryAcquire("job"));
     failpointReset();

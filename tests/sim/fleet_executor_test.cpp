@@ -46,7 +46,6 @@ runFleetWorker(const std::string &cache_dir, const std::string &id,
 {
     MixRunner runner(cacheTestCfg());
     std::unique_ptr<ResultCache> cache = ResultCache::open(cache_dir);
-    cache->setDurable(true);
     runner.attachCache(cache.get());
     ParallelSweep sweep(runner, 2);
     sweep.attachCache(cache.get());

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/mix_runner.h"
+#include "support/cache_test_util.h"
+#include "workload/trace_app.h"
+#include "workload/trace_capture.h"
 
 namespace ubik {
 namespace {
@@ -108,9 +113,9 @@ TEST(MixRunner, RunAloneProducesRoiLatencies)
     EXPECT_GE(lat.mean(), service.mean());
 }
 
-TEST(MixRunner, MixRunProducesAllMetrics)
+MixSpec
+specjbbMix()
 {
-    MixRunner runner(fastCfg());
     MixSpec mix;
     mix.name = "t";
     mix.lc.app = lc_presets::specjbb();
@@ -121,6 +126,13 @@ TEST(MixRunner, MixRunProducesAllMetrics)
         batch_presets::make(BatchClass::Friendly, 1),
         batch_presets::make(BatchClass::Streaming, 2),
     };
+    return mix;
+}
+
+TEST(MixRunner, MixRunProducesAllMetrics)
+{
+    MixRunner runner(fastCfg());
+    MixSpec mix = specjbbMix();
     SchemeUnderTest sut{"StaticLC", SchemeKind::Vantage,
                         ArrayKind::Z4_52, PolicyKind::StaticLc, 0.0};
     MixRunResult r = runner.runMix(mix, sut, 1);
@@ -131,6 +143,57 @@ TEST(MixRunner, MixRunProducesAllMetrics)
     ASSERT_EQ(r.batchSpeedups.size(), 3u);
     for (double s : r.batchSpeedups)
         EXPECT_GT(s, 0.0);
+}
+
+/** runMix with the plot-data output on: the same result, bit for
+ *  bit, as without it, plus an allocation trace and every ROI latency
+ *  of the three LC instances. Returns the allocation trace. */
+std::vector<AllocSample>
+tracedRunMatchesPlain(const MixSpec &mix)
+{
+    SchemeUnderTest sut{"UCP", SchemeKind::Vantage, ArrayKind::Z4_52,
+                        PolicyKind::Ucp, 0.0};
+    MixRunner runner(fastCfg());
+    MixRunResult plain = runner.runMix(mix, sut, 1);
+    MixTrace trace;
+    MixRunResult traced = runner.runMix(mix, sut, 1, &trace);
+    test::expectSameResults({plain}, {traced});
+    EXPECT_FALSE(trace.alloc.empty());
+    EXPECT_EQ(trace.latencies.count(), 3 * fastCfg().roiRequests);
+    return trace.alloc;
+}
+
+bool
+sameTargets(const std::vector<AllocSample> &a,
+            const std::vector<AllocSample> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); i++)
+        if (a[i].cycle != b[i].cycle ||
+            a[i].targetLines != b[i].targetLines)
+            return false;
+    return true;
+}
+
+TEST(MixRunner, TraceOutputLeavesResultBitIdentical)
+{
+    tracedRunMatchesPlain(specjbbMix());
+}
+
+TEST(MixRunner, TraceOutputCoversBatchTraceMixes)
+{
+    MixSpec mix = specjbbMix();
+    std::vector<AllocSample> synthetic = tracedRunMatchesPlain(mix);
+
+    BatchAppParams p = mix.batch.apps[1].scaled(fastCfg().scale);
+    mix.batch.traces.push_back(TraceApp::fromData(
+        std::make_shared<TraceData>(
+            captureBatchTrace(p, 20000, /*seed=*/5)),
+        "batch"));
+    // The replayed batch apps are what the traced run allocates for:
+    // a trace that ignored them would repeat the synthetic one.
+    EXPECT_FALSE(sameTargets(tracedRunMatchesPlain(mix), synthetic));
 }
 
 TEST(MixRunner, InOrderBaselinesDifferFromOoo)

@@ -11,23 +11,25 @@
  *   ubik_cli --lc masstree --load 0.6 --policy UCP \
  *            --csv-prefix /tmp/ucp_run
  *
- * Machine scale follows the UBIK_* environment variables (see
- * src/sim/experiment.h); flags cover the per-run knobs.
+ * The flags describe a one-mix explicit scenario, which runs through
+ * runScenario like every `ubik_run` sweep. Machine scale follows the
+ * UBIK_* environment variables (see src/sim/experiment.h); flags
+ * cover the per-run knobs.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "sim/kind_names.h"
-#include "sim/mix_runner.h"
-#include "sim/parallel_sweep.h"
-#include "sim/result_cache.h"
-#include "trace/csv.h"
-#include "workload/mix.h"
 #include "common/cli.h"
 #include "common/log.h"
+#include "report/report.h"
+#include "sim/kind_names.h"
+#include "sim/result_cache.h"
+#include "sim/scenario.h"
 #include "stats/streaming_stats.h"
+#include "trace/csv.h"
+#include "workload/trace_app.h"
 
 using namespace ubik;
 
@@ -63,12 +65,9 @@ main(int argc, char **argv)
                            "(n/f/t/s)");
     auto &mem = cli.flag("mem", "fixed",
                          "memory model: fixed, contended, partitioned");
-    auto &seed = cli.flag("seed", static_cast<std::int64_t>(1),
-                          "random seed");
     auto &seeds = cli.flag("seeds", static_cast<std::int64_t>(1),
-                           "run this many consecutive seeds (starting "
-                           "at --seed) through the parallel engine "
-                           "and report the spread");
+                           "run seeds 1..N through the parallel "
+                           "engine and report the spread");
     auto &jobs = cli.flag("jobs", static_cast<std::int64_t>(0),
                           "engine workers (0 = UBIK_JOBS or all "
                           "cores, 1 = sequential)");
@@ -107,6 +106,11 @@ main(int argc, char **argv)
         cfg.cacheDir = cache_dir.value;
     if (no_cache.value)
         cfg.cacheDir.clear();
+    // The one mix is the whole selection: UBIK_SHARD must not select
+    // it away, and there is nothing to share with fleet peers.
+    cfg.shardIndex = 0;
+    cfg.shardCount = 1;
+    cfg.fleet = false;
     cfg.printHeader("ubik_cli");
 
     SchemeUnderTest sut;
@@ -118,67 +122,58 @@ main(int argc, char **argv)
     sut.mem = memKindFromName(mem.value);
     sut.label = policy_name.value;
 
-    MixSpec spec;
-    spec.lc.app = lc_presets::byName(lc.value);
-    spec.lc.load = load.value;
-    if (!lc_trace.value.empty()) {
-        std::shared_ptr<const TraceApp> app =
-            TraceApp::load(lc_trace.value);
+    ScenarioMix mix;
+    mix.name = lc.value + "/" + batch.value;
+    if (!lc_trace.value.empty() || !batch_trace.value.empty())
+        mix.name += "/trace";
+    mix.lcPreset = lc.value;
+    mix.load = load.value;
+    for (std::size_t i = 0; i < 3; i++)
+        mix.batch[i] = BatchSel{batchClassFromCode(batch.value[i]),
+                                static_cast<std::uint32_t>(i)};
+    if (!lc_trace.value.empty())
+        mix.lcTraces.push_back(lc_trace.value);
+    if (!batch_trace.value.empty())
+        mix.batchTraces.push_back(batch_trace.value);
+
+    ScenarioSpec spec;
+    spec.name = mix.name;
+    spec.source = MixSource::Explicit;
+    spec.mixes.push_back(mix);
+    spec.schemes.push_back(sut);
+    spec.seeds = static_cast<std::uint32_t>(seeds.value);
+    spec.ooo = !inorder.value;
+
+    std::unique_ptr<ResultCache> cache = ResultCache::open(cfg.cacheDir);
+    ScenarioResult res = runScenario(spec, cfg, cache.get(), nullptr);
+    const MixSpec &ran = res.mixes.front();
+    const std::vector<MixRunResult> &all = res.sweeps.front().runs;
+    const MixRunResult &first = all.front();
+
+    if (!ran.lc.traces.empty()) {
+        const TraceApp &app = *ran.lc.traces.front();
         std::printf("replaying trace %s (%llu requests, %llu accesses, "
                     "APKI %.1f, content hash %016llx)\n",
                     lc_trace.value.c_str(),
-                    static_cast<unsigned long long>(app->requests()),
-                    static_cast<unsigned long long>(app->accesses()),
-                    app->apki(),
-                    static_cast<unsigned long long>(app->contentHash()));
-        spec.lc.traces.push_back(std::move(app));
+                    static_cast<unsigned long long>(app.requests()),
+                    static_cast<unsigned long long>(app.accesses()),
+                    app.apki(),
+                    static_cast<unsigned long long>(app.contentHash()));
     }
-    for (std::size_t i = 0; i < 3; i++)
-        spec.batch.apps[i] = batch_presets::make(
-            batchClassFromCode(batch.value[i]),
-            static_cast<std::uint32_t>(i));
-    if (!batch_trace.value.empty()) {
-        std::shared_ptr<const TraceApp> app =
-            TraceApp::load(batch_trace.value);
+    if (!ran.batch.traces.empty()) {
+        const TraceApp &app = *ran.batch.traces.front();
         std::printf("replaying batch trace %s (%llu accesses, "
                     "content hash %016llx)\n",
                     batch_trace.value.c_str(),
-                    static_cast<unsigned long long>(app->accesses()),
-                    static_cast<unsigned long long>(
-                        app->contentHash()));
-        spec.batch.traces.push_back(std::move(app));
+                    static_cast<unsigned long long>(app.accesses()),
+                    static_cast<unsigned long long>(app.contentHash()));
     }
-    spec.name = lc.value + "/" + batch.value;
-    if (!lc_trace.value.empty() || !batch_trace.value.empty())
-        spec.name += "/trace";
-
-    MixRunner runner(cfg, !inorder.value);
-    std::unique_ptr<ResultCache> cache = ResultCache::open(cfg.cacheDir);
-    runner.attachCache(cache.get());
-    std::printf("running mix %s under %s (load %.2f, seed%s %lld",
-                spec.name.c_str(), sut.label.c_str(), load.value,
-                seeds.value > 1 ? "s" : "",
-                static_cast<long long>(seed.value));
-    if (seeds.value > 1)
-        std::printf("..%lld",
-                    static_cast<long long>(seed.value + seeds.value - 1));
+    std::printf("running mix %s under %s (load %.2f, seed%s 1",
+                ran.name.c_str(), sut.label.c_str(), load.value,
+                all.size() > 1 ? "s" : "");
+    if (all.size() > 1)
+        std::printf("..%zu", all.size());
     std::printf(")...\n");
-
-    // All seeds go through the parallel experiment engine; with
-    // --seeds 1 (the default) that degenerates to the single run the
-    // tool always did.
-    std::vector<SweepJob> sweep_jobs;
-    for (std::int64_t s = 0; s < seeds.value; s++) {
-        SweepJob j;
-        j.mix = spec;
-        j.sut = sut;
-        j.seed = static_cast<std::uint64_t>(seed.value + s);
-        sweep_jobs.push_back(std::move(j));
-    }
-    ParallelSweep engine(runner, cfg.jobs);
-    engine.attachCache(cache.get());
-    std::vector<MixRunResult> all = engine.run(sweep_jobs);
-    const MixRunResult &res = all.front();
 
     if (all.size() > 1) {
         StreamingStats tail, ws;
@@ -187,65 +182,39 @@ main(int argc, char **argv)
             ws.add(r.weightedSpeedup);
         }
         std::printf("\nSeed sweep (%zu seeds, %u workers):\n",
-                    all.size(), engine.workers());
+                    all.size(), res.accounting.workers);
         std::printf("  tail degradation:        %.3fx avg, "
                     "[%.3fx, %.3fx]\n",
                     tail.mean(), tail.min(), tail.max());
         std::printf("  batch weighted speedup:  %.3fx avg, "
                     "[%.3fx, %.3fx]\n",
                     ws.mean(), ws.min(), ws.max());
-        std::printf("\nFirst seed (%lld) in detail:\n",
-                    static_cast<long long>(seed.value));
+        std::printf("\nFirst seed (1) in detail:\n");
     }
 
     std::printf("\nResults (vs private-LLC baseline):\n");
     std::printf("  LC tail mean (95p):      %.3f ms\n",
-                cyclesToMs(static_cast<Cycles>(res.lcTailMean)));
+                cyclesToMs(static_cast<Cycles>(first.lcTailMean)));
     std::printf("  tail degradation:        %.3fx\n",
-                res.tailDegradation);
+                first.tailDegradation);
     std::printf("  mean degradation:        %.3fx\n",
-                res.meanDegradation);
+                first.meanDegradation);
     std::printf("  batch weighted speedup:  %.3fx\n",
-                res.weightedSpeedup);
-    for (std::size_t i = 0; i < res.batchSpeedups.size(); i++)
+                first.weightedSpeedup);
+    for (std::size_t i = 0; i < first.batchSpeedups.size(); i++)
         std::printf("    batch[%zu] (%c): %.3fx\n", i,
-                    batch.value[i], res.batchSpeedups[i]);
+                    batch.value[i], first.batchSpeedups[i]);
 
     if (!csv_prefix.value.empty()) {
-        // Re-run with tracing on to capture plot data.
-        const LcBaseline &base = runner.lcBaseline(
-            spec.lc.app, spec.lc.load,
-            static_cast<std::uint64_t>(seed.value));
-        CmpConfig cc = cfg.baseCmpConfig(!inorder.value);
-        // Same machine as the reported results, plus tracing.
-        sut.applyTo(cc);
-        cc.traceAllocations = true;
-        std::vector<LcAppSpec> lcs(3);
-        for (auto &s : lcs) {
-            s.params = spec.lc.app.scaled(cfg.scale);
-            if (!spec.lc.traces.empty())
-                s.trace = spec.lc.traces.front()->data();
-            s.meanInterarrival = base.meanInterarrival;
-            s.roiRequests = cfg.roiRequests;
-            s.warmupRequests = cfg.warmupRequests;
-            s.targetLines = cfg.privateLines();
-            s.deadline = base.p95;
-        }
-        std::vector<BatchAppSpec> bs(3);
-        for (int i = 0; i < 3; i++)
-            bs[static_cast<size_t>(i)].params =
-                spec.batch.apps[static_cast<size_t>(i)].scaled(
-                    cfg.scale);
-        Cmp cmp(cc, lcs, bs,
-                MixRunner::mixCmpSeed(
-                    static_cast<std::uint64_t>(seed.value)));
-        cmp.run();
-        LatencyRecorder merged;
-        for (std::uint32_t i = 0; i < 3; i++)
-            merged.merge(cmp.lcResult(i).latencies);
-        writeAllocTrace(cmp.allocTrace(),
-                        csv_prefix.value + "_alloc.csv");
-        writeLatencyCdf(merged, csv_prefix.value + "_cdf.csv");
+        // Re-simulate seed 1 with tracing on to capture plot data;
+        // the traced run is the reported one, bit for bit.
+        MixRunner runner(cfg, spec.ooo);
+        runner.attachCache(cache.get());
+        MixTrace trace;
+        runner.runMix(ran, sut, 1, &trace);
+        writeAllocTrace(trace.alloc, csv_prefix.value + "_alloc.csv");
+        writeLatencyCdf(trace.latencies,
+                        csv_prefix.value + "_cdf.csv");
         std::printf("\nwrote %s_alloc.csv and %s_cdf.csv\n",
                     csv_prefix.value.c_str(), csv_prefix.value.c_str());
     }
@@ -255,22 +224,8 @@ main(int argc, char **argv)
             std::printf("\nResult cache: disabled (set UBIK_CACHE_DIR "
                         "or --cache-dir)\n");
         } else {
-            CacheStats st = cache->stats();
-            std::printf("\nResult cache (%s, schema v%u):\n",
-                        cache->dir().c_str(),
-                        kResultCacheSchemaVersion);
-            std::printf("  hits:    %llu (%llu mix runs)\n",
-                        static_cast<unsigned long long>(st.hits),
-                        static_cast<unsigned long long>(st.mixHits));
-            std::printf("  misses:  %llu (%llu mix runs)\n",
-                        static_cast<unsigned long long>(st.misses),
-                        static_cast<unsigned long long>(st.mixMisses));
-            std::printf("  stores:  %llu\n",
-                        static_cast<unsigned long long>(st.stores));
-            std::printf("  evicted: %llu stale (schema mismatch), "
-                        "%llu corrupt dropped\n",
-                        static_cast<unsigned long long>(st.evicted),
-                        static_cast<unsigned long long>(st.corrupt));
+            std::printf("\n");
+            printCacheStats(*cache, stdout);
         }
     }
     return 0;

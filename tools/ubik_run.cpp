@@ -229,7 +229,7 @@ main(int argc, char **argv)
         cfg.fleet = true;
     if (!worker_id.value.empty())
         cfg.workerId = worker_id.value;
-    if (lease_ttl.value != 60.0) {
+    if (lease_ttl.seen) {
         if (lease_ttl.value <= 0)
             fatal("--lease-ttl must be > 0 seconds");
         cfg.leaseTtlSec = lease_ttl.value;
