@@ -49,7 +49,7 @@ runPolicy(const ExperimentConfig &cfg, PolicyKind policy, double slack)
 
     std::printf("\n[fig4] %s allocation timeline "
                 "(%% of LLC; LC1 LC2 B1 B2 per sample)\n",
-                policyKindName(policy));
+                enumName(policy));
     const auto &trace = cmp.allocTrace();
     double total = static_cast<double>(cc.llcLines);
     // Print up to 40 evenly spaced samples.
@@ -57,7 +57,7 @@ runPolicy(const ExperimentConfig &cfg, PolicyKind policy, double slack)
     for (std::size_t i = 0; i < trace.size(); i += stride) {
         const auto &s = trace[i];
         std::printf("[fig4] %-9s t=%7.2fms ",
-                    policyKindName(policy), cyclesToMs(s.cycle));
+                    enumName(policy), cyclesToMs(s.cycle));
         for (PartId p = 1; p < s.targetLines.size(); p++)
             std::printf(" %5.1f%%",
                         100.0 *

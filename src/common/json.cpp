@@ -116,11 +116,11 @@ Json::items() const
 }
 
 const Json *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     if (kind_ != Kind::Object)
-        fatal("json: find(\"%s\") on %s", key.c_str(),
-              kindName(kind_));
+        fatal("json: find(\"%.*s\") on %s", static_cast<int>(key.size()),
+              key.data(), kindName(kind_));
     for (const auto &m : obj_)
         if (m.first == key)
             return &m.second;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,7 +94,7 @@ class Json
 
     /** Object member, or nullptr when absent (fatal() unless
      *  object). */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
 
     /** Insert or overwrite an object member, keeping first-insertion
      *  order (fatal() unless object). Returns *this for chaining. */

@@ -172,20 +172,6 @@ PartitionedMemory::queueingDelay(AppId app, Cycles now)
     return throttle + claimChannel(now, allowed);
 }
 
-const char *
-memKindName(MemKind k)
-{
-    switch (k) {
-      case MemKind::Fixed:
-        return "fixed";
-      case MemKind::Contended:
-        return "contended";
-      case MemKind::Partitioned:
-        return "partitioned";
-    }
-    panic("bad MemKind");
-}
-
 std::unique_ptr<MemorySystem>
 makeMemorySystem(MemKind kind, MemoryParams params, std::uint32_t num_apps)
 {

@@ -35,6 +35,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/types.h"
 
 namespace ubik {
@@ -230,7 +231,16 @@ enum class MemKind
     Partitioned, ///< channel contention + per-app bandwidth shares
 };
 
-const char *memKindName(MemKind k);
+template <>
+struct EnumNames<MemKind>
+{
+    static constexpr const char *noun = "memory model";
+    static constexpr EnumSpelling<MemKind> spellings[] = {
+        {MemKind::Fixed, "fixed"},
+        {MemKind::Contended, "contended"},
+        {MemKind::Partitioned, "partitioned"},
+    };
+};
 
 /** Factory used by the simulator. */
 std::unique_ptr<MemorySystem>

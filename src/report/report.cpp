@@ -13,32 +13,6 @@
 
 namespace ubik {
 
-const char *
-loadBandName(LoadBand band)
-{
-    switch (band) {
-      case LoadBand::All:
-        return "all";
-      case LoadBand::Low:
-        return "low";
-      case LoadBand::High:
-        return "high";
-    }
-    panic("bad LoadBand");
-}
-
-bool
-tryLoadBandFromName(const std::string &name, LoadBand &out)
-{
-    for (LoadBand b : {LoadBand::All, LoadBand::Low, LoadBand::High}) {
-        if (name == loadBandName(b)) {
-            out = b;
-            return true;
-        }
-    }
-    return false;
-}
-
 std::vector<SweepResult>
 filterByLoad(const std::vector<SweepResult> &sweeps, LoadBand band)
 {

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/json.h"
 #include "sim/mix_runner.h"
 
@@ -53,9 +54,16 @@ enum class LoadBand
     High,
 };
 
-/** Canonical band names ("all", "low", "high"). */
-const char *loadBandName(LoadBand band);
-bool tryLoadBandFromName(const std::string &name, LoadBand &out);
+template <>
+struct EnumNames<LoadBand>
+{
+    static constexpr const char *noun = "load band";
+    static constexpr EnumSpelling<LoadBand> spellings[] = {
+        {LoadBand::All, "all"},
+        {LoadBand::Low, "low"},
+        {LoadBand::High, "high"},
+    };
+};
 
 /** The subset of each sweep's runs whose mix load falls in `band`,
  *  selected on structured mix metadata (mixLoads), not name

@@ -16,52 +16,17 @@
 
 namespace ubik {
 
-const char *
-arrayKindName(ArrayKind k)
+SchemeKind
+schemeKindFromNameOrAuto(const std::string &name, PolicyKind policy)
 {
-    switch (k) {
-      case ArrayKind::Z4_52:
-        return "Z4/52";
-      case ArrayKind::SA16:
-        return "SA16";
-      case ArrayKind::SA64:
-        return "SA64";
-    }
-    panic("bad ArrayKind");
-}
-
-const char *
-schemeKindName(SchemeKind k)
-{
-    switch (k) {
-      case SchemeKind::SharedLru:
-        return "LRU";
-      case SchemeKind::Vantage:
-        return "Vantage";
-      case SchemeKind::WayPart:
-        return "WayPart";
-    }
-    panic("bad SchemeKind");
-}
-
-const char *
-policyKindName(PolicyKind k)
-{
-    switch (k) {
-      case PolicyKind::Lru:
-        return "LRU";
-      case PolicyKind::Ucp:
-        return "UCP";
-      case PolicyKind::StaticLc:
-        return "StaticLC";
-      case PolicyKind::OnOff:
-        return "OnOff";
-      case PolicyKind::Ubik:
-        return "Ubik";
-      case PolicyKind::Feedback:
-        return "Feedback";
-    }
-    panic("bad PolicyKind");
+    if (name == "auto")
+        return policy == PolicyKind::Lru ? SchemeKind::SharedLru
+                                         : SchemeKind::Vantage;
+    SchemeKind k;
+    if (!tryEnumFromName(name, k))
+        fatal("unknown scheme '%s' (auto, %s)", name.c_str(),
+              enumNameList<SchemeKind>().c_str());
+    return k;
 }
 
 double
@@ -272,7 +237,7 @@ Cmp::buildMemorySystem(std::uint64_t seed)
     if (!cfg_.memShares.empty()) {
         if (cfg_.mem != MemKind::Partitioned)
             fatal("memShares set but memory model is %s",
-                  memKindName(cfg_.mem));
+                  enumName(cfg_.mem));
         if (cfg_.memShares.size() != ncores)
             fatal("memShares has %zu entries for %u cores",
                   cfg_.memShares.size(), ncores);
@@ -755,8 +720,8 @@ Cmp::printConfig(const CmpConfig &cfg)
            cfg.core.outOfOrder ? "OOO" : "in-order",
            static_cast<unsigned long long>(cfg.llcLines),
            static_cast<double>(cfg.llcLines * kLineBytes) / (1 << 20),
-           arrayKindName(cfg.array), schemeKindName(cfg.scheme),
-           policyKindName(cfg.policy));
+           enumName(cfg.array), enumName(cfg.scheme),
+           enumName(cfg.policy));
     inform("  L3 latency %llu, memory latency %llu cycles; reconfig "
            "every %.1f ms; coalescing %.0f us",
            static_cast<unsigned long long>(cfg.core.l3Latency),
@@ -765,7 +730,7 @@ Cmp::printConfig(const CmpConfig &cfg)
            cyclesToUs(cfg.coalesceCycles));
     if (cfg.mem != MemKind::Fixed)
         inform("  memory model %s: %u channels, %llu-cycle occupancy",
-               memKindName(cfg.mem), cfg.memParams.channels,
+               enumName(cfg.mem), cfg.memParams.channels,
                static_cast<unsigned long long>(
                    cfg.memParams.channelOccupancy));
 }

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/scheme.h"
@@ -35,6 +36,7 @@
 #include "workload/batch_app.h"
 #include "workload/lc_app.h"
 #include "workload/load_profile.h"
+#include "common/enum_names.h"
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -67,9 +69,49 @@ enum class PolicyKind
     Feedback, ///< long-term-adaptation strawman (src/policy/feedback_policy.h)
 };
 
-const char *arrayKindName(ArrayKind k);
-const char *schemeKindName(SchemeKind k);
-const char *policyKindName(PolicyKind k);
+template <>
+struct EnumNames<ArrayKind>
+{
+    static constexpr const char *noun = "array";
+    static constexpr EnumSpelling<ArrayKind> spellings[] = {
+        {ArrayKind::Z4_52, "Z4/52"},
+        {ArrayKind::SA16, "SA16"},
+        {ArrayKind::SA64, "SA64"},
+        {ArrayKind::Z4_52, "zcache"}, // CLI alias for the default
+    };
+};
+
+template <>
+struct EnumNames<SchemeKind>
+{
+    static constexpr const char *noun = "scheme";
+    static constexpr EnumSpelling<SchemeKind> spellings[] = {
+        {SchemeKind::SharedLru, "LRU"},
+        {SchemeKind::Vantage, "Vantage"},
+        {SchemeKind::WayPart, "WayPart"},
+    };
+};
+
+template <>
+struct EnumNames<PolicyKind>
+{
+    static constexpr const char *noun = "policy";
+    static constexpr EnumSpelling<PolicyKind> spellings[] = {
+        {PolicyKind::Lru, "LRU"},
+        {PolicyKind::Ucp, "UCP"},
+        {PolicyKind::StaticLc, "StaticLC"},
+        {PolicyKind::OnOff, "OnOff"},
+        {PolicyKind::Ubik, "Ubik"},
+        {PolicyKind::Feedback, "Feedback"},
+    };
+};
+
+/**
+ * enumFromName<SchemeKind>() plus the CLI's "auto" spelling: the LRU
+ * policy runs unpartitioned, every other policy under Vantage.
+ */
+SchemeKind schemeKindFromNameOrAuto(const std::string &name,
+                                    PolicyKind policy);
 
 /** Machine + policy configuration for one simulation. */
 struct CmpConfig

@@ -290,10 +290,9 @@ void
 addBatchApp(KeyBuilder &kb, const BatchAppParams &p, int i)
 {
     const char prefix[] = {'b', static_cast<char>('0' + i), '.'};
-    const char cls = batchClassCode(p.cls);
     kb.scope(std::string_view(prefix, sizeof prefix))
         .add("name", p.name)
-        .add("cls", std::string_view(&cls, 1))
+        .add("cls", enumName(p.cls))
         .add("apki", p.apki)
         .add("wsLines", p.wsLines)
         .add("theta", p.theta)
@@ -306,9 +305,9 @@ void
 addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
 {
     kb.add("sut.label", sut.label)
-        .add("sut.scheme", schemeKindName(sut.scheme))
-        .add("sut.array", arrayKindName(sut.array))
-        .add("sut.policy", policyKindName(sut.policy))
+        .add("sut.scheme", enumName(sut.scheme))
+        .add("sut.array", enumName(sut.array))
+        .add("sut.policy", enumName(sut.policy))
         .add("sut.slack", sut.slack)
         .add("ubik.slack", sut.ubik.slack)
         .add("ubik.idleOptions", sut.ubik.idleOptions)
@@ -317,7 +316,7 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
         .add("ubik.dutyAlpha", sut.ubik.dutyAlpha)
         .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
         .add("sut.reconfigScale", sut.reconfigScale)
-        .add("sut.mem", memKindName(sut.mem))
+        .add("sut.mem", enumName(sut.mem))
         .add("mem.baseLatency", sut.memParams.baseLatency)
         .add("mem.channels", sut.memParams.channels)
         .add("mem.channelOccupancy", sut.memParams.channelOccupancy)

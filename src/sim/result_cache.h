@@ -57,15 +57,15 @@ namespace ubik {
  *  that alters results without changing any configuration field —
  *  or after a key-format change, so unreachable old-format records
  *  are evicted instead of lingering as dead weight.
- *  History: v1 = PR 2 (initial store); v2 = PR 4 (trace-backed mixes:
- *  keys gain the trace content hashes, and trace replay changed
+ *  History: v1 = the initial store; v2 = trace-backed mixes (keys
+ *  gain the trace content hashes, and trace replay changed
  *  request-cursor/address-salt semantics, which shifts any result
- *  that involved a bound trace); v3 = PR 5 (trace-backed *batch*
- *  apps enter the key, and enum fields are keyed by their canonical
- *  names — sim/kind_names.h — instead of raw integers); v4 = PR 6
- *  (mix keys gain the LC load profile, and the tailMean nearest-rank
- *  fix shifts every stored lcTailMean/tailDegradation and LC
- *  baseline, so all v3 values are stale). */
+ *  that involved a bound trace); v3 = trace-backed *batch* apps
+ *  enter the key, and enum fields are keyed by their canonical
+ *  names (common/enum_names.h) instead of raw integers; v4 = mix
+ *  keys gain the LC load profile, and the tailMean nearest-rank fix
+ *  shifts every stored lcTailMean/tailDegradation and LC baseline,
+ *  so all v3 values are stale. */
 constexpr std::uint32_t kResultCacheSchemaVersion = 4;
 
 /** Counters since this ResultCache was opened. */

@@ -5,11 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <set>
+#include <type_traits>
 
 #include "common/log.h"
 #include "sim/claim_store.h"
-#include "sim/kind_names.h"
 #include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
 #include "workload/trace_app.h"
@@ -17,491 +16,316 @@
 namespace ubik {
 
 // ---------------------------------------------------------------------------
-// Kind names
-// ---------------------------------------------------------------------------
-
-const char *
-mixSourceName(MixSource s)
-{
-    switch (s) {
-      case MixSource::Standard:
-        return "standard";
-      case MixSource::CacheHungry:
-        return "cache-hungry";
-      case MixSource::Explicit:
-        return "explicit";
-    }
-    panic("bad MixSource");
-}
-
-bool
-tryMixSourceFromName(const std::string &name, MixSource &out)
-{
-    for (MixSource s : {MixSource::Standard, MixSource::CacheHungry,
-                        MixSource::Explicit}) {
-        if (name == mixSourceName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
-reportKindName(ReportKind k)
-{
-    switch (k) {
-      case ReportKind::Distributions:
-        return "distributions";
-      case ReportKind::Averages:
-        return "averages";
-      case ReportKind::PerApp:
-        return "per-app";
-      case ReportKind::UbikInterrupts:
-        return "ubik-interrupts";
-      case ReportKind::Csv:
-        return "csv";
-      case ReportKind::Json:
-        return "json";
-    }
-    panic("bad ReportKind");
-}
-
-bool
-tryReportKindFromName(const std::string &name, ReportKind &out)
-{
-    for (ReportKind k :
-         {ReportKind::Distributions, ReportKind::Averages,
-          ReportKind::PerApp, ReportKind::UbikInterrupts,
-          ReportKind::Csv, ReportKind::Json}) {
-        if (name == reportKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-// ---------------------------------------------------------------------------
 // JSON serialization
 // ---------------------------------------------------------------------------
+//
+// Each spec struct declares its JSON keys once, in its fields() list.
+// The writer, the reader and the reader's unknown-key check all walk
+// that list:
+//   v(key, member)             optional; absent = the member's default
+//   v(key, member, written)    the writer emits it only when `written`
+//   v(key, member, kRequired)  must be present (a string non-empty)
+// Integers take [0, 2^32-1], except the u64 seeds, which take the
+// integers a JSON number holds exactly.
 
 namespace {
 
-/** Reject unknown keys so spec typos fail loudly. */
+constexpr std::uint64_t kU32Max = 0xFFFFFFFFull;
+constexpr std::uint64_t kSeedMax = (1ull << 53) - 1;
+
+/** A field's third argument: whether the writer emits it (a bool), or
+ *  kRequired. */
+struct FieldUse
+{
+    constexpr FieldUse(bool written = true, bool required = false)
+        : written(written), required(required)
+    {
+    }
+
+    bool written;
+    bool required;
+};
+
+constexpr FieldUse kRequired{true, true};
+
+/** A Cycles member the schema keeps to the u32 range. */
+struct AsU32
+{
+    Cycles &value;
+};
+
+template <class V>
 void
-checkKeys(const Json &obj, std::initializer_list<const char *> allowed,
-          const char *what)
+fields(V &v, UbikConfig &u)
 {
-    for (const auto &m : obj.members()) {
-        bool ok = false;
-        for (const char *k : allowed)
-            if (m.first == k) {
-                ok = true;
-                break;
-            }
-        if (!ok)
-            fatal("scenario %s: unknown key \"%s\"", what,
-                  m.first.c_str());
-    }
+    v("slack", u.slack);
+    v("idle_options", u.idleOptions);
+    v("deboost_guard", u.deboostGuard);
+    v("slack_gain", u.slackGain);
+    v("duty_alpha", u.dutyAlpha);
+    v("accurate_deboost", u.accurateDeboost);
 }
 
-std::string
-strField(const Json &obj, const char *key, const std::string &def)
+template <class V>
+void
+fields(V &v, MemoryParams &m)
 {
-    const Json *v = obj.find(key);
-    return v ? v->str() : def;
+    v("base_latency", AsU32{m.baseLatency});
+    v("channels", m.channels);
+    v("channel_occupancy", AsU32{m.channelOccupancy});
 }
 
-double
-numField(const Json &obj, const char *key, double def)
+template <class V>
+void
+fields(V &v, SchemeUnderTest &s)
 {
-    const Json *v = obj.find(key);
-    return v ? v->number() : def;
+    v("label", s.label, kRequired);
+    v("policy", s.policy);
+    v("scheme", s.scheme);
+    v("array", s.array);
+    v("slack", s.slack);
+    v("ubik", s.ubik);
+    v("reconfig_scale", s.reconfigScale);
+    v("mem", s.mem);
+    v("mem_params", s.memParams);
+    v("lc_mem_share", s.lcMemShare);
 }
 
-bool
-boolField(const Json &obj, const char *key, bool def)
+template <class V>
+void
+fields(V &v, BatchSel &b)
 {
-    const Json *v = obj.find(key);
-    return v ? v->boolean() : def;
+    v("class", b.cls);
+    v("variation", b.variation);
 }
 
-std::uint32_t
-u32Field(const Json &obj, const char *key, std::uint32_t def)
+template <class V>
+void
+fields(V &v, ScenarioMix &m)
 {
-    const Json *v = obj.find(key);
-    if (!v)
-        return def;
-    double d = v->number();
-    if (d < 0 || d != std::floor(d) || d > 4294967295.0)
-        fatal("scenario: \"%s\" must be a non-negative integer", key);
-    return static_cast<std::uint32_t>(d);
+    v("name", m.name, !m.name.empty());
+    v("lc", m.lcPreset);
+    v("load", m.load);
+    v("batch", m.batch);
+    v("batch_name", m.batchName, !m.batchName.empty());
+    v("lc_traces", m.lcTraces, !m.lcTraces.empty());
+    v("batch_traces", m.batchTraces, !m.batchTraces.empty());
 }
 
+/** Written: the kind plus that kind's parameters, the same set
+ *  LoadProfile::canonical() keys on. */
+template <class V>
+void
+fields(V &v, LoadProfile &p)
+{
+    using K = LoadProfileKind;
+    const K k = p.kind;
+    v("kind", p.kind);
+    v("amplitude", p.amplitude, k == K::Diurnal);
+    v("periods", p.periods, k == K::Diurnal);
+    v("start", p.start, k == K::FlashCrowd || k == K::Churn);
+    v("bursts", p.bursts, k == K::Bursts);
+    v("duration", p.duration, k != K::Constant && k != K::Diurnal);
+    v("multiplier", p.multiplier, k == K::FlashCrowd || k == K::Bursts);
+    v("burst_seed", p.burstSeed, k == K::Bursts);
+}
+
+template <class V>
+void
+fields(V &v, ArrivalSpec &a)
+{
+    v("users", a.users);
+    v("nominal_load", a.nominalLoad);
+    v("slices", a.slices);
+    v("imbalance", a.imbalance);
+    v("seed", a.seed);
+    v("load_profile", a.profile);
+}
+
+template <class V>
+void
+fields(V &v, FleetSpec &f)
+{
+    v("servers", f.servers);
+    v("lc_per_server", f.lcPerServer);
+    v("batch_per_server", f.batchPerServer);
+    v("arrivals", f.arrivals);
+    v("queue_workers", f.queueWorkers);
+    v("max_workers", f.maxWorkers);
+    v("interference", f.interference);
+    v("abort_prob", f.abortProb);
+    v("queue_requests", f.queueRequests);
+    v("queue_warmup", f.queueWarmup);
+    v("queue_seed", f.queueSeed);
+    v("tail_target_ms", f.tailTargetMs);
+    v("slo_margin", f.sloMargin);
+    v("placement_seed", f.placementSeed);
+}
+
+template <class V>
+void
+fields(V &v, ReportBlock &b)
+{
+    v("kind", b.kind, kRequired);
+    v("tag", b.tag, kRequired);
+    v("load", b.band, b.band != LoadBand::All);
+}
+
+template <class V>
+void
+fields(V &v, ScenarioSpec &s)
+{
+    v("name", s.name, kRequired);
+    v("title", s.title);
+    v("notes", s.notes, !s.notes.empty());
+    v("schemes", s.schemes);
+    v("source", s.source);
+    v("mixes_per_lc", s.mixesPerLcCap, s.mixesPerLcCap != 0);
+    v("load", s.band, s.band != LoadBand::All);
+    v("mixes", s.mixes, !s.mixes.empty());
+    v("ooo", s.ooo);
+    v("seeds", s.seeds, s.seeds != 0);
+    v("load_profile", s.profile, !s.profile.isConstant());
+    v("reports", s.reports);
+    v("fleet", s.fleet, s.fleet.servers != 0);
+}
+
+template <class T>
+constexpr bool kIsList = false;
+template <class T>
+constexpr bool kIsList<std::vector<T>> = true;
+template <class T, std::size_t N>
+constexpr bool kIsList<std::array<T, N>> = true;
+
+template <class T>
 Json
-ubikToJson(const UbikConfig &u)
+toJson(const T &m)
 {
-    Json j = Json::object();
-    j.set("slack", u.slack);
-    j.set("idle_options", u.idleOptions);
-    j.set("deboost_guard", u.deboostGuard);
-    j.set("slack_gain", u.slackGain);
-    j.set("duty_alpha", u.dutyAlpha);
-    j.set("accurate_deboost", u.accurateDeboost);
-    return j;
-}
-
-UbikConfig
-ubikFromJson(const Json &j)
-{
-    checkKeys(j,
-              {"slack", "idle_options", "deboost_guard", "slack_gain",
-               "duty_alpha", "accurate_deboost"},
-              "scheme.ubik");
-    UbikConfig u;
-    u.slack = numField(j, "slack", u.slack);
-    u.idleOptions = u32Field(j, "idle_options", u.idleOptions);
-    u.deboostGuard = numField(j, "deboost_guard", u.deboostGuard);
-    u.slackGain = numField(j, "slack_gain", u.slackGain);
-    u.dutyAlpha = numField(j, "duty_alpha", u.dutyAlpha);
-    u.accurateDeboost =
-        boolField(j, "accurate_deboost", u.accurateDeboost);
-    return u;
-}
-
-Json
-memParamsToJson(const MemoryParams &m)
-{
-    Json j = Json::object();
-    j.set("base_latency", m.baseLatency);
-    j.set("channels", m.channels);
-    j.set("channel_occupancy", m.channelOccupancy);
-    return j;
-}
-
-MemoryParams
-memParamsFromJson(const Json &j)
-{
-    checkKeys(j, {"base_latency", "channels", "channel_occupancy"},
-              "scheme.mem_params");
-    MemoryParams m;
-    m.baseLatency = static_cast<Cycles>(
-        u32Field(j, "base_latency",
-                 static_cast<std::uint32_t>(m.baseLatency)));
-    m.channels = u32Field(j, "channels", m.channels);
-    m.channelOccupancy = static_cast<Cycles>(
-        u32Field(j, "channel_occupancy",
-                 static_cast<std::uint32_t>(m.channelOccupancy)));
-    return m;
-}
-
-Json
-schemeToJson(const SchemeUnderTest &s)
-{
-    Json j = Json::object();
-    j.set("label", s.label);
-    j.set("policy", policyKindName(s.policy));
-    j.set("scheme", schemeKindName(s.scheme));
-    j.set("array", arrayKindName(s.array));
-    j.set("slack", s.slack);
-    j.set("ubik", ubikToJson(s.ubik));
-    j.set("reconfig_scale", s.reconfigScale);
-    j.set("mem", memKindName(s.mem));
-    j.set("mem_params", memParamsToJson(s.memParams));
-    j.set("lc_mem_share", s.lcMemShare);
-    return j;
-}
-
-SchemeUnderTest
-schemeFromJson(const Json &j)
-{
-    checkKeys(j,
-              {"label", "policy", "scheme", "array", "slack", "ubik",
-               "reconfig_scale", "mem", "mem_params", "lc_mem_share"},
-              "scheme");
-    SchemeUnderTest s;
-    s.label = strField(j, "label", "");
-    if (s.label.empty())
-        fatal("scenario scheme: \"label\" is required");
-    if (const Json *v = j.find("policy"))
-        s.policy = policyKindFromName(v->str());
-    if (const Json *v = j.find("scheme"))
-        s.scheme = schemeKindFromName(v->str());
-    if (const Json *v = j.find("array"))
-        s.array = arrayKindFromName(v->str());
-    s.slack = numField(j, "slack", s.slack);
-    if (const Json *v = j.find("ubik"))
-        s.ubik = ubikFromJson(*v);
-    s.reconfigScale = numField(j, "reconfig_scale", s.reconfigScale);
-    if (const Json *v = j.find("mem"))
-        s.mem = memKindFromName(v->str());
-    if (const Json *v = j.find("mem_params"))
-        s.memParams = memParamsFromJson(*v);
-    s.lcMemShare = numField(j, "lc_mem_share", s.lcMemShare);
-    return s;
-}
-
-Json
-mixToJson(const ScenarioMix &m)
-{
-    Json j = Json::object();
-    if (!m.name.empty())
-        j.set("name", m.name);
-    j.set("lc", m.lcPreset);
-    j.set("load", m.load);
-    Json batch = Json::array();
-    for (const BatchSel &b : m.batch) {
-        Json jb = Json::object();
-        jb.set("class", std::string(1, batchClassCode(b.cls)));
-        jb.set("variation", b.variation);
-        batch.push(std::move(jb));
+    if constexpr (std::is_enum_v<T>)
+        return Json(enumName(m));
+    else if constexpr (std::is_same_v<T, AsU32>)
+        return Json(m.value);
+    else if constexpr (std::is_arithmetic_v<T> ||
+                       std::is_same_v<T, std::string>)
+        return Json(m);
+    else if constexpr (kIsList<T>) {
+        Json out = Json::array();
+        for (const auto &e : m)
+            out.push(toJson(e));
+        return out;
+    } else {
+        Json out = Json::object();
+        auto writer = [&](const char *key, const auto &v, FieldUse use = {}) {
+            if (use.written)
+                out.set(key, toJson(v));
+        };
+        fields(writer, const_cast<T &>(m)); // the writer only reads
+        return out;
     }
-    j.set("batch", std::move(batch));
-    if (!m.batchName.empty())
-        j.set("batch_name", m.batchName);
-    if (!m.lcTraces.empty()) {
-        Json t = Json::array();
-        for (const auto &p : m.lcTraces)
-            t.push(p);
-        j.set("lc_traces", std::move(t));
-    }
-    if (!m.batchTraces.empty()) {
-        Json t = Json::array();
-        for (const auto &p : m.batchTraces)
-            t.push(p);
-        j.set("batch_traces", std::move(t));
-    }
-    return j;
 }
 
-ScenarioMix
-mixFromJson(const Json &j)
+/** A value's place in the spec ("spec.fleet.arrivals"), chained on
+ *  the reader's stack and rendered only for an error message. */
+struct SpecPath
 {
-    checkKeys(j,
-              {"name", "lc", "load", "batch", "batch_name",
-               "lc_traces", "batch_traces"},
-              "mix");
-    ScenarioMix m;
-    m.name = strField(j, "name", "");
-    m.lcPreset = strField(j, "lc", m.lcPreset);
-    m.load = numField(j, "load", m.load);
-    if (const Json *v = j.find("batch")) {
-        if (v->size() != 3)
-            fatal("scenario mix: \"batch\" needs exactly 3 entries "
-                  "(has %zu)",
-                  v->size());
-        for (std::size_t i = 0; i < 3; i++) {
-            const Json &jb = v->at(i);
-            checkKeys(jb, {"class", "variation"}, "mix.batch");
-            std::string code = strField(jb, "class", "f");
-            if (code.size() != 1 ||
-                !tryBatchClassFromCode(code[0], m.batch[i].cls))
-                fatal("scenario mix: bad batch class \"%s\" "
-                      "(one of n, f, t, s)",
-                      code.c_str());
-            m.batch[i].variation =
-                u32Field(jb, "variation", m.batch[i].variation);
-        }
-    }
-    m.batchName = strField(j, "batch_name", "");
-    if (const Json *v = j.find("lc_traces"))
-        for (const Json &p : v->items())
-            m.lcTraces.push_back(p.str());
-    if (const Json *v = j.find("batch_traces"))
-        for (const Json &p : v->items())
-            m.batchTraces.push_back(p.str());
-    return m;
-}
+    const SpecPath *parent;
+    const char *key;
 
-/** Kind plus its relevant parameters only, mirroring
- *  LoadProfile::canonical(), so the serialized form is canonical. */
-Json
-profileToJson(const LoadProfile &p)
-{
-    Json j = Json::object();
-    j.set("kind", loadProfileKindName(p.kind));
-    switch (p.kind) {
-      case LoadProfileKind::Constant:
-        break;
-      case LoadProfileKind::Diurnal:
-        j.set("amplitude", p.amplitude);
-        j.set("periods", p.periods);
-        break;
-      case LoadProfileKind::FlashCrowd:
-        j.set("start", p.start);
-        j.set("duration", p.duration);
-        j.set("multiplier", p.multiplier);
-        break;
-      case LoadProfileKind::Bursts:
-        j.set("bursts", p.bursts);
-        j.set("duration", p.duration);
-        j.set("multiplier", p.multiplier);
-        j.set("burst_seed", p.burstSeed);
-        break;
-      case LoadProfileKind::Churn:
-        j.set("start", p.start);
-        j.set("duration", p.duration);
-        break;
+    std::string
+    str() const
+    {
+        return parent ? parent->str() + "." + key : key;
     }
-    return j;
-}
-
-LoadProfile
-profileFromJson(const Json &j)
-{
-    checkKeys(j,
-              {"kind", "amplitude", "periods", "start", "duration",
-               "multiplier", "bursts", "burst_seed"},
-              "load_profile");
-    LoadProfile p;
-    std::string kind = strField(j, "kind", "constant");
-    if (!tryLoadProfileKindFromName(kind, p.kind))
-        fatal("scenario load_profile: unknown kind \"%s\" (constant, "
-              "diurnal, flash-crowd, bursts, churn)",
-              kind.c_str());
-    p.amplitude = numField(j, "amplitude", p.amplitude);
-    p.periods = numField(j, "periods", p.periods);
-    p.start = numField(j, "start", p.start);
-    p.duration = numField(j, "duration", p.duration);
-    p.multiplier = numField(j, "multiplier", p.multiplier);
-    p.bursts = u32Field(j, "bursts", p.bursts);
-    if (const Json *v = j.find("burst_seed")) {
-        double d = v->number();
-        if (d < 0 || d != std::floor(d))
-            fatal("scenario load_profile: \"burst_seed\" must be a "
-                  "non-negative integer");
-        p.burstSeed = static_cast<std::uint64_t>(d);
-    }
-    p.validate("scenario load_profile");
-    return p;
-}
+};
 
 std::uint64_t
-u64Field(const Json &obj, const char *key, std::uint64_t def)
+readInt(const Json &v, std::uint64_t max, const SpecPath &at)
 {
-    const Json *v = obj.find(key);
-    if (!v)
-        return def;
-    double d = v->number();
-    if (d < 0 || d != std::floor(d))
-        fatal("scenario: \"%s\" must be a non-negative integer", key);
+    const double d = v.number();
+    if (!(d >= 0) || d != std::floor(d) || d > static_cast<double>(max))
+        fatal("scenario %s: must be a non-negative integer <= %llu",
+              at.str().c_str(), static_cast<unsigned long long>(max));
     return static_cast<std::uint64_t>(d);
 }
 
-Json
-arrivalsToJson(const ArrivalSpec &a)
+template <class T>
+void readStruct(const Json &j, T &out, const SpecPath &at);
+
+template <class T>
+void
+read(const Json &v, T &m, const SpecPath &at)
 {
-    Json j = Json::object();
-    j.set("users", a.users);
-    j.set("nominal_load", a.nominalLoad);
-    j.set("slices", a.slices);
-    j.set("imbalance", a.imbalance);
-    j.set("seed", a.seed);
-    j.set("load_profile", profileToJson(a.profile));
-    return j;
+    if constexpr (std::is_same_v<T, std::string>)
+        m = v.str();
+    else if constexpr (std::is_same_v<T, double>)
+        m = v.number();
+    else if constexpr (std::is_same_v<T, bool>)
+        m = v.boolean();
+    else if constexpr (std::is_same_v<T, std::uint32_t>)
+        m = static_cast<std::uint32_t>(readInt(v, kU32Max, at));
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+        m = readInt(v, kSeedMax, at);
+    else if constexpr (std::is_same_v<T, AsU32>)
+        m.value = readInt(v, kU32Max, at);
+    else if constexpr (std::is_enum_v<T>) {
+        const std::string &name = v.str();
+        if (!tryEnumFromName(name, m))
+            m = enumFromName<T>(name, ("scenario " + at.str()).c_str());
+    } else if constexpr (kIsList<T>) {
+        const std::vector<Json> &items = v.items();
+        if constexpr (std::is_same_v<T, std::vector<typename T::value_type>>)
+            m.resize(items.size());
+        else if (items.size() != m.size())
+            fatal("scenario %s: needs exactly %zu entries (has %zu)",
+                  at.str().c_str(), m.size(), items.size());
+        for (std::size_t i = 0; i < items.size(); i++)
+            read(items[i], m[i], at);
+    } else {
+        readStruct(v, m, at);
+    }
 }
 
-ArrivalSpec
-arrivalsFromJson(const Json &j)
+/** Read `j` into the default-constructed `out`, rejecting any member
+ *  its field list does not name, then run the checks and defaults
+ *  that span fields. */
+template <class T>
+void
+readStruct(const Json &j, T &out, const SpecPath &at)
 {
-    checkKeys(j,
-              {"users", "nominal_load", "slices", "imbalance", "seed",
-               "load_profile"},
-              "fleet.arrivals");
-    ArrivalSpec a;
-    a.users = numField(j, "users", a.users);
-    a.nominalLoad = numField(j, "nominal_load", a.nominalLoad);
-    a.slices = u32Field(j, "slices", a.slices);
-    a.imbalance = numField(j, "imbalance", a.imbalance);
-    a.seed = u32Field(j, "seed", a.seed);
-    if (const Json *v = j.find("load_profile"))
-        a.profile = profileFromJson(*v);
-    return a;
-}
-
-Json
-fleetToJsonBlock(const FleetSpec &f)
-{
-    Json j = Json::object();
-    j.set("servers", f.servers);
-    j.set("lc_per_server", f.lcPerServer);
-    j.set("batch_per_server", f.batchPerServer);
-    j.set("arrivals", arrivalsToJson(f.arrivals));
-    j.set("queue_workers", f.queueWorkers);
-    j.set("max_workers", f.maxWorkers);
-    j.set("interference", f.interference);
-    j.set("abort_prob", f.abortProb);
-    j.set("queue_requests", f.queueRequests);
-    j.set("queue_warmup", f.queueWarmup);
-    j.set("queue_seed", f.queueSeed);
-    j.set("tail_target_ms", f.tailTargetMs);
-    j.set("slo_margin", f.sloMargin);
-    j.set("placement_seed", f.placementSeed);
-    return j;
-}
-
-FleetSpec
-fleetFromJsonBlock(const Json &j)
-{
-    checkKeys(j,
-              {"servers", "lc_per_server", "batch_per_server",
-               "arrivals", "queue_workers", "max_workers",
-               "interference", "abort_prob", "queue_requests",
-               "queue_warmup", "queue_seed", "tail_target_ms",
-               "slo_margin", "placement_seed"},
-              "fleet");
-    FleetSpec f;
-    f.servers = u32Field(j, "servers", f.servers);
-    f.lcPerServer = u32Field(j, "lc_per_server", f.lcPerServer);
-    f.batchPerServer =
-        u32Field(j, "batch_per_server", f.batchPerServer);
-    if (const Json *v = j.find("arrivals"))
-        f.arrivals = arrivalsFromJson(*v);
-    f.queueWorkers = u32Field(j, "queue_workers", f.queueWorkers);
-    f.maxWorkers = u32Field(j, "max_workers", f.maxWorkers);
-    f.interference = numField(j, "interference", f.interference);
-    f.abortProb = numField(j, "abort_prob", f.abortProb);
-    f.queueRequests = u32Field(j, "queue_requests", f.queueRequests);
-    f.queueWarmup = u32Field(j, "queue_warmup", f.queueWarmup);
-    f.queueSeed = u64Field(j, "queue_seed", f.queueSeed);
-    f.tailTargetMs = numField(j, "tail_target_ms", f.tailTargetMs);
-    f.sloMargin = numField(j, "slo_margin", f.sloMargin);
-    f.placementSeed = u64Field(j, "placement_seed", f.placementSeed);
-    f.validate("scenario fleet");
-    return f;
-}
-
-Json
-reportToJson(const ReportBlock &b)
-{
-    Json j = Json::object();
-    j.set("kind", reportKindName(b.kind));
-    j.set("tag", b.tag);
-    if (b.band != LoadBand::All)
-        j.set("load", loadBandName(b.band));
-    return j;
-}
-
-ReportBlock
-reportFromJson(const Json &j)
-{
-    checkKeys(j, {"kind", "tag", "load"}, "report");
-    ReportBlock b;
-    std::string kind = strField(j, "kind", "");
-    if (!tryReportKindFromName(kind, b.kind))
-        fatal("scenario report: unknown kind \"%s\" (distributions, "
-              "averages, per-app, ubik-interrupts, csv, json)",
-              kind.c_str());
-    b.tag = strField(j, "tag", "");
-    if (b.tag.empty())
-        fatal("scenario report: \"tag\" is required");
-    std::string band = strField(j, "load", "all");
-    if (!tryLoadBandFromName(band, b.band))
-        fatal("scenario report: bad load band \"%s\" (all, low, "
-              "high)",
-              band.c_str());
-    return b;
+    std::size_t seen = 0; // listed keys present
+    auto reader = [&](const char *key, auto &&m, FieldUse use = {}) {
+        const Json *v = j.find(key);
+        if (v) {
+            seen++;
+            read(*v, m, SpecPath{&at, key});
+        }
+        bool missing = !v;
+        if constexpr (std::is_same_v<std::decay_t<decltype(m)>,
+                                     std::string>)
+            missing = missing || m.empty();
+        if (use.required && missing)
+            fatal("scenario %s: \"%s\" is required", at.str().c_str(),
+                  key);
+    };
+    fields(reader, out);
+    if (seen != j.size())
+        for (const auto &member : j.members()) {
+            bool listed = false;
+            auto probe = [&](const char *key, auto &&, FieldUse = {}) {
+                listed = listed || member.first == key;
+            };
+            fields(probe, out);
+            if (!listed)
+                fatal("scenario %s: unknown key \"%s\"",
+                      at.str().c_str(), member.first.c_str());
+        }
+    if constexpr (std::is_same_v<T, LoadProfile>)
+        out.validate("scenario load_profile");
+    if constexpr (std::is_same_v<T, FleetSpec>)
+        out.validate("scenario fleet");
+    if constexpr (std::is_same_v<T, ScenarioSpec>)
+        if (!j.find("title"))
+            out.title = out.name;
 }
 
 } // namespace
@@ -509,79 +333,14 @@ reportFromJson(const Json &j)
 Json
 scenarioToJson(const ScenarioSpec &spec)
 {
-    Json j = Json::object();
-    j.set("name", spec.name);
-    j.set("title", spec.title);
-    if (!spec.notes.empty())
-        j.set("notes", spec.notes);
-    Json schemes = Json::array();
-    for (const auto &s : spec.schemes)
-        schemes.push(schemeToJson(s));
-    j.set("schemes", std::move(schemes));
-    j.set("source", mixSourceName(spec.source));
-    if (spec.mixesPerLcCap)
-        j.set("mixes_per_lc", spec.mixesPerLcCap);
-    if (spec.band != LoadBand::All)
-        j.set("load", loadBandName(spec.band));
-    if (!spec.mixes.empty()) {
-        Json mixes = Json::array();
-        for (const auto &m : spec.mixes)
-            mixes.push(mixToJson(m));
-        j.set("mixes", std::move(mixes));
-    }
-    j.set("ooo", spec.ooo);
-    if (spec.seeds)
-        j.set("seeds", spec.seeds);
-    if (!spec.profile.isConstant())
-        j.set("load_profile", profileToJson(spec.profile));
-    Json reports = Json::array();
-    for (const auto &b : spec.reports)
-        reports.push(reportToJson(b));
-    j.set("reports", std::move(reports));
-    if (spec.fleet.servers)
-        j.set("fleet", fleetToJsonBlock(spec.fleet));
-    return j;
+    return toJson(spec);
 }
 
 ScenarioSpec
 scenarioFromJson(const Json &j)
 {
-    checkKeys(j,
-              {"name", "title", "notes", "schemes", "source",
-               "mixes_per_lc", "load", "mixes", "ooo", "seeds",
-               "load_profile", "reports", "fleet"},
-              "spec");
     ScenarioSpec spec;
-    spec.name = strField(j, "name", "");
-    if (spec.name.empty())
-        fatal("scenario spec: \"name\" is required");
-    spec.title = strField(j, "title", spec.name);
-    spec.notes = strField(j, "notes", "");
-    if (const Json *v = j.find("schemes"))
-        for (const Json &js : v->items())
-            spec.schemes.push_back(schemeFromJson(js));
-    std::string source = strField(j, "source", "standard");
-    if (!tryMixSourceFromName(source, spec.source))
-        fatal("scenario spec: unknown source \"%s\" (standard, "
-              "cache-hungry, explicit)",
-              source.c_str());
-    spec.mixesPerLcCap = u32Field(j, "mixes_per_lc", 0);
-    std::string band = strField(j, "load", "all");
-    if (!tryLoadBandFromName(band, spec.band))
-        fatal("scenario spec: bad load band \"%s\" (all, low, high)",
-              band.c_str());
-    if (const Json *v = j.find("mixes"))
-        for (const Json &jm : v->items())
-            spec.mixes.push_back(mixFromJson(jm));
-    spec.ooo = boolField(j, "ooo", true);
-    spec.seeds = u32Field(j, "seeds", 0);
-    if (const Json *v = j.find("load_profile"))
-        spec.profile = profileFromJson(*v);
-    if (const Json *v = j.find("reports"))
-        for (const Json &jb : v->items())
-            spec.reports.push_back(reportFromJson(jb));
-    if (const Json *v = j.find("fleet"))
-        spec.fleet = fleetFromJsonBlock(*v);
+    readStruct(j, spec, SpecPath{nullptr, "spec"});
     return spec;
 }
 
@@ -595,108 +354,146 @@ scenarioCanonicalJson(const ScenarioSpec &spec)
 // Overrides
 // ---------------------------------------------------------------------------
 
+namespace {
+
+std::uint32_t
+toU32(const std::string &value, const char *where)
+{
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end || v > 0xFFFFFFFFull)
+        fatal("%s: '%s' is not a non-negative integer", where,
+              value.c_str());
+    return static_cast<std::uint32_t>(v);
+}
+
+/** Comma-separated label filter, keeping spec order. */
+void
+overrideSchemes(ScenarioSpec &spec, const std::string &value,
+                const char *where)
+{
+    std::vector<std::string> want;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= value.size(); i++) {
+        if (i == value.size() || value[i] == ',') {
+            if (i > start)
+                want.push_back(value.substr(start, i - start));
+            start = i + 1;
+        }
+    }
+    // An empty filter (or one of only separators/whitespace) would
+    // silently empty spec.schemes and run a zero-scheme sweep; a
+    // repeated label is equally a typo. Both die here.
+    if (want.empty())
+        fatal("%s: empty label filter would leave scenario '%s' with no "
+              "schemes to run",
+              where, spec.name.c_str());
+    for (std::size_t i = 0; i < want.size(); i++)
+        for (std::size_t k = i + 1; k < want.size(); k++)
+            if (want[i] == want[k])
+                fatal("%s: label '%s' listed twice", where,
+                      want[i].c_str());
+    std::vector<SchemeUnderTest> kept;
+    for (const auto &s : spec.schemes)
+        if (std::find(want.begin(), want.end(), s.label) != want.end())
+            kept.push_back(s);
+    for (const auto &w : want) {
+        bool found = false;
+        for (const auto &s : spec.schemes)
+            found = found || s.label == w;
+        if (!found)
+            fatal("%s: no scheme labeled '%s' in scenario '%s'", where,
+                  w.c_str(), spec.name.c_str());
+    }
+    spec.schemes = std::move(kept);
+}
+
+void
+overrideServers(ScenarioSpec &spec, const std::string &value,
+                const char *where)
+{
+    // Resize the fleet stage; meaningless on a scenario without one
+    // (there is no sensible default for the rest of the fleet block,
+    // so refuse rather than invent one).
+    if (spec.fleet.servers == 0)
+        fatal("%s: scenario '%s' has no fleet stage", where,
+              spec.name.c_str());
+    std::uint32_t n = toU32(value, where);
+    if (n == 0)
+        fatal("%s: must be >= 1", where);
+    spec.fleet.servers = n;
+}
+
+/** One `--set` key: what it edits, glossed for --help where the key
+ *  alone does not say. `where` is "--set <key>". */
+struct OverrideKey
+{
+    const char *key;
+    const char *gloss;
+    void (*apply)(ScenarioSpec &spec, const std::string &value,
+                  const char *where);
+};
+
+const OverrideKey kOverrideKeys[] = {
+    {"seeds", "", [](auto &s, auto &v, auto w) { s.seeds = toU32(v, w); }},
+    {"mixes", "per-LC mix cap",
+     [](auto &s, auto &v, auto w) { s.mixesPerLcCap = toU32(v, w); }},
+    {"load", "all/low/high",
+     [](auto &s, auto &v, auto w) { s.band = enumFromName<LoadBand>(v, w); }},
+    {"ooo", "bool",
+     [](auto &s, auto &v, auto w) {
+         if (v != "1" && v != "true" && v != "0" && v != "false")
+             fatal("%s: '%s' is not a boolean", w, v.c_str());
+         s.ooo = v == "1" || v == "true";
+     }},
+    {"source", "",
+     [](auto &s, auto &v, auto w) {
+         s.source = enumFromName<MixSource>(v, w);
+     }},
+    // Kind only, at the default parameters; full profiles come from
+    // the spec file's "load_profile" block.
+    {"profile", "load-profile kind",
+     [](auto &s, auto &v, auto w) {
+         LoadProfile p;
+         p.kind = enumFromName<LoadProfileKind>(v, w);
+         p.validate(w);
+         s.profile = p;
+     }},
+    {"schemes", "label filter", overrideSchemes},
+    {"servers", "fleet size", overrideServers},
+};
+
+} // namespace
+
+std::string
+scenarioOverrideKeys()
+{
+    std::string out;
+    for (const OverrideKey &k : kOverrideKeys) {
+        if (!out.empty())
+            out += ", ";
+        out += k.key;
+        if (*k.gloss)
+            out.append(" (").append(k.gloss).append(")");
+    }
+    return out;
+}
+
 void
 applyScenarioOverride(ScenarioSpec &spec, const std::string &assignment)
 {
     auto eq = assignment.find('=');
     if (eq == std::string::npos || eq == 0)
         fatal("--set needs key=value (got '%s')", assignment.c_str());
-    std::string key = assignment.substr(0, eq);
-    std::string value = assignment.substr(eq + 1);
-
-    auto parseU32 = [&]() -> std::uint32_t {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end || v > 0xFFFFFFFFull)
-            fatal("--set %s: '%s' is not a non-negative integer",
-                  key.c_str(), value.c_str());
-        return static_cast<std::uint32_t>(v);
-    };
-
-    if (key == "seeds") {
-        spec.seeds = parseU32();
-    } else if (key == "mixes") {
-        spec.mixesPerLcCap = parseU32();
-    } else if (key == "load") {
-        if (!tryLoadBandFromName(value, spec.band))
-            fatal("--set load: '%s' is not all, low, or high",
-                  value.c_str());
-    } else if (key == "ooo") {
-        if (value == "1" || value == "true")
-            spec.ooo = true;
-        else if (value == "0" || value == "false")
-            spec.ooo = false;
-        else
-            fatal("--set ooo: '%s' is not a boolean", value.c_str());
-    } else if (key == "source") {
-        if (!tryMixSourceFromName(value, spec.source))
-            fatal("--set source: '%s' is not standard, cache-hungry, "
-                  "or explicit",
-                  value.c_str());
-    } else if (key == "profile") {
-        // Kind only, at the default parameters; full profiles come
-        // from the spec file's "load_profile" block.
-        LoadProfile p;
-        if (!tryLoadProfileKindFromName(value, p.kind))
-            fatal("--set profile: '%s' is not constant, diurnal, "
-                  "flash-crowd, bursts, or churn",
-                  value.c_str());
-        p.validate("--set profile");
-        spec.profile = p;
-    } else if (key == "schemes") {
-        // Comma-separated label filter, keeping spec order.
-        std::vector<std::string> want;
-        std::size_t start = 0;
-        for (std::size_t i = 0; i <= value.size(); i++) {
-            if (i == value.size() || value[i] == ',') {
-                if (i > start)
-                    want.push_back(value.substr(start, i - start));
-                start = i + 1;
-            }
+    const std::string key = assignment.substr(0, eq);
+    for (const OverrideKey &k : kOverrideKeys)
+        if (key == k.key) {
+            k.apply(spec, assignment.substr(eq + 1),
+                    ("--set " + key).c_str());
+            return;
         }
-        // An empty filter (or one of only separators/whitespace)
-        // would silently empty spec.schemes and run a zero-scheme
-        // sweep; a repeated label is equally a typo. Both die here.
-        if (want.empty())
-            fatal("--set schemes: empty label filter would leave "
-                  "scenario '%s' with no schemes to run",
-                  spec.name.c_str());
-        for (std::size_t i = 0; i < want.size(); i++)
-            for (std::size_t k = i + 1; k < want.size(); k++)
-                if (want[i] == want[k])
-                    fatal("--set schemes: label '%s' listed twice",
-                          want[i].c_str());
-        std::vector<SchemeUnderTest> kept;
-        for (const auto &s : spec.schemes)
-            if (std::find(want.begin(), want.end(), s.label) !=
-                want.end())
-                kept.push_back(s);
-        for (const auto &w : want) {
-            bool found = false;
-            for (const auto &s : spec.schemes)
-                found = found || s.label == w;
-            if (!found)
-                fatal("--set schemes: no scheme labeled '%s' in "
-                      "scenario '%s'",
-                      w.c_str(), spec.name.c_str());
-        }
-        spec.schemes = std::move(kept);
-    } else if (key == "servers") {
-        // Resize the fleet stage; meaningless on a scenario without
-        // one (there is no sensible default for the rest of the
-        // fleet block, so refuse rather than invent one).
-        if (spec.fleet.servers == 0)
-            fatal("--set servers: scenario '%s' has no fleet stage",
-                  spec.name.c_str());
-        std::uint32_t n = parseU32();
-        if (n == 0)
-            fatal("--set servers: must be >= 1");
-        spec.fleet.servers = n;
-    } else {
-        fatal("--set: unknown key '%s' (seeds, mixes, load, ooo, "
-              "source, profile, schemes, servers)",
-              key.c_str());
-    }
+    fatal("--set: unknown key '%s' (%s)", key.c_str(),
+          scenarioOverrideKeys().c_str());
 }
 
 void
@@ -770,7 +567,7 @@ expandMix(const ScenarioMix &e, TraceLoader &traces)
     for (std::size_t i = 0; i < 3; i++) {
         m.batch.apps[i] =
             batch_presets::make(e.batch[i].cls, e.batch[i].variation);
-        codes += batchClassCode(e.batch[i].cls);
+        codes += enumName(e.batch[i].cls);
     }
     m.batch.name = e.batchName.empty() ? codes : e.batchName;
     m.name = e.name.empty()
@@ -795,14 +592,14 @@ buildScenarioMixes(const ScenarioSpec &spec,
     if (spec.mixesPerLcCap && spec.source != MixSource::Standard)
         fatal("scenario '%s': mixes_per_lc only applies to the "
               "standard mix source (source is %s)",
-              spec.name.c_str(), mixSourceName(spec.source));
+              spec.name.c_str(), enumName(spec.source));
     // Likewise, hand-listed mixes with a non-explicit source would
     // silently run the full standard matrix instead of the user's
     // colocations (the classic forgotten "source": "explicit").
     if (!spec.mixes.empty() && spec.source != MixSource::Explicit)
         fatal("scenario '%s': \"mixes\" are listed but the source is "
               "%s — set \"source\": \"explicit\" to run them",
-              spec.name.c_str(), mixSourceName(spec.source));
+              spec.name.c_str(), enumName(spec.source));
     spec.profile.validate(
         ("scenario '" + spec.name + "' load_profile").c_str());
     std::vector<MixSpec> selected;
@@ -1071,89 +868,6 @@ executeScenario(const ScenarioSpec &spec, ExperimentConfig cfg,
     if (!spec.notes.empty())
         std::printf("\n%s\n", spec.notes.c_str());
     return 0;
-}
-
-void
-printFleetStatus(const ScenarioSpec &spec,
-                 const ExperimentConfig &cfg0)
-{
-    ExperimentConfig cfg = scenarioConfig(spec, cfg0);
-    if (cfg.cacheDir.empty())
-        fatal("--fleet-status needs a cache: pass --cache-dir "
-              "(or UBIK_CACHE_DIR)");
-    std::unique_ptr<ResultCache> cache =
-        ResultCache::open(cfg.cacheDir);
-    if (!cache)
-        fatal("--fleet-status: cannot open cache at %s",
-              cfg.cacheDir.c_str());
-    std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
-    std::vector<SweepJob> jobs =
-        buildSweepJobs(spec.schemes, mixes, cfg.seeds);
-
-    // Matrix fill: probe every (scheme, mix, seed) result key plus
-    // the baseline keys the sweep would prewarm. Probes only — no
-    // stats counted, nothing computed, nothing claimed.
-    std::set<std::string> jobKeys;
-    std::size_t done = 0;
-    for (const SweepJob &job : jobs) {
-        std::string key =
-            mixResultKey(cfg, job.mix, job.sut, job.seed, spec.ooo);
-        jobKeys.insert(key);
-        if (cache->peekMix(key))
-            done++;
-    }
-    std::size_t lcTotal = 0, lcDone = 0;
-    std::size_t batchTotal = 0, batchDone = 0;
-    std::set<std::string> seenBase;
-    for (const MixSpec &mix : mixes)
-        for (std::uint32_t s = 1; s <= cfg.seeds; s++) {
-            std::string lk = lcBaselineKey(cfg, mix.lc.app,
-                                           mix.lc.load, s, spec.ooo);
-            if (seenBase.insert(lk).second) {
-                lcTotal++;
-                if (cache->hasLcBaseline(lk))
-                    lcDone++;
-            }
-            for (const auto &app : mix.batch.apps) {
-                std::string bk =
-                    batchBaselineKey(cfg, app, s, spec.ooo);
-                if (seenBase.insert(bk).second) {
-                    batchTotal++;
-                    if (cache->hasBatchIpc(bk))
-                        batchDone++;
-                }
-            }
-        }
-    std::printf("[fleet-status] scenario=%s cache=%s\n",
-                spec.name.c_str(), cfg.cacheDir.c_str());
-    std::printf("[fleet-status] matrix: jobs=%zu done=%zu (%.1f%%) "
-                "lc_baselines=%zu/%zu batch_baselines=%zu/%zu\n",
-                jobs.size(), done,
-                jobs.empty() ? 100.0 : 100.0 * done / jobs.size(),
-                lcDone, lcTotal, batchDone, batchTotal);
-
-    // Live claim leases: who is mid-computation right now. A key
-    // outside this scenario's matrix counts as foreign (another
-    // scenario, or another scale, sharing the cache); a lease whose
-    // claimant has not written its payload yet is not counted.
-    std::map<std::string, std::pair<std::size_t, std::size_t>> owners;
-    std::size_t leases = 0;
-    for (const ClaimStore::Lease &l : ClaimStore::leases(cfg.cacheDir)) {
-        if (l.owner.empty())
-            continue;
-        leases++;
-        auto &c = owners[l.owner];
-        c.first++;
-        if (jobKeys.count(l.key))
-            c.second++;
-    }
-    std::printf("[fleet-status] claims: live=%zu workers=%zu\n",
-                leases, owners.size());
-    for (const auto &o : owners)
-        std::printf("[fleet-status] worker=%s claims=%zu "
-                    "in_matrix=%zu\n",
-                    o.first.c_str(), o.second.first,
-                    o.second.second);
 }
 
 const ScenarioSpec *

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/json.h"
 #include "fleet/fleet_model.h"
 #include "report/report.h"
@@ -52,8 +53,16 @@ enum class MixSource
     Explicit,    ///< ScenarioSpec::mixes
 };
 
-const char *mixSourceName(MixSource s);
-bool tryMixSourceFromName(const std::string &name, MixSource &out);
+template <>
+struct EnumNames<MixSource>
+{
+    static constexpr const char *noun = "mix source";
+    static constexpr EnumSpelling<MixSource> spellings[] = {
+        {MixSource::Standard, "standard"},
+        {MixSource::CacheHungry, "cache-hungry"},
+        {MixSource::Explicit, "explicit"},
+    };
+};
 
 /** One text/file report block rendered after the sweep. */
 enum class ReportKind
@@ -66,8 +75,19 @@ enum class ReportKind
     Json,           ///< <tag>_results.json into UBIK_JSON_DIR (or .)
 };
 
-const char *reportKindName(ReportKind k);
-bool tryReportKindFromName(const std::string &name, ReportKind &out);
+template <>
+struct EnumNames<ReportKind>
+{
+    static constexpr const char *noun = "report kind";
+    static constexpr EnumSpelling<ReportKind> spellings[] = {
+        {ReportKind::Distributions, "distributions"},
+        {ReportKind::Averages, "averages"},
+        {ReportKind::PerApp, "per-app"},
+        {ReportKind::UbikInterrupts, "ubik-interrupts"},
+        {ReportKind::Csv, "csv"},
+        {ReportKind::Json, "json"},
+    };
+};
 
 struct ReportBlock
 {
@@ -151,13 +171,23 @@ struct ScenarioSpec
 // JSON round-trip
 // ---------------------------------------------------------------------------
 
-/** Serialize a spec (every field, canonical kind names). */
+/**
+ * Serialize a spec, kinds by their canonical names. Each spec
+ * struct's JSON keys are declared once, in its field list in
+ * scenario.cpp, which this writer and the parser both walk. A key at
+ * its "unset" value (empty notes, a constant load_profile, no fleet,
+ * ...) is left out.
+ */
 Json scenarioToJson(const ScenarioSpec &spec);
 
 /**
- * Parse a spec. Missing fields take their defaults; unknown keys and
- * ill-typed values are fatal() with the offending key named, so spec
- * file typos fail loudly instead of silently running the default.
+ * Parse a spec. Missing fields take their defaults; unknown keys,
+ * ill-typed values and out-of-range integers are fatal() with the
+ * offending key named, so spec file typos fail loudly instead of
+ * silently running the default. Integer fields take [0, 2^32-1]; the
+ * four seeds (fleet.queue_seed, fleet.placement_seed,
+ * fleet.arrivals.seed, load_profile.burst_seed) take [0, 2^53-1],
+ * every integer a JSON number holds exactly.
  */
 ScenarioSpec scenarioFromJson(const Json &j);
 
@@ -170,20 +200,22 @@ std::string scenarioCanonicalJson(const ScenarioSpec &spec);
 // ---------------------------------------------------------------------------
 
 /**
- * Apply one "key=value" override. Keys: seeds, mixes (per-LC cap),
- * load (all/low/high), ooo (bool), source, profile (load-profile
- * kind, default parameters), schemes (comma-separated label filter,
- * kept in spec order; an empty or duplicate-label filter is fatal —
- * a zero-scheme sweep is never what the user meant). fatal() on
- * unknown keys or bad values. Later overrides win (sequential
- * application), and all of them win over the spec file / registry
- * values.
+ * Apply one "key=value" override; scenarioOverrideKeys() lists the
+ * keys. fatal() on unknown keys or bad values, among them an empty
+ * or duplicate-label `schemes` filter (a zero-scheme sweep is never
+ * what the user meant) and `servers` on a spec without a fleet
+ * stage. Later overrides win (sequential application), and all of
+ * them win over the spec file / registry values.
  */
 void applyScenarioOverride(ScenarioSpec &spec,
                            const std::string &assignment);
 
 void applyScenarioOverrides(ScenarioSpec &spec,
                             const std::vector<std::string> &sets);
+
+/** The `--set` keys, each with what it edits where the key alone
+ *  does not say: "seeds, mixes (per-LC mix cap), ...". */
+std::string scenarioOverrideKeys();
 
 // ---------------------------------------------------------------------------
 // Execution
@@ -273,15 +305,6 @@ Json scenarioResultsJson(const ScenarioSpec &spec,
 int executeScenario(const ScenarioSpec &spec, ExperimentConfig cfg,
                     const std::string &results_path = "",
                     bool accounting = false);
-
-/**
- * `ubik_run --fleet-status`: without running anything, print how
- * much of the spec's sweep matrix the cache already holds, and who
- * holds live claim leases (<cache-dir>/claims/) — per-worker matrix
- * fill for a distributed fleet mid-sweep.
- */
-void printFleetStatus(const ScenarioSpec &spec,
-                      const ExperimentConfig &cfg);
 
 // ---------------------------------------------------------------------------
 // Registry

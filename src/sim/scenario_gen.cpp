@@ -43,7 +43,7 @@ generateScenario(std::uint64_t seed)
         m.batch[i].cls = kClasses[rng.uniformInt(4)];
         m.batch[i].variation =
             static_cast<std::uint32_t>(rng.uniformInt(4));
-        codes += batchClassCode(m.batch[i].cls);
+        codes += enumName(m.batch[i].cls);
     }
     m.batchName = codes + "-g";
     s.mixes.push_back(m);
@@ -110,7 +110,7 @@ generateScenario(std::uint64_t seed)
                   "batch, %s load, Ubik slack %g%%",
                   static_cast<unsigned long long>(seed),
                   m.lcPreset.c_str(), m.load, codes.c_str(),
-                  loadProfileKindName(p.kind), slack * 100);
+                  enumName(p.kind), slack * 100);
     s.title = title;
     s.seeds = 1;
     s.reports = {{ReportKind::Averages, "gen", LoadBand::All}};

@@ -4,39 +4,6 @@
 
 namespace ubik {
 
-char
-batchClassCode(BatchClass c)
-{
-    switch (c) {
-      case BatchClass::Insensitive:
-        return 'n';
-      case BatchClass::Friendly:
-        return 'f';
-      case BatchClass::Fitting:
-        return 't';
-      case BatchClass::Streaming:
-        return 's';
-    }
-    panic("bad BatchClass");
-}
-
-BatchClass
-batchClassFromCode(char code)
-{
-    switch (code) {
-      case 'n':
-        return BatchClass::Insensitive;
-      case 'f':
-        return BatchClass::Friendly;
-      case 't':
-        return BatchClass::Fitting;
-      case 's':
-        return BatchClass::Streaming;
-      default:
-        fatal("unknown batch class code '%c'", code);
-    }
-}
-
 BatchAppParams
 BatchAppParams::scaled(double scale) const
 {
@@ -95,8 +62,7 @@ make(BatchClass cls, std::uint32_t variation)
         break;
     }
     p.baseIpc = 1.5;
-    p.name = std::string(1, batchClassCode(cls)) +
-             std::to_string(variation);
+    p.name = enumName(cls) + std::to_string(variation);
     return p;
 }
 

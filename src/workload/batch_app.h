@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "trace/access_trace.h"
@@ -39,11 +40,18 @@ enum class BatchClass
     Streaming,
 };
 
-/** Single-letter code used in mix names (n/f/t/s). */
-char batchClassCode(BatchClass c);
-
-/** Parse a single-letter code. */
-BatchClass batchClassFromCode(char code);
+/** Single-letter codes, as in mix names ("fts") and spec JSON. */
+template <>
+struct EnumNames<BatchClass>
+{
+    static constexpr const char *noun = "batch class";
+    static constexpr EnumSpelling<BatchClass> spellings[] = {
+        {BatchClass::Insensitive, "n"},
+        {BatchClass::Friendly, "f"},
+        {BatchClass::Fitting, "t"},
+        {BatchClass::Streaming, "s"},
+    };
+};
 
 /** Parameters for one batch app (full-scale units). */
 struct BatchAppParams

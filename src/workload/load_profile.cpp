@@ -7,39 +7,6 @@
 
 namespace ubik {
 
-const char *
-loadProfileKindName(LoadProfileKind k)
-{
-    switch (k) {
-      case LoadProfileKind::Constant:
-        return "constant";
-      case LoadProfileKind::Diurnal:
-        return "diurnal";
-      case LoadProfileKind::FlashCrowd:
-        return "flash-crowd";
-      case LoadProfileKind::Bursts:
-        return "bursts";
-      case LoadProfileKind::Churn:
-        return "churn";
-    }
-    panic("bad LoadProfileKind");
-}
-
-bool
-tryLoadProfileKindFromName(const std::string &name, LoadProfileKind &out)
-{
-    for (LoadProfileKind k :
-         {LoadProfileKind::Constant, LoadProfileKind::Diurnal,
-          LoadProfileKind::FlashCrowd, LoadProfileKind::Bursts,
-          LoadProfileKind::Churn}) {
-        if (name == loadProfileKindName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace {
 
 /** splitmix64: the same stream expander Rng seeds with — burst
@@ -151,7 +118,7 @@ LoadProfile::canonical() const
     // Doubles as bit patterns: canonical and lossless, mirroring
     // ServiceDistribution::canonical() and the result cache's own
     // key encoding.
-    std::string out = loadProfileKindName(kind);
+    std::string out = enumName(kind);
     switch (kind) {
       case LoadProfileKind::Constant:
         break;

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/enum_names.h"
+
 namespace ubik {
 
 /** The dynamic-load shapes the scenario layer can request. */
@@ -40,11 +42,18 @@ enum class LoadProfileKind
     Churn,      ///< app departs (rate 0) inside one window, returns
 };
 
-/** Canonical kind names ("constant", "diurnal", "flash-crowd",
- *  "bursts", "churn"). */
-const char *loadProfileKindName(LoadProfileKind k);
-bool tryLoadProfileKindFromName(const std::string &name,
-                                LoadProfileKind &out);
+template <>
+struct EnumNames<LoadProfileKind>
+{
+    static constexpr const char *noun = "load profile kind";
+    static constexpr EnumSpelling<LoadProfileKind> spellings[] = {
+        {LoadProfileKind::Constant, "constant"},
+        {LoadProfileKind::Diurnal, "diurnal"},
+        {LoadProfileKind::FlashCrowd, "flash-crowd"},
+        {LoadProfileKind::Bursts, "bursts"},
+        {LoadProfileKind::Churn, "churn"},
+    };
+};
 
 /**
  * One time-varying load shape. Window positions are fractions of the

@@ -31,9 +31,8 @@ buildBatchMixes(std::uint32_t per_combo, std::uint64_t seed)
     for (const auto &combo : batchClassCombos()) {
         for (std::uint32_t m = 0; m < per_combo; m++) {
             BatchMix mix;
-            mix.name = std::string() + batchClassCode(combo[0]) +
-                       batchClassCode(combo[1]) +
-                       batchClassCode(combo[2]) + "-" +
+            mix.name = std::string() + enumName(combo[0]) +
+                       enumName(combo[1]) + enumName(combo[2]) + "-" +
                        std::to_string(m);
             for (int i = 0; i < 3; i++) {
                 std::uint32_t variation =
@@ -102,9 +101,8 @@ cacheHungryMixes()
         for (const auto &combo : combos) {
             MixSpec m;
             m.lc = lc;
-            m.batch.name = std::string() + batchClassCode(combo[0]) +
-                           batchClassCode(combo[1]) +
-                           batchClassCode(combo[2]);
+            m.batch.name = std::string() + enumName(combo[0]) +
+                           enumName(combo[1]) + enumName(combo[2]);
             for (std::size_t i = 0; i < 3; i++)
                 m.batch.apps[i] = batch_presets::make(combo[i], v + 1);
             m.name = lc.app.name +

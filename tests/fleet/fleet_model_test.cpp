@@ -133,6 +133,9 @@ TEST(FleetModel, FleetSpecRoundTripsThroughScenarioJson)
     spec.fleet.tailTargetMs = 5.0;
     spec.fleet.sloMargin = 0.08;
     spec.fleet.placementSeed = 9;
+    // The u64 seeds take every integer a JSON number holds exactly.
+    spec.fleet.arrivals.seed = 1ull << 32;
+    spec.fleet.queueSeed = (1ull << 53) - 1;
 
     ScenarioSpec back = scenarioFromJson(scenarioToJson(spec));
     EXPECT_TRUE(back.fleet == spec.fleet);

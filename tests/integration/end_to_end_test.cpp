@@ -48,7 +48,7 @@ struct EndToEnd : public ::testing::Test
         SchemeKind scheme = SchemeKind::Vantage)
     {
         MixRunner runner(cfg);
-        SchemeUnderTest sut{policyKindName(policy), scheme,
+        SchemeUnderTest sut{enumName(policy), scheme,
                             ArrayKind::Z4_52, policy, slack};
         if (policy == PolicyKind::Lru)
             sut.scheme = SchemeKind::SharedLru;
@@ -99,8 +99,8 @@ TEST_F(EndToEnd, AllSchemesCompleteAllRequests)
                          PolicyKind::OnOff, PolicyKind::StaticLc,
                          PolicyKind::Ubik}) {
         MixRunResult r = run(p, p == PolicyKind::Ubik ? 0.05 : 0.0);
-        EXPECT_GT(r.lcTailMean, 0.0) << policyKindName(p);
-        EXPECT_GT(r.weightedSpeedup, 0.3) << policyKindName(p);
+        EXPECT_GT(r.lcTailMean, 0.0) << enumName(p);
+        EXPECT_GT(r.weightedSpeedup, 0.3) << enumName(p);
     }
 }
 

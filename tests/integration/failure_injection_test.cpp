@@ -95,7 +95,7 @@ TEST(FailureInjection, SingleLcAppAloneUnderEveryPolicy)
         Cmp cmp(cfg, {lcSpec()}, {}, 3);
         cmp.run();
         EXPECT_EQ(cmp.lcResult(0).latencies.count(), 30u)
-            << policyKindName(policy);
+            << enumName(policy);
     }
 }
 

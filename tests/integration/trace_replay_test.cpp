@@ -79,7 +79,7 @@ TEST_F(TraceReplay, CompletesAllRequestsUnderEveryPolicy)
         for (std::uint32_t i = 0; i < 3; i++)
             EXPECT_EQ(cmp.lcResult(i).latencies.count(),
                       cfg.roiRequests)
-                << policyKindName(p) << " instance " << i;
+                << enumName(p) << " instance " << i;
     }
 }
 

@@ -260,7 +260,7 @@ TEST(MemorySystemFactory, MakesEveryKind)
     EXPECT_STREQ(f->name(), "fixed");
     EXPECT_STREQ(c->name(), "contended");
     EXPECT_STREQ(p->name(), "partitioned");
-    EXPECT_STREQ(memKindName(MemKind::Contended), "contended");
+    EXPECT_STREQ(enumName(MemKind::Contended), "contended");
 }
 
 TEST(MemorySystemFactory, Deterministic)

@@ -60,10 +60,10 @@ TEST(Report, FilterByLoadUsesMixMetadata)
     EXPECT_EQ(all[0].runs.size(), 3u);
 
     LoadBand b;
-    EXPECT_TRUE(tryLoadBandFromName("low", b));
+    EXPECT_TRUE(tryEnumFromName("low", b));
     EXPECT_EQ(b, LoadBand::Low);
-    EXPECT_FALSE(tryLoadBandFromName("lowest", b));
-    EXPECT_STREQ(loadBandName(LoadBand::High), "high");
+    EXPECT_FALSE(tryEnumFromName("lowest", b));
+    EXPECT_STREQ(enumName(LoadBand::High), "high");
 }
 
 TEST(Report, EmptySweepsPrintWithoutUnderflow)

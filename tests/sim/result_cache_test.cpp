@@ -17,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "common/log.h"
 #include "sim/result_cache.h"
+#include "sim/scenario.h"
 #include "support/cache_test_util.h"
 
 namespace ubik {
@@ -50,6 +52,51 @@ std::string
 keyOf(const SchemeUnderTest &sut)
 {
     return mixResultKey(cacheTestCfg(), baseMix(), sut, 1, true);
+}
+
+/** Every spelling of the kinds a scheme names: the candidate values
+ *  for a string leaf of its JSON form. */
+template <class... E>
+std::vector<std::string>
+kindSpellings()
+{
+    std::vector<std::string> out;
+    (..., [&out] {
+        for (const auto &s : EnumNames<E>::spellings)
+            out.push_back(s.name);
+    }());
+    return out;
+}
+
+/** `j` with the leaf at `path` (member keys from the root) replaced. */
+Json
+withLeaf(const Json &j, const std::vector<std::string> &path,
+         std::size_t depth, const Json &leaf)
+{
+    if (depth == path.size())
+        return leaf;
+    Json out = Json::object();
+    for (const auto &m : j.members())
+        out.set(m.first, m.first == path[depth]
+                             ? withLeaf(m.second, path, depth + 1, leaf)
+                             : m.second);
+    return out;
+}
+
+/** Member-key paths of every leaf under `j`. */
+void
+leafPaths(const Json &j, std::vector<std::string> &path,
+          std::vector<std::vector<std::string>> &out)
+{
+    if (!j.isObject()) {
+        out.push_back(path);
+        return;
+    }
+    for (const auto &m : j.members()) {
+        path.push_back(m.first);
+        leafPaths(m.second, path, out);
+        path.pop_back();
+    }
 }
 
 TEST(ResultCacheKey, EquallyConstructedSutsHashIdentically)
@@ -107,6 +154,64 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
                              << "the key";
         EXPECT_TRUE(keys.insert(key).second)
             << "mutator " << i << " collided with another mutation";
+    }
+
+    // The same property for every leaf of the scheme's JSON form, so
+    // a spec field added without a key field fails here instead of
+    // serving a result computed for another setting. Each leaf takes
+    // the first candidate value that parses to a different scheme.
+    ScenarioSpec spec;
+    spec.name = "keys";
+    spec.schemes = {baseSut()};
+    const Json specJson = scenarioToJson(spec);
+    const Json &scheme = specJson.find("schemes")->at(0);
+    std::vector<std::vector<std::string>> leaves;
+    std::vector<std::string> path;
+    leafPaths(scheme, path, leaves);
+    EXPECT_GE(leaves.size(), mutators.size());
+    const std::vector<std::string> names =
+        kindSpellings<PolicyKind, SchemeKind, ArrayKind, MemKind>();
+    FatalTrap trap;
+    for (const auto &leafPath : leaves) {
+        const Json *old = &scheme;
+        std::string where;
+        for (const auto &k : leafPath) {
+            old = old->find(k);
+            where += "." + k;
+        }
+        std::vector<Json> candidates;
+        if (old->isBool())
+            candidates.push_back(Json(!old->boolean()));
+        if (old->isNumber())
+            candidates = {Json(old->number() + 1),
+                          Json(old->number() / 2)};
+        if (old->isString()) {
+            candidates.push_back(Json(old->str() + "2"));
+            for (const auto &n : names)
+                candidates.push_back(Json(n));
+        }
+        bool perturbed = false;
+        for (const Json &c : candidates) {
+            Json schemes = Json::array();
+            schemes.push(withLeaf(scheme, leafPath, 0, c));
+            Json s = Json::object();
+            s.set("name", "keys");
+            s.set("schemes", std::move(schemes));
+            ScenarioSpec back;
+            try {
+                back = scenarioFromJson(s);
+            } catch (const FatalError &) {
+                continue; // not a valid value for this field
+            }
+            if (scenarioToJson(back).find("schemes")->at(0) == scheme)
+                continue; // an alias of the current value
+            perturbed = true;
+            EXPECT_NE(keyOf(back.schemes.at(0)), base)
+                << "scheme field " << where << " = " << c.dump()
+                << " does not change the result-cache key";
+            break;
+        }
+        EXPECT_TRUE(perturbed) << "no valid value to perturb " << where;
     }
 }
 

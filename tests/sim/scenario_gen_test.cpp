@@ -84,7 +84,7 @@ TEST(ScenarioGen, EverySpecIsValidAndRoundTrips)
             << spec.name;
         EXPECT_EQ(back.profile, spec.profile);
 
-        kinds.insert(loadProfileKindName(spec.profile.kind));
+        kinds.insert(enumName(spec.profile.kind));
         presets.insert(spec.mixes[0].lcPreset);
     }
     // 200 seeds cover every profile kind and every LC preset.
@@ -104,7 +104,7 @@ TEST(ScenarioGen, QuantizationKeepsBaselinePoolSmall)
         lcBaselines.insert(spec.mixes[0].lcPreset + "@" +
                            std::to_string(spec.mixes[0].load));
         for (const BatchSel &b : spec.mixes[0].batch)
-            batchApps.insert(std::string(1, batchClassCode(b.cls)) +
+            batchApps.insert(std::string(enumName(b.cls)) +
                              std::to_string(b.variation));
     }
     EXPECT_LE(lcBaselines.size(), 10u); // 5 presets x 2 loads

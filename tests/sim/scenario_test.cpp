@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <string>
+#include <utility>
 
-#include "sim/kind_names.h"
+#include "common/hash.h"
+#include "common/log.h"
+#include "common/rng.h"
 #include "sim/scenario.h"
+#include "sim/scenario_gen.h"
 
 namespace ubik {
 namespace {
@@ -29,6 +34,80 @@ tinyCfg()
     cfg.mixesPerLc = 2;
     cfg.jobs = 1;
     return cfg;
+}
+
+/** FNV-1a of a spec's canonical JSON, folded into `h`. */
+std::uint64_t
+canonicalHash(const ScenarioSpec &spec, std::uint64_t h = kFnvOffsetBasis)
+{
+    const std::string text = scenarioCanonicalJson(spec);
+    return fnv1a64Bytes(
+        h, reinterpret_cast<const std::uint8_t *>(text.data()),
+        text.size());
+}
+
+/** Nodes of `j` in pre-order: the targets a mutation draws from. */
+std::size_t
+nodeCount(const Json &j)
+{
+    std::size_t n = 1;
+    if (j.isObject())
+        for (const auto &m : j.members())
+            n += nodeCount(m.second);
+    else if (j.isArray())
+        for (const Json &e : j.items())
+            n += nodeCount(e);
+    return n;
+}
+
+/** One mutation of a single node: a number goes out of range or
+ *  fractional, any value can take the wrong type, and an object can
+ *  lose a member or gain an unknown one. */
+Json
+mutateNode(const Json &j, Rng &rng)
+{
+    static const double kBadNumbers[] = {-1.0, 1.5, 1e20, 4294967296.0,
+                                         9007199254740993.0};
+    const std::uint64_t r = rng.next();
+    if (j.isNumber() && r % 5 != 0)
+        return Json(kBadNumbers[(r / 5) % std::size(kBadNumbers)]);
+    if (j.isObject() && j.size() > 0 && r % 3 == 0) {
+        const std::size_t drop = (r / 3) % j.size();
+        Json out = Json::object();
+        for (std::size_t i = 0; i < j.size(); i++)
+            if (i != drop)
+                out.set(j.members()[i].first, j.members()[i].second);
+        return out;
+    }
+    if (j.isObject() && r % 3 == 1) {
+        Json out = j;
+        out.set("bogus_key", 1);
+        return out;
+    }
+    if (j.isString())
+        return (r / 3) % 2 ? Json(7) : Json(true);
+    return j.isNumber() || j.isBool() ? Json("7") : Json(3);
+}
+
+/** `j` with its pre-order node number `target` mutated. */
+Json
+mutate(const Json &j, std::ptrdiff_t &target, Rng &rng)
+{
+    if (target-- == 0)
+        return mutateNode(j, rng);
+    if (j.isObject()) {
+        Json out = Json::object();
+        for (const auto &m : j.members())
+            out.set(m.first, mutate(m.second, target, rng));
+        return out;
+    }
+    if (j.isArray()) {
+        Json out = Json::array();
+        for (const Json &e : j.items())
+            out.push(mutate(e, target, rng));
+        return out;
+    }
+    return j;
 }
 
 TEST(ScenarioRegistry, NamesAreUniqueAndFindable)
@@ -73,6 +152,78 @@ TEST(ScenarioJson, RoundTripSurvivesTextSerialization)
     }
 }
 
+TEST(ScenarioJson, CanonicalBytesArePinned)
+{
+    // Spec files on disk and ubik_serve's memo keys are these bytes,
+    // so a codec change that moves any of them must show up here.
+    const std::pair<const char *, std::uint64_t> pinned[] = {
+        {"fig9", 0x6f822de34e291712ull},
+        {"fig10", 0x69a405a2f71a67a2ull},
+        {"fig11", 0x0b3bd2c938174a20ull},
+        {"fig12", 0x5ee272fa1317956bull},
+        {"fig13", 0xb1917555d711679full},
+        {"flash-crowd", 0xa690728332433e7cull},
+        {"diurnal", 0x12583b2cb360e037ull},
+        {"bursts", 0xfe7080364b52b012ull},
+        {"churn", 0xca7a9043c7d0d4cbull},
+        {"ablation-deboost", 0x881eb3a7f4b36d10ull},
+        {"ablation-feedback", 0x39269a367fcb855full},
+        {"ablation-params-idle", 0xf8d9d8943b4c0455ull},
+        {"ablation-params-guard", 0xda322b4171dbc184ull},
+        {"ablation-params-interval", 0x7ebe91c580b29717ull},
+        {"ablation-bandwidth", 0x98d17e329d81bf1cull},
+        {"fleet-utilization", 0x8b0eecfdd15ebb99ull},
+        {"fleet-colocation", 0x1887534764cf8873ull},
+        {"fleet-sizing", 0x650399c76fefad71ull},
+        {"fleet-bandwidth", 0x87532dd194b6f509ull},
+    };
+    const auto &all = ScenarioRegistry::instance().all();
+    ASSERT_EQ(all.size(), std::size(pinned));
+    for (std::size_t i = 0; i < all.size(); i++) {
+        EXPECT_EQ(all[i].name, pinned[i].first);
+        EXPECT_EQ(canonicalHash(all[i]), pinned[i].second)
+            << all[i].name;
+    }
+    std::uint64_t gen = kFnvOffsetBasis;
+    for (std::uint64_t seed = 1; seed <= 300; seed++)
+        gen = canonicalHash(generateScenario(seed), gen);
+    EXPECT_EQ(gen, 0xd45900382b5224abull);
+}
+
+TEST(ScenarioJsonFuzz, MutatedSpecsAreFatalOrCanonical)
+{
+    // Seeded single-node mutations of every registered spec. Each
+    // must either be rejected through fatal() or parse to a spec
+    // whose canonical form is a fixed point of parse -> canonical;
+    // anything else (a panic, an abort, a sanitizer report) fails.
+    FatalTrap trap;
+    Rng rng(18);
+    std::size_t rejected = 0, accepted = 0;
+    for (const ScenarioSpec &spec : ScenarioRegistry::instance().all()) {
+        const Json base = scenarioToJson(spec);
+        const std::size_t nodes = nodeCount(base);
+        for (int round = 0; round < 64; round++) {
+            std::ptrdiff_t target =
+                static_cast<std::ptrdiff_t>(rng.next() % nodes);
+            const Json input = mutate(base, target, rng);
+            std::string canonical;
+            try {
+                canonical = scenarioCanonicalJson(scenarioFromJson(input));
+            } catch (const FatalError &) {
+                rejected++;
+                continue;
+            }
+            accepted++;
+            EXPECT_EQ(scenarioCanonicalJson(scenarioFromJson(
+                          Json::parseOrDie(canonical, "fuzz"))),
+                      canonical)
+                << input.dump();
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(accepted, 0u);
+}
+
 TEST(ScenarioJson, DefaultsFillMissingFields)
 {
     ScenarioSpec s = scenarioFromJson(Json::parseOrDie(
@@ -105,10 +256,31 @@ TEST(ScenarioJsonDeath, UnknownKeysAndBadValuesAreFatal)
                 ::testing::ExitedWithCode(1), "unknown policy");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"load\": \"medium\"}", "t")),
-                ::testing::ExitedWithCode(1), "bad load band");
+                ::testing::ExitedWithCode(1), "unknown load band");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"seeds\": -1}", "t")),
                 ::testing::ExitedWithCode(1), "non-negative");
+    // The u64 seeds stop at 2^53 - 1, the integers a JSON number
+    // holds exactly: beyond it a seed would silently change value.
+    EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
+                    "{\"name\": \"x\", \"fleet\": "
+                    "{\"queue_seed\": 1e20}}",
+                    "t")),
+                ::testing::ExitedWithCode(1),
+                "queue_seed: must be a non-negative integer <= "
+                "9007199254740991");
+    EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
+                    "{\"name\": \"x\", \"load_profile\": "
+                    "{\"kind\": \"bursts\", \"burst_seed\": 3e19}}",
+                    "t")),
+                ::testing::ExitedWithCode(1),
+                "burst_seed: must be a non-negative integer");
+    EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
+                    "{\"name\": \"x\", \"fleet\": "
+                    "{\"placement_seed\": 9007199254740993}}",
+                    "t")),
+                ::testing::ExitedWithCode(1),
+                "placement_seed: must be a non-negative integer");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"schemes\": []}", "t")),
                 ::testing::ExitedWithCode(1), "required");
@@ -223,7 +395,7 @@ TEST(ScenarioJsonDeath, BadLoadProfileBlocksAreFatal)
                     "\"a\"}], \"load_profile\": {\"kind\": "
                     "\"tsunami\"}}",
                     "t")),
-                ::testing::ExitedWithCode(1), "unknown kind");
+                ::testing::ExitedWithCode(1), "unknown load profile kind");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"schemes\": [{\"label\": "
                     "\"a\"}], \"load_profile\": {\"kind\": "
@@ -344,37 +516,37 @@ TEST(ScenarioKindNames, RoundTripThroughSharedMaps)
     for (PolicyKind k :
          {PolicyKind::Lru, PolicyKind::Ucp, PolicyKind::StaticLc,
           PolicyKind::OnOff, PolicyKind::Ubik, PolicyKind::Feedback})
-        EXPECT_EQ(policyKindFromName(policyKindName(k)), k);
+        EXPECT_EQ(enumFromName<PolicyKind>(enumName(k)), k);
     for (ArrayKind k :
          {ArrayKind::Z4_52, ArrayKind::SA16, ArrayKind::SA64})
-        EXPECT_EQ(arrayKindFromName(arrayKindName(k)), k);
-    EXPECT_EQ(arrayKindFromName("zcache"), ArrayKind::Z4_52);
+        EXPECT_EQ(enumFromName<ArrayKind>(enumName(k)), k);
+    EXPECT_EQ(enumFromName<ArrayKind>("zcache"), ArrayKind::Z4_52);
     for (SchemeKind k : {SchemeKind::SharedLru, SchemeKind::Vantage,
                          SchemeKind::WayPart})
-        EXPECT_EQ(schemeKindFromName(schemeKindName(k)), k);
+        EXPECT_EQ(enumFromName<SchemeKind>(enumName(k)), k);
     EXPECT_EQ(schemeKindFromNameOrAuto("auto", PolicyKind::Lru),
               SchemeKind::SharedLru);
     EXPECT_EQ(schemeKindFromNameOrAuto("auto", PolicyKind::Ubik),
               SchemeKind::Vantage);
     for (MemKind k : {MemKind::Fixed, MemKind::Contended,
                       MemKind::Partitioned})
-        EXPECT_EQ(memKindFromName(memKindName(k)), k);
+        EXPECT_EQ(enumFromName<MemKind>(enumName(k)), k);
 
     PolicyKind p;
-    EXPECT_FALSE(tryPolicyKindFromName("nope", p));
+    EXPECT_FALSE(tryEnumFromName("nope", p));
     BatchClass c;
-    EXPECT_TRUE(tryBatchClassFromCode('t', c));
+    EXPECT_TRUE(tryEnumFromName("t", c));
     EXPECT_EQ(c, BatchClass::Fitting);
-    EXPECT_FALSE(tryBatchClassFromCode('x', c));
+    EXPECT_FALSE(tryEnumFromName("x", c));
 }
 
 TEST(ScenarioKindNamesDeath, UnknownNamesAreFatal)
 {
-    EXPECT_EXIT(policyKindFromName("Ubikk"),
+    EXPECT_EXIT(enumFromName<PolicyKind>("Ubikk"),
                 ::testing::ExitedWithCode(1), "unknown policy");
-    EXPECT_EXIT(arrayKindFromName("Z8"),
+    EXPECT_EXIT(enumFromName<ArrayKind>("Z8"),
                 ::testing::ExitedWithCode(1), "unknown array");
-    EXPECT_EXIT(memKindFromName("infinite"),
+    EXPECT_EXIT(enumFromName<MemKind>("infinite"),
                 ::testing::ExitedWithCode(1), "unknown memory model");
 }
 

@@ -18,16 +18,16 @@ TEST(BatchClass, CodesRoundTrip)
     for (BatchClass c :
          {BatchClass::Insensitive, BatchClass::Friendly,
           BatchClass::Fitting, BatchClass::Streaming})
-        EXPECT_EQ(batchClassFromCode(batchClassCode(c)), c);
-    EXPECT_EQ(batchClassCode(BatchClass::Insensitive), 'n');
-    EXPECT_EQ(batchClassCode(BatchClass::Friendly), 'f');
-    EXPECT_EQ(batchClassCode(BatchClass::Fitting), 't');
-    EXPECT_EQ(batchClassCode(BatchClass::Streaming), 's');
+        EXPECT_EQ(enumFromName<BatchClass>(enumName(c)), c);
+    EXPECT_EQ(*enumName(BatchClass::Insensitive), 'n');
+    EXPECT_EQ(*enumName(BatchClass::Friendly), 'f');
+    EXPECT_EQ(*enumName(BatchClass::Fitting), 't');
+    EXPECT_EQ(*enumName(BatchClass::Streaming), 's');
 }
 
 TEST(BatchClassDeath, UnknownCodeIsFatal)
 {
-    EXPECT_EXIT(batchClassFromCode('x'),
+    EXPECT_EXIT(enumFromName<BatchClass>("x"),
                 ::testing::ExitedWithCode(1), "unknown batch class");
 }
 

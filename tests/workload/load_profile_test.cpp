@@ -185,12 +185,12 @@ TEST(LoadProfile, KindNamesRoundTrip)
           LoadProfileKind::Churn}) {
         LoadProfileKind back;
         ASSERT_TRUE(
-            tryLoadProfileKindFromName(loadProfileKindName(k), back));
+            tryEnumFromName(enumName(k), back));
         EXPECT_EQ(back, k);
     }
     LoadProfileKind out;
-    EXPECT_FALSE(tryLoadProfileKindFromName("flashcrowd", out));
-    EXPECT_FALSE(tryLoadProfileKindFromName("", out));
+    EXPECT_FALSE(tryEnumFromName("flashcrowd", out));
+    EXPECT_FALSE(tryEnumFromName("", out));
 }
 
 TEST(LoadProfile, CanonicalCoversKindRelevantParamsOnly)

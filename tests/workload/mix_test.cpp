@@ -21,8 +21,8 @@ TEST(MixBuilder, TwentyClassCombos)
     // all are distinct.
     std::set<std::string> seen;
     for (const auto &c : combos) {
-        std::string key = {batchClassCode(c[0]), batchClassCode(c[1]),
-                           batchClassCode(c[2])};
+        std::string key = {*enumName(c[0]), *enumName(c[1]),
+                           *enumName(c[2])};
         EXPECT_TRUE(seen.insert(key).second) << "duplicate " << key;
     }
 }
@@ -42,7 +42,7 @@ TEST(MixBuilder, MixNameEncodesClasses)
     for (const auto &m : mixes) {
         ASSERT_EQ(m.name.size(), 5u); // "nft-0"
         for (int i = 0; i < 3; i++)
-            EXPECT_EQ(m.name[i], batchClassCode(m.apps[i].cls));
+            EXPECT_EQ(m.name[i], *enumName(m.apps[i].cls));
     }
 }
 

@@ -24,7 +24,6 @@
 #include "common/cli.h"
 #include "common/log.h"
 #include "report/report.h"
-#include "sim/kind_names.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "stats/streaming_stats.h"
@@ -53,18 +52,17 @@ main(int argc, char **argv)
                  "supplies the timing model and alone-IPC baselines");
     auto &load = cli.flag("load", 0.2, "offered load (0, 1)");
     auto &policy_name =
-        cli.flag("policy", "Ubik",
-                 "LRU, UCP, StaticLC, OnOff, Ubik, Feedback");
-    auto &scheme_name =
-        cli.flag("scheme", "auto", "auto, Vantage, WayPart, LRU");
-    auto &array_name = cli.flag("array", "zcache",
-                                "zcache, SA16, SA64");
+        cli.flag("policy", "Ubik", enumNameList<PolicyKind>());
+    auto &scheme_name = cli.flag("scheme", "auto",
+                                 "auto, " + enumNameList<SchemeKind>());
+    auto &array_name =
+        cli.flag("array", "zcache", enumNameList<ArrayKind>());
     auto &slack = cli.flag("slack", 0.05, "Ubik tail-latency slack");
     auto &batch = cli.flag("batch", "fts",
                            "three batch classes, e.g. fts, nnn, sss "
                            "(n/f/t/s)");
     auto &mem = cli.flag("mem", "fixed",
-                         "memory model: fixed, contended, partitioned");
+                         "memory model: " + enumNameList<MemKind>());
     auto &seeds = cli.flag("seeds", static_cast<std::int64_t>(1),
                            "run seeds 1..N through the parallel "
                            "engine and report the spread");
@@ -114,12 +112,13 @@ main(int argc, char **argv)
     cfg.printHeader("ubik_cli");
 
     SchemeUnderTest sut;
-    sut.policy = policyKindFromName(policy_name.value);
+    sut.policy =
+        enumFromName<PolicyKind>(policy_name.value, "--policy");
     sut.scheme =
         schemeKindFromNameOrAuto(scheme_name.value, sut.policy);
-    sut.array = arrayKindFromName(array_name.value);
+    sut.array = enumFromName<ArrayKind>(array_name.value, "--array");
     sut.slack = slack.value;
-    sut.mem = memKindFromName(mem.value);
+    sut.mem = enumFromName<MemKind>(mem.value, "--mem");
     sut.label = policy_name.value;
 
     ScenarioMix mix;
@@ -129,8 +128,10 @@ main(int argc, char **argv)
     mix.lcPreset = lc.value;
     mix.load = load.value;
     for (std::size_t i = 0; i < 3; i++)
-        mix.batch[i] = BatchSel{batchClassFromCode(batch.value[i]),
-                                static_cast<std::uint32_t>(i)};
+        mix.batch[i] =
+            BatchSel{enumFromName<BatchClass>(batch.value.substr(i, 1),
+                                              "--batch"),
+                     static_cast<std::uint32_t>(i)};
     if (!lc_trace.value.empty())
         mix.lcTraces.push_back(lc_trace.value);
     if (!batch_trace.value.empty())

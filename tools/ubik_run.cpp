@@ -29,6 +29,8 @@
  */
 
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,9 @@
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "report/report.h"
+#include "sim/claim_store.h"
+#include "sim/parallel_sweep.h"
+#include "sim/result_cache.h"
 #include "sim/scenario.h"
 
 using namespace ubik;
@@ -48,26 +53,106 @@ listScenarios()
     std::printf("%-26s %-8s %-13s %s\n", "name", "schemes", "mixes",
                 "title");
     for (const ScenarioSpec &s : ScenarioRegistry::instance().all()) {
-        std::string mixes;
-        switch (s.source) {
-          case MixSource::Standard:
-            mixes = "standard";
-            if (s.mixesPerLcCap)
-                mixes += "<=" + std::to_string(s.mixesPerLcCap);
-            break;
-          case MixSource::CacheHungry:
-            mixes = "cache-hungry";
-            break;
-          case MixSource::Explicit:
+        std::string mixes = enumName(s.source);
+        if (s.source == MixSource::Explicit)
             mixes = std::to_string(s.mixes.size()) + " explicit";
-            break;
-        }
+        if (s.mixesPerLcCap) // only a standard source may set one
+            mixes += "<=" + std::to_string(s.mixesPerLcCap);
         if (s.band != LoadBand::All)
-            mixes += std::string("/") + loadBandName(s.band);
+            mixes += std::string("/") + enumName(s.band);
         std::printf("%-26s %-8zu %-13s %s\n", s.name.c_str(),
                     s.schemes.size(), mixes.c_str(),
                     s.title.c_str());
     }
+}
+
+/**
+ * --fleet-status: without running anything, print how much of the
+ * spec's sweep matrix the cache already holds, and who holds live
+ * claim leases (<cache-dir>/claims/) — per-worker matrix fill for a
+ * distributed fleet mid-sweep.
+ */
+void
+printFleetStatus(const ScenarioSpec &spec,
+                 const ExperimentConfig &cfg0)
+{
+    ExperimentConfig cfg = scenarioConfig(spec, cfg0);
+    if (cfg.cacheDir.empty())
+        fatal("--fleet-status needs a cache: pass --cache-dir "
+              "(or UBIK_CACHE_DIR)");
+    std::unique_ptr<ResultCache> cache =
+        ResultCache::open(cfg.cacheDir);
+    if (!cache)
+        fatal("--fleet-status: cannot open cache at %s",
+              cfg.cacheDir.c_str());
+    std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
+    std::vector<SweepJob> jobs =
+        buildSweepJobs(spec.schemes, mixes, cfg.seeds);
+
+    // Matrix fill: probe every (scheme, mix, seed) result key plus
+    // the baseline keys the sweep would prewarm. Probes only — no
+    // stats counted, nothing computed, nothing claimed.
+    std::set<std::string> jobKeys;
+    std::size_t done = 0;
+    for (const SweepJob &job : jobs) {
+        std::string key =
+            mixResultKey(cfg, job.mix, job.sut, job.seed, spec.ooo);
+        jobKeys.insert(key);
+        if (cache->peekMix(key))
+            done++;
+    }
+    std::size_t lcTotal = 0, lcDone = 0;
+    std::size_t batchTotal = 0, batchDone = 0;
+    std::set<std::string> seenBase;
+    for (const MixSpec &mix : mixes)
+        for (std::uint32_t s = 1; s <= cfg.seeds; s++) {
+            std::string lk = lcBaselineKey(cfg, mix.lc.app,
+                                           mix.lc.load, s, spec.ooo);
+            if (seenBase.insert(lk).second) {
+                lcTotal++;
+                if (cache->hasLcBaseline(lk))
+                    lcDone++;
+            }
+            for (const auto &app : mix.batch.apps) {
+                std::string bk =
+                    batchBaselineKey(cfg, app, s, spec.ooo);
+                if (seenBase.insert(bk).second) {
+                    batchTotal++;
+                    if (cache->hasBatchIpc(bk))
+                        batchDone++;
+                }
+            }
+        }
+    std::printf("[fleet-status] scenario=%s cache=%s\n",
+                spec.name.c_str(), cfg.cacheDir.c_str());
+    std::printf("[fleet-status] matrix: jobs=%zu done=%zu (%.1f%%) "
+                "lc_baselines=%zu/%zu batch_baselines=%zu/%zu\n",
+                jobs.size(), done,
+                jobs.empty() ? 100.0 : 100.0 * done / jobs.size(),
+                lcDone, lcTotal, batchDone, batchTotal);
+
+    // Live claim leases: who is mid-computation right now. A key
+    // outside this scenario's matrix counts as foreign (another
+    // scenario, or another scale, sharing the cache); a lease whose
+    // claimant has not written its payload yet is not counted.
+    std::map<std::string, std::pair<std::size_t, std::size_t>> owners;
+    std::size_t leases = 0;
+    for (const ClaimStore::Lease &l : ClaimStore::leases(cfg.cacheDir)) {
+        if (l.owner.empty())
+            continue;
+        leases++;
+        auto &c = owners[l.owner];
+        c.first++;
+        if (jobKeys.count(l.key))
+            c.second++;
+    }
+    std::printf("[fleet-status] claims: live=%zu workers=%zu\n",
+                leases, owners.size());
+    for (const auto &o : owners)
+        std::printf("[fleet-status] worker=%s claims=%zu "
+                    "in_matrix=%zu\n",
+                    o.first.c_str(), o.second.first,
+                    o.second.second);
 }
 
 } // namespace
@@ -90,9 +175,8 @@ main(int argc, char **argv)
                                "load the scenario from a JSON spec "
                                "file instead of the registry");
     auto &sets = cli.multiFlag(
-        "set",
-        "override a spec field, key=value; keys: seeds, mixes, load, "
-        "ooo, source, schemes (label filter); later wins");
+        "set", "override a spec field, key=value; keys: " +
+                   scenarioOverrideKeys() + "; later wins");
     auto &results =
         cli.flag("results", "",
                  "write the full sweep as structured JSON to this "

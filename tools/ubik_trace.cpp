@@ -70,11 +70,9 @@ doRecord(const std::string &what, std::uint64_t requests,
         fatal("--record needs --out <file>");
     TraceData td;
     if (what.rfind("batch:", 0) == 0) {
-        if (what.size() != 7)
-            fatal("--record batch:<c> with c one of n/f/t/s");
-        BatchAppParams p =
-            batch_presets::make(batchClassFromCode(what[6]))
-                .scaled(scale);
+        BatchClass cls =
+            enumFromName<BatchClass>(what.substr(6), "--record batch:<c>");
+        BatchAppParams p = batch_presets::make(cls).scaled(scale);
         td = captureBatchTrace(p, accesses, seed);
         std::printf("captured %llu accesses of batch class '%c'\n",
                     static_cast<unsigned long long>(td.accesses.size()),
