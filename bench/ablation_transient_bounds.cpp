@@ -182,27 +182,9 @@ main()
                 std::uint64_t s_idle = s_active * i / 4;
                 TransientEstimate tr =
                     model.upperBound(s_idle, s_active);
-                // Find the smallest repaying boost.
-                std::uint64_t s_boost = 0;
-                for (std::uint64_t s = s_active + kLlc / 256;
-                     s <= kLlc / 2; s += kLlc / 256) {
-                    TransientEstimate fill =
-                        model.upperBound(s_idle, s);
-                    if (fill.unbounded ||
-                        fill.duration >=
-                            static_cast<double>(deadline))
-                        break;
-                    double gain =
-                        model.gainRate(s_active, s) *
-                        (static_cast<double>(deadline) -
-                         fill.duration);
-                    if (gain >= tr.lostCycles) {
-                        s_boost = s;
-                        break;
-                    }
-                }
-                if (tr.lostCycles <= 0)
-                    s_boost = s_active;
+                std::uint64_t s_boost = model.solveBoost(
+                    s_idle, s_active, kLlc / 2, deadline,
+                    tr.lostCycles, kLlc / 256);
                 if (s_boost)
                     std::printf("  idle=%5llu boost=%5llu",
                                 static_cast<unsigned long long>(

@@ -98,24 +98,9 @@ main(int argc, char **argv)
     std::uint64_t s_idle = target / 2;
     TransientEstimate tr = model.upperBound(s_idle, target);
     for (double ms : {0.05, 0.2, 1.0, 5.0, 25.0}) {
-        Cycles deadline = msToCycles(ms);
-        std::uint64_t boost = 0;
-        for (std::uint64_t s = target + llc / 256; s <= llc / 2;
-             s += llc / 256) {
-            TransientEstimate fill = model.upperBound(s_idle, s);
-            if (fill.unbounded ||
-                fill.duration >= static_cast<double>(deadline))
-                break;
-            double gain = model.gainRate(target, s) *
-                          (static_cast<double>(deadline) -
-                           fill.duration);
-            if (gain >= tr.lostCycles) {
-                boost = s;
-                break;
-            }
-        }
-        if (tr.lostCycles <= 0)
-            boost = target;
+        std::uint64_t boost =
+            model.solveBoost(s_idle, target, llc / 2, msToCycles(ms),
+                             tr.lostCycles, llc / 256);
         if (boost)
             std::printf("%14.2f %12llu\n", ms,
                         static_cast<unsigned long long>(boost));

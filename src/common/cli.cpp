@@ -6,6 +6,7 @@
 #include <variant>
 
 #include "common/log.h"
+#include "common/parse_num.h"
 
 namespace ubik {
 
@@ -57,11 +58,12 @@ struct Cli::Entry
             return;
         }
         if (auto **f = std::get_if<Flag<double> *>(&target)) {
-            char *end = nullptr;
-            double v = std::strtod(text.c_str(), &end);
-            if (end == text.c_str() || *end != '\0')
-                fatal("--%s: '%s' is not a number", name.c_str(),
-                      text.c_str());
+            // "nan" would pass every `<` range check a tool makes, and
+            // no flag means anything by "inf".
+            double v = 0;
+            if (!parseFiniteStrict(text.c_str(), v))
+                fatal("--%s: '%s' is not a number (finite values only)",
+                      name.c_str(), text.c_str());
             (*f)->value = v;
             (*f)->seen = true;
             return;
@@ -244,6 +246,19 @@ Cli::parse(int argc, const char *const *argv)
         }
         e->set(value);
     }
+}
+
+std::uint64_t
+flagInRange(const Flag<std::int64_t> &flag, std::uint64_t lo,
+            std::uint64_t hi)
+{
+    if (flag.value < 0 || static_cast<std::uint64_t>(flag.value) < lo ||
+        static_cast<std::uint64_t>(flag.value) > hi)
+        fatal("--%s must be in [%llu, %llu] (got %lld)",
+              flag.name.c_str(), static_cast<unsigned long long>(lo),
+              static_cast<unsigned long long>(hi),
+              static_cast<long long>(flag.value));
+    return static_cast<std::uint64_t>(flag.value);
 }
 
 } // namespace ubik

@@ -96,4 +96,13 @@ class Cli
     std::vector<std::string> positionals_;
 };
 
+/**
+ * An integer flag's value checked against [lo, hi]; fatal() naming
+ * the flag when it is outside. Tools read counts through this before
+ * any unsigned or narrowing cast, so "-1" cannot wrap to 2^64-1 and
+ * 4294967297 workers cannot truncate to one.
+ */
+std::uint64_t flagInRange(const Flag<std::int64_t> &flag,
+                          std::uint64_t lo, std::uint64_t hi);
+
 } // namespace ubik

@@ -6,35 +6,6 @@
 
 namespace ubik {
 
-namespace {
-
-/** Smallest boost in (s_active, cap] whose post-transient gain repays
- *  `lost` cycles by the deadline (mirrors UbikPolicy::solveBoost). */
-std::uint64_t
-solveBoost(const TransientModel &model, std::uint64_t s_idle,
-           std::uint64_t s_active, std::uint64_t cap, Cycles deadline,
-           double lost, std::uint64_t step)
-{
-    if (lost <= 0)
-        return s_active;
-    if (deadline == 0)
-        return 0;
-    for (std::uint64_t s = s_active + step; s <= cap; s += step) {
-        TransientEstimate fill = model.upperBound(s_idle, s);
-        if (fill.unbounded)
-            return 0;
-        if (fill.duration >= static_cast<double>(deadline))
-            return 0;
-        double gain_time =
-            static_cast<double>(deadline) - fill.duration;
-        if (model.gainRate(s_active, s) * gain_time >= lost)
-            return s;
-    }
-    return 0;
-}
-
-} // namespace
-
 AdvisorReport
 advise(const AdvisorInput &in)
 {
@@ -83,8 +54,8 @@ advise(const AdvisorInput &in)
         opt.lostCycles = tr.lostCycles;
         if (!tr.unbounded) {
             std::uint64_t boost =
-                solveBoost(model, s_idle, in.targetLines, cap,
-                           in.deadline, tr.lostCycles, step);
+                model.solveBoost(s_idle, in.targetLines, cap,
+                                 in.deadline, tr.lostCycles, step);
             if (boost != 0) {
                 opt.sBoost = boost;
                 opt.feasible = true;

@@ -90,4 +90,26 @@ TransientModel::gainRate(std::uint64_t s_small, std::uint64_t s_big) const
     return (p_small - p_big) * m_ / t_access;
 }
 
+std::uint64_t
+TransientModel::solveBoost(std::uint64_t s_idle, std::uint64_t s_active,
+                           std::uint64_t cap, Cycles deadline, double lost,
+                           std::uint64_t step) const
+{
+    if (lost <= 0)
+        return s_active;
+    if (deadline == 0)
+        return 0;
+    for (std::uint64_t s = s_active + step; s <= cap; s += step) {
+        TransientEstimate fill = upperBound(s_idle, s);
+        if (fill.unbounded)
+            return 0; // cannot fill this high; larger is worse
+        if (fill.duration >= static_cast<double>(deadline))
+            return 0; // transient alone eats the deadline
+        double gain_time = static_cast<double>(deadline) - fill.duration;
+        if (gainRate(s_active, s) * gain_time >= lost)
+            return s;
+    }
+    return 0;
+}
+
 } // namespace ubik

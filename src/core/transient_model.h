@@ -76,6 +76,17 @@ class TransientModel
      */
     double gainRate(std::uint64_t s_small, std::uint64_t s_big) const;
 
+    /**
+     * Fig 7's boost search: the smallest s_boost in
+     * (s_active, cap], walked in `step`-line increments, whose gain
+     * over s_active repays `lost` cycles by the deadline, counting
+     * the fill from s_idle against it. s_active when nothing is lost;
+     * 0 when no boost repays in time.
+     */
+    std::uint64_t solveBoost(std::uint64_t s_idle, std::uint64_t s_active,
+                             std::uint64_t cap, Cycles deadline,
+                             double lost, std::uint64_t step) const;
+
     double c() const { return c_; }
     double m() const { return m_; }
 

@@ -98,31 +98,6 @@ UbikPolicy::resizeLc(AppId app, std::uint64_t lines)
     applyBatchAllocation();
 }
 
-std::uint64_t
-UbikPolicy::solveBoost(const TransientModel &model, std::uint64_t s_idle,
-                       std::uint64_t s_active, std::uint64_t boost_cap,
-                       Cycles deadline, double lost) const
-{
-    if (lost <= 0)
-        return s_active;
-    if (deadline == 0)
-        return 0;
-    const std::uint64_t total = scheme_.array().numLines();
-    const std::uint64_t step = linesPerBucket(total);
-    for (std::uint64_t s = s_active + step; s <= boost_cap; s += step) {
-        TransientEstimate fill = model.upperBound(s_idle, s);
-        if (fill.unbounded)
-            return 0; // cannot fill this high; larger is worse
-        if (fill.duration >= static_cast<double>(deadline))
-            return 0; // transient alone eats the deadline
-        double gain_time = static_cast<double>(deadline) - fill.duration;
-        double gain = model.gainRate(s_active, s) * gain_time;
-        if (gain >= lost)
-            return s;
-    }
-    return 0;
-}
-
 void
 UbikPolicy::sizeLcApp(AppId app)
 {
@@ -198,8 +173,8 @@ UbikPolicy::sizeLcApp(AppId app)
             TransientEstimate tr = model.upperBound(s_idle, s_act);
             if (tr.unbounded)
                 break; // cannot refill s_act at all: stop downsizing
-            std::uint64_t s_boost = solveBoost(model, s_idle, s_act, cap,
-                                               deadline, tr.lostCycles);
+            std::uint64_t s_boost = model.solveBoost(
+                s_idle, s_act, cap, deadline, tr.lostCycles, step);
             if (s_boost == 0)
                 break; // infeasible; lower s_idle only gets worse
             if (!table_.valid())

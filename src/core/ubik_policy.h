@@ -153,15 +153,6 @@ class UbikPolicy : public PartitionPolicy
      */
     void sizeLcApp(AppId app);
 
-    /**
-     * Smallest s_boost in [s_active, boost cap] whose post-transient
-     * gain repays `lost` cycles by the deadline; 0 if infeasible.
-     */
-    std::uint64_t solveBoost(const TransientModel &model,
-                             std::uint64_t s_idle, std::uint64_t s_active,
-                             std::uint64_t boost_cap, Cycles deadline,
-                             double lost) const;
-
     /** Apply an LC partition resize and rebalance batch partitions
      *  through the repartitioning table. */
     void resizeLc(AppId app, std::uint64_t lines);

@@ -1,8 +1,9 @@
 #include "sim/experiment.h"
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/log.h"
 #include "common/parse_num.h"
@@ -13,22 +14,35 @@ namespace ubik {
 
 namespace {
 
-double
-envDouble(const char *name, double dflt)
+/**
+ * Read numeric environment variable `name` into `field`, which keeps
+ * its default when the variable is unset or empty. The field's type
+ * bounds the value: a 32-bit count takes at most 2^32-1 and a double
+ * must be finite. Malformed input is fatal and names the variable, so
+ * "3x" cannot run 3 mixes, 4294967297 seeds cannot truncate to 1 and
+ * "nan" cannot slip past a range check.
+ */
+template <typename T>
+void
+readEnv(const char *name, T &field)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
-        return dflt;
-    return std::atof(v);
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    return std::strtoull(v, nullptr, 10);
+        return;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!parseFiniteStrict(v, field))
+            fatal("%s='%s' is not a finite number", name, v);
+    } else {
+        const std::uint64_t max = std::is_same_v<T, bool>
+                                      ? ~0ull
+                                      : std::numeric_limits<T>::max();
+        std::uint64_t n = 0;
+        if (!parseU64Strict(v, max, n))
+            fatal("%s='%s' is not a non-negative integer within "
+                  "[0, %llu]",
+                  name, v, static_cast<unsigned long long>(max));
+        field = static_cast<T>(n);
+    }
 }
 
 std::uint64_t
@@ -46,36 +60,23 @@ ExperimentConfig
 ExperimentConfig::fromEnv()
 {
     ExperimentConfig cfg;
-    cfg.scale = envDouble("UBIK_SCALE", 8.0);
+    readEnv("UBIK_SCALE", cfg.scale);
     if (cfg.scale < 1.0)
         fatal("UBIK_SCALE must be >= 1 (got %f)", cfg.scale);
-    cfg.roiRequests = envU64("UBIK_REQUESTS", 100);
-    cfg.warmupRequests = envU64("UBIK_WARMUP", 25);
-    cfg.seeds = static_cast<std::uint32_t>(envU64("UBIK_SEEDS", 1));
-    cfg.mixesPerLc =
-        static_cast<std::uint32_t>(envU64("UBIK_MIXES", 3));
-    // Strict whole-string parse with range validation: "-1" must not
-    // wrap into ~2^32 worker threads, "4x" must not run 4 workers,
-    // and 2^32+1 must not truncate to 1. Malformed input is fatal
-    // here — the single validation site — so it cannot silently run
-    // the wrong experiment shape (JobPool::resolveWorkers ignores bad
-    // values because callers resolve several times per run).
-    const char *jobs_env = std::getenv("UBIK_JOBS");
-    if (jobs_env && *jobs_env) {
-        std::uint64_t v = 0;
-        if (!parseU64Strict(jobs_env, UINT_MAX, v))
-            fatal("UBIK_JOBS='%s' is not a non-negative integer "
-                  "within [0, %u]",
-                  jobs_env, UINT_MAX);
-        cfg.jobs = static_cast<std::uint32_t>(v);
-    }
-    cfg.verbose = envU64("UBIK_VERBOSE", 0) != 0;
+    readEnv("UBIK_REQUESTS", cfg.roiRequests);
+    readEnv("UBIK_WARMUP", cfg.warmupRequests);
+    readEnv("UBIK_SEEDS", cfg.seeds);
+    readEnv("UBIK_MIXES", cfg.mixesPerLc);
+    // Validated here, the single site: JobPool::resolveWorkers
+    // ignores bad values because callers resolve several times a run.
+    readEnv("UBIK_JOBS", cfg.jobs);
+    readEnv("UBIK_VERBOSE", cfg.verbose);
     if (const char *dir = std::getenv("UBIK_CACHE_DIR"))
         cfg.cacheDir = dir;
-    cfg.fleet = envU64("UBIK_FLEET", 0) != 0;
+    readEnv("UBIK_FLEET", cfg.fleet);
     if (const char *w = std::getenv("UBIK_WORKER_ID"))
         cfg.workerId = w;
-    cfg.leaseTtlSec = envDouble("UBIK_LEASE_TTL", 60.0);
+    readEnv("UBIK_LEASE_TTL", cfg.leaseTtlSec);
     if (cfg.leaseTtlSec <= 0)
         fatal("UBIK_LEASE_TTL must be > 0 seconds (got %f)",
               cfg.leaseTtlSec);

@@ -31,6 +31,10 @@
  *   UBIK_SHARD    "i/n": run only every n-th selected mix, offset i
  *                 (splits one matrix across CI jobs; results land
  *                 under the same cache keys as the unsharded sweep)
+ *
+ * Numbers are read strictly: trailing garbage, a negative or
+ * out-of-range count, or a non-finite number is fatal and names the
+ * variable.
  */
 
 #pragma once

@@ -152,6 +152,38 @@ TEST(Cli, BadNumbersAreFatal)
     }
 }
 
+TEST(Cli, NonFiniteNumbersAreFatal)
+{
+    for (const char *text : {"nan", "inf", "-inf", "1e999"}) {
+        Cli cli("t", "test");
+        cli.flag("scale", 8.0, "h");
+        const char *argv[] = {"t", "--scale", text};
+        EXPECT_EXIT(cli.parse(3, argv), testing::ExitedWithCode(1),
+                    "--scale: '.*' is not a number \\(finite values");
+    }
+}
+
+TEST(Cli, FlagInRangeRejectsWrapAndTruncation)
+{
+    Cli cli("t", "test");
+    auto &jobs = cli.flag("jobs", static_cast<std::int64_t>(0), "h");
+    const char *argv[] = {"t", "--jobs", "7"};
+    cli.parse(3, argv);
+    EXPECT_EQ(flagInRange(jobs, 0, UINT32_MAX), 7u);
+
+    // -1 would wrap through an unsigned cast; 2^32 and 2^32+1 would
+    // truncate to 0 and 1 through a 32-bit one.
+    for (std::int64_t bad : {std::int64_t{-1}, std::int64_t{4294967296},
+                             std::int64_t{4294967297}}) {
+        jobs.value = bad;
+        EXPECT_EXIT(flagInRange(jobs, 0, UINT32_MAX),
+                    testing::ExitedWithCode(1), "--jobs must be in");
+    }
+    jobs.value = 0;
+    EXPECT_EXIT(flagInRange(jobs, 1, UINT32_MAX),
+                testing::ExitedWithCode(1), "--jobs must be in \\[1,");
+}
+
 TEST(Cli, PositionalArgumentsRejected)
 {
     Cli cli("t", "test");

@@ -159,6 +159,36 @@ TEST(TransientModel, RepaymentIdentity)
     EXPECT_NEAR(repay_cycles / 1e6, 10.9, 0.1);
 }
 
+TEST(TransientModel, SolveBoostFindsSmallestRepayingStep)
+{
+    TransientModel m(paperCurve(), 1000000, paperProfile());
+    const std::uint64_t s_idle = 8192, s_act = 16384, cap = 32768;
+    const std::uint64_t step = 1024;
+    const double lost = m.upperBound(s_idle, s_act).lostCycles;
+    ASSERT_GT(lost, 0);
+
+    // Nothing lost: s_active itself; no deadline, or one the fill
+    // alone overruns: no boost repays.
+    EXPECT_EQ(m.solveBoost(s_idle, s_act, cap, 30000000, 0.0, step),
+              s_act);
+    EXPECT_EQ(m.solveBoost(s_idle, s_act, cap, 0, lost, step), 0u);
+    EXPECT_EQ(m.solveBoost(s_idle, s_act, cap, 1000, lost, step), 0u);
+
+    // A 30M-cycle deadline: one step's gain falls short, two repay.
+    const Cycles deadline = 30000000;
+    auto repays = [&](std::uint64_t s) {
+        TransientEstimate fill = m.upperBound(s_idle, s);
+        return m.gainRate(s_act, s) *
+                   (static_cast<double>(deadline) - fill.duration) >=
+               lost;
+    };
+    std::uint64_t b =
+        m.solveBoost(s_idle, s_act, cap, deadline, lost, step);
+    EXPECT_EQ(b, s_act + 2 * step);
+    EXPECT_TRUE(repays(b));
+    EXPECT_FALSE(repays(b - step));
+}
+
 class TransientSweep
     : public ::testing::TestWithParam<std::tuple<double, double>>
 {

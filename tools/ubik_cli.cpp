@@ -92,14 +92,12 @@ main(int argc, char **argv)
     if (batch.value.size() != 3)
         fatal("--batch needs exactly three class codes (n/f/t/s)");
 
-    if (seeds.value < 1)
-        fatal("--seeds must be >= 1");
-    if (jobs.value < 0)
-        fatal("--jobs must be >= 0 (0 = UBIK_JOBS or all cores)");
+    const std::uint64_t n_seeds = flagInRange(seeds, 1, UINT32_MAX);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
 
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
-    if (jobs.value > 0)
-        cfg.jobs = static_cast<std::uint32_t>(jobs.value);
+    if (n_jobs > 0)
+        cfg.jobs = static_cast<std::uint32_t>(n_jobs);
     if (!cache_dir.value.empty())
         cfg.cacheDir = cache_dir.value;
     if (no_cache.value)
@@ -142,7 +140,7 @@ main(int argc, char **argv)
     spec.source = MixSource::Explicit;
     spec.mixes.push_back(mix);
     spec.schemes.push_back(sut);
-    spec.seeds = static_cast<std::uint32_t>(seeds.value);
+    spec.seeds = static_cast<std::uint32_t>(n_seeds);
     spec.ooo = !inorder.value;
 
     std::unique_ptr<ResultCache> cache = ResultCache::open(cfg.cacheDir);

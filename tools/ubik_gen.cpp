@@ -46,10 +46,9 @@ main(int argc, char **argv)
                  "directory (default: concatenate to stdout)");
     cli.parse(argc, argv);
 
-    if (seed.value < 0)
-        fatal("--seed must be >= 0");
-    if (count.value < 1)
-        fatal("--count must be >= 1");
+    // The last seed, first + count - 1, must not pass INT64_MAX.
+    const std::uint64_t first = flagInRange(seed, 0, INT64_MAX);
+    const std::uint64_t n = flagInRange(count, 1, INT64_MAX - first + 1);
 
     if (!out_dir.value.empty()) {
         std::error_code ec;
@@ -59,8 +58,7 @@ main(int argc, char **argv)
                   ec.message().c_str());
     }
 
-    for (std::int64_t i = 0; i < count.value; i++) {
-        std::uint64_t s = static_cast<std::uint64_t>(seed.value + i);
+    for (std::uint64_t s = first; s < first + n; s++) {
         std::string json = scenarioCanonicalJson(generateScenario(s));
         if (out_dir.value.empty()) {
             std::printf("%s\n", json.c_str());

@@ -225,6 +225,7 @@ main(int argc, char **argv)
     auto &verbose =
         cli.flag("verbose", false, "chatty progress output");
     cli.parse(argc, argv);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
 
     setVerbose(verbose.value);
     if (!failpoints.value.empty()) {
@@ -301,10 +302,8 @@ main(int argc, char **argv)
     applyScenarioOverrides(spec, sets.value);
 
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
-    if (jobs.value < 0)
-        fatal("--jobs must be >= 0 (0 = UBIK_JOBS or all cores)");
-    if (jobs.value > 0)
-        cfg.jobs = static_cast<std::uint32_t>(jobs.value);
+    if (n_jobs > 0)
+        cfg.jobs = static_cast<std::uint32_t>(n_jobs);
     if (!cache_dir.value.empty())
         cfg.cacheDir = cache_dir.value;
     if (no_cache.value)

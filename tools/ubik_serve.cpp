@@ -138,6 +138,7 @@ main(int argc, char **argv)
     auto &verbose =
         cli.flag("verbose", false, "server: per-request log lines");
     cli.parse(argc, argv);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
 
     bool server = !socket_path.value.empty();
     bool client = !connect_path.value.empty();
@@ -161,15 +162,11 @@ main(int argc, char **argv)
         ExperimentConfig cfg = ExperimentConfig::fromEnv();
         if (!cache_dir.value.empty())
             cfg.cacheDir = cache_dir.value;
-        if (jobs.value < 0)
-            fatal("--jobs must be >= 0");
-        if (jobs.value > 0)
-            cfg.jobs = static_cast<std::uint32_t>(jobs.value);
-        if (threads.value < 1 || threads.value > 64)
-            fatal("--threads must be in [1, 64]");
+        if (n_jobs > 0)
+            cfg.jobs = static_cast<std::uint32_t>(n_jobs);
         ServeOptions opt;
         opt.socketPath = socket_path.value;
-        opt.threads = static_cast<unsigned>(threads.value);
+        opt.threads = static_cast<unsigned>(flagInRange(threads, 1, 64));
         opt.verbose = verbose.value;
         int rc = serveMain(opt, cfg);
         if (failpointsArmed())

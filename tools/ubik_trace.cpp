@@ -91,7 +91,7 @@ doRecord(const std::string &what, std::uint64_t requests,
 
 void
 doConvert(const std::string &in, const std::string &out,
-          TraceWriterOptions fmt, TraceReaderOptions ropt)
+          TraceWriterOptions fmt)
 {
     if (out.empty())
         fatal("--convert needs --out <file>");
@@ -102,7 +102,7 @@ doConvert(const std::string &in, const std::string &out,
     if (std::filesystem::exists(out, ec) &&
         std::filesystem::equivalent(in, out, ec))
         fatal("--convert cannot write onto its input (%s)", in.c_str());
-    TraceReader reader(in, ropt);
+    TraceReader reader(in);
     TraceWriter writer(out, fmt);
     TraceBatch batch;
     // Stream records through: memory stays bounded by one batch no
@@ -124,9 +124,9 @@ doConvert(const std::string &in, const std::string &out,
 }
 
 void
-doInfo(const std::string &path, TraceReaderOptions ropt)
+doInfo(const std::string &path)
 {
-    TraceReader reader(path, ropt);
+    TraceReader reader(path);
     TraceBatch batch;
     // Full validating scan (checksums, counts, footer) — done when
     // next() returns false.
@@ -175,10 +175,9 @@ doInfo(const std::string &path, TraceReaderOptions ropt)
 
 void
 doAnalyze(const std::string &path, std::uint64_t target,
-          double deadline_us, const std::string &csv,
-          TraceReaderOptions ropt)
+          double deadline_us, const std::string &csv)
 {
-    TraceAnalysis an = analyzeTraceFile(path, 1 << 22, ropt);
+    TraceAnalysis an = analyzeTraceFile(path);
     std::printf("[%s] %llu requests, %llu accesses, APKI %.1f\n",
                 path.c_str(),
                 static_cast<unsigned long long>(an.requests),
@@ -285,41 +284,32 @@ main(int argc, char **argv)
                  "QoS deadline in us (enables the advisor table)");
     auto &csv = cli.flag("csv", "",
                          "write the exact miss curve to this CSV");
-    auto &batch_records =
-        cli.flag("batch-records", static_cast<std::int64_t>(1 << 16),
-                 "streamed-ingestion batch size, records");
-    auto &no_prefetch = cli.flag("no-prefetch", false,
-                                 "disable the ingestion prefetch "
-                                 "thread (identical results, for "
-                                 "debugging/benchmarks)");
     cli.parse(argc, argv);
 
-    if (batch_records.value <= 0)
-        fatal("--batch-records must be > 0");
-    TraceReaderOptions ropt;
-    ropt.batchRecords = static_cast<std::size_t>(batch_records.value);
-    ropt.prefetch = !no_prefetch.value;
+    const std::uint64_t n_requests = flagInRange(requests, 0, INT64_MAX);
+    const std::uint64_t n_accesses = flagInRange(accesses, 0, INT64_MAX);
+    const std::uint64_t n_seed = flagInRange(seed, 0, INT64_MAX);
+    const std::uint64_t n_target = flagInRange(target, 0, INT64_MAX);
+    // The presets' scaled() divides by it (Cli rejects nan and inf).
+    if (scale.value < 1)
+        fatal("--scale must be >= 1 (got %g)", scale.value);
 
     if (!record.value.empty()) {
-        doRecord(record.value, static_cast<std::uint64_t>(requests.value),
-                 static_cast<std::uint64_t>(accesses.value),
-                 static_cast<std::uint64_t>(seed.value), scale.value,
-                 out.value, parseFormat(format.value));
+        doRecord(record.value, n_requests, n_accesses, n_seed,
+                 scale.value, out.value, parseFormat(format.value));
         return 0;
     }
     if (!convert.value.empty()) {
-        doConvert(convert.value, out.value, parseFormat(format.value),
-                  ropt);
+        doConvert(convert.value, out.value, parseFormat(format.value));
         return 0;
     }
     if (!info.value.empty()) {
-        doInfo(info.value, ropt);
+        doInfo(info.value);
         return 0;
     }
     if (!analyze.value.empty()) {
-        doAnalyze(analyze.value,
-                  static_cast<std::uint64_t>(target.value),
-                  deadline_us.value, csv.value, ropt);
+        doAnalyze(analyze.value, n_target, deadline_us.value,
+                  csv.value);
         return 0;
     }
     cli.printHelp();
