@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "queueing/queue_sim.h"
-#include "common/log.h"
 #include "common/types.h"
 
 using namespace ubik;
@@ -73,7 +72,6 @@ sweepShape(const Shape &shape)
 int
 main()
 {
-    setVerbose(false);
     std::printf("## Ablation (§3.3): multi-worker latency-critical "
                 "servers\n");
     std::printf("# G/G/k FIFO queueing model; service shapes from the "

@@ -13,7 +13,6 @@
 #include "sim/experiment.h"
 #include "workload/batch_app.h"
 #include "mon/umon.h"
-#include "common/log.h"
 #include "common/rng.h"
 
 using namespace ubik;
@@ -41,7 +40,6 @@ curveOf(BatchClass cls, std::uint32_t variation, std::uint64_t llc)
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Ablation (Fig 8): repartitioning table vs full "
                     "Lookahead at every budget");

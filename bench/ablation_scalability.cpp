@@ -28,7 +28,6 @@
 #include "stats/streaming_stats.h"
 #include "workload/batch_app.h"
 #include "workload/lc_app.h"
-#include "common/log.h"
 
 using namespace ubik;
 
@@ -79,7 +78,6 @@ calibrate(const ExperimentConfig &cfg, const LcAppParams &params,
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Ablation: CMP scalability (6 -> 24 cores)");
 
@@ -96,7 +94,7 @@ main()
     std::vector<Calibration> cals(lc_presets_all.size());
     std::vector<double> batchAloneIpc(4);
     {
-        JobPool pool(JobPool::resolveWorkers(cfg.jobs));
+        JobPool pool(cfg.jobs);
         pool.run(cals.size() + batchAloneIpc.size(),
                  [&](std::size_t i) {
                      if (i < cals.size()) {
@@ -129,7 +127,7 @@ main()
     for (std::uint32_t cores : {6u, 12u, 24u}) {
         CmpConfig cc = cfg.baseCmpConfig(true);
         cc.policy = PolicyKind::Ubik;
-        cc.slack = 0.05;
+        cc.ubik.slack = 0.05;
         cc.llcLines = cfg.llcLines() * cores / 6;
 
         std::uint32_t n_lc = cores / 2;

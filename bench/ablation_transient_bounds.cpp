@@ -21,7 +21,6 @@
 #include "core/transient_model.h"
 #include "mon/umon.h"
 #include "sim/experiment.h"
-#include "common/log.h"
 #include "common/rng.h"
 
 using namespace ubik;
@@ -144,7 +143,6 @@ measureTransient(std::uint64_t ws, double theta, std::uint64_t s1,
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Ablation (Figs 5-7): transient bounds vs "
                     "measured Vantage transients");

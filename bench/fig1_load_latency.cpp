@@ -9,14 +9,12 @@
 
 #include "sim/mix_runner.h"
 #include "workload/lc_app.h"
-#include "common/log.h"
 
 using namespace ubik;
 
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Fig 1 / Table 1: load-latency and service-time "
                     "CDFs of the LC workloads");

@@ -11,7 +11,6 @@
 #include "sim/cmp.h"
 #include "sim/experiment.h"
 #include "workload/lc_app.h"
-#include "common/log.h"
 
 using namespace ubik;
 
@@ -54,7 +53,6 @@ runOne(const ExperimentConfig &cfg, const LcAppParams &app,
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Fig 2: LLC access breakdown / performance "
                     "inertia (2MB vs 8MB equivalents)");

@@ -11,7 +11,6 @@
 #include "sim/experiment.h"
 #include "sim/mix_runner.h"
 #include "workload/lc_app.h"
-#include "common/log.h"
 
 using namespace ubik;
 
@@ -26,7 +25,7 @@ runPolicy(const ExperimentConfig &cfg, PolicyKind policy, double slack)
 
     CmpConfig cc = cfg.baseCmpConfig();
     cc.policy = policy;
-    cc.slack = slack;
+    cc.ubik.slack = slack;
     cc.traceAllocations = true;
     cc.traceInterval = cfg.reconfigInterval() / 16;
 
@@ -72,7 +71,6 @@ runPolicy(const ExperimentConfig &cfg, PolicyKind policy, double slack)
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("Fig 4: policy allocation timelines "
                     "(2 LC + 2 batch apps)");

@@ -17,14 +17,12 @@
 
 #include "sim/mix_runner.h"
 #include "workload/mix.h"
-#include "common/log.h"
 
 using namespace ubik;
 
 int
 main()
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     cfg.printHeader("quickstart: specjbb (20% load) + f/t/s batch mix");
 

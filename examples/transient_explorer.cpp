@@ -20,14 +20,12 @@
 #include "mon/umon.h"
 #include "sim/experiment.h"
 #include "workload/lc_app.h"
-#include "common/log.h"
 
 using namespace ubik;
 
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     std::string app_name = argc > 1 ? argv[1] : "masstree";
     LcAppParams params =

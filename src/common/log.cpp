@@ -6,7 +6,6 @@
 namespace ubik {
 
 namespace {
-bool gVerbose = true;
 thread_local bool tFatalTrapped = false;
 } // namespace
 
@@ -18,18 +17,6 @@ FatalTrap::FatalTrap() : prev_(tFatalTrapped)
 FatalTrap::~FatalTrap()
 {
     tFatalTrapped = prev_;
-}
-
-void
-setVerbose(bool verbose)
-{
-    gVerbose = verbose;
-}
-
-bool
-verbose()
-{
-    return gVerbose;
 }
 
 void
@@ -73,19 +60,6 @@ warnImpl(const char *fmt, ...)
     std::vfprintf(stderr, fmt, args);
     va_end(args);
     std::fprintf(stderr, "\n");
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (!gVerbose)
-        return;
-    std::fprintf(stdout, "info: ");
-    va_list args;
-    va_start(args, fmt);
-    std::vfprintf(stdout, fmt, args);
-    va_end(args);
-    std::fprintf(stdout, "\n");
 }
 
 } // namespace ubik

@@ -6,7 +6,6 @@
  * fatal()  — the simulation cannot continue due to a user error (bad
  *            configuration, invalid arguments); exits with code 1.
  * warn()   — something is suspicious but the run can continue.
- * inform() — plain status output.
  */
 
 #pragma once
@@ -58,18 +57,11 @@ class FatalTrap
 
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform() output globally (benches silence it). */
-void setVerbose(bool verbose);
-bool verbose();
-
 } // namespace ubik
 
 #define panic(...) ::ubik::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fatal(...) ::ubik::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define warn(...) ::ubik::warnImpl(__VA_ARGS__)
-#define inform(...) ::ubik::informImpl(__VA_ARGS__)
 
 /**
  * Simulation-state assertion: checked in all build types (the

@@ -6,6 +6,14 @@
 
 namespace ubik {
 
+namespace {
+
+/** s_idle candidates evaluated (paper: 16), which also sets the
+ *  s_boost search step: a 16th of the target. */
+constexpr std::uint32_t kIdleOptions = 16;
+
+} // namespace
+
 AdvisorReport
 advise(const AdvisorInput &in)
 {
@@ -18,29 +26,24 @@ advise(const AdvisorInput &in)
     if (!in.profile.valid)
         fatal("advisor: timing profile not valid (set profile.valid "
               "after filling c/M)");
-    if (in.idleOptions == 0)
-        fatal("advisor: idleOptions must be > 0");
 
     TransientModel model(in.curve, in.intervalAccesses, in.profile);
     std::uint64_t cap = in.boostCap > 0 ? in.boostCap
                                         : in.curve.maxLines();
     cap = std::max(cap, in.targetLines);
     std::uint64_t step =
-        in.stepLines > 0
-            ? in.stepLines
-            : std::max<std::uint64_t>(1,
-                                      in.targetLines / in.idleOptions);
+        std::max<std::uint64_t>(1, in.targetLines / kIdleOptions);
 
     AdvisorReport out;
     out.best.sIdle = in.targetLines;
     out.best.sBoost = in.targetLines;
     out.best.feasible = true;
 
-    for (std::uint32_t i = 1; i <= in.idleOptions; i++) {
+    for (std::uint32_t i = 1; i <= kIdleOptions; i++) {
         std::uint64_t s_idle = static_cast<std::uint64_t>(
             static_cast<double>(in.targetLines) *
-            static_cast<double>(in.idleOptions - i) /
-            static_cast<double>(in.idleOptions));
+            static_cast<double>(kIdleOptions - i) /
+            static_cast<double>(kIdleOptions));
         if (!out.options.empty() &&
             s_idle >= out.options.back().sIdle)
             continue; // quantization duplicate

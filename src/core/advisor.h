@@ -6,9 +6,10 @@
  * full simulator: given a miss curve (from a captured trace via
  * TraceAnalyzer, or from production UMON readings), the linear timing
  * parameters (c, M — §5.1), a target size, and a deadline, the
- * advisor enumerates the same s_idle candidates strict Ubik would
- * (§5.1.1) and, for each, the smallest feasible s_boost, the
- * transient-length and lost-cycle upper bounds, and the space freed.
+ * advisor enumerates the same 16 s_idle candidates strict Ubik would
+ * (§5.1.1) and, for each, the smallest feasible s_boost (searched in
+ * steps of a 16th of the target), the transient-length and
+ * lost-cycle upper bounds, and the space freed.
  *
  * This is the capacity-planning view of the policy: operators can
  * read off how much cache a colocated batch tier would gain at each
@@ -49,12 +50,6 @@ struct AdvisorInput
     /** Largest boost the advisor may recommend (paper: total LLC
      *  lines / number of LC apps). 0 = unlimited. */
     std::uint64_t boostCap = 0;
-
-    /** s_idle candidates to evaluate (paper: 16). */
-    std::uint32_t idleOptions = 16;
-
-    /** Sizing granularity, lines (paper: 1/256th of the LLC). */
-    std::uint64_t stepLines = 0; ///< 0 = targetLines / idleOptions
 };
 
 /** One evaluated (s_idle, s_boost) candidate. */

@@ -24,8 +24,7 @@ namespace {
 constexpr double kLoadBucket = 0.02;
 
 /** Requests captured per LC preset for the advisor's miss curve
- *  (matches the trace_advisor example's fidelity at a fraction of
- *  the cost; the curve shape converges well before this). */
+ *  (the curve shape converges well before this). */
 constexpr std::uint64_t kAdvisorTraceRequests = 256;
 
 /** Seed-averaged MixRunResult metrics for one (scheme, mix). */

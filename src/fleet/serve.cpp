@@ -17,6 +17,10 @@ namespace ubik {
 
 namespace {
 
+/** Largest request body the daemon reads; a longer one is answered
+ *  with an error. */
+constexpr std::size_t kMaxRequestBytes = 1 << 20;
+
 /** Microseconds since `t0`, as a double. */
 double
 usSince(std::chrono::steady_clock::time_point t0)
@@ -313,7 +317,7 @@ ServeDaemon::serveConnection(int fd)
         if (n == 0)
             break;
         body.append(buf, static_cast<std::size_t>(n));
-        if (body.size() > opt_.maxRequestBytes) {
+        if (body.size() > kMaxRequestBytes) {
             too_large = true;
             break;
         }
@@ -331,7 +335,7 @@ ServeDaemon::serveConnection(int fd)
                              std::strerror(errno));
     } else if (too_large) {
         resp = errorResponse("request exceeds " +
-                             std::to_string(opt_.maxRequestBytes) +
+                             std::to_string(kMaxRequestBytes) +
                              " bytes");
     } else {
         resp = handleRequest(body);

@@ -61,7 +61,6 @@ struct ServeOptions
 {
     std::string socketPath; ///< unix socket path (required)
     unsigned threads = 2;   ///< request worker threads
-    std::size_t maxRequestBytes = 1 << 20;
     bool verbose = false;   ///< per-request log lines to stderr
 };
 

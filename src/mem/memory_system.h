@@ -43,9 +43,6 @@ namespace ubik {
 /** Memory-system timing parameters. */
 struct MemoryParams
 {
-    /** Uncontended miss latency beyond the LLC, cycles (Table 2). */
-    Cycles baseLatency = 200;
-
     /** Independent memory channels (Table 2's machine has 3). */
     std::uint32_t channels = 3;
 

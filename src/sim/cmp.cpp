@@ -16,6 +16,14 @@
 
 namespace ubik {
 
+namespace {
+
+/** UMON geometry (paper: 32 ways x 8 sets per core). */
+constexpr std::uint32_t kUmonWays = 32;
+constexpr std::uint32_t kUmonSets = 8;
+
+} // namespace
+
 SchemeKind
 schemeKindFromNameOrAuto(const std::string &name, PolicyKind policy)
 {
@@ -229,11 +237,9 @@ Cmp::buildMemorySystem(std::uint64_t seed)
         }
     }
 
-    // Main memory: one shared model across all cores. Base latency
-    // tracks the core timing parameters so the two stay consistent.
-    MemoryParams mp = cfg_.memParams;
-    mp.baseLatency = cfg_.core.memLatency;
-    mem_ = makeMemorySystem(cfg_.mem, mp, ncores);
+    // Main memory: one shared model across all cores. It adds only
+    // queueing delay; the base latency is CoreParams::memLatency.
+    mem_ = makeMemorySystem(cfg_.mem, cfg_.memParams, ncores);
     if (!cfg_.memShares.empty()) {
         if (cfg_.mem != MemKind::Partitioned)
             fatal("memShares set but memory model is %s",
@@ -257,7 +263,7 @@ Cmp::buildMemorySystem(std::uint64_t seed)
     monitors_.resize(ncores);
     for (std::uint32_t c = 0; c < ncores; c++) {
         umons_.push_back(std::make_unique<Umon>(
-            modeled, cfg_.umonWays, cfg_.umonSets, seed ^ (0xabcdull + c)));
+            modeled, kUmonWays, kUmonSets, seed ^ (0xabcdull + c)));
         profilers_.push_back(std::make_unique<MlpProfiler>());
         AppMonitor &mon = monitors_[c];
         mon.umon = umons_[c].get();
@@ -287,12 +293,9 @@ Cmp::buildMemorySystem(std::uint64_t seed)
       case PolicyKind::OnOff:
         policy_ = std::make_unique<OnOffPolicy>(s, monitors_);
         break;
-      case PolicyKind::Ubik: {
-        UbikConfig uc = cfg_.ubik;
-        uc.slack = cfg_.slack;
-        policy_ = std::make_unique<UbikPolicy>(s, monitors_, uc);
+      case PolicyKind::Ubik:
+        policy_ = std::make_unique<UbikPolicy>(s, monitors_, cfg_.ubik);
         break;
-      }
       case PolicyKind::Feedback:
         policy_ = std::make_unique<FeedbackPolicy>(s, monitors_);
         break;
@@ -709,30 +712,6 @@ Cmp::appRng(std::uint64_t seed, std::uint32_t core)
     }
     master.fork();
     return master.fork();
-}
-
-void
-Cmp::printConfig(const CmpConfig &cfg)
-{
-    inform("Simulated CMP (cf. paper Table 2):");
-    inform("  cores: %s, L3 %llu lines (%.1f MB), array %s, "
-           "scheme %s, policy %s",
-           cfg.core.outOfOrder ? "OOO" : "in-order",
-           static_cast<unsigned long long>(cfg.llcLines),
-           static_cast<double>(cfg.llcLines * kLineBytes) / (1 << 20),
-           enumName(cfg.array), enumName(cfg.scheme),
-           enumName(cfg.policy));
-    inform("  L3 latency %llu, memory latency %llu cycles; reconfig "
-           "every %.1f ms; coalescing %.0f us",
-           static_cast<unsigned long long>(cfg.core.l3Latency),
-           static_cast<unsigned long long>(cfg.core.memLatency),
-           cyclesToMs(cfg.reconfigInterval),
-           cyclesToUs(cfg.coalesceCycles));
-    if (cfg.mem != MemKind::Fixed)
-        inform("  memory model %s: %u channels, %llu-cycle occupancy",
-               enumName(cfg.mem), cfg.memParams.channels,
-               static_cast<unsigned long long>(
-                   cfg.memParams.channelOccupancy));
 }
 
 } // namespace ubik

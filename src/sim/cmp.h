@@ -125,12 +125,8 @@ struct CmpConfig
     /** Shared LLC capacity, lines (Table 2: 12MB = 196608). */
     std::uint64_t llcLines = 196608;
 
-    /** Ubik slack (fraction of the deadline; 0 = strict). */
-    double slack = 0.0;
-
-    /** Remaining Ubik tunables (idle options, de-boost guard, the
-     *  accurate-de-boost ablation switch...). `slack` above overrides
-     *  `ubik.slack` so existing sweep code keeps working. */
+    /** Ubik tunables (slack, idle options, de-boost guard, the
+     *  accurate-de-boost ablation switch...). */
     UbikConfig ubik;
 
     /** Private per-core LLCs instead of a shared one (baseline). */
@@ -142,10 +138,6 @@ struct CmpConfig
 
     /** Interrupt-coalescing timeout, cycles (paper: 50us). */
     Cycles coalesceCycles = static_cast<Cycles>(50e-6 * kClockHz);
-
-    /** UMON geometry (paper: 32 ways x 8 sets per core). */
-    std::uint32_t umonWays = 32;
-    std::uint32_t umonSets = 8;
 
     /** Record Fig 2's hits-by-requests-ago breakdown. */
     bool trackInertia = false;
@@ -294,9 +286,6 @@ class Cmp
     const std::vector<AllocSample> &allocTrace() const { return trace_; }
 
     Cycles now() const { return now_; }
-
-    /** Dump the simulated machine configuration (Table 2). */
-    static void printConfig(const CmpConfig &cfg);
 
     /**
      * The exact RNG this constructor hands the app on core `core`

@@ -1,5 +1,6 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -17,14 +18,15 @@ namespace {
 /**
  * Read numeric environment variable `name` into `field`, which keeps
  * its default when the variable is unset or empty. The field's type
- * bounds the value: a 32-bit count takes at most 2^32-1 and a double
- * must be finite. Malformed input is fatal and names the variable, so
- * "3x" cannot run 3 mixes, 4294967297 seeds cannot truncate to 1 and
- * "nan" cannot slip past a range check.
+ * bounds the value, or `max` when it is lower: a 32-bit count takes
+ * at most 2^32-1 and a double must be finite. Malformed input is
+ * fatal and names the variable, so "3x" cannot run 3 mixes,
+ * 4294967297 seeds cannot truncate to 1 and "nan" cannot slip past a
+ * range check.
  */
 template <typename T>
 void
-readEnv(const char *name, T &field)
+readEnv(const char *name, T &field, std::uint64_t max = ~0ull)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
@@ -33,9 +35,9 @@ readEnv(const char *name, T &field)
         if (!parseFiniteStrict(v, field))
             fatal("%s='%s' is not a finite number", name, v);
     } else {
-        const std::uint64_t max = std::is_same_v<T, bool>
-                                      ? ~0ull
-                                      : std::numeric_limits<T>::max();
+        if constexpr (!std::is_same_v<T, bool>)
+            max = std::min<std::uint64_t>(
+                max, std::numeric_limits<T>::max());
         std::uint64_t n = 0;
         if (!parseU64Strict(v, max, n))
             fatal("%s='%s' is not a non-negative integer within "
@@ -67,10 +69,7 @@ ExperimentConfig::fromEnv()
     readEnv("UBIK_WARMUP", cfg.warmupRequests);
     readEnv("UBIK_SEEDS", cfg.seeds);
     readEnv("UBIK_MIXES", cfg.mixesPerLc);
-    // Validated here, the single site: JobPool::resolveWorkers
-    // ignores bad values because callers resolve several times a run.
-    readEnv("UBIK_JOBS", cfg.jobs);
-    readEnv("UBIK_VERBOSE", cfg.verbose);
+    readEnv("UBIK_JOBS", cfg.jobs, kMaxJobs);
     if (const char *dir = std::getenv("UBIK_CACHE_DIR"))
         cfg.cacheDir = dir;
     readEnv("UBIK_FLEET", cfg.fleet);
@@ -108,7 +107,7 @@ ExperimentConfig::applyShardSpec(const char *what,
 unsigned
 ExperimentConfig::effectiveJobs() const
 {
-    return JobPool::resolveWorkers(jobs);
+    return JobPool::workerCount(jobs);
 }
 
 std::uint64_t

@@ -15,9 +15,8 @@
  *   UBIK_WARMUP   warmup requests per LC instance (default 25)
  *   UBIK_SEEDS    repeated runs per configuration (default 1)
  *   UBIK_MIXES    batch mixes per LC config (default 3; 40 = paper)
- *   UBIK_JOBS     experiment-engine workers (default 0 = all cores;
- *                 1 = legacy sequential path)
- *   UBIK_VERBOSE  1 = chatty progress output
+ *   UBIK_JOBS     experiment-engine workers, at most kMaxJobs
+ *                 (default 0 = all cores; 1 = legacy sequential path)
  *   UBIK_CSV_DIR  directory for per-run CSV exports (sweep benches)
  *   UBIK_CACHE_DIR persistent result cache directory (unset = no
  *                 caching; see sim/result_cache.h)
@@ -59,8 +58,6 @@ struct ExperimentConfig
     /** Experiment-engine worker threads: 0 = all cores, 1 = the
      *  legacy sequential path (see sim/job_pool.h). */
     std::uint32_t jobs = 0;
-
-    bool verbose = false;
 
     /** Persistent result cache directory (UBIK_CACHE_DIR; empty =
      *  caching disabled). Never part of a result's cache key. */

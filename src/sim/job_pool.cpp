@@ -1,38 +1,19 @@
 #include "sim/job_pool.h"
 
-#include <climits>
-#include <cstdlib>
-
 #include "common/log.h"
-#include "common/parse_num.h"
 
 namespace ubik {
 
 unsigned
-JobPool::resolveWorkers(unsigned requested)
+JobPool::workerCount(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    const char *env = std::getenv("UBIK_JOBS");
-    if (env && *env) {
-        // Strict whole-string parse: "4x" must not run 4 workers and
-        // 2^32+1 must not truncate to 1. 0 means "all cores"; invalid
-        // input falls through silently — ExperimentConfig::fromEnv is
-        // the place that rejects it (callers may resolve several
-        // times per run).
-        std::uint64_t v = 0;
-        if (parseU64Strict(env, UINT_MAX, v) && v > 0)
-            return static_cast<unsigned>(v);
-    }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
 
-JobPool::JobPool(unsigned workers)
-    : workers_(workers > 0 ? workers
-                           : (std::thread::hardware_concurrency() > 0
-                                  ? std::thread::hardware_concurrency()
-                                  : 1))
+JobPool::JobPool(unsigned workers) : workers_(workerCount(workers))
 {
     // The submitting thread is worker number one; spawn the rest.
     if (workers_ < 2)

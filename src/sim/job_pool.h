@@ -33,16 +33,24 @@
 
 namespace ubik {
 
+/** Largest worker count `--jobs` and UBIK_JOBS accept: every worker
+ *  but the caller is an OS thread. */
+constexpr unsigned kMaxJobs = 1024;
+
 class JobPool
 {
   public:
     /**
      * @param workers total worker count including the submitting
      *                thread (the pool spawns workers-1 threads);
-     *                0 means "all cores"
-     *                (std::thread::hardware_concurrency).
+     *                0 means "all cores" (see workerCount).
      */
     explicit JobPool(unsigned workers = 0);
+
+    /** The worker count a pool built with `requested` runs with:
+     *  `requested`, or all cores (std::thread::hardware_concurrency,
+     *  at least 1) when it is 0. */
+    static unsigned workerCount(unsigned requested);
 
     /** Joins the workers. Must not be called during run(). */
     ~JobPool();
@@ -65,12 +73,6 @@ class JobPool
      * only one run() may be active per pool at a time.
      */
     void run(std::size_t n, const std::function<void(std::size_t)> &fn);
-
-    /**
-     * Resolve a requested worker count: `requested` if > 0, else the
-     * UBIK_JOBS environment variable if set and > 0, else all cores.
-     */
-    static unsigned resolveWorkers(unsigned requested = 0);
 
   private:
     void workerLoop();

@@ -30,8 +30,8 @@ SchemeUnderTest::applyTo(CmpConfig &cc) const
     cc.scheme = scheme;
     cc.array = array;
     cc.policy = policy;
-    cc.slack = slack;
     cc.ubik = ubik;
+    cc.ubik.slack = slack;
     if (reconfigScale != 1.0)
         cc.reconfigInterval = static_cast<Cycles>(
             static_cast<double>(cc.reconfigInterval) * reconfigScale);
@@ -55,23 +55,21 @@ std::string
 MixRunner::lcKey(const LcAppParams &params, double load,
                  std::uint64_t seed) const
 {
-    return params.name + "/" + std::to_string(load) + "/" +
-           std::to_string(seed) + (ooo_ ? "/ooo" : "/io");
+    return lcBaselineKey(cfg_, params, load, seed, ooo_);
 }
 
 std::string
 MixRunner::batchKey(const BatchAppParams &params,
                     std::uint64_t seed) const
 {
-    return params.name + "/" + std::to_string(seed) +
-           (ooo_ ? "/ooo" : "/io");
+    return batchBaselineKey(cfg_, params, seed, ooo_);
 }
 
 const LcBaseline &
 MixRunner::lcBaseline(const LcAppParams &params, double load,
                       std::uint64_t seed)
 {
-    std::string key = lcKey(params, load, seed);
+    const std::string key = lcKey(params, load, seed);
     {
         std::lock_guard<std::mutex> lock(cacheMu_);
         auto it = lcCache_.find(key);
@@ -81,10 +79,8 @@ MixRunner::lcBaseline(const LcAppParams &params, double load,
 
     // Persistent store next (bit-exact round trip, so a hit is
     // indistinguishable from recomputing).
-    std::string pkey;
     if (cache_) {
-        pkey = lcBaselineKey(cfg_, params, load, seed, ooo_);
-        if (auto cached = cache_->loadLcBaseline(pkey)) {
+        if (auto cached = cache_->loadLcBaseline(key)) {
             std::lock_guard<std::mutex> lock(cacheMu_);
             return lcCache_.emplace(key, *cached).first->second;
         }
@@ -134,7 +130,7 @@ MixRunner::lcBaseline(const LcAppParams &params, double load,
     }
 
     if (cache_)
-        cache_->storeLcBaseline(pkey, base);
+        cache_->storeLcBaseline(key, base);
 
     std::lock_guard<std::mutex> lock(cacheMu_);
     auto [ins, ok] = lcCache_.emplace(key, base);
@@ -146,7 +142,7 @@ double
 MixRunner::batchAloneIpc(const BatchAppParams &params,
                          std::uint64_t seed)
 {
-    std::string key = batchKey(params, seed);
+    const std::string key = batchKey(params, seed);
     {
         std::lock_guard<std::mutex> lock(cacheMu_);
         auto it = batchCache_.find(key);
@@ -154,10 +150,8 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
             return it->second;
     }
 
-    std::string pkey;
     if (cache_) {
-        pkey = batchBaselineKey(cfg_, params, seed, ooo_);
-        if (auto cached = cache_->loadBatchIpc(pkey)) {
+        if (auto cached = cache_->loadBatchIpc(key)) {
             std::lock_guard<std::mutex> lock(cacheMu_);
             batchCache_.emplace(key, *cached);
             return *cached;
@@ -173,7 +167,7 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
     double ipc = cmp.batchResult(0).ipc();
     ubik_assert(ipc > 0);
     if (cache_)
-        cache_->storeBatchIpc(pkey, ipc);
+        cache_->storeBatchIpc(key, ipc);
     std::lock_guard<std::mutex> lock(cacheMu_);
     batchCache_.emplace(key, ipc);
     return ipc;

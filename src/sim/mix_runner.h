@@ -87,7 +87,8 @@ struct SchemeUnderTest
     PolicyKind policy = PolicyKind::Ubik;
     double slack = 0.05;
 
-    /** Remaining Ubik tunables (slack above wins over ubik.slack). */
+    /** The other Ubik tunables; applyTo() sets ubik.slack to `slack`
+     *  above. */
     UbikConfig ubik{};
 
     /** Multiplier on the coarse reconfiguration interval (1 = the
@@ -181,12 +182,12 @@ class MixRunner
                              std::uint64_t seed,
                              LatencyRecorder *service_times = nullptr);
 
-    /** Cache key of an LC baseline — ParallelSweep deduplicates its
-     *  prewarm jobs with the exact key the cache uses. */
+    /** Key an LC baseline is memoized and cached under: its
+     *  canonical lcBaselineKey for this runner's config. */
     std::string lcKey(const LcAppParams &params, double load,
                       std::uint64_t seed) const;
 
-    /** Cache key of a batch alone-IPC baseline. */
+    /** Key of a batch alone-IPC baseline: its batchBaselineKey. */
     std::string batchKey(const BatchAppParams &params,
                          std::uint64_t seed) const;
 

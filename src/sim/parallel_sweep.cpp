@@ -40,36 +40,15 @@ using Notify = std::function<void(Fill)>;
 constexpr double kPollSec = 0.05;
 constexpr double kPollMaxSec = 1.0;
 
-/** Deduplicated baseline descriptors for a set of missed jobs, keyed
- *  so the dedup cannot drift from what the mix phase will request. */
-struct LcDesc
+/** The baselines the missed jobs need. */
+SweepBaselines
+missedBaselines(const MixRunner &runner, const std::vector<SweepJob> &jobs,
+                const std::vector<Miss> &misses)
 {
-    LcAppParams params;
-    double load = 0;
-    std::uint64_t seed = 1;
-};
-
-struct BatchDesc
-{
-    BatchAppParams params;
-    std::uint64_t seed = 1;
-};
-
-void
-collectBaselines(MixRunner &runner, const std::vector<SweepJob> &jobs,
-                 const std::vector<Miss> &misses,
-                 std::map<std::string, LcDesc> &lc,
-                 std::map<std::string, BatchDesc> &batch)
-{
-    for (const Miss &m : misses) {
-        const SweepJob &job = jobs[m.job];
-        lc.emplace(
-            runner.lcKey(job.mix.lc.app, job.mix.lc.load, job.seed),
-            LcDesc{job.mix.lc.app, job.mix.lc.load, job.seed});
-        for (const auto &b : job.mix.batch.apps)
-            batch.emplace(runner.batchKey(b, job.seed),
-                          BatchDesc{b, job.seed});
-    }
+    SweepBaselines base;
+    for (const Miss &m : misses)
+        base.add(runner.config(), runner.outOfOrder(), jobs[m.job]);
+    return base;
 }
 
 /**
@@ -83,14 +62,12 @@ fillLocal(MixRunner &runner, JobPool &pool, ResultCache *cache,
           const std::vector<Miss> &misses,
           std::vector<MixRunResult> &results, const Notify &notify)
 {
-    std::map<std::string, LcDesc> lcKeys;
-    std::map<std::string, BatchDesc> batchKeys;
-    collectBaselines(runner, jobs, misses, lcKeys, batchKeys);
-    std::vector<LcDesc> lc;
-    for (auto &kv : lcKeys)
+    SweepBaselines base = missedBaselines(runner, jobs, misses);
+    std::vector<SweepBaselines::Lc> lc;
+    for (auto &kv : base.lc)
         lc.push_back(std::move(kv.second));
-    std::vector<BatchDesc> batch;
-    for (auto &kv : batchKeys)
+    std::vector<SweepBaselines::Batch> batch;
+    for (auto &kv : base.batch)
         batch.push_back(std::move(kv.second));
 
     // LC baselines are the expensive ones (two calibration runs
@@ -279,31 +256,22 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
     // every worker would recompute the full baseline set before its
     // first mix. poll() is a presence probe against the shared cache;
     // compute() publishes through the runner's attached cache.
-    std::map<std::string, LcDesc> lcKeys;
-    std::map<std::string, BatchDesc> batchKeys;
-    collectBaselines(runner_, jobs, misses, lcKeys, batchKeys);
+    const SweepBaselines base = missedBaselines(runner_, jobs, misses);
 
     std::vector<ClaimTask> tasks;
-    tasks.reserve(lcKeys.size() + batchKeys.size());
-    for (auto &kv : lcKeys) {
-        LcDesc d = kv.second;
-        std::string pkey =
-            lcBaselineKey(runner_.config(), d.params, d.load, d.seed,
-                          runner_.outOfOrder());
+    tasks.reserve(base.lc.size() + base.batch.size());
+    for (const auto &[key, d] : base.lc)
         tasks.push_back(ClaimTask{
-            pkey,
-            [this, d] { runner_.lcBaseline(d.params, d.load, d.seed); },
-            [this, pkey] { return cache_.hasLcBaseline(pkey); }});
-    }
-    for (auto &kv : batchKeys) {
-        BatchDesc d = kv.second;
-        std::string pkey = batchBaselineKey(
-            runner_.config(), d.params, d.seed, runner_.outOfOrder());
+            key,
+            [this, d = d] {
+                runner_.lcBaseline(d.params, d.load, d.seed);
+            },
+            [this, key = key] { return cache_.hasLcBaseline(key); }});
+    for (const auto &[key, d] : base.batch)
         tasks.push_back(ClaimTask{
-            pkey,
-            [this, d] { runner_.batchAloneIpc(d.params, d.seed); },
-            [this, pkey] { return cache_.hasBatchIpc(pkey); }});
-    }
+            key,
+            [this, d = d] { runner_.batchAloneIpc(d.params, d.seed); },
+            [this, key = key] { return cache_.hasBatchIpc(key); }});
     runClaimLoop(tasks);
 
     // Round 2: the mixes themselves. poll() fills the slot from a
@@ -352,8 +320,20 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
 
 } // namespace
 
+void
+SweepBaselines::add(const ExperimentConfig &cfg, bool out_of_order,
+                    const SweepJob &job)
+{
+    const LcConfig &l = job.mix.lc;
+    lc.emplace(lcBaselineKey(cfg, l.app, l.load, job.seed, out_of_order),
+               Lc{l.app, l.load, job.seed});
+    for (const BatchAppParams &b : job.mix.batch.apps)
+        batch.emplace(batchBaselineKey(cfg, b, job.seed, out_of_order),
+                      Batch{b, job.seed});
+}
+
 ParallelSweep::ParallelSweep(MixRunner &runner, unsigned workers)
-    : runner_(runner), pool_(JobPool::resolveWorkers(workers))
+    : runner_(runner), pool_(workers)
 {
 }
 
@@ -444,16 +424,10 @@ buildSweepJobs(const std::vector<SchemeUnderTest> &schemes,
 {
     std::vector<SweepJob> jobs;
     jobs.reserve(schemes.size() * mixes.size() * seeds);
-    for (std::size_t si = 0; si < schemes.size(); si++)
+    for (const SchemeUnderTest &sut : schemes)
         for (const auto &mix : mixes)
-            for (std::uint32_t s = 0; s < seeds; s++) {
-                SweepJob job;
-                job.mix = mix;
-                job.sut = schemes[si];
-                job.seed = s + 1;
-                job.tag = si;
-                jobs.push_back(std::move(job));
-            }
+            for (std::uint32_t s = 0; s < seeds; s++)
+                jobs.push_back(SweepJob{mix, sut, s + 1});
     return jobs;
 }
 

@@ -14,9 +14,9 @@
  * computation cannot change their values — pre-warming only removes
  * redundant work from the mix phase.
  *
- * Worker count comes from the UBIK_JOBS environment variable (default
- * all cores; 1 recovers the legacy sequential path on the calling
- * thread).
+ * The caller picks the worker count, usually ExperimentConfig::jobs
+ * (--jobs or UBIK_JOBS): 0 = all cores, 1 = the legacy sequential
+ * path on the calling thread.
  *
  * run() first serves cache hits, then fills the misses one of two
  * ways:
@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -53,10 +54,36 @@ struct SweepJob
     MixSpec mix;
     SchemeUnderTest sut;
     std::uint64_t seed = 1;
+};
 
-    /** Caller cookie (e.g. index into a scheme table); the engine
-     *  never interprets it. */
-    std::uint64_t tag = 0;
+/**
+ * The distinct LC and batch baselines a list of jobs needs, each
+ * under its canonical cache key (lcBaselineKey, batchBaselineKey,
+ * which MixRunner also memoizes them under): what ParallelSweep
+ * computes or claims before the mixes, and what `ubik_run
+ * --fleet-status` probes.
+ */
+struct SweepBaselines
+{
+    struct Lc
+    {
+        LcAppParams params;
+        double load = 0;
+        std::uint64_t seed = 1;
+    };
+
+    struct Batch
+    {
+        BatchAppParams params;
+        std::uint64_t seed = 1;
+    };
+
+    std::map<std::string, Lc> lc;
+    std::map<std::string, Batch> batch;
+
+    /** Add the baselines `job` needs; one already listed stays. */
+    void add(const ExperimentConfig &cfg, bool out_of_order,
+             const SweepJob &job);
 };
 
 /** Sweep progress snapshot handed to the run() callback. */
@@ -99,7 +126,7 @@ class ParallelSweep
   public:
     /**
      * @param runner shared (thread-safe) methodology layer
-     * @param workers worker count; 0 defers to UBIK_JOBS / all cores
+     * @param workers worker count; 0 = all cores
      */
     explicit ParallelSweep(MixRunner &runner, unsigned workers = 0);
 
@@ -149,8 +176,8 @@ class ParallelSweep
 
 /**
  * Expand the cross product schemes x mixes x seeds (seed values
- * 1..seeds, matching the legacy sweep loops) into jobs tagged with
- * their scheme index, in the same order the sequential loops ran them.
+ * 1..seeds, matching the legacy sweep loops) into jobs, in the same
+ * order the sequential loops ran them.
  */
 std::vector<SweepJob>
 buildSweepJobs(const std::vector<SchemeUnderTest> &schemes,

@@ -309,7 +309,6 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
         .add("sut.array", enumName(sut.array))
         .add("sut.policy", enumName(sut.policy))
         .add("sut.slack", sut.slack)
-        .add("ubik.slack", sut.ubik.slack)
         .add("ubik.idleOptions", sut.ubik.idleOptions)
         .add("ubik.deboostGuard", sut.ubik.deboostGuard)
         .add("ubik.slackGain", sut.ubik.slackGain)
@@ -317,7 +316,6 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
         .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
         .add("sut.reconfigScale", sut.reconfigScale)
         .add("sut.mem", enumName(sut.mem))
-        .add("mem.baseLatency", sut.memParams.baseLatency)
         .add("mem.channels", sut.memParams.channels)
         .add("mem.channelOccupancy", sut.memParams.channelOccupancy)
         .add("sut.lcMemShare", sut.lcMemShare);

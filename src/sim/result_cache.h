@@ -6,12 +6,13 @@
  * repeated sweeps across bench invocations only pay for
  * configurations they have never seen.
  *
- * Keys are canonical: every result-relevant field of
- * ExperimentConfig, MixSpec, SchemeUnderTest (including the full
- * UbikConfig and MemoryParams), the seed, and the core model flavour
- * is serialized into the key, doubles as exact bit patterns, so two
- * differently-constructed but equal configurations produce the same
- * key and any single field change produces a different one. The key
+ * Keys are canonical and hold only simulation inputs: every field of
+ * ExperimentConfig, MixSpec and SchemeUnderTest (its slack, the other
+ * UbikConfig tunables, MemoryParams) that a simulation reads, the
+ * seed, and the core model flavour are serialized into the key,
+ * doubles as exact bit patterns, so two differently-constructed but
+ * equal configurations produce the same key and any single field
+ * change produces a different one. The key
  * starts with the code-schema version (kResultCacheSchemaVersion);
  * bumping it invalidates every stale entry at once — bump it whenever
  * a simulator change alters results without changing any config
@@ -65,8 +66,9 @@ namespace ubik {
  *  names (common/enum_names.h) instead of raw integers; v4 = mix
  *  keys gain the LC load profile, and the tailMean nearest-rank fix
  *  shifts every stored lcTailMean/tailDegradation and LC baseline,
- *  so all v3 values are stale. */
-constexpr std::uint32_t kResultCacheSchemaVersion = 4;
+ *  so all v3 values are stale; v5 = mix keys drop `ubik.slack` and
+ *  `mem.baseLatency`, which no simulation read (values unchanged). */
+constexpr std::uint32_t kResultCacheSchemaVersion = 5;
 
 /** Counters since this ResultCache was opened. */
 struct CacheStats
@@ -137,8 +139,7 @@ struct CacheStats
  * Canonical cache key for one mix run. Only the result-relevant
  * ExperimentConfig fields (scale, roiRequests, warmupRequests) enter
  * the key: seeds/mixesPerLc select *which* jobs run, jobs is proven
- * result-neutral by the determinism tests, and verbose/cacheDir are
- * I/O-only.
+ * result-neutral by the determinism tests, and cacheDir is I/O-only.
  */
 std::string mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
                          const SchemeUnderTest &sut, std::uint64_t seed,

@@ -58,7 +58,7 @@ template <class V>
 void
 fields(V &v, UbikConfig &u)
 {
-    v("slack", u.slack);
+    // No "slack": a scheme's one slack is SchemeUnderTest::slack.
     v("idle_options", u.idleOptions);
     v("deboost_guard", u.deboostGuard);
     v("slack_gain", u.slackGain);
@@ -70,7 +70,6 @@ template <class V>
 void
 fields(V &v, MemoryParams &m)
 {
-    v("base_latency", AsU32{m.baseLatency});
     v("channels", m.channels);
     v("channel_occupancy", AsU32{m.channelOccupancy});
 }

@@ -32,15 +32,5 @@ TEST(Log, AssertPassesSilently)
     SUCCEED();
 }
 
-TEST(Log, VerboseToggle)
-{
-    bool prev = verbose();
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-    setVerbose(prev);
-}
-
 } // namespace
 } // namespace ubik

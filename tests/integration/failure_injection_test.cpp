@@ -24,7 +24,7 @@ smallCfg(PolicyKind policy = PolicyKind::Ubik)
     cfg.privateLinesPerCore = 4096;
     cfg.reconfigInterval = 2000000;
     cfg.policy = policy;
-    cfg.slack = 0.05;
+    cfg.ubik.slack = 0.05;
     return cfg;
 }
 
@@ -149,7 +149,7 @@ TEST(FailureInjection, MaxCyclesCapStopsRunawayRuns)
 TEST(FailureInjection, ExtremeButLegalSlackStaysWithinCache)
 {
     CmpConfig cfg = smallCfg();
-    cfg.slack = 0.9; // far beyond the paper's 10%, still legal
+    cfg.ubik.slack = 0.9; // far beyond the paper's 10%, still legal
     Cmp cmp(cfg, {lcSpec()}, someBatch(2), 8);
     cmp.run();
     EXPECT_EQ(cmp.lcResult(0).latencies.count(), 30u);
@@ -160,7 +160,7 @@ TEST(FailureInjection, SlackOfOneOrMoreIsFatal)
     // 100% slack would mean "any tail is fine" — the controller's
     // math divides by (1 - slack), so reject it loudly.
     CmpConfig cfg = smallCfg();
-    cfg.slack = 1.0;
+    cfg.ubik.slack = 1.0;
     EXPECT_EXIT(Cmp(cfg, {lcSpec()}, someBatch(2), 8),
                 testing::ExitedWithCode(1), "slack");
 }

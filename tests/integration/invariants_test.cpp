@@ -44,7 +44,7 @@ class FullStackInvariants : public ::testing::TestWithParam<RunSetup>
         cfg_.policy = s.policy;
         cfg_.scheme = s.scheme;
         cfg_.array = s.array;
-        cfg_.slack = s.policy == PolicyKind::Ubik ? 0.05 : 0.0;
+        cfg_.ubik.slack = s.policy == PolicyKind::Ubik ? 0.05 : 0.0;
 
         LcAppSpec lc;
         lc.params = lc_presets::byName(s.lcApp).scaled(8.0);
@@ -188,7 +188,7 @@ TEST(VantageEndToEnd, ZCacheKeepsGuaranteeViolationsNegligible)
     cfg.privateLinesPerCore = 4096;
     cfg.reconfigInterval = 2000000;
     cfg.policy = PolicyKind::Ubik;
-    cfg.slack = 0.05;
+    cfg.ubik.slack = 0.05;
     LcAppSpec lc;
     lc.params = lc_presets::specjbb().scaled(8.0);
     lc.meanInterarrival = 350000;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the multi-worker queueing simulator (src/queueing/):
- * classical queueing-theory cross-checks (M/D/1 Pollaczek-Khinchine,
- * Little's law, pooling), the §3.3 interference/abort tradeoffs, and
- * configuration validation.
+ * classical queueing-theory cross-checks (M/D/1 and lognormal M/G/1
+ * Pollaczek-Khinchine, Little's law, pooling), the §3.3
+ * interference/abort tradeoffs, and configuration validation.
  */
 
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ TEST(QueueSim, LowLoadLatencyIsServiceTime)
     EXPECT_NEAR(r.serviceTimes.mean(), 1e5, 2.0);
 }
 
-TEST(QueueSim, MatchesMD1PollaczekKhinchine)
+TEST(QueueSim, MatchesPollaczekKhinchine)
 {
     // M/D/1: Wq = rho * E[S] / (2 * (1 - rho)).
     for (double rho : {0.3, 0.5, 0.7}) {
@@ -59,6 +59,25 @@ TEST(QueueSim, MatchesMD1PollaczekKhinchine)
         EXPECT_NEAR(r.latencies.mean(), expected_w, 0.08 * expected_w)
             << "rho = " << rho;
     }
+
+    // M/G/1 with lognormal service of mean m and shape sigma, so
+    // E[S^2] = m^2 e^(sigma^2): Wq = lambda m^2 e^(sigma^2) / (2 (1 -
+    // rho)). The bound is 8% of Wq; at 200k requests the worst of
+    // seeds 1..40 was 5.5%, while the M/D/1 or M/M/1 second moment
+    // would miss Wq by 22% or more.
+    const double m = 1e5;
+    for (double sigma : {0.5, 1.0})
+        for (double rho : {0.3, 0.5, 0.7}) {
+            QueueSimParams p = md1(rho, m);
+            p.service = ServiceDistribution::lognormal(m, sigma);
+            p.requests = 200000;
+            QueueSimResult r = QueueSim(p, 42).run();
+            double lambda = rho / m;
+            double wq = lambda * m * m * std::exp(sigma * sigma) /
+                        (2.0 * (1.0 - rho));
+            EXPECT_NEAR(r.latencies.mean(), m + wq, 0.08 * wq)
+                << "sigma = " << sigma << ", rho = " << rho;
+        }
 }
 
 TEST(QueueSim, LittlesLawHolds)

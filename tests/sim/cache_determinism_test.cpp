@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "sim/result_cache.h"
+#include "sim/scenario.h"
 #include "support/cache_test_util.h"
 
 namespace ubik {
@@ -135,6 +137,45 @@ TEST(CacheDeterminism, ProgressReportsHitsVersusComputed)
     for (const SweepProgress &p : seen)
         maxDone = std::max(maxDone, p.done);
     EXPECT_EQ(maxDone, jobs.size());
+}
+
+/** An explicit one-scheme spec over masstree mixes at `loads`. */
+ScenarioSpec
+masstreeAtLoads(const std::vector<const char *> &loads)
+{
+    std::string mixes;
+    for (const char *load : loads)
+        mixes += std::string(mixes.empty() ? "" : ", ") +
+                 "{\"lc\": \"masstree\", \"load\": " + load +
+                 ", \"batch\": [{\"class\": \"f\"}, {\"class\": "
+                 "\"t\"}, {\"class\": \"s\"}]}";
+    return scenarioFromJson(Json::parseOrDie(
+        "{\"name\": \"near-loads\", \"source\": \"explicit\", "
+        "\"seeds\": 1, \"schemes\": [{\"label\": \"StaticLC\", "
+        "\"policy\": \"StaticLC\"}], \"mixes\": [" +
+            mixes + "]}",
+        "test"));
+}
+
+TEST(CacheDeterminism, NearbyLoadsAreNotServedEachOthersResults)
+{
+    // Loads 0.2 and 0.2000001 print alike to six decimals. The second
+    // mix must get the result it gets alone, whether its neighbour
+    // ran first or it is served from the neighbour run's cache.
+    TempCacheDir dir("near_loads");
+    const ScenarioSpec both = masstreeAtLoads({"0.2", "0.2000001"});
+    const ScenarioSpec alone = masstreeAtLoads({"0.2000001"});
+    ExperimentConfig cfg = scenarioConfig(both, cacheTestCfg());
+    cfg.jobs = 1;
+    cfg.cacheDir = dir.path();
+    const ScenarioResult pair = runScenario(both, cfg, nullptr, nullptr);
+    const ScenarioResult warm = runScenario(alone, cfg, nullptr, nullptr);
+    cfg.cacheDir.clear();
+    const ScenarioResult cold = runScenario(alone, cfg, nullptr, nullptr);
+
+    ASSERT_EQ(pair.sweeps.at(0).runs.size(), 2u);
+    expectSameResults({pair.sweeps[0].runs[1]}, cold.sweeps.at(0).runs);
+    expectSameResults(warm.sweeps.at(0).runs, cold.sweeps[0].runs);
 }
 
 TEST(CacheDeterminism, UncachedProgressStillReportsTotals)

@@ -188,7 +188,7 @@ TEST(Cmp, SharedRunExercisesPolicyAndFinishes)
     CmpConfig cfg = smallCfg();
     cfg.scheme = SchemeKind::Vantage;
     cfg.policy = PolicyKind::Ubik;
-    cfg.slack = 0.05;
+    cfg.ubik.slack = 0.05;
     LcAppSpec lc;
     lc.params = smallLc();
     lc.meanInterarrival = 400000;
@@ -214,12 +214,10 @@ TEST(Cmp, SharedRunExercisesPolicyAndFinishes)
 
 TEST(Cmp, UbikConfigPlumbsThroughToPolicy)
 {
-    // CmpConfig::ubik must reach the constructed UbikPolicy, with
-    // CmpConfig::slack overriding ubik.slack (compatibility rule).
+    // CmpConfig::ubik must reach the constructed UbikPolicy.
     CmpConfig cfg = smallCfg();
     cfg.policy = PolicyKind::Ubik;
-    cfg.slack = 0.07;
-    cfg.ubik.slack = 0.99; // must be overridden
+    cfg.ubik.slack = 0.07;
     cfg.ubik.accurateDeboost = false;
     cfg.ubik.idleOptions = 5;
     LcAppSpec lc;

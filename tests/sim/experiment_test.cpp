@@ -2,8 +2,9 @@
  * @file
  * ExperimentConfig::fromEnv reads every numeric UBIK_* variable
  * strictly: trailing garbage, a negative count, a count past its
- * field's width, or a non-finite number is fatal and names the
- * variable, instead of running a silently different experiment.
+ * field's width (or, for UBIK_JOBS, past kMaxJobs), or a non-finite
+ * number is fatal and names the variable, instead of running a
+ * silently different experiment.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "sim/experiment.h"
+#include "sim/job_pool.h"
 
 namespace ubik {
 namespace {
@@ -39,7 +41,7 @@ TEST(ExperimentConfigEnv, MalformedValuesAreFatalAndNamed)
         {"UBIK_REQUESTS", "20abc"},    // ran 20 requests
         {"UBIK_WARMUP", "-5"},         // wrapped to 2^64-5
         {"UBIK_JOBS", "3x"},
-        {"UBIK_VERBOSE", "yes"},       // read as 0
+        {"UBIK_JOBS", "1025"},         // past kMaxJobs threads
         {"UBIK_FLEET", "1 "},          // read as 1
         {"UBIK_SCALE", "nan"},         // passed the < 1 check
         {"UBIK_SCALE", "inf"},
@@ -61,16 +63,16 @@ TEST(ExperimentConfigEnv, WellFormedValuesParse)
     setenv("UBIK_REQUESTS", "18446744073709551615", 1);
     setenv("UBIK_SCALE", "16", 1);
     setenv("UBIK_LEASE_TTL", "0.25", 1);
-    setenv("UBIK_VERBOSE", "2", 1);
+    setenv("UBIK_JOBS", "1024", 1);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     for (const char *v : {"UBIK_SEEDS", "UBIK_REQUESTS", "UBIK_SCALE",
-                          "UBIK_LEASE_TTL", "UBIK_VERBOSE"})
+                          "UBIK_LEASE_TTL", "UBIK_JOBS"})
         unsetenv(v);
     EXPECT_EQ(cfg.seeds, UINT32_MAX);
     EXPECT_EQ(cfg.roiRequests, UINT64_MAX);
     EXPECT_EQ(cfg.scale, 16.0);
     EXPECT_EQ(cfg.leaseTtlSec, 0.25);
-    EXPECT_TRUE(cfg.verbose);
+    EXPECT_EQ(cfg.jobs, kMaxJobs);
 
     // Unset and empty variables keep the defaults.
     setenv("UBIK_MIXES", "", 1);

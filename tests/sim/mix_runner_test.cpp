@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "sim/mix_runner.h"
+#include "sim/result_cache.h"
 #include "support/cache_test_util.h"
 #include "workload/trace_app.h"
 #include "workload/trace_capture.h"
@@ -80,6 +81,48 @@ TEST(MixRunner, BaselineCached)
     const LcBaseline &b =
         runner.lcBaseline(lc_presets::specjbb(), 0.2, 1);
     EXPECT_EQ(&a, &b); // same cached object
+}
+
+TEST(MixRunner, MemoKeysAreTheCanonicalCacheKeys)
+{
+    for (bool ooo : {true, false}) {
+        MixRunner runner(fastCfg(), ooo);
+        const LcAppParams lc = lc_presets::specjbb();
+        const BatchAppParams b = batch_presets::make(BatchClass::Friendly, 0);
+        EXPECT_EQ(runner.lcKey(lc, 0.2, 3),
+                  lcBaselineKey(fastCfg(), lc, 0.2, 3, ooo));
+        EXPECT_EQ(runner.batchKey(b, 3),
+                  batchBaselineKey(fastCfg(), b, 3, ooo));
+    }
+}
+
+TEST(MixRunner, NearbyLoadsKeepDistinctBaselines)
+{
+    // 0.2 and 0.2000001 print alike to six decimals; each load must
+    // still get its own baseline, the one a fresh runner computes.
+    MixRunner runner(fastCfg());
+    const LcAppParams app = lc_presets::masstree();
+    const LcBaseline &a = runner.lcBaseline(app, 0.2, 1);
+    const LcBaseline &b = runner.lcBaseline(app, 0.2000001, 1);
+    EXPECT_NE(&a, &b);
+    MixRunner fresh(fastCfg());
+    const LcBaseline &want = fresh.lcBaseline(app, 0.2000001, 1);
+    EXPECT_EQ(b.meanServiceCycles, want.meanServiceCycles);
+    EXPECT_EQ(b.meanInterarrival, want.meanInterarrival);
+    EXPECT_EQ(b.meanLatency, want.meanLatency);
+    EXPECT_EQ(b.tailMean, want.tailMean);
+    EXPECT_EQ(b.p95, want.p95);
+}
+
+TEST(MixRunner, SchemeSlackIsThePolicySlack)
+{
+    // SchemeUnderTest has one slack; ubik.slack is not a second one.
+    SchemeUnderTest sut;
+    sut.slack = 0.07;
+    sut.ubik.slack = 0.99;
+    CmpConfig cc;
+    sut.applyTo(cc);
+    EXPECT_EQ(cc.ubik.slack, 0.07);
 }
 
 TEST(MixRunner, HigherLoadMeansHigherTail)

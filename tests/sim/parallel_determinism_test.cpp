@@ -239,14 +239,14 @@ TEST(JobPool, SequentialPoolRunsInOrder)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(JobPool, ResolveWorkersPrecedence)
+TEST(JobPool, ZeroWorkersMeansAllCores)
 {
+    // UBIK_JOBS is ExperimentConfig::fromEnv's to read, not the pool's.
     setenv("UBIK_JOBS", "3", 1);
-    EXPECT_EQ(JobPool::resolveWorkers(0), 3u);
-    EXPECT_EQ(JobPool::resolveWorkers(5), 5u); // explicit beats env
-    unsetenv("UBIK_JOBS");
     unsigned hw = std::thread::hardware_concurrency();
-    EXPECT_EQ(JobPool::resolveWorkers(0), hw > 0 ? hw : 1u);
+    EXPECT_EQ(JobPool::workerCount(0), hw > 0 ? hw : 1u);
+    unsetenv("UBIK_JOBS");
+    EXPECT_EQ(JobPool::workerCount(5), 5u);
 }
 
 } // namespace

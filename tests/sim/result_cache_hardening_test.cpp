@@ -118,46 +118,51 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
     EXPECT_FALSE(cache.loadMix("v1|fake").has_value());
 }
 
-TEST(ResultCacheHardening, SchemaV1RecordsFromPriorReleasesAreEvicted)
+TEST(ResultCacheHardening, PriorSchemaRecordsAreEvicted)
 {
-    // PR 2 shipped schema v1; this tree is v2 (trace-backed mixes
-    // changed replay semantics and added trace hashes to keys). A
-    // cache dir populated by the old binary must be evicted wholesale
-    // — stale counts, nothing served, nothing read as corrupt.
+    // A cache dir populated by an older binary must be evicted
+    // wholesale — stale counts, nothing served, nothing read as
+    // corrupt: schema v1 (the first release) and the schema just
+    // before this one (v4 keys still held `ubik.slack` and
+    // `mem.baseLatency`).
     ASSERT_GE(kResultCacheSchemaVersion, 2u);
-    TempCacheDir dir("schema_v1");
-    const std::string key = "v1|hardening|oldschema";
-    {
+    for (std::uint32_t old : {1u, kResultCacheSchemaVersion - 1}) {
+        SCOPED_TRACE("schema v" + std::to_string(old));
+        TempCacheDir dir("schema_old");
+        const std::string key = "v1|hardening|oldschema";
+        {
+            ResultCache cache(dir.path());
+            cache.storeMix(key, sampleResult(4.25));
+        }
+        std::string shard = onlyShardFile(dir.path());
+        ASSERT_FALSE(shard.empty());
+        std::string content;
+        {
+            std::ifstream in(shard, std::ios::binary);
+            content.assign(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+        }
+        const std::string cur =
+            "U1 " + std::to_string(kResultCacheSchemaVersion) + " ";
+        auto pos = content.find(cur);
+        ASSERT_NE(pos, std::string::npos);
+        content.replace(pos, cur.size(),
+                        "U1 " + std::to_string(old) + " ");
+        {
+            std::ofstream out(shard, std::ios::trunc | std::ios::binary);
+            out << content;
+        }
+
         ResultCache cache(dir.path());
+        EXPECT_FALSE(cache.loadMix(key).has_value());
+        CacheStats st = cache.stats();
+        EXPECT_EQ(st.evicted, 1u);
+        EXPECT_EQ(st.corrupt, 0u);
+
+        // A store under the current schema repairs the entry.
         cache.storeMix(key, sampleResult(4.25));
+        EXPECT_TRUE(cache.loadMix(key).has_value());
     }
-    std::string shard = onlyShardFile(dir.path());
-    ASSERT_FALSE(shard.empty());
-    std::string content;
-    {
-        std::ifstream in(shard, std::ios::binary);
-        content.assign(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-    }
-    const std::string cur =
-        "U1 " + std::to_string(kResultCacheSchemaVersion) + " ";
-    auto pos = content.find(cur);
-    ASSERT_NE(pos, std::string::npos);
-    content.replace(pos, cur.size(), "U1 1 ");
-    {
-        std::ofstream out(shard, std::ios::trunc | std::ios::binary);
-        out << content;
-    }
-
-    ResultCache cache(dir.path());
-    EXPECT_FALSE(cache.loadMix(key).has_value());
-    CacheStats st = cache.stats();
-    EXPECT_EQ(st.evicted, 1u);
-    EXPECT_EQ(st.corrupt, 0u);
-
-    // A store under the current schema repairs the entry.
-    cache.storeMix(key, sampleResult(4.25));
-    EXPECT_TRUE(cache.loadMix(key).has_value());
 }
 
 TEST(ResultCacheHardening, StaleSchemaRecordsAreEvictedNotServed)

@@ -132,7 +132,6 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
         [](SchemeUnderTest &s) { s.array = ArrayKind::SA16; },
         [](SchemeUnderTest &s) { s.policy = PolicyKind::Lru; },
         [](SchemeUnderTest &s) { s.slack = 0.1; },
-        [](SchemeUnderTest &s) { s.ubik.slack = 0.01; },
         [](SchemeUnderTest &s) { s.ubik.idleOptions = 8; },
         [](SchemeUnderTest &s) { s.ubik.deboostGuard = 32.0; },
         [](SchemeUnderTest &s) { s.ubik.slackGain = 0.2; },
@@ -140,7 +139,6 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
         [](SchemeUnderTest &s) { s.ubik.accurateDeboost = false; },
         [](SchemeUnderTest &s) { s.reconfigScale = 2.0; },
         [](SchemeUnderTest &s) { s.mem = MemKind::Contended; },
-        [](SchemeUnderTest &s) { s.memParams.baseLatency = 300; },
         [](SchemeUnderTest &s) { s.memParams.channels = 4; },
         [](SchemeUnderTest &s) { s.memParams.channelOccupancy = 48; },
         [](SchemeUnderTest &s) { s.lcMemShare = 0.7; },
@@ -356,7 +354,6 @@ TEST(ResultCacheKey, ResultNeutralKnobsDoNotChangeTheKey)
     b.jobs = 8;
     b.seeds = 7;
     b.mixesPerLc = 40;
-    b.verbose = true;
     b.cacheDir = "/somewhere/else";
     EXPECT_EQ(mixResultKey(a, mix, sut, 1, true),
               mixResultKey(b, mix, sut, 1, true));

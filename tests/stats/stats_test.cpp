@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the statistics module: streaming moments, the latency
- * recorder (including the paper's tail-mean metric, §3.2), and
- * histograms.
+ * Tests for the statistics module: streaming moments and the latency
+ * recorder (including the paper's tail-mean metric, §3.2).
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <random>
 #include <vector>
 
-#include "stats/histogram.h"
 #include "stats/latency_recorder.h"
 #include "stats/streaming_stats.h"
 
@@ -364,44 +362,6 @@ TEST_P(TailMeanProperty, TailMeanAtLeastPercentile)
 
 INSTANTIATE_TEST_SUITE_P(Percentiles, TailMeanProperty,
                          ::testing::Values(50.0, 90.0, 95.0, 99.0));
-
-// --- Histogram ---
-
-TEST(Histogram, BasicBinning)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    h.add(9.9);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(1), 2u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_DOUBLE_EQ(h.binFrac(1), 0.5);
-}
-
-TEST(Histogram, Weights)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.0, 10);
-    EXPECT_EQ(h.total(), 10u);
-    EXPECT_EQ(h.binCount(1), 10u);
-}
-
-TEST(Histogram, BinEdges)
-{
-    Histogram h(2.0, 12.0, 5);
-    EXPECT_DOUBLE_EQ(h.binLo(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.binLo(4), 10.0);
-}
-
-TEST(Histogram, SummaryNonEmpty)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(0.1);
-    EXPECT_FALSE(h.summary().empty());
-}
 
 } // namespace
 } // namespace ubik

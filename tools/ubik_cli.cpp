@@ -24,6 +24,7 @@
 #include "common/cli.h"
 #include "common/log.h"
 #include "report/report.h"
+#include "sim/job_pool.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "stats/streaming_stats.h"
@@ -83,17 +84,15 @@ main(int argc, char **argv)
     auto &cache_stats =
         cli.flag("cache-stats", false,
                  "print the cache hit/miss/evict summary");
-    auto &verbose = cli.flag("verbose", false, "chatty progress output");
     cli.parse(argc, argv);
 
-    setVerbose(verbose.value);
     if (load.value <= 0 || load.value >= 1)
         fatal("--load must be in (0, 1)");
     if (batch.value.size() != 3)
         fatal("--batch needs exactly three class codes (n/f/t/s)");
 
     const std::uint64_t n_seeds = flagInRange(seeds, 1, UINT32_MAX);
-    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, kMaxJobs);
 
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
     if (n_jobs > 0)

@@ -94,42 +94,27 @@ printFleetStatus(const ScenarioSpec &spec,
     // stats counted, nothing computed, nothing claimed.
     std::set<std::string> jobKeys;
     std::size_t done = 0;
+    SweepBaselines base;
     for (const SweepJob &job : jobs) {
         std::string key =
             mixResultKey(cfg, job.mix, job.sut, job.seed, spec.ooo);
         jobKeys.insert(key);
         if (cache->peekMix(key))
             done++;
+        base.add(cfg, spec.ooo, job);
     }
-    std::size_t lcTotal = 0, lcDone = 0;
-    std::size_t batchTotal = 0, batchDone = 0;
-    std::set<std::string> seenBase;
-    for (const MixSpec &mix : mixes)
-        for (std::uint32_t s = 1; s <= cfg.seeds; s++) {
-            std::string lk = lcBaselineKey(cfg, mix.lc.app,
-                                           mix.lc.load, s, spec.ooo);
-            if (seenBase.insert(lk).second) {
-                lcTotal++;
-                if (cache->hasLcBaseline(lk))
-                    lcDone++;
-            }
-            for (const auto &app : mix.batch.apps) {
-                std::string bk =
-                    batchBaselineKey(cfg, app, s, spec.ooo);
-                if (seenBase.insert(bk).second) {
-                    batchTotal++;
-                    if (cache->hasBatchIpc(bk))
-                        batchDone++;
-                }
-            }
-        }
+    std::size_t lcDone = 0, batchDone = 0;
+    for (const auto &kv : base.lc)
+        lcDone += cache->hasLcBaseline(kv.first);
+    for (const auto &kv : base.batch)
+        batchDone += cache->hasBatchIpc(kv.first);
     std::printf("[fleet-status] scenario=%s cache=%s\n",
                 spec.name.c_str(), cfg.cacheDir.c_str());
     std::printf("[fleet-status] matrix: jobs=%zu done=%zu (%.1f%%) "
                 "lc_baselines=%zu/%zu batch_baselines=%zu/%zu\n",
                 jobs.size(), done,
                 jobs.empty() ? 100.0 : 100.0 * done / jobs.size(),
-                lcDone, lcTotal, batchDone, batchTotal);
+                lcDone, base.lc.size(), batchDone, base.batch.size());
 
     // Live claim leases: who is mid-computation right now. A key
     // outside this scenario's matrix counts as foreign (another
@@ -222,12 +207,9 @@ main(int argc, char **argv)
         "'cache.append=short_write@3;claim.create=err:EIO@p0.05,"
         "seed7' or 'random:<seed>' (overrides UBIK_FAILPOINTS; see "
         "README \"Fault injection\")");
-    auto &verbose =
-        cli.flag("verbose", false, "chatty progress output");
     cli.parse(argc, argv);
-    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, kMaxJobs);
 
-    setVerbose(verbose.value);
     if (!failpoints.value.empty()) {
         failpointConfigure(failpoints.value);
         std::fprintf(stderr, "  [failpoints] armed: %s\n",

@@ -37,6 +37,7 @@
 #include "common/log.h"
 #include "fleet/serve.h"
 #include "report/report.h"
+#include "sim/job_pool.h"
 #include "sim/scenario.h"
 
 using namespace ubik;
@@ -138,7 +139,7 @@ main(int argc, char **argv)
     auto &verbose =
         cli.flag("verbose", false, "server: per-request log lines");
     cli.parse(argc, argv);
-    const std::uint64_t n_jobs = flagInRange(jobs, 0, UINT32_MAX);
+    const std::uint64_t n_jobs = flagInRange(jobs, 0, kMaxJobs);
 
     bool server = !socket_path.value.empty();
     bool client = !connect_path.value.empty();
@@ -153,7 +154,6 @@ main(int argc, char **argv)
             fatal("--socket starts a daemon; the query flags "
                   "(scenario name, --spec, --set, --request, "
                   "--stats, --results-out) belong to --connect");
-        setVerbose(verbose.value);
         if (!failpoints.value.empty()) {
             failpointConfigure(failpoints.value);
             std::fprintf(stderr, "  [failpoints] armed: %s\n",
