@@ -9,14 +9,20 @@ namespace {
 thread_local bool tFatalTrapped = false;
 } // namespace
 
-FatalTrap::FatalTrap() : prev_(tFatalTrapped)
+FatalTrap::FatalTrap(bool armed) : prev_(tFatalTrapped)
 {
-    tFatalTrapped = true;
+    tFatalTrapped = armed;
 }
 
 FatalTrap::~FatalTrap()
 {
     tFatalTrapped = prev_;
+}
+
+bool
+fatalTrapped()
+{
+    return tFatalTrapped;
 }
 
 void

@@ -41,12 +41,15 @@ struct FatalError : std::runtime_error
  * request handling so a bad user spec produces an error response
  * instead of killing the process; tests arm one instead of spawning
  * a death-test child. panic() (internal invariants) still aborts —
- * only user-error fatals are trappable.
+ * only user-error fatals are trappable. JobPool runs each batch's
+ * jobs under the submitting thread's state (`armed` =
+ * fatalTrapped() there), so a trapped fatal() in a job reaches the
+ * submitter as a rethrown FatalError.
  */
 class FatalTrap
 {
   public:
-    FatalTrap();
+    explicit FatalTrap(bool armed = true);
     ~FatalTrap();
     FatalTrap(const FatalTrap &) = delete;
     FatalTrap &operator=(const FatalTrap &) = delete;
@@ -54,6 +57,9 @@ class FatalTrap
   private:
     bool prev_;
 };
+
+/** Whether fatal() throws on this thread (a FatalTrap is armed). */
+bool fatalTrapped();
 
 void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

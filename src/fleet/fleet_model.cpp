@@ -11,6 +11,7 @@
 #include "common/types.h"
 #include "core/advisor.h"
 #include "queueing/queue_sim.h"
+#include "stats/latency_recorder.h"
 #include "trace/trace_analyzer.h"
 #include "workload/trace_capture.h"
 
@@ -63,21 +64,6 @@ struct LcGroup
     std::size_t pressureBundle = 0;
     std::uint64_t rotation = 0; ///< round-robin offset (downsizable)
 };
-
-double
-nearestRankMs(std::vector<double> &sorted_ms, double pct)
-{
-    if (sorted_ms.empty())
-        return 0;
-    std::size_t n = sorted_ms.size();
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    return sorted_ms[rank - 1];
-}
 
 } // namespace
 
@@ -141,7 +127,7 @@ runFleet(const FleetSpec &fs,
     if (sweeps.size() != schemes.size())
         panic("fleet: sweep/scheme count mismatch (%zu vs %zu)",
               sweeps.size(), schemes.size());
-    std::uint32_t seeds = cfg.seeds ? cfg.seeds : 1;
+    const std::uint32_t seeds = cfg.seeds;
     for (const SweepResult &sw : sweeps)
         if (sw.runs.size() != mixes.size() * seeds)
             panic("fleet: sweep '%s' has %zu runs, expected %zu",
@@ -213,7 +199,7 @@ runFleet(const FleetSpec &fs,
                           fs.arrivals.nominalLoad))
                 anchor = m;
         const LcAppParams &app = mixes[anchor].lc.app;
-        const LcBaseline &base =
+        const LcBaseline base =
             runner.lcBaseline(app, mixes[anchor].lc.load, 1);
 
         TraceData trace = captureLcTrace(app.scaled(cfg.scale),
@@ -439,8 +425,8 @@ runFleet(const FleetSpec &fs,
         r.utilizationLift =
             r.dedicatedUtil > 0 ? r.utilization / r.dedicatedUtil : 0;
         std::sort(tails_ms.begin(), tails_ms.end());
-        r.tailP95Ms = nearestRankMs(tails_ms, 95);
-        r.tailP99Ms = nearestRankMs(tails_ms, 99);
+        r.tailP95Ms = tails_ms[nearestRank(95, tails_ms.size()) - 1];
+        r.tailP99Ms = tails_ms[nearestRank(99, tails_ms.size()) - 1];
         r.sloViolationFrac = static_cast<double>(violations) / n;
         r.batchCoreEquivalents = sum_batch_cores / fr.slices;
         r.machinesSavedVsDedicated = r.batchCoreEquivalents / cores;

@@ -169,8 +169,8 @@ struct FleetResult
  *                SweepResult per scheme, runs in (mix, seed) order
  * @param cfg     experiment scale/seed configuration
  * @param ooo     core model flavour (matches the sweep)
- * @param cache   optional persistent cache for the LC baselines the
- *                composition needs (the sweep warmed them)
+ * @param cache   the sweep's cache (not null), holding the LC
+ *                baselines the composition needs
  */
 FleetResult runFleet(const FleetSpec &fs,
                      const std::vector<SchemeUnderTest> &schemes,

@@ -34,13 +34,9 @@ usSince(std::chrono::steady_clock::time_point t0)
 
 ServeDaemon::ServeDaemon(const ServeOptions &opt,
                          const ExperimentConfig &cfg)
-    : opt_(opt), cfg_(cfg), started_(std::chrono::steady_clock::now())
+    : opt_(opt), cfg_(cfg), cache_(ResultCache::open(cfg_.cacheDir)),
+      started_(std::chrono::steady_clock::now())
 {
-    // Queries compute locally against the shared cache; the fleet
-    // claim protocol is for cooperating sweep *processes*, and its
-    // lease churn would only slow single-request latencies down.
-    cfg_.fleet = false;
-    cache_ = ResultCache::open(cfg_.cacheDir);
 }
 
 ServeDaemon::~ServeDaemon()
@@ -281,11 +277,9 @@ ServeDaemon::snapshot() const
         s.meanServiceUs = serviceUs_.mean();
         s.p95ServiceUs = serviceUs_.percentile(95.0);
     }
-    if (cache_) {
-        CacheStats cs = cache_->stats();
-        s.cacheHits = cs.hits;
-        s.cacheMisses = cs.misses;
-    }
+    CacheStats cs = cache_->stats();
+    s.cacheHits = cs.hits;
+    s.cacheMisses = cs.misses;
     return s;
 }
 
@@ -488,7 +482,7 @@ serveMain(const ServeOptions &opt, const ExperimentConfig &cfg)
     std::fprintf(stderr, "  [serve] listening on %s (%u threads%s)\n",
                  opt.socketPath.c_str(),
                  opt.threads ? opt.threads : 2,
-                 cfg.cacheDir.empty() ? ", no cache"
+                 cfg.cacheDir.empty() ? ", cache in memory"
                                       : (", cache " + cfg.cacheDir)
                                             .c_str());
     int rc = daemon.run();

@@ -24,8 +24,8 @@
  * {"ok": false, "error": ...} responses. Repeated identical queries
  * are answered from an in-memory response memo without touching the
  * engine at all; cold queries compute through runScenario() (the
- * normal sweep path) against the daemon's shared persistent cache
- * and warm it for everyone else.
+ * normal sweep path) against the daemon's one result cache (on disk
+ * under --cache-dir, else in memory) and warm it for everyone else.
  *
  * Failure injection: the accept/read/write paths evaluate the
  * serve.accept / serve.read / serve.write failpoint sites
@@ -85,8 +85,8 @@ class ServeDaemon
 {
   public:
     /** `cfg` is the experiment environment every query runs under
-     *  (scale, requests, cache dir, jobs); fleet claiming is forced
-     *  off — the daemon computes locally. */
+     *  (scale, requests, cache dir, jobs). Without a cache dir the
+     *  daemon keeps results in memory for its lifetime. */
     ServeDaemon(const ServeOptions &opt, const ExperimentConfig &cfg);
     ~ServeDaemon();
 
@@ -124,7 +124,6 @@ class ServeDaemon
     std::string errorResponse(const std::string &msg);
     void serveConnection(int fd);
     void workerLoop();
-    void recordService(double us, bool ok_resp, bool memo_hit);
 
     ServeOptions opt_;
     ExperimentConfig cfg_;

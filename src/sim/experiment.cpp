@@ -69,25 +69,23 @@ ExperimentConfig::fromEnv()
     readEnv("UBIK_WARMUP", cfg.warmupRequests);
     readEnv("UBIK_SEEDS", cfg.seeds);
     readEnv("UBIK_MIXES", cfg.mixesPerLc);
+    // A zero count would run nothing, forever, or everything: no
+    // seeds, a request stream that never ends its ROI, or (mixes)
+    // buildMixes' "all 40".
+    if (cfg.roiRequests == 0)
+        fatal("UBIK_REQUESTS must be >= 1");
+    if (cfg.seeds == 0)
+        fatal("UBIK_SEEDS must be >= 1");
+    if (cfg.mixesPerLc == 0)
+        fatal("UBIK_MIXES must be >= 1");
     readEnv("UBIK_JOBS", cfg.jobs, kMaxJobs);
     if (const char *dir = std::getenv("UBIK_CACHE_DIR"))
         cfg.cacheDir = dir;
-    readEnv("UBIK_FLEET", cfg.fleet);
-    if (const char *w = std::getenv("UBIK_WORKER_ID"))
-        cfg.workerId = w;
-    readEnv("UBIK_LEASE_TTL", cfg.leaseTtlSec);
-    if (cfg.leaseTtlSec <= 0)
-        fatal("UBIK_LEASE_TTL must be > 0 seconds (got %f)",
-              cfg.leaseTtlSec);
-    if (const char *shard = std::getenv("UBIK_SHARD"))
-        if (*shard)
-            cfg.applyShardSpec("UBIK_SHARD", shard);
     return cfg;
 }
 
 void
-ExperimentConfig::applyShardSpec(const char *what,
-                                 const std::string &spec)
+ExperimentConfig::applyShardSpec(const std::string &spec)
 {
     auto slash = spec.find('/');
     std::uint64_t idx = 0, cnt = 0;
@@ -97,9 +95,9 @@ ExperimentConfig::applyShardSpec(const char *what,
         !parseU64Strict(spec.substr(slash + 1).c_str(), 0xFFFFFFFFull,
                         cnt) ||
         cnt == 0 || idx >= cnt)
-        fatal("%s='%s' is not a shard spec i/n with 0 <= i < n "
+        fatal("--shard='%s' is not a shard spec i/n with 0 <= i < n "
               "(e.g. 0/4)",
-              what, spec.c_str());
+              spec.c_str());
     shardIndex = static_cast<std::uint32_t>(idx);
     shardCount = static_cast<std::uint32_t>(cnt);
 }

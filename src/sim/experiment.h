@@ -11,29 +11,23 @@
  * variables restore paper-scale runs:
  *
  *   UBIK_SCALE    machine scale divisor (1 = paper scale; default 8)
- *   UBIK_REQUESTS ROI requests per LC instance (default 100)
+ *   UBIK_REQUESTS ROI requests per LC instance (default 100; >= 1)
  *   UBIK_WARMUP   warmup requests per LC instance (default 25)
- *   UBIK_SEEDS    repeated runs per configuration (default 1)
- *   UBIK_MIXES    batch mixes per LC config (default 3; 40 = paper)
+ *   UBIK_SEEDS    repeated runs per configuration (default 1; >= 1)
+ *   UBIK_MIXES    batch mixes per LC config (default 3; 40 = paper;
+ *                 >= 1)
  *   UBIK_JOBS     experiment-engine workers, at most kMaxJobs
  *                 (default 0 = all cores; 1 = legacy sequential path)
  *   UBIK_CSV_DIR  directory for per-run CSV exports (sweep benches)
- *   UBIK_CACHE_DIR persistent result cache directory (unset = no
- *                 caching; see sim/result_cache.h)
- *   UBIK_FLEET    1 = cooperate with other processes sharing
- *                 UBIK_CACHE_DIR via work-claiming leases (see
- *                 sim/parallel_sweep.h); requires a cache dir
- *   UBIK_WORKER_ID fleet worker identity (default: host + pid)
- *   UBIK_LEASE_TTL fleet claim lease TTL, seconds (default 60); a
- *                 worker silent this long is presumed dead and its
- *                 claimed work reclaimed
- *   UBIK_SHARD    "i/n": run only every n-th selected mix, offset i
- *                 (splits one matrix across CI jobs; results land
- *                 under the same cache keys as the unsharded sweep)
+ *   UBIK_CACHE_DIR persistent result cache directory (unset = results
+ *                 kept in memory for the run; see sim/result_cache.h)
+ *
+ * Fleet mode and mix sharding are `ubik_run` flags (--fleet,
+ * --worker-id, --lease-ttl, --shard), not variables.
  *
  * Numbers are read strictly: trailing garbage, a negative or
- * out-of-range count, or a non-finite number is fatal and names the
- * variable.
+ * out-of-range count, a zero where at least 1 is needed, or a
+ * non-finite number is fatal and names the variable.
  */
 
 #pragma once
@@ -60,7 +54,7 @@ struct ExperimentConfig
     std::uint32_t jobs = 0;
 
     /** Persistent result cache directory (UBIK_CACHE_DIR; empty =
-     *  caching disabled). Never part of a result's cache key. */
+     *  results kept in memory). Never part of a result's cache key. */
     std::string cacheDir;
 
     /** Fleet mode: cooperate with other processes sharing `cacheDir`
@@ -104,11 +98,10 @@ struct ExperimentConfig
     static ExperimentConfig fromEnv();
 
     /**
-     * Parse an "i/n" shard spec (e.g. "0/4") into
-     * shardIndex/shardCount; fatal (naming `what`: the flag or env
-     * var the text came from) on malformed input or i >= n.
+     * Parse an "i/n" shard spec (e.g. "0/4", from --shard) into
+     * shardIndex/shardCount; fatal on malformed input or i >= n.
      */
-    void applyShardSpec(const char *what, const std::string &spec);
+    void applyShardSpec(const std::string &spec);
 
     /** Base CmpConfig with the machine parameters filled in. */
     CmpConfig baseCmpConfig(bool out_of_order = true) const;

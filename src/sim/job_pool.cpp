@@ -65,6 +65,7 @@ JobPool::workerLoop()
 {
     std::uint64_t seen = 0;
     for (;;) {
+        bool trapped;
         {
             std::unique_lock<std::mutex> lock(mu_);
             workCv_.wait(lock, [&] {
@@ -73,9 +74,13 @@ JobPool::workerLoop()
             if (shutdown_)
                 return;
             seen = batchId_;
+            trapped = trapped_;
             active_++;
         }
-        runJobs();
+        {
+            FatalTrap trap(trapped);
+            runJobs();
+        }
         {
             std::lock_guard<std::mutex> lock(mu_);
             active_--;
@@ -115,6 +120,7 @@ JobPool::run(std::size_t n, const std::function<void(std::size_t)> &fn)
         ubik_assert(!jobs_.load()); // no nested/concurrent run()
         completed_ = 0;
         firstError_ = nullptr;
+        trapped_ = fatalTrapped();
         batchId_++;
         cursor_.store(0, std::memory_order_relaxed);
         jobCount_.store(n, std::memory_order_release);

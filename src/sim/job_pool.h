@@ -67,7 +67,9 @@ class JobPool
      * jobs alongside the pool threads. Jobs are claimed dynamically,
      * so long jobs do not serialize behind short ones. If any job
      * throws, the first exception (in completion order) is rethrown
-     * after the batch drains; the remaining jobs still run.
+     * after the batch drains; the remaining jobs still run. Jobs run
+     * under the submitting thread's FatalTrap state (common/log.h),
+     * so a fatal() in a job exits or throws as it would there.
      *
      * Not reentrant: run() must not be called from inside a job, and
      * only one run() may be active per pool at a time.
@@ -95,6 +97,7 @@ class JobPool
     unsigned active_ = 0; ///< pool threads currently inside runJobs()
     std::uint64_t batchId_ = 0;
     std::exception_ptr firstError_;
+    bool trapped_ = false; ///< the submitter's fatalTrapped()
     bool shutdown_ = false;
 };
 

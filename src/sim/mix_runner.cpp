@@ -47,9 +47,12 @@ SchemeUnderTest::applyTo(CmpConfig &cc) const
 }
 
 MixRunner::MixRunner(ExperimentConfig cfg, bool out_of_order)
-    : cfg_(cfg), ooo_(out_of_order)
+    : cfg_(cfg), ooo_(out_of_order), ownCache_(ResultCache::open("")),
+      cache_(ownCache_.get())
 {
 }
+
+MixRunner::~MixRunner() = default;
 
 std::string
 MixRunner::lcKey(const LcAppParams &params, double load,
@@ -65,30 +68,18 @@ MixRunner::batchKey(const BatchAppParams &params,
     return batchBaselineKey(cfg_, params, seed, ooo_);
 }
 
-const LcBaseline &
+LcBaseline
 MixRunner::lcBaseline(const LcAppParams &params, double load,
                       std::uint64_t seed)
 {
+    // Bit-exact round trip, so a hit is indistinguishable from
+    // recomputing.
     const std::string key = lcKey(params, load, seed);
-    {
-        std::lock_guard<std::mutex> lock(cacheMu_);
-        auto it = lcCache_.find(key);
-        if (it != lcCache_.end())
-            return it->second;
-    }
+    if (auto cached = cache_->loadLcBaseline(key))
+        return *cached;
 
-    // Persistent store next (bit-exact round trip, so a hit is
-    // indistinguishable from recomputing).
-    if (cache_) {
-        if (auto cached = cache_->loadLcBaseline(key)) {
-            std::lock_guard<std::mutex> lock(cacheMu_);
-            return lcCache_.emplace(key, *cached).first->second;
-        }
-    }
-
-    // Compute outside the lock: the calibration is deterministic in
-    // (params, load, seed), so two racing threads produce identical
-    // values and whichever emplace wins is correct for both.
+    // The calibration is deterministic in (params, load, seed), so two
+    // racing threads store identical values.
     LcAppParams scaled = params.scaled(cfg_.scale);
     LcBaseline base;
 
@@ -129,13 +120,8 @@ MixRunner::lcBaseline(const LcAppParams &params, double load,
         base.p95 = static_cast<Cycles>(lat.percentile(95.0));
     }
 
-    if (cache_)
-        cache_->storeLcBaseline(key, base);
-
-    std::lock_guard<std::mutex> lock(cacheMu_);
-    auto [ins, ok] = lcCache_.emplace(key, base);
-    (void)ok;
-    return ins->second;
+    cache_->storeLcBaseline(key, base);
+    return base;
 }
 
 double
@@ -143,20 +129,8 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
                          std::uint64_t seed)
 {
     const std::string key = batchKey(params, seed);
-    {
-        std::lock_guard<std::mutex> lock(cacheMu_);
-        auto it = batchCache_.find(key);
-        if (it != batchCache_.end())
-            return it->second;
-    }
-
-    if (cache_) {
-        if (auto cached = cache_->loadBatchIpc(key)) {
-            std::lock_guard<std::mutex> lock(cacheMu_);
-            batchCache_.emplace(key, *cached);
-            return *cached;
-        }
-    }
+    if (auto cached = cache_->loadBatchIpc(key))
+        return *cached;
 
     CmpConfig cc = cfg_.baseCmpConfig(ooo_);
     cc.privateLlc = true;
@@ -166,10 +140,7 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
     cmp.run();
     double ipc = cmp.batchResult(0).ipc();
     ubik_assert(ipc > 0);
-    if (cache_)
-        cache_->storeBatchIpc(key, ipc);
-    std::lock_guard<std::mutex> lock(cacheMu_);
-    batchCache_.emplace(key, ipc);
+    cache_->storeBatchIpc(key, ipc);
     return ipc;
 }
 
@@ -177,7 +148,7 @@ LatencyRecorder
 MixRunner::runAlone(const LcAppParams &params, double load,
                     std::uint64_t seed, LatencyRecorder *service_times)
 {
-    const LcBaseline &base = lcBaseline(params, load, seed);
+    const LcBaseline base = lcBaseline(params, load, seed);
     CmpConfig cc = cfg_.baseCmpConfig(ooo_);
     cc.privateLlc = true;
     LcAppSpec spec;
@@ -207,7 +178,7 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
               "(has %zu)",
               spec.name.c_str(), nbatch);
 
-    const LcBaseline &base = lcBaseline(spec.lc.app, spec.lc.load, seed);
+    const LcBaseline base = lcBaseline(spec.lc.app, spec.lc.load, seed);
     LcAppParams scaled = spec.lc.app.scaled(cfg_.scale);
 
     CmpConfig cc = cfg_.baseCmpConfig(ooo_);

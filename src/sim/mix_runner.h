@@ -19,8 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,18 +113,18 @@ struct SchemeUnderTest
 std::vector<SchemeUnderTest> paperSchemes(double ubik_slack = 0.05);
 
 /**
- * Runs calibrations, baselines, and mixes, caching baselines.
+ * Runs calibrations, baselines, and mixes, caching baselines in its
+ * ResultCache.
  *
  * Thread-safe: one MixRunner may serve concurrent runMix/baseline
  * calls from a JobPool. Baselines are pure functions of (params,
- * load, seed), so a racing recompute produces the identical value and
- * the first insert wins; cached references stay valid because map
- * inserts never move existing nodes.
+ * load, seed), so a racing recompute produces the identical value.
  */
 class MixRunner
 {
   public:
     MixRunner(ExperimentConfig cfg, bool out_of_order = true);
+    ~MixRunner();
 
     const ExperimentConfig &config() const { return cfg_; }
 
@@ -133,23 +132,22 @@ class MixRunner
     bool outOfOrder() const { return ooo_; }
 
     /**
-     * Persist baselines through `cache` (not owned; may be null to
-     * detach): on an in-memory miss the persistent store is consulted
-     * before computing, and computed baselines are stored back. The
-     * cached values are bit-exact, so attaching a cache never changes
-     * any result.
+     * Keep baselines in `cache` (not owned, not null) instead of the
+     * in-memory cache this runner owns. Baselines are looked up
+     * before computing and stored after, and round-trip bit-exactly,
+     * so the cache never changes a result.
      */
     void attachCache(ResultCache *cache) { cache_ = cache; }
 
-    /** The attached persistent cache, or null. */
-    ResultCache *cache() const { return cache_; }
+    /** The cache baselines (and ParallelSweep's mix results) live in. */
+    ResultCache &cache() const { return *cache_; }
 
     /**
      * Baseline for an LC app at a load (cached). `params` must be
      * full-scale; scaling happens internally.
      */
-    const LcBaseline &lcBaseline(const LcAppParams &params, double load,
-                                 std::uint64_t seed);
+    LcBaseline lcBaseline(const LcAppParams &params, double load,
+                          std::uint64_t seed);
 
     /** Alone-IPC for a batch app on the private LLC (cached). */
     double batchAloneIpc(const BatchAppParams &params,
@@ -182,8 +180,8 @@ class MixRunner
                              std::uint64_t seed,
                              LatencyRecorder *service_times = nullptr);
 
-    /** Key an LC baseline is memoized and cached under: its
-     *  canonical lcBaselineKey for this runner's config. */
+    /** Key an LC baseline is cached under: its canonical
+     *  lcBaselineKey for this runner's config. */
     std::string lcKey(const LcAppParams &params, double load,
                       std::uint64_t seed) const;
 
@@ -194,10 +192,8 @@ class MixRunner
   private:
     ExperimentConfig cfg_;
     bool ooo_;
-    ResultCache *cache_ = nullptr; ///< optional persistent store
-    std::mutex cacheMu_; ///< guards the two baseline caches
-    std::map<std::string, LcBaseline> lcCache_;
-    std::map<std::string, double> batchCache_;
+    std::unique_ptr<ResultCache> ownCache_; ///< in memory
+    ResultCache *cache_;                     ///< ownCache_ or attached
 };
 
 } // namespace ubik

@@ -18,7 +18,7 @@ namespace ubik {
 namespace {
 
 /** A job the cache could not serve: its index into the job vector and
- *  its canonical cache key (empty when no cache is attached). */
+ *  its canonical cache key. */
 struct Miss
 {
     std::size_t job = 0;
@@ -57,7 +57,7 @@ missedBaselines(const MixRunner &runner, const std::vector<SweepJob> &jobs,
  * then one JobPool task per miss.
  */
 void
-fillLocal(MixRunner &runner, JobPool &pool, ResultCache *cache,
+fillLocal(MixRunner &runner, JobPool &pool,
           const std::vector<SweepJob> &jobs,
           const std::vector<Miss> &misses,
           std::vector<MixRunResult> &results, const Notify &notify)
@@ -84,8 +84,7 @@ fillLocal(MixRunner &runner, JobPool &pool, ResultCache *cache,
         const Miss &m = misses[k];
         const SweepJob &job = jobs[m.job];
         results[m.job] = runner.runMix(job.mix, job.sut, job.seed);
-        if (cache)
-            cache->storeMix(m.key, results[m.job]);
+        runner.cache().storeMix(m.key, results[m.job]);
         notify(Fill::Computed);
     });
 }
@@ -255,7 +254,7 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
     // Round 1: baselines, as leasable units of their own — otherwise
     // every worker would recompute the full baseline set before its
     // first mix. poll() is a presence probe against the shared cache;
-    // compute() publishes through the runner's attached cache.
+    // compute() publishes through the runner's cache.
     const SweepBaselines base = missedBaselines(runner_, jobs, misses);
 
     std::vector<ClaimTask> tasks;
@@ -358,13 +357,14 @@ ParallelSweep::run(
             .count();
     };
 
+    ResultCache &cache = runner_.cache();
     if (fleet_) {
-        if (!cache_)
+        if (!cache.persistent())
             fatal("fleet sweep needs a result cache: pass --cache-dir "
                   "(or UBIK_CACHE_DIR) alongside --fleet");
         // Claim release must imply "result on disk" for peers (and
         // for crash recovery), so records are fsync'd before release.
-        cache_->setDurable(true);
+        cache.setDurable(true);
     }
 
     // Lookup-before-submit: hits fill their result slots directly and
@@ -374,16 +374,13 @@ ParallelSweep::run(
     std::vector<Miss> misses;
     std::size_t hits = 0;
     for (std::size_t i = 0; i < jobs.size(); i++) {
-        std::string key;
-        if (cache_) {
-            key = mixResultKey(runner_.config(), jobs[i].mix,
-                               jobs[i].sut, jobs[i].seed,
-                               runner_.outOfOrder());
-            if (auto cached = cache_->loadMix(key)) {
-                results[i] = std::move(*cached);
-                hits++;
-                continue;
-            }
+        std::string key =
+            mixResultKey(runner_.config(), jobs[i].mix, jobs[i].sut,
+                         jobs[i].seed, runner_.outOfOrder());
+        if (auto cached = cache.loadMix(key)) {
+            results[i] = std::move(*cached);
+            hits++;
+            continue;
         }
         misses.push_back(Miss{i, std::move(key)});
     }
@@ -410,11 +407,10 @@ ParallelSweep::run(
     };
 
     if (fleet_)
-        FleetFill(runner_, pool_, *cache_, fleetOpt_)
+        FleetFill(runner_, pool_, cache, fleetOpt_)
             .fill(jobs, misses, results, notify);
     else
-        fillLocal(runner_, pool_, cache_, jobs, misses, results,
-                  notify);
+        fillLocal(runner_, pool_, jobs, misses, results, notify);
     return results;
 }
 

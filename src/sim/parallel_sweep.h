@@ -58,10 +58,9 @@ struct SweepJob
 
 /**
  * The distinct LC and batch baselines a list of jobs needs, each
- * under its canonical cache key (lcBaselineKey, batchBaselineKey,
- * which MixRunner also memoizes them under): what ParallelSweep
- * computes or claims before the mixes, and what `ubik_run
- * --fleet-status` probes.
+ * under its canonical cache key (lcBaselineKey, batchBaselineKey):
+ * what ParallelSweep computes or claims before the mixes, and what
+ * `ubik_run --fleet-status` probes.
  */
 struct SweepBaselines
 {
@@ -93,7 +92,7 @@ struct SweepProgress
     std::size_t done = 0;
     std::size_t total = 0; ///< jobs in the sweep
 
-    /** Of `done`: served from the persistent result cache up front. */
+    /** Of `done`: served from the result cache up front. */
     std::size_t hits = 0;
 
     /** Of `done`: actually simulated this run. */
@@ -120,7 +119,8 @@ struct FleetOptions
     double leaseTtlSec = 60.0;
 };
 
-/** Executes SweepJob batches through a shared MixRunner. */
+/** Executes SweepJob batches through a shared MixRunner, serving and
+ *  storing mix results in the runner's cache. */
 class ParallelSweep
 {
   public:
@@ -133,19 +133,13 @@ class ParallelSweep
     /** Worker count the engine executes with. */
     unsigned workers() const { return pool_.workers(); }
 
-    /**
-     * Serve cache hits from `cache` (not owned; null detaches) before
-     * submitting jobs, and store computed results back. Values
-     * round-trip bit-exactly, so a warm sweep equals the cold one.
-     * Attach the same cache to the runner (MixRunner::attachCache) to
-     * persist baselines too.
-     */
-    void attachCache(ResultCache *cache) { cache_ = cache; }
+    /** MixRunner::attachCache on the runner. */
+    void attachCache(ResultCache *cache) { runner_.attachCache(cache); }
 
     /**
      * Fleet mode: fill cache misses by claiming them through leases
-     * in the attached cache directory, so N processes sharing it
-     * partition one sweep between them. Requires an attached cache
+     * in the runner's cache directory, so N processes sharing it
+     * partition one sweep between them. Requires a persistent cache
      * (run() fatals otherwise), which run() switches to durable mode
      * so "claim released" implies "result on disk". Results stay
      * bit-identical to the single-process path.
@@ -169,7 +163,6 @@ class ParallelSweep
   private:
     MixRunner &runner_;
     JobPool pool_;
-    ResultCache *cache_ = nullptr; ///< optional persistent store
     bool fleet_ = false;
     FleetOptions fleetOpt_;
 };

@@ -274,8 +274,7 @@ addExperiment(KeyBuilder &kb, const ExperimentConfig &cfg, bool ooo)
 void
 addLcApp(KeyBuilder &kb, const LcAppParams &p)
 {
-    kb.add("lc.name", p.name)
-        .add("lc.apki", p.apki)
+    kb.add("lc.apki", p.apki)
         .add("lc.work", p.work.canonical())
         .add("lc.hotLines", p.hotLines)
         .add("lc.hotTheta", p.hotTheta)
@@ -291,7 +290,6 @@ addBatchApp(KeyBuilder &kb, const BatchAppParams &p, int i)
 {
     const char prefix[] = {'b', static_cast<char>('0' + i), '.'};
     kb.scope(std::string_view(prefix, sizeof prefix))
-        .add("name", p.name)
         .add("cls", enumName(p.cls))
         .add("apki", p.apki)
         .add("wsLines", p.wsLines)
@@ -304,8 +302,7 @@ addBatchApp(KeyBuilder &kb, const BatchAppParams &p, int i)
 void
 addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
 {
-    kb.add("sut.label", sut.label)
-        .add("sut.scheme", enumName(sut.scheme))
+    kb.add("sut.scheme", enumName(sut.scheme))
         .add("sut.array", enumName(sut.array))
         .add("sut.policy", enumName(sut.policy))
         .add("sut.slack", sut.slack)
@@ -500,7 +497,6 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
 {
     KeyBuilder kb("mix", schema);
     addExperiment(kb, cfg, out_of_order);
-    kb.add("mix.name", mix.name);
     addLcApp(kb, mix.lc.app);
     kb.add("lc.load", mix.lc.load);
     // Canonical profile string (kind + kind-relevant parameters as
@@ -516,7 +512,6 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
     for (std::size_t i = 0; i < mix.lc.traces.size(); i++)
         kb.add("lc.trace" + std::to_string(i),
                mix.lc.traces[i]->contentHash());
-    kb.add("batch.name", mix.batch.name);
     for (int i = 0; i < 3; i++)
         addBatchApp(kb, mix.batch.apps[static_cast<std::size_t>(i)], i);
     // Batch replay mirrors lc.traces: content-hash keyed, so a
@@ -600,11 +595,15 @@ ResultCache::ResultCache(std::string dir)
     : dir_(std::move(dir)), shards_(new Shard[kShards]),
       index_(new Index)
 {
+    if (dir_.empty())
+        return;
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
-    if (!std::filesystem::is_directory(dir_))
+    if (!std::filesystem::is_directory(dir_)) {
         warn("result cache: cannot create '%s' (%s); caching disabled",
              dir_.c_str(), ec.message().c_str());
+        dir_.clear();
+    }
 }
 
 ResultCache::~ResultCache() = default;
@@ -612,12 +611,7 @@ ResultCache::~ResultCache() = default;
 std::unique_ptr<ResultCache>
 ResultCache::open(const std::string &dir)
 {
-    if (dir.empty())
-        return nullptr;
-    auto cache = std::make_unique<ResultCache>(dir);
-    if (!std::filesystem::is_directory(dir))
-        return nullptr; // the constructor already warned
-    return cache;
+    return std::make_unique<ResultCache>(dir);
 }
 
 std::size_t
@@ -639,6 +633,8 @@ void
 ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
 {
     s.loaded = true;
+    if (!persistent())
+        return;
     // A failed refresh leaves a stale view: subsequent lookups can
     // miss on records that are actually on disk, costing a duplicate
     // compute of a deterministic value — never a wrong result.
@@ -823,7 +819,19 @@ ResultCache::store(char kind, const std::string &key,
         if (have && *have == payload)
             return; // already persisted (a racing process beat us)
     }
+    if (persistent())
+        append(idx, kind, key, payload);
+    {
+        std::unique_lock<std::shared_mutex> ilock(index_->mu);
+        index_->byKind[kindSlot(kind)].insert_or_assign(key, payload);
+    }
+    stores_.fetch_add(1, std::memory_order_relaxed);
+}
 
+void
+ResultCache::append(std::size_t idx, char kind, const std::string &key,
+                    const std::string &payload)
+{
     std::string line;
     line.reserve(key.size() + payload.size() + 32);
     line += kRecordMagic;
@@ -902,11 +910,6 @@ ResultCache::store(char kind, const std::string &key,
                  "uncached — this worker keeps its results in memory",
                  shardPath(idx).c_str(), std::strerror(errno));
     }
-    {
-        std::unique_lock<std::shared_mutex> ilock(index_->mu);
-        index_->byKind[kindSlot(kind)].insert_or_assign(key, payload);
-    }
-    stores_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<MixRunResult>
@@ -1024,7 +1027,8 @@ CacheStats
 ResultCache::stats() const
 {
     CacheStats st = counters();
-    st.claimsLive = ClaimStore::leases(dir_).size();
+    if (persistent())
+        st.claimsLive = ClaimStore::leases(dir_).size();
     return st;
 }
 

@@ -12,7 +12,9 @@
  * seed, and the core model flavour are serialized into the key,
  * doubles as exact bit patterns, so two differently-constructed but
  * equal configurations produce the same key and any single field
- * change produces a different one. The key
+ * change produces a different one. Names no simulation reads (the
+ * scheme label, the mix, batch-mix and app names) stay out, so a
+ * relabelled scheme or renamed mix is served its results. The key
  * starts with the code-schema version (kResultCacheSchemaVersion);
  * bumping it invalidates every stale entry at once — bump it whenever
  * a simulator change alters results without changing any config
@@ -33,6 +35,9 @@
  * Loaded records live in one in-memory hashed index per record kind,
  * shared by all shards: a warm hit hashes its key once and decodes
  * the payload in place, without hashing the key for its shard.
+ * Opened without a directory, the cache keeps its records in memory
+ * for its lifetime and touches no file: it stays the one store of
+ * results whether or not they persist.
  *
  * Determinism contract: values round-trip bit-exactly (doubles are
  * stored as their 64-bit patterns), so a warm-cache sweep is
@@ -67,8 +72,10 @@ namespace ubik {
  *  keys gain the LC load profile, and the tailMean nearest-rank fix
  *  shifts every stored lcTailMean/tailDegradation and LC baseline,
  *  so all v3 values are stale; v5 = mix keys drop `ubik.slack` and
- *  `mem.baseLatency`, which no simulation read (values unchanged). */
-constexpr std::uint32_t kResultCacheSchemaVersion = 5;
+ *  `mem.baseLatency`, which no simulation read (values unchanged);
+ *  v6 = keys drop the scheme label and the mix, batch-mix and app
+ *  names, which no simulation reads either (values unchanged). */
+constexpr std::uint32_t kResultCacheSchemaVersion = 6;
 
 /** Counters since this ResultCache was opened. */
 struct CacheStats
@@ -166,18 +173,21 @@ class ResultCache
      *  contend. */
     static constexpr std::size_t kShards = 64;
 
-    /** Opens (creating if needed) the cache under `dir`. */
+    /** Opens (creating if needed) the cache under `dir`. An empty
+     *  `dir`, or one that cannot be created (warned), keeps records
+     *  in memory only. */
     explicit ResultCache(std::string dir);
     ~ResultCache();
 
     ResultCache(const ResultCache &) = delete;
     ResultCache &operator=(const ResultCache &) = delete;
 
-    /**
-     * Open a cache under `dir`; returns nullptr when `dir` is empty
-     * (caching disabled) or cannot be created.
-     */
+    /** The cache under `dir`, as the constructor opens it; never
+     *  null. */
     static std::unique_ptr<ResultCache> open(const std::string &dir);
+
+    /** Whether records reach files under dir() (false: memory only). */
+    bool persistent() const { return !dir_.empty(); }
 
     std::optional<MixRunResult> loadMix(const std::string &key);
     void storeMix(const std::string &key, const MixRunResult &res);
@@ -231,6 +241,7 @@ class ResultCache
     /** stats().degraded() without the directory scan. */
     std::uint64_t degraded() const;
 
+    /** The cache directory; empty for an in-memory cache. */
     const std::string &dir() const { return dir_; }
 
     /** Which shard a key lands in (exposed for the hardening tests). */
@@ -262,6 +273,10 @@ class ResultCache
     CacheStats counters() const; ///< stats() minus claimsLive
     void store(char kind, const std::string &key,
                const std::string &payload);
+    /** Append one record to shard `idx`'s file; caller holds its
+     *  lock. */
+    void append(std::size_t idx, char kind, const std::string &key,
+                const std::string &payload);
     void refreshShardLocked(Shard &s, std::size_t idx);
     std::string shardPath(std::size_t idx) const;
 

@@ -636,7 +636,7 @@ buildScenarioMixes(const ScenarioSpec &spec,
     // MixRunner into the Cmp arrival pump and the cache keys).
     for (MixSpec &m : selected)
         m.lc.profile = spec.profile;
-    // Static sharding (UBIK_SHARD=i/n): keep every n-th mix. A pure
+    // Static sharding (--shard i/n): keep every n-th mix. A pure
     // selection — cache keys are untouched — so shards filled by
     // separate CI jobs merge into one coherent cache, and any job can
     // later serve the full matrix from it.
@@ -658,22 +658,14 @@ std::vector<SweepResult>
 runSchemeSweep(const ExperimentConfig &cfg,
                const std::vector<SchemeUnderTest> &schemes,
                const std::vector<MixSpec> &mixes, bool ooo,
-               ResultCache *shared, SweepAccounting *acct,
+               ResultCache *cache, SweepAccounting *acct,
                std::FILE *progress)
 {
     MixRunner runner(cfg, ooo);
-    std::unique_ptr<ResultCache> owned;
-    if (!shared)
-        owned = ResultCache::open(cfg.cacheDir);
-    ResultCache *cache = shared ? shared : owned.get();
     runner.attachCache(cache);
     ParallelSweep engine(runner, cfg.jobs);
-    engine.attachCache(cache);
     std::string worker = cfg.workerId;
     if (cfg.fleet) {
-        if (!cache)
-            fatal("--fleet needs a shared cache: pass --cache-dir "
-                  "(or UBIK_CACHE_DIR)");
         if (worker.empty())
             worker = ClaimStore::defaultOwner();
         FleetOptions opt;
@@ -703,7 +695,7 @@ runSchemeSweep(const ExperimentConfig &cfg,
     // `degraded=` counts fault-tolerance events (0 on a clean run),
     // and elapsed/rate give each worker's wall-clock throughput
     // (rate is computed-per-second — cache hits are free).
-    std::uint64_t degraded = cache ? cache->degraded() : 0;
+    std::uint64_t degraded = cache->degraded();
     double rate = last.elapsedSec > 0
                       ? last.computed / last.elapsedSec
                       : 0.0;
@@ -726,7 +718,7 @@ runSchemeSweep(const ExperimentConfig &cfg,
         acct->elapsedSec = last.elapsedSec;
         acct->workers = engine.workers();
     }
-    if (cache && progress)
+    if (progress && cache->persistent())
         printCacheStats(*cache, progress);
 
     // Regroup the flat job-ordered results per scheme (jobs are

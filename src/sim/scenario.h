@@ -9,7 +9,7 @@
  * count, and the list of report blocks to render. runScenario()
  * executes any spec through the existing methodology stack —
  * MixRunner for calibration/baselines, ParallelSweep for the
- * engine, ResultCache for persistence — so a spec run is
+ * engine, ResultCache for every result — so a spec run is
  * bit-identical to the hand-written bench loops it replaces
  * (tests/integration/scenario_golden_test.cpp pins this for fig9).
  *
@@ -247,22 +247,20 @@ struct SweepAccounting
 
 /**
  * Run `schemes` x `mixes` x seeds through the parallel experiment
- * engine with the persistent result cache attached (cfg.cacheDir).
- * Results are grouped per scheme with full mix metadata, and are
- * bit-identical across worker counts and cache states. This is the
- * one sweep path: scenarios and tools all run through it.
- * A non-null `shared` cache is used instead of opening cfg.cacheDir
- * (the serving daemon keeps one warm cache across requests); `acct`
- * receives the per-worker accounting when non-null. The progress,
- * [sweep-summary], [cache] and per-scheme lines go to `progress`;
- * nullptr prints nothing (the daemon, unless --verbose).
+ * engine over `cache` (not null), which serves and keeps every mix
+ * result and baseline. Results are grouped per scheme with full mix
+ * metadata, and are bit-identical across worker counts and cache
+ * states. This is the one sweep path: scenarios and tools all run
+ * through it. `acct` receives the per-worker accounting when
+ * non-null. The progress, [sweep-summary], [cache] and per-scheme
+ * lines go to `progress`; nullptr prints nothing (the daemon, unless
+ * --verbose).
  */
 std::vector<SweepResult>
 runSchemeSweep(const ExperimentConfig &cfg,
                const std::vector<SchemeUnderTest> &schemes,
-               const std::vector<MixSpec> &mixes, bool ooo = true,
-               ResultCache *shared = nullptr,
-               SweepAccounting *acct = nullptr,
+               const std::vector<MixSpec> &mixes, bool ooo,
+               ResultCache *cache, SweepAccounting *acct = nullptr,
                std::FILE *progress = stderr);
 
 struct ScenarioResult
@@ -275,8 +273,10 @@ struct ScenarioResult
 };
 
 /** Execute a spec end to end (validation, mixes, sweep, and the
- *  fleet composition when spec.fleet.servers > 0). `progress` is
- *  runSchemeSweep's. */
+ *  fleet composition when spec.fleet.servers > 0) over one cache:
+ *  `shared` when non-null (the serving daemon keeps one warm cache
+ *  across requests), else one opened on cfg.cacheDir (in memory when
+ *  empty). `progress` is runSchemeSweep's. */
 ScenarioResult runScenario(const ScenarioSpec &spec,
                            const ExperimentConfig &cfg,
                            ResultCache *shared = nullptr,

@@ -8,6 +8,14 @@
 
 namespace ubik {
 
+std::size_t
+nearestRank(double pct, std::size_t n)
+{
+    auto rank = static_cast<std::size_t>(
+        std::ceil(pct / 100.0 * static_cast<double>(n)));
+    return std::clamp<std::size_t>(rank, 1, n);
+}
+
 void
 LatencyRecorder::record(Cycles latency)
 {
@@ -106,15 +114,8 @@ LatencyRecorder::percentile(double pct) const
     if (samples_.empty())
         return 0.0;
     ensureSorted();
-    auto n = sortedCache_.size();
-    // Nearest-rank: ceil(p/100 * n), 1-indexed.
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    return static_cast<double>(sortedCache_[rank - 1]);
+    return static_cast<double>(
+        sortedCache_[nearestRank(pct, sortedCache_.size()) - 1]);
 }
 
 double
@@ -126,15 +127,8 @@ LatencyRecorder::tailMean(double pct) const
     ensureSorted();
     auto n = sortedCache_.size();
     // The tail starts at the nearest-rank percentile sample itself —
-    // the same rank = ceil(p/100 * n) convention percentile() uses —
-    // and includes everything above it.
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(n)));
-    if (rank == 0)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    std::size_t first = rank - 1;
+    // the rank percentile() reads — and includes everything above it.
+    std::size_t first = nearestRank(pct, n) - 1;
     double sum = 0;
     for (std::size_t i = first; i < n; i++)
         sum += static_cast<double>(sortedCache_[i]);

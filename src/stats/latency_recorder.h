@@ -18,6 +18,11 @@
 
 namespace ubik {
 
+/** The nearest-rank method: the 1-indexed rank of percentile `pct`
+ *  among `n` >= 1 sorted samples, ceil(pct/100 * n) clamped to
+ *  [1, n]. */
+std::size_t nearestRank(double pct, std::size_t n);
+
 /** Collects per-request latencies and derives distribution metrics. */
 class LatencyRecorder
 {

@@ -17,6 +17,7 @@
 
 #include "support/cache_test_util.h"
 #include "common/log.h"
+#include "sim/result_cache.h"
 #include "sim/scenario.h"
 
 namespace ubik {
@@ -117,6 +118,32 @@ TEST(FleetModel, BitIdenticalAcrossJobsAndCacheState)
     std::string a = fleetToJson(cold.fleet).dump(true);
     EXPECT_EQ(a, fleetToJson(warm.fleet).dump(true));
     EXPECT_EQ(a, fleetToJson(direct.fleet).dump(true));
+}
+
+TEST(FleetModel, FleetStageReadsTheSweepsBaselinesFromMemory)
+{
+    // Without a cache directory the sweep and the fleet stage still
+    // share one cache, in memory: every baseline the fleet stage
+    // reads is a hit, so none is simulated a second time.
+    const ScenarioSpec &spec = fleetUtilizationSpec();
+    const ExperimentConfig cfg = scenarioConfig(spec, fleetTestCfg());
+    std::unique_ptr<ResultCache> cache = ResultCache::open("");
+    ASSERT_NE(cache, nullptr);
+    const std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
+    const std::vector<SweepResult> sweeps =
+        runSchemeSweep(cfg, spec.schemes, mixes, spec.ooo, cache.get(),
+                       nullptr, nullptr);
+    const CacheStats swept = cache->stats();
+    const FleetResult fleet = runFleet(spec.fleet, spec.schemes, mixes,
+                                       sweeps, cfg, spec.ooo, cache.get());
+    const CacheStats st = cache->stats();
+    EXPECT_EQ(st.misses, swept.misses);
+    EXPECT_EQ(st.stores, swept.stores);
+    EXPECT_GT(st.hits, swept.hits);
+
+    const ScenarioResult direct = runScenario(spec, cfg, nullptr, nullptr);
+    EXPECT_EQ(fleetToJson(fleet).dump(true),
+              fleetToJson(direct.fleet).dump(true));
 }
 
 TEST(FleetModel, FleetSpecRoundTripsThroughScenarioJson)

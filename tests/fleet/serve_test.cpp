@@ -155,6 +155,13 @@ TEST(ServeDaemon, BadRequestsGetErrorResponsesAndDaemonSurvives)
         "\"fleet\": {\"queue_seed\": 1e20}}}",      // seed out of range
         "{\"query\": \"scenario\", \"name\": \"fleet-utilization\","
         " \"set\": [\"servers=0\"]}",               // bad override
+        // Fatal inside the simulation, on the sweep's pool threads:
+        // way-partitioning on the default zcache array.
+        "{\"query\": \"scenario\", \"spec\": {\"name\": \"wp\", "
+        "\"source\": \"explicit\", \"seeds\": 4, \"schemes\": "
+        "[{\"label\": \"wp\", \"policy\": \"Ubik\", \"scheme\": "
+        "\"WayPart\"}], \"mixes\": [{\"lc\": \"specjbb\"}, "
+        "{\"lc\": \"masstree\"}, {\"lc\": \"xapian\"}]}}",
     };
     for (const char *req : bad) {
         Json j;
@@ -163,6 +170,11 @@ TEST(ServeDaemon, BadRequestsGetErrorResponsesAndDaemonSurvives)
         const Json *err = j.find("error");
         ASSERT_NE(err, nullptr) << req;
         EXPECT_FALSE(err->str().empty()) << req;
+        if (std::strstr(req, "WayPart")) {
+            EXPECT_NE(err->str().find("way-partitioning requires"),
+                      std::string::npos)
+                << err->str();
+        }
     }
 
     // Still alive and accounting for everything it saw.

@@ -178,6 +178,34 @@ TEST(CacheDeterminism, NearbyLoadsAreNotServedEachOthersResults)
     expectSameResults(warm.sweeps.at(0).runs, cold.sweeps[0].runs);
 }
 
+TEST(CacheDeterminism, RenamedScenarioIsServedFromTheCache)
+{
+    // Labels and names no simulation reads: a scenario that differs
+    // from a cached one only in them is all hits, with equal runs.
+    TempCacheDir dir("renamed");
+    const ScenarioSpec spec = masstreeAtLoads({"0.2", "0.6"});
+    ScenarioSpec renamed = spec;
+    renamed.name = "renamed";
+    renamed.schemes.at(0).label = "Renamed";
+    for (std::size_t i = 0; i < renamed.mixes.size(); i++) {
+        renamed.mixes[i].name = "renamed-" + std::to_string(i);
+        renamed.mixes[i].batchName = "renamed-batch";
+    }
+    ExperimentConfig cfg = scenarioConfig(spec, cacheTestCfg());
+    cfg.jobs = 2;
+    cfg.cacheDir = dir.path();
+    const ScenarioResult first = runScenario(spec, cfg, nullptr, nullptr);
+    const ScenarioResult again =
+        runScenario(renamed, cfg, nullptr, nullptr);
+
+    EXPECT_EQ(again.accounting.jobs, 2u);
+    EXPECT_EQ(again.accounting.hits, again.accounting.jobs);
+    EXPECT_EQ(again.accounting.computed, 0u);
+    EXPECT_EQ(again.sweeps.at(0).label, "Renamed");
+    EXPECT_EQ(again.sweeps[0].mixNames.at(1), "renamed-1");
+    expectSameResults(first.sweeps.at(0).runs, again.sweeps[0].runs);
+}
+
 TEST(CacheDeterminism, UncachedProgressStillReportsTotals)
 {
     // Without a cache every job is computed; the callback must say so.

@@ -2,9 +2,9 @@
  * @file
  * ExperimentConfig::fromEnv reads every numeric UBIK_* variable
  * strictly: trailing garbage, a negative count, a count past its
- * field's width (or, for UBIK_JOBS, past kMaxJobs), or a non-finite
- * number is fatal and names the variable, instead of running a
- * silently different experiment.
+ * field's width (or, for UBIK_JOBS, past kMaxJobs), a zero count that
+ * must be at least 1, or a non-finite number is fatal and names the
+ * variable, instead of running a silently different experiment.
  */
 
 #include <gtest/gtest.h>
@@ -42,13 +42,13 @@ TEST(ExperimentConfigEnv, MalformedValuesAreFatalAndNamed)
         {"UBIK_WARMUP", "-5"},         // wrapped to 2^64-5
         {"UBIK_JOBS", "3x"},
         {"UBIK_JOBS", "1025"},         // past kMaxJobs threads
-        {"UBIK_FLEET", "1 "},          // read as 1
         {"UBIK_SCALE", "nan"},         // passed the < 1 check
         {"UBIK_SCALE", "inf"},
         {"UBIK_SCALE", "16x"},
         {"UBIK_SCALE", "0.5"},
-        {"UBIK_LEASE_TTL", "nan"},
-        {"UBIK_LEASE_TTL", "0"},
+        {"UBIK_SEEDS", "0"},           // empty runs; fleet panicked
+        {"UBIK_REQUESTS", "0"},        // ran to the max-cycles cap
+        {"UBIK_MIXES", "0"},           // all 40 mixes, past any cap
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(std::string(c.name) + "=" + c.value);
@@ -62,16 +62,14 @@ TEST(ExperimentConfigEnv, WellFormedValuesParse)
     setenv("UBIK_SEEDS", "4294967295", 1);
     setenv("UBIK_REQUESTS", "18446744073709551615", 1);
     setenv("UBIK_SCALE", "16", 1);
-    setenv("UBIK_LEASE_TTL", "0.25", 1);
     setenv("UBIK_JOBS", "1024", 1);
     ExperimentConfig cfg = ExperimentConfig::fromEnv();
-    for (const char *v : {"UBIK_SEEDS", "UBIK_REQUESTS", "UBIK_SCALE",
-                          "UBIK_LEASE_TTL", "UBIK_JOBS"})
+    for (const char *v :
+         {"UBIK_SEEDS", "UBIK_REQUESTS", "UBIK_SCALE", "UBIK_JOBS"})
         unsetenv(v);
     EXPECT_EQ(cfg.seeds, UINT32_MAX);
     EXPECT_EQ(cfg.roiRequests, UINT64_MAX);
     EXPECT_EQ(cfg.scale, 16.0);
-    EXPECT_EQ(cfg.leaseTtlSec, 0.25);
     EXPECT_EQ(cfg.jobs, kMaxJobs);
 
     // Unset and empty variables keep the defaults.

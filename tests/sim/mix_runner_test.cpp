@@ -75,12 +75,18 @@ TEST(MixRunner, BaselineHasSaneShape)
 
 TEST(MixRunner, BaselineCached)
 {
+    // A runner with no attached cache keeps baselines in its own
+    // in-memory one: the second lookup is a hit, not a recompute.
     MixRunner runner(fastCfg());
-    const LcBaseline &a =
-        runner.lcBaseline(lc_presets::specjbb(), 0.2, 1);
-    const LcBaseline &b =
-        runner.lcBaseline(lc_presets::specjbb(), 0.2, 1);
-    EXPECT_EQ(&a, &b); // same cached object
+    const LcBaseline a = runner.lcBaseline(lc_presets::specjbb(), 0.2, 1);
+    const LcBaseline b = runner.lcBaseline(lc_presets::specjbb(), 0.2, 1);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.tailMean, b.tailMean);
+    CacheStats st = runner.cache().stats();
+    EXPECT_FALSE(runner.cache().persistent());
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.stores, 1u);
+    EXPECT_EQ(st.hits, 1u);
 }
 
 TEST(MixRunner, MemoKeysAreTheCanonicalCacheKeys)
@@ -102,11 +108,11 @@ TEST(MixRunner, NearbyLoadsKeepDistinctBaselines)
     // still get its own baseline, the one a fresh runner computes.
     MixRunner runner(fastCfg());
     const LcAppParams app = lc_presets::masstree();
-    const LcBaseline &a = runner.lcBaseline(app, 0.2, 1);
-    const LcBaseline &b = runner.lcBaseline(app, 0.2000001, 1);
-    EXPECT_NE(&a, &b);
+    const LcBaseline a = runner.lcBaseline(app, 0.2, 1);
+    const LcBaseline b = runner.lcBaseline(app, 0.2000001, 1);
+    EXPECT_NE(a.meanInterarrival, b.meanInterarrival);
     MixRunner fresh(fastCfg());
-    const LcBaseline &want = fresh.lcBaseline(app, 0.2000001, 1);
+    const LcBaseline want = fresh.lcBaseline(app, 0.2000001, 1);
     EXPECT_EQ(b.meanServiceCycles, want.meanServiceCycles);
     EXPECT_EQ(b.meanInterarrival, want.meanInterarrival);
     EXPECT_EQ(b.meanLatency, want.meanLatency);

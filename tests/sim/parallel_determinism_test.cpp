@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/log.h"
 #include "sim/job_pool.h"
 #include "sim/parallel_sweep.h"
 
@@ -210,6 +215,42 @@ TEST(JobPool, PropagatesJobExceptionAndSurvives)
     std::atomic<int> again{0};
     pool.run(7, [&](std::size_t) { again.fetch_add(1); });
     EXPECT_EQ(again.load(), 7);
+}
+
+TEST(JobPool, JobsRunUnderTheSubmittersFatalTrap)
+{
+    // A fatal() on a pool thread reaches a trapping submitter as a
+    // FatalError (the daemon's error response), not an exit. Every
+    // job sleeps, so the pool threads take some of them.
+    JobPool pool(4);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    std::atomic<int> ran{0};
+    {
+        FatalTrap trap;
+        EXPECT_THROW(pool.run(32,
+                              [&](std::size_t i) {
+                                  {
+                                      std::lock_guard<std::mutex> l(mu);
+                                      threads.insert(
+                                          std::this_thread::get_id());
+                                  }
+                                  ran.fetch_add(1);
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(2));
+                                  fatal("job %zu failed", i);
+                              }),
+                     FatalError);
+    }
+    EXPECT_EQ(ran.load(), 32);
+    EXPECT_GT(threads.size(), 1u);
+    // Untrapped again, the pool threads are untrapped too.
+    std::atomic<int> trapped{0};
+    pool.run(32, [&](std::size_t) {
+        trapped.fetch_add(fatalTrapped());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    EXPECT_EQ(trapped.load(), 0);
 }
 
 TEST(JobPool, SequentialPoolKeepsExceptionContract)

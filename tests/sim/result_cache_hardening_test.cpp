@@ -123,8 +123,8 @@ TEST(ResultCacheHardening, PriorSchemaRecordsAreEvicted)
     // A cache dir populated by an older binary must be evicted
     // wholesale — stale counts, nothing served, nothing read as
     // corrupt: schema v1 (the first release) and the schema just
-    // before this one (v4 keys still held `ubik.slack` and
-    // `mem.baseLatency`).
+    // before this one (v5 keys still held the scheme label and the
+    // mix, batch-mix and app names).
     ASSERT_GE(kResultCacheSchemaVersion, 2u);
     for (std::uint32_t old : {1u, kResultCacheSchemaVersion - 1}) {
         SCOPED_TRACE("schema v" + std::to_string(old));

@@ -3,14 +3,17 @@
  * Tests for the persistent result cache's canonical keys and
  * serialization: equal configurations produce equal keys however they
  * were constructed, any single field change produces a different key,
- * result-neutral knobs (worker count, sweep shape) never enter the
- * key, and MixRunResult / LcBaseline / batch-IPC values round-trip
- * bit-exactly through a fresh ResultCache instance.
+ * result-neutral knobs (worker count, sweep shape, names) never enter
+ * the key, MixRunResult / LcBaseline / batch-IPC values round-trip
+ * bit-exactly through a fresh ResultCache instance, and a cache
+ * opened without a directory keeps its records in memory.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <set>
@@ -127,7 +130,6 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
 {
     const std::string base = keyOf(baseSut());
     std::vector<std::function<void(SchemeUnderTest &)>> mutators = {
-        [](SchemeUnderTest &s) { s.label = "Ubik2"; },
         [](SchemeUnderTest &s) { s.scheme = SchemeKind::WayPart; },
         [](SchemeUnderTest &s) { s.array = ArrayKind::SA16; },
         [](SchemeUnderTest &s) { s.policy = PolicyKind::Lru; },
@@ -154,10 +156,11 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
             << "mutator " << i << " collided with another mutation";
     }
 
-    // The same property for every leaf of the scheme's JSON form, so
-    // a spec field added without a key field fails here instead of
-    // serving a result computed for another setting. Each leaf takes
-    // the first candidate value that parses to a different scheme.
+    // The same property for every leaf of the scheme's JSON form but
+    // the label, which no simulation reads, so a spec field added
+    // without a key field fails here instead of serving a result
+    // computed for another setting. Each leaf takes the first
+    // candidate value that parses to a different scheme.
     ScenarioSpec spec;
     spec.name = "keys";
     spec.schemes = {baseSut()};
@@ -171,6 +174,8 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
         kindSpellings<PolicyKind, SchemeKind, ArrayKind, MemKind>();
     FatalTrap trap;
     for (const auto &leafPath : leaves) {
+        if (leafPath == std::vector<std::string>{"label"})
+            continue;
         const Json *old = &scheme;
         std::string where;
         for (const auto &k : leafPath) {
@@ -314,9 +319,6 @@ TEST(ResultCacheKey, MixExperimentSeedAndSchemaChangeTheKey)
     }
     {
         MixSpec m = mix;
-        m.name = "other";
-        EXPECT_NE(mixResultKey(cfg, m, sut, 1, true), base);
-        m = mix;
         m.lc.load = 0.6;
         EXPECT_NE(mixResultKey(cfg, m, sut, 1, true), base);
         m = mix;
@@ -355,12 +357,23 @@ TEST(ResultCacheKey, ResultNeutralKnobsDoNotChangeTheKey)
     b.seeds = 7;
     b.mixesPerLc = 40;
     b.cacheDir = "/somewhere/else";
+    // Names label results; no simulation reads them, so a relabelled
+    // scheme or a renamed mix, batch mix or app is served the same
+    // results.
+    SchemeUnderTest renamedSut = sut;
+    renamedSut.label = "Ubik2";
+    MixSpec renamed = mix;
+    renamed.name = "other";
+    renamed.batch.name = "other-batch";
+    renamed.lc.app.name = "other-lc";
+    for (BatchAppParams &app : renamed.batch.apps)
+        app.name += "-other";
     EXPECT_EQ(mixResultKey(a, mix, sut, 1, true),
-              mixResultKey(b, mix, sut, 1, true));
+              mixResultKey(b, renamed, renamedSut, 1, true));
     EXPECT_EQ(lcBaselineKey(a, mix.lc.app, 0.2, 1, true),
-              lcBaselineKey(b, mix.lc.app, 0.2, 1, true));
+              lcBaselineKey(b, renamed.lc.app, 0.2, 1, true));
     EXPECT_EQ(batchBaselineKey(a, mix.batch.apps[0], 1, true),
-              batchBaselineKey(b, mix.batch.apps[0], 1, true));
+              batchBaselineKey(b, renamed.batch.apps[0], 1, true));
 }
 
 TEST(ResultCacheKey, KindsAreDisjoint)
@@ -471,13 +484,66 @@ TEST(ResultCache, StatsCountHitsMissesAndStores)
     EXPECT_EQ(st.corrupt, 0u);
 }
 
-TEST(ResultCache, OpenOnEmptyDirDisablesCaching)
+/** Store and load one record of each kind through `cache`. */
+void
+expectServesEveryKind(ResultCache &cache)
 {
-    EXPECT_EQ(ResultCache::open(""), nullptr);
-    TempCacheDir dir("open");
-    auto cache = ResultCache::open(dir.path());
-    ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->dir(), dir.path());
+    MixRunResult r;
+    r.lcTailMean = 0.1 + 0.2;
+    r.batchSpeedups = {1.0, 2.0, 3.0};
+    LcBaseline b;
+    b.tailMean = 1.0 / 3.0;
+    b.p95 = 77;
+    cache.storeMix("v1|mem|mix", r);
+    cache.storeLcBaseline("v1|mem|lc", b);
+    cache.storeBatchIpc("v1|mem|batch", 2.0 / 3.0);
+    auto mix = cache.loadMix("v1|mem|mix");
+    ASSERT_TRUE(mix.has_value());
+    expectBitIdentical(mix->lcTailMean, r.lcTailMean, "lcTailMean", 0);
+    auto lc = cache.loadLcBaseline("v1|mem|lc");
+    ASSERT_TRUE(lc.has_value());
+    expectBitIdentical(lc->tailMean, b.tailMean, "tailMean", 0);
+    EXPECT_EQ(lc->p95, b.p95);
+    auto ipc = cache.loadBatchIpc("v1|mem|batch");
+    ASSERT_TRUE(ipc.has_value());
+    expectBitIdentical(*ipc, 2.0 / 3.0, "batchIpc", 0);
+    EXPECT_FALSE(cache.loadMix("v1|mem|absent").has_value());
+    CacheStats st = cache.stats();
+    EXPECT_EQ(st.hits, 3u);
+    EXPECT_EQ(st.misses, 1u);
+    EXPECT_EQ(st.stores, 3u);
+    EXPECT_EQ(st.degraded(), 0u);
+}
+
+TEST(ResultCache, OpenWithoutDirServesFromMemoryAndWritesNothing)
+{
+    // Run in an empty working directory: a memory cache must leave it
+    // empty (no shard, no claims directory).
+    TempCacheDir dir("memory");
+    std::filesystem::create_directories(dir.path());
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir.path());
+    {
+        auto cache = ResultCache::open("");
+        ASSERT_NE(cache, nullptr);
+        EXPECT_FALSE(cache->persistent());
+        EXPECT_TRUE(cache->dir().empty());
+        expectServesEveryKind(*cache);
+    }
+    std::filesystem::current_path(cwd);
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+
+    // A directory that cannot be created (its parent is a file) also
+    // keeps results in memory, after a warning.
+    const std::string file = dir.path() + "/file";
+    { std::ofstream(file) << "x"; }
+    auto blocked = ResultCache::open(file + "/cache");
+    EXPECT_FALSE(blocked->persistent());
+    expectServesEveryKind(*blocked);
+
+    auto disk = ResultCache::open(dir.path() + "/disk");
+    EXPECT_TRUE(disk->persistent());
+    EXPECT_EQ(disk->dir(), dir.path() + "/disk");
 }
 
 } // namespace

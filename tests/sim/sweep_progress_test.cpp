@@ -2,9 +2,9 @@
  * @file
  * Progress-delivery contract: ParallelSweep serializes on_done calls,
  * so a stateful callback needs no locking of its own. The callback
- * below keeps unsynchronized state on purpose — under TSan (cmake
- * -DUBIK_TSAN=ON) this test is also a data-race detector for the
- * delivery path.
+ * below keeps unsynchronized state on purpose — under TSan
+ * (-fsanitize=thread in CMAKE_CXX_FLAGS) this test is also a
+ * data-race detector for the delivery path.
  */
 
 #include <gtest/gtest.h>

@@ -101,11 +101,6 @@ main(int argc, char **argv)
         cfg.cacheDir = cache_dir.value;
     if (no_cache.value)
         cfg.cacheDir.clear();
-    // The one mix is the whole selection: UBIK_SHARD must not select
-    // it away, and there is nothing to share with fleet peers.
-    cfg.shardIndex = 0;
-    cfg.shardCount = 1;
-    cfg.fleet = false;
     cfg.printHeader("ubik_cli");
 
     SchemeUnderTest sut;
@@ -218,7 +213,7 @@ main(int argc, char **argv)
     }
 
     if (cache_stats.value) {
-        if (!cache) {
+        if (!cache->persistent()) {
             std::printf("\nResult cache: disabled (set UBIK_CACHE_DIR "
                         "or --cache-dir)\n");
         } else {

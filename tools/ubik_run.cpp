@@ -82,7 +82,7 @@ printFleetStatus(const ScenarioSpec &spec,
               "(or UBIK_CACHE_DIR)");
     std::unique_ptr<ResultCache> cache =
         ResultCache::open(cfg.cacheDir);
-    if (!cache)
+    if (!cache->persistent())
         fatal("--fleet-status: cannot open cache at %s",
               cfg.cacheDir.c_str());
     std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
@@ -200,7 +200,7 @@ main(int argc, char **argv)
     auto &shard = cli.flag(
         "shard", "",
         "run only every n-th mix, as i/n (e.g. 0/4); shards share "
-        "cache keys, so their caches merge (overrides UBIK_SHARD)");
+        "cache keys, so their caches merge");
     auto &failpoints = cli.flag(
         "failpoints", "",
         "arm deterministic fault injection, e.g. "
@@ -290,17 +290,13 @@ main(int argc, char **argv)
         cfg.cacheDir = cache_dir.value;
     if (no_cache.value)
         cfg.cacheDir.clear();
-    if (fleet.value)
-        cfg.fleet = true;
-    if (!worker_id.value.empty())
-        cfg.workerId = worker_id.value;
-    if (lease_ttl.seen) {
-        if (lease_ttl.value <= 0)
-            fatal("--lease-ttl must be > 0 seconds");
-        cfg.leaseTtlSec = lease_ttl.value;
-    }
+    cfg.fleet = fleet.value;
+    cfg.workerId = worker_id.value;
+    if (lease_ttl.value <= 0)
+        fatal("--lease-ttl must be > 0 seconds");
+    cfg.leaseTtlSec = lease_ttl.value;
     if (!shard.value.empty())
-        cfg.applyShardSpec("--shard", shard.value);
+        cfg.applyShardSpec(shard.value);
     if (cfg.fleet && cfg.cacheDir.empty())
         fatal("--fleet needs a shared cache: pass --cache-dir (or "
               "set UBIK_CACHE_DIR)");
