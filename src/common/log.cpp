@@ -1,7 +1,10 @@
 #include "common/log.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 namespace ubik {
 
@@ -48,13 +51,22 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
         va_end(args);
         throw FatalError(buf);
     }
+    // Several pool workers can hit the same user error at once. The
+    // first one reports it and ends the process; the others wait for
+    // that instead of printing again. _Exit, not exit: exit() would
+    // run static destructors while other workers still simulate.
+    static std::atomic_flag reported = ATOMIC_FLAG_INIT;
+    if (reported.test_and_set())
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::seconds(1));
     std::fprintf(stderr, "fatal: %s:%d: ", file, line);
     va_list args;
     va_start(args, fmt);
     std::vfprintf(stderr, fmt, args);
     va_end(args);
     std::fprintf(stderr, "\n");
-    std::exit(1);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -4,7 +4,9 @@
  *
  * panic()  — an internal invariant was violated (a ubik bug); aborts.
  * fatal()  — the simulation cannot continue due to a user error (bad
- *            configuration, invalid arguments); exits with code 1.
+ *            configuration, invalid arguments); exits with code 1
+ *            after flushing stdio, without running destructors. Of
+ *            concurrent callers only the first prints.
  * warn()   — something is suspicious but the run can continue.
  */
 

@@ -9,6 +9,16 @@
 
 namespace ubik {
 
+namespace {
+
+/** Proportional gain of the adaptive miss-slack controller. */
+constexpr double kSlackGain = 0.1;
+
+/** EWMA weight for idle/active duty-cycle estimates. */
+constexpr double kDutyAlpha = 0.3;
+
+} // namespace
+
 UbikPolicy::UbikPolicy(PartitionScheme &scheme,
                        std::vector<AppMonitor> &apps, UbikConfig cfg)
     : PartitionPolicy(scheme, apps), cfg_(cfg), lc_(apps.size())
@@ -283,7 +293,7 @@ UbikPolicy::onActive(AppId app, Cycles now)
         double frac = std::min(
             1.0, static_cast<double>(now - st.lastEdge) /
                      static_cast<double>(intervalLen_));
-        st.idleFrac += cfg_.dutyAlpha * (frac - st.idleFrac);
+        st.idleFrac += kDutyAlpha * (frac - st.idleFrac);
     }
     st.lastEdge = now;
 
@@ -310,7 +320,7 @@ UbikPolicy::onIdle(AppId app, Cycles now)
             1.0, static_cast<double>(now - st.lastEdge) /
                      static_cast<double>(intervalLen_));
         // Active period ended: pull idleFrac down-weighted by it.
-        st.idleFrac += cfg_.dutyAlpha * ((1.0 - frac) - st.idleFrac) *
+        st.idleFrac += kDutyAlpha * ((1.0 - frac) - st.idleFrac) *
                        frac;
     }
     st.lastEdge = now;
@@ -391,7 +401,7 @@ UbikPolicy::onRequestComplete(AppId app, Cycles latency)
     double err = (allowed - static_cast<double>(latency)) / allowed;
     err = std::clamp(err, -5.0, 1.0);
     st.missSlack = std::clamp(
-        st.missSlack + cfg_.slackGain * err * max_slack * 0.2, 0.0,
+        st.missSlack + kSlackGain * err * max_slack * 0.2, 0.0,
         max_slack);
 
     // Watermark fraction: the extra-miss budget relative to the

@@ -51,12 +51,6 @@ struct UbikConfig
     /** De-boost guard, in would-be misses (absorbs UMON noise). */
     double deboostGuard = 16.0;
 
-    /** Proportional gain of the adaptive miss-slack controller. */
-    double slackGain = 0.1;
-
-    /** EWMA weight for idle/active duty-cycle estimates. */
-    double dutyAlpha = 0.3;
-
     /**
      * Use the accurate de-boosting circuit (§5.1.1). When false, the
      * boost is held until the deadline expires instead of being

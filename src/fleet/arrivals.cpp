@@ -9,6 +9,13 @@
 
 namespace ubik {
 
+namespace {
+
+/** Seed of the per-(slice, server) imbalance streams. */
+constexpr std::uint64_t kImbalanceSeed = 1;
+
+} // namespace
+
 void
 ArrivalSpec::validate(const char *what) const
 {
@@ -25,14 +32,6 @@ ArrivalSpec::validate(const char *what) const
         fatal("%s: imbalance sigma %.3f outside [0, 2]", what,
               imbalance);
     profile.validate(what);
-}
-
-bool
-operator==(const ArrivalSpec &a, const ArrivalSpec &b)
-{
-    return a.users == b.users && a.nominalLoad == b.nominalLoad &&
-           a.slices == b.slices && a.imbalance == b.imbalance &&
-           a.seed == b.seed && a.profile == b.profile;
 }
 
 ClusterArrivals::ClusterArrivals(const ArrivalSpec &spec,
@@ -69,7 +68,7 @@ ClusterArrivals::serverLoad(std::uint32_t s, std::uint32_t srv) const
         // index is a pure function of (slice, server), so the grid
         // never depends on evaluation order.
         Rng rng = Rng::jobStream(
-            spec_.seed,
+            kImbalanceSeed,
             static_cast<std::uint64_t>(s) * servers_ + srv);
         double sigma = spec_.imbalance;
         load *= std::exp(sigma * rng.normal() - sigma * sigma / 2);

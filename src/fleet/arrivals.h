@@ -54,17 +54,12 @@ struct ArrivalSpec
      *  cluster-average load. */
     double imbalance = 0.0;
 
-    /** Seed of the imbalance streams. */
-    std::uint64_t seed = 1;
-
     /** Shared cluster-load dynamics (diurnal / flash crowd / ...). */
     LoadProfile profile;
 
     /** fatal() (naming `what`) unless the parameters make sense. */
     void validate(const char *what) const;
 };
-
-bool operator==(const ArrivalSpec &a, const ArrivalSpec &b);
 
 /**
  * The evaluated per-(slice, server) load grid for one fleet. All

@@ -28,6 +28,22 @@ constexpr double kLoadBucket = 0.02;
  *  (the curve shape converges well before this). */
 constexpr std::uint64_t kAdvisorTraceRequests = 256;
 
+/** Largest G/G/k worker count autosizing tries. */
+constexpr std::uint32_t kMaxWorkers = 8;
+
+/** Queue-sim resolution per (variant, load bucket, k). */
+constexpr std::uint64_t kQueueRequests = 3000;
+constexpr std::uint64_t kQueueWarmup = 300;
+constexpr std::uint64_t kQueueSeed = 2024;
+
+/** Extra end-to-end degradation tolerated beyond each scheme's slack
+ *  before a (slice, server) counts as an SLO violation (queueing
+ *  noise allowance). */
+constexpr double kSloMargin = 0.05;
+
+/** Batch-bundle rotation stream for downsizable placements. */
+constexpr std::uint64_t kPlacementSeed = 1;
+
 /** Seed-averaged MixRunResult metrics for one (scheme, mix). */
 struct MixAvg
 {
@@ -72,17 +88,10 @@ FleetSpec::validate(const char *what) const
 {
     if (servers == 0)
         return;
-    if (lcPerServer == 0 || batchPerServer == 0)
-        fatal("%s: lc_per_server and batch_per_server must be >= 1",
-              what);
     arrivals.validate(what);
-    if (maxWorkers == 0 || maxWorkers > 64)
-        fatal("%s: max_workers %u outside [1, 64]", what, maxWorkers);
-    if (queueWorkers > maxWorkers)
-        fatal("%s: queue_workers %u exceeds max_workers %u", what,
-              queueWorkers, maxWorkers);
-    if (queueRequests == 0)
-        fatal("%s: queue_requests must be >= 1", what);
+    if (queueWorkers > kMaxWorkers)
+        fatal("%s: queue_workers %u exceeds the %u-worker cap", what,
+              queueWorkers, kMaxWorkers);
     if (interference < 0 || interference > 1.0)
         fatal("%s: interference %.3f outside [0, 1]", what,
               interference);
@@ -90,26 +99,6 @@ FleetSpec::validate(const char *what) const
         fatal("%s: abort_prob %.3f outside [0, 1)", what, abortProb);
     if (tailTargetMs < 0)
         fatal("%s: tail_target_ms must be >= 0", what);
-    if (sloMargin < 0 || sloMargin > 1.0)
-        fatal("%s: slo_margin %.3f outside [0, 1]", what, sloMargin);
-}
-
-bool
-operator==(const FleetSpec &a, const FleetSpec &b)
-{
-    return a.servers == b.servers && a.lcPerServer == b.lcPerServer &&
-           a.batchPerServer == b.batchPerServer &&
-           a.arrivals == b.arrivals &&
-           a.queueWorkers == b.queueWorkers &&
-           a.maxWorkers == b.maxWorkers &&
-           a.interference == b.interference &&
-           a.abortProb == b.abortProb &&
-           a.queueRequests == b.queueRequests &&
-           a.queueWarmup == b.queueWarmup &&
-           a.queueSeed == b.queueSeed &&
-           a.tailTargetMs == b.tailTargetMs &&
-           a.sloMargin == b.sloMargin &&
-           a.placementSeed == b.placementSeed;
 }
 
 FleetResult
@@ -221,14 +210,14 @@ runFleet(const FleetSpec &fs,
         in.profile = prof;
         in.targetLines = target;
         in.deadline = base.p95;
-        in.boostCap = cfg.llcLines() / fs.lcPerServer;
+        in.boostCap = cfg.llcLines() / kMixLcInstances;
         AdvisorReport rep = advise(in);
 
         g.canDownsize = rep.canDownsize;
         g.freedLines = rep.best.freedLines;
         g.transientUs =
             rep.best.transientCycles / kClockHz * 1e6 * cfg.scale;
-        g.rotation = Rng::jobStream(fs.placementSeed, gi)
+        g.rotation = Rng::jobStream(kPlacementSeed, gi)
                          .uniformInt(g.bundles.size());
 
         int best_pressure = 0;
@@ -287,11 +276,11 @@ runFleet(const FleetSpec &fs,
         // Open loop: the arrival rate is set by the *alone* offered
         // load; colocation inflates service, not arrivals.
         qp.meanInterarrival = aloneMean[m] / (rho * k);
-        qp.requests = fs.queueRequests;
-        qp.warmup = fs.queueWarmup;
+        qp.requests = kQueueRequests;
+        qp.warmup = kQueueWarmup;
         qp.interferenceFactor = fs.interference;
         qp.abortProb = k > 1 ? fs.abortProb : 0.0;
-        std::uint64_t seed = fs.queueSeed +
+        std::uint64_t seed = kQueueSeed +
                              static_cast<std::uint64_t>(m) * 1000003 +
                              static_cast<std::uint64_t>(bucket) * 7919 +
                              k * 31;
@@ -301,7 +290,7 @@ runFleet(const FleetSpec &fs,
         return tail;
     };
 
-    // Autosize memo: smallest k <= maxWorkers whose alone tail meets
+    // Autosize memo: smallest k <= kMaxWorkers whose alone tail meets
     // the target at this (mix, bucket); the worker_sizing
     // methodology, applied per load bucket.
     std::map<std::pair<std::size_t, long>, std::uint32_t> sizeMemo;
@@ -316,8 +305,8 @@ runFleet(const FleetSpec &fs,
             fs.tailTargetMs > 0
                 ? fs.tailTargetMs * 1e-3 * kClockHz / cfg.scale
                 : 4.0 * aloneMean[m];
-        std::uint32_t chosen = fs.maxWorkers;
-        for (std::uint32_t k = 1; k <= fs.maxWorkers; k++)
+        std::uint32_t chosen = kMaxWorkers;
+        for (std::uint32_t k = 1; k <= kMaxWorkers; k++)
             if (queueTail(-1, m, bucket, k) <= target_cycles) {
                 chosen = k;
                 break;
@@ -336,7 +325,7 @@ runFleet(const FleetSpec &fs,
         std::size_t anchor = groups.front().mixIdx.front();
         double rate = arr.clusterRequestRate(
             aloneMean[anchor], cfg.scale,
-            static_cast<std::uint64_t>(fs.servers) * fs.lcPerServer);
+            static_cast<std::uint64_t>(fs.servers) * kMixLcInstances);
         fr.impliedPerUserRps = rate / (fs.arrivals.users * 1e6);
     }
 
@@ -366,13 +355,12 @@ runFleet(const FleetSpec &fs,
         if (groupOf(srv).canDownsize)
             fr.serversDownsizable++;
 
-    double cores =
-        static_cast<double>(fs.lcPerServer + fs.batchPerServer);
+    const double cores = kMixLcInstances + kMixBatchApps;
 
     for (std::size_t s = 0; s < schemes.size(); s++) {
         FleetSchemeResult r;
         r.label = schemes[s].label;
-        double slack_limit = 1.0 + schemes[s].slack + fs.sloMargin;
+        double slack_limit = 1.0 + schemes[s].slack + kSloMargin;
 
         std::vector<double> tails_ms;
         tails_ms.reserve(static_cast<std::size_t>(fs.servers) *
@@ -412,7 +400,7 @@ runFleet(const FleetSpec &fs,
                     infl / kClockHz * 1e3 * cfg.scale);
                 sum_load += rho;
                 sum_batch_cores +=
-                    fs.batchPerServer * avg[s][m].weightedSpeedup;
+                    kMixBatchApps * avg[s][m].weightedSpeedup;
                 sum_workers += k;
             }
         }
@@ -420,8 +408,8 @@ runFleet(const FleetSpec &fs,
         double n = static_cast<double>(samples);
         r.meanLoad = sum_load / n;
         r.utilization =
-            (fs.lcPerServer * r.meanLoad + fs.batchPerServer) / cores;
-        r.dedicatedUtil = fs.lcPerServer * r.meanLoad / cores;
+            (kMixLcInstances * r.meanLoad + kMixBatchApps) / cores;
+        r.dedicatedUtil = kMixLcInstances * r.meanLoad / cores;
         r.utilizationLift =
             r.dedicatedUtil > 0 ? r.utilization / r.dedicatedUtil : 0;
         std::sort(tails_ms.begin(), tails_ms.end());

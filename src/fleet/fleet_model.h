@@ -2,12 +2,13 @@
  * @file
  * Fleet model: the paper's §7.1 datacenter claim at datacenter scale.
  *
- * A FleetSpec describes N servers, each colocating `lcPerServer` LC
- * instances with `batchPerServer` batch apps under the scenario's
- * schemes. Cluster load comes from the open-loop arrival model
- * (fleet/arrivals.h); per-server colocation is chosen by the offline
- * Ubik advisor (core/advisor.h) from a captured trace of each LC
- * preset; per-server cache behaviour comes from the scenario sweep's
+ * A FleetSpec describes N servers, each one mix of the scenario
+ * (kMixLcInstances LC instances with kMixBatchApps batch apps,
+ * workload/mix.h) under the scenario's schemes. Cluster load comes
+ * from the open-loop arrival model (fleet/arrivals.h); per-server
+ * colocation is chosen by the offline Ubik advisor (core/advisor.h)
+ * from a captured trace of each LC preset; per-server cache
+ * behaviour comes from the scenario sweep's
  * MixRunner results (already computed, cached, and bit-identical);
  * and per-server *end-to-end* tails come from composing those results
  * through the G/G/k queue simulator (queueing/queue_sim.h).
@@ -48,18 +49,13 @@ struct FleetSpec
     /** Simulated servers (the paper's claim needs >= 1000). */
     std::uint32_t servers = 0;
 
-    /** Colocated instances per server (paper setup: 3 + 3). */
-    std::uint32_t lcPerServer = 3;
-    std::uint32_t batchPerServer = 3;
-
     /** Cluster-load model (users, dynamics, imbalance). */
     ArrivalSpec arrivals;
 
     /** G/G/k workers per LC instance; 0 = autosize the smallest
-     *  k <= maxWorkers whose interference-free tail meets
-     *  tailTargetMs (the worker_sizing methodology). */
+     *  k <= 8 whose interference-free tail meets tailTargetMs (the
+     *  worker_sizing methodology). */
     std::uint32_t queueWorkers = 1;
-    std::uint32_t maxWorkers = 8;
 
     /** Cross-worker service inflation / OLTP-style abort probability
      *  (queueing/queue_sim.h); both also apply to the alone runs, so
@@ -68,29 +64,14 @@ struct FleetSpec
     double interference = 0.0;
     double abortProb = 0.0;
 
-    /** Queue-sim resolution per (variant, load bucket, k). */
-    std::uint32_t queueRequests = 3000;
-    std::uint32_t queueWarmup = 300;
-    std::uint64_t queueSeed = 2024;
-
     /** Autosize tail target, real ms; 0 = 4x the LC app's mean
      *  service time. */
     double tailTargetMs = 0.0;
-
-    /** Extra end-to-end degradation tolerated beyond each scheme's
-     *  slack before a (slice, server) counts as an SLO violation
-     *  (queueing noise allowance). */
-    double sloMargin = 0.05;
-
-    /** Batch-bundle rotation stream for downsizable placements. */
-    std::uint64_t placementSeed = 1;
 
     /** fatal() (naming `what`) unless the parameters make sense;
      *  no-op when servers == 0. */
     void validate(const char *what) const;
 };
-
-bool operator==(const FleetSpec &a, const FleetSpec &b);
 
 /** The advisor's colocation verdict for one LC group (shared across
  *  schemes: the plan is a property of the workload, so the scheme
@@ -124,11 +105,11 @@ struct FleetSchemeResult
     double tailP99Ms = 0;
 
     /** Fraction of (slice, server) samples whose end-to-end tail
-     *  degradation exceeds 1 + slack + sloMargin. */
+     *  degradation exceeds 1 + slack + a 5% queueing-noise margin. */
     double sloViolationFrac = 0;
 
     /** Batch throughput in dedicated-batch-core equivalents
-     *  (sum over servers of batchPerServer x weighted speedup,
+     *  (sum over servers of kMixBatchApps x weighted speedup,
      *  averaged over slices). */
     double batchCoreEquivalents = 0;
 

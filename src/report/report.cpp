@@ -92,10 +92,17 @@ printDistributions(const std::vector<SweepResult> &sweeps,
                       /*descending=*/false);
 }
 
+namespace {
+
+/** Write every (scheme, mix, seed) run as <dir>/<tag>_runs.csv, dir
+ *  being UBIK_CSV_DIR; a no-op when it is unset. */
 void
-exportCsv(const std::vector<SweepResult> &sweeps, const char *tag,
-          const std::string &dir)
+maybeExportCsv(const std::vector<SweepResult> &sweeps, const char *tag)
 {
+    const char *env = std::getenv("UBIK_CSV_DIR");
+    if (!env || !*env)
+        return;
+    const std::string dir = env;
     CsvWriter csv(dir + "/" + tag + "_runs.csv");
     csv.row(std::vector<std::string>{"scheme", "mix",
                                      "tail_degradation",
@@ -116,14 +123,7 @@ exportCsv(const std::vector<SweepResult> &sweeps, const char *tag,
                  dir.c_str(), tag);
 }
 
-void
-maybeExportCsv(const std::vector<SweepResult> &sweeps, const char *tag)
-{
-    const char *dir = std::getenv("UBIK_CSV_DIR");
-    if (!dir || !*dir)
-        return;
-    exportCsv(sweeps, tag, dir);
-}
+} // namespace
 
 void
 printAverages(const std::vector<SweepResult> &sweeps, const char *tag)
@@ -255,13 +255,6 @@ writeJsonFile(const Json &doc, const std::string &path)
     out << doc.dump(/*pretty=*/true) << "\n";
     if (!out.flush())
         fatal("short write to %s", path.c_str());
-}
-
-void
-writeResultsJson(const std::vector<SweepResult> &sweeps,
-                 const std::string &scenario, const std::string &path)
-{
-    writeJsonFile(resultsToJson(sweeps, scenario), path);
 }
 
 void

@@ -2,7 +2,8 @@
  * @file
  * Report layer: renders sweep results as the paper's tables and
  * figures (distribution rows, averages, per-app breakdowns), as CSV
- * for plotting, and as structured JSON for machine consumers.
+ * for plotting (the averages block, under UBIK_CSV_DIR), and as the
+ * structured-results JSON document for machine consumers.
  *
  * Extracted from bench/bench_util.h so scenarios (sim/scenario.h)
  * select report blocks as *data* and the `ubik_run` driver renders
@@ -76,8 +77,8 @@ filterByLoad(const std::vector<SweepResult> &sweeps, LoadBand band);
 void printDistributions(const std::vector<SweepResult> &sweeps,
                         const char *tag);
 
-/** Table 3-style averages (also exports CSV when UBIK_CSV_DIR is
- *  set, matching the legacy bench behaviour). */
+/** Table 3-style averages; also writes every (scheme, mix, seed)
+ *  run as <UBIK_CSV_DIR>/<tag>_runs.csv when UBIK_CSV_DIR is set. */
 void printAverages(const std::vector<SweepResult> &sweeps,
                    const char *tag);
 
@@ -90,14 +91,6 @@ void printPerApp(const std::vector<SweepResult> &sweeps,
  *  ablation; zero rows for non-Ubik policies). */
 void printUbikInterrupts(const std::vector<SweepResult> &sweeps,
                          const char *tag);
-
-/** Write every (scheme, mix, seed) run as <dir>/<tag>_runs.csv. */
-void exportCsv(const std::vector<SweepResult> &sweeps, const char *tag,
-               const std::string &dir);
-
-/** exportCsv() into UBIK_CSV_DIR if set; no-op otherwise. */
-void maybeExportCsv(const std::vector<SweepResult> &sweeps,
-                    const char *tag);
 
 /**
  * The structured-results document as a JSON value: per scheme, per
@@ -113,11 +106,6 @@ Json resultsToJson(const std::vector<SweepResult> &sweeps,
 /** Write `doc` pretty-printed plus a trailing newline to `path`
  *  (binary mode); fatal() on open or flush failure. */
 void writeJsonFile(const Json &doc, const std::string &path);
-
-/** writeJsonFile(resultsToJson(sweeps, scenario), path). */
-void writeResultsJson(const std::vector<SweepResult> &sweeps,
-                      const std::string &scenario,
-                      const std::string &path);
 
 /** Print a ResultCache's counters (sweep epilogue, --cache-stats). */
 void printCacheStats(const ResultCache &cache, std::FILE *out = stderr);

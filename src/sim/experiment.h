@@ -18,7 +18,7 @@
  *                 >= 1)
  *   UBIK_JOBS     experiment-engine workers, at most kMaxJobs
  *                 (default 0 = all cores; 1 = legacy sequential path)
- *   UBIK_CSV_DIR  directory for per-run CSV exports (sweep benches)
+ *   UBIK_CSV_DIR  directory for per-run CSV exports (averages blocks)
  *   UBIK_CACHE_DIR persistent result cache directory (unset = results
  *                 kept in memory for the run; see sim/result_cache.h)
  *

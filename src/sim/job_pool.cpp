@@ -96,25 +96,8 @@ JobPool::run(std::size_t n, const std::function<void(std::size_t)> &fn)
     if (n == 0)
         return;
 
-    if (threads_.empty()) {
-        // Sequential path: UBIK_JOBS=1 behaves exactly like the
-        // pre-engine loops (same thread, same order, no pool state) —
-        // including the exception contract: the remaining jobs still
-        // run and the first error is rethrown after the batch drains.
-        std::exception_ptr first;
-        for (std::size_t i = 0; i < n; i++) {
-            try {
-                fn(i);
-            } catch (...) {
-                if (!first)
-                    first = std::current_exception();
-            }
-        }
-        if (first)
-            std::rethrow_exception(first);
-        return;
-    }
-
+    // With no pool threads (one worker), the submitter below claims
+    // every index itself, in order: the sequential path.
     {
         std::lock_guard<std::mutex> lock(mu_);
         ubik_assert(!jobs_.load()); // no nested/concurrent run()

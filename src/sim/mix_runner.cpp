@@ -39,10 +39,12 @@ SchemeUnderTest::applyTo(CmpConfig &cc) const
     cc.memParams = memParams;
     if (mem == MemKind::Partitioned) {
         // LC instances bypass the regulator (strict priority); batch
-        // apps are throttled to the unreserved remainder.
-        cc.memShares.assign(6, 0.0);
-        for (int i = 3; i < 6; i++)
-            cc.memShares[i] = (1.0 - lcMemShare) / 3.0;
+        // apps are throttled to the half the LC instances leave.
+        constexpr double kLcMemShare = 0.5;
+        cc.memShares.assign(kMixLcInstances + kMixBatchApps, 0.0);
+        for (std::uint32_t i = kMixLcInstances; i < cc.memShares.size();
+             i++)
+            cc.memShares[i] = (1.0 - kLcMemShare) / kMixBatchApps;
     }
 }
 
@@ -185,7 +187,7 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
     sut.applyTo(cc);
     cc.traceAllocations = trace_out != nullptr;
 
-    std::vector<LcAppSpec> lc(3);
+    std::vector<LcAppSpec> lc(kMixLcInstances);
     for (std::size_t i = 0; i < lc.size(); i++) {
         LcAppSpec &s = lc[i];
         s.params = scaled;
@@ -201,8 +203,8 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
         s.targetLines = cfg_.privateLines();
         s.deadline = base.p95;
     }
-    std::vector<BatchAppSpec> batch(3);
-    for (std::size_t i = 0; i < 3; i++) {
+    std::vector<BatchAppSpec> batch(kMixBatchApps);
+    for (std::size_t i = 0; i < batch.size(); i++) {
         batch[i].params = spec.batch.apps[i].scaled(cfg_.scale);
         if (nbatch)
             batch[i].trace =
@@ -214,7 +216,7 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
 
     MixRunResult res;
     LatencyRecorder merged;
-    for (std::uint32_t i = 0; i < 3; i++)
+    for (std::uint32_t i = 0; i < kMixLcInstances; i++)
         merged.merge(cmp.lcResult(i).latencies);
     res.lcTailMean = merged.tailMean(95.0);
     res.tailDegradation =
@@ -223,13 +225,13 @@ MixRunner::runMix(const MixSpec &spec, const SchemeUnderTest &sut,
         base.meanLatency > 0 ? merged.mean() / base.meanLatency : 0;
 
     double sum = 0;
-    for (std::uint32_t i = 0; i < 3; i++) {
+    for (std::uint32_t i = 0; i < kMixBatchApps; i++) {
         double alone = batchAloneIpc(spec.batch.apps[i], seed);
         double ratio = cmp.batchResult(i).ipc() / alone;
         res.batchSpeedups.push_back(ratio);
         sum += ratio;
     }
-    res.weightedSpeedup = sum / 3.0;
+    res.weightedSpeedup = sum / kMixBatchApps;
 
     if (auto *ubik = dynamic_cast<UbikPolicy *>(cmp.policy())) {
         res.ubikDeboosts = ubik->deboostInterrupts();

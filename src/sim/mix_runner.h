@@ -11,8 +11,9 @@
  *    latency) come from an open-loop run alone at that rate;
  *  - batch apps are run alone on the private LLC for their baseline
  *    IPC;
- *  - the mix then runs 3 LC instances + 3 batch apps on the shared
- *    LLC under a given scheme/policy, reporting tail-latency
+ *  - the mix then runs kMixLcInstances LC instances + kMixBatchApps
+ *    batch apps (3 + 3, workload/mix.h) on the shared LLC under a
+ *    given scheme/policy, reporting tail-latency
  *    degradation (vs the private baseline) and weighted speedup.
  */
 
@@ -95,14 +96,12 @@ struct SchemeUnderTest
     double reconfigScale = 1.0;
 
     /** Memory-model extension (src/mem/); Fixed is the paper's
-     *  model and leaves mix runs untouched. */
+     *  model and leaves mix runs untouched. Partitioned memory
+     *  reserves half the bandwidth for the LC instances, which run
+     *  unregulated (strict priority); the batch apps are regulated
+     *  to split the other half equally. */
     MemKind mem = MemKind::Fixed;
     MemoryParams memParams{};
-
-    /** Partitioned memory only: bandwidth reserved for the LC
-     *  instances. The LC apps run unregulated (strict priority); the
-     *  batch apps are regulated to split the remainder equally. */
-    double lcMemShare = 0.5;
 
     /** Apply every scheme knob to a CmpConfig. The single source of
      *  truth for mix runs and traced re-runs alike. */

@@ -308,14 +308,11 @@ addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
         .add("sut.slack", sut.slack)
         .add("ubik.idleOptions", sut.ubik.idleOptions)
         .add("ubik.deboostGuard", sut.ubik.deboostGuard)
-        .add("ubik.slackGain", sut.ubik.slackGain)
-        .add("ubik.dutyAlpha", sut.ubik.dutyAlpha)
         .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
         .add("sut.reconfigScale", sut.reconfigScale)
         .add("sut.mem", enumName(sut.mem))
         .add("mem.channels", sut.memParams.channels)
-        .add("mem.channelOccupancy", sut.memParams.channelOccupancy)
-        .add("sut.lcMemShare", sut.lcMemShare);
+        .add("mem.channelOccupancy", sut.memParams.channelOccupancy);
 }
 
 // ---------------------------------------------------------------------------

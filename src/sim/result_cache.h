@@ -74,8 +74,11 @@ namespace ubik {
  *  so all v3 values are stale; v5 = mix keys drop `ubik.slack` and
  *  `mem.baseLatency`, which no simulation read (values unchanged);
  *  v6 = keys drop the scheme label and the mix, batch-mix and app
- *  names, which no simulation reads either (values unchanged). */
-constexpr std::uint32_t kResultCacheSchemaVersion = 6;
+ *  names, which no simulation reads either (values unchanged); v7 =
+ *  mix keys drop `ubik.slackGain`, `ubik.dutyAlpha` and
+ *  `sut.lcMemShare`, now constants of UbikPolicy and
+ *  SchemeUnderTest::applyTo (values unchanged). */
+constexpr std::uint32_t kResultCacheSchemaVersion = 7;
 
 /** Counters since this ResultCache was opened. */
 struct CacheStats

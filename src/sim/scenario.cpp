@@ -25,8 +25,8 @@ namespace ubik {
 //   v(key, member)             optional; absent = the member's default
 //   v(key, member, written)    the writer emits it only when `written`
 //   v(key, member, kRequired)  must be present (a string non-empty)
-// Integers take [0, 2^32-1], except the u64 seeds, which take the
-// integers a JSON number holds exactly.
+// Integers take [0, 2^32-1], except the one u64 seed (burst_seed),
+// which takes the integers a JSON number holds exactly.
 
 namespace {
 
@@ -61,8 +61,6 @@ fields(V &v, UbikConfig &u)
     // No "slack": a scheme's one slack is SchemeUnderTest::slack.
     v("idle_options", u.idleOptions);
     v("deboost_guard", u.deboostGuard);
-    v("slack_gain", u.slackGain);
-    v("duty_alpha", u.dutyAlpha);
     v("accurate_deboost", u.accurateDeboost);
 }
 
@@ -87,7 +85,6 @@ fields(V &v, SchemeUnderTest &s)
     v("reconfig_scale", s.reconfigScale);
     v("mem", s.mem);
     v("mem_params", s.memParams);
-    v("lc_mem_share", s.lcMemShare);
 }
 
 template <class V>
@@ -137,7 +134,6 @@ fields(V &v, ArrivalSpec &a)
     v("nominal_load", a.nominalLoad);
     v("slices", a.slices);
     v("imbalance", a.imbalance);
-    v("seed", a.seed);
     v("load_profile", a.profile);
 }
 
@@ -146,19 +142,11 @@ void
 fields(V &v, FleetSpec &f)
 {
     v("servers", f.servers);
-    v("lc_per_server", f.lcPerServer);
-    v("batch_per_server", f.batchPerServer);
     v("arrivals", f.arrivals);
     v("queue_workers", f.queueWorkers);
-    v("max_workers", f.maxWorkers);
     v("interference", f.interference);
     v("abort_prob", f.abortProb);
-    v("queue_requests", f.queueRequests);
-    v("queue_warmup", f.queueWarmup);
-    v("queue_seed", f.queueSeed);
     v("tail_target_ms", f.tailTargetMs);
-    v("slo_margin", f.sloMargin);
-    v("placement_seed", f.placementSeed);
 }
 
 template <class V>
@@ -563,7 +551,7 @@ expandMix(const ScenarioMix &e, TraceLoader &traces)
     m.lc.app = lc_presets::byName(e.lcPreset);
     m.lc.load = e.load;
     std::string codes;
-    for (std::size_t i = 0; i < 3; i++) {
+    for (std::size_t i = 0; i < e.batch.size(); i++) {
         m.batch.apps[i] =
             batch_presets::make(e.batch[i].cls, e.batch[i].variation);
         codes += enumName(e.batch[i].cls);
@@ -794,22 +782,6 @@ renderReports(const ScenarioSpec &spec, const ScenarioResult &res)
           case ReportKind::UbikInterrupts:
             printUbikInterrupts(view, b.tag.c_str());
             break;
-          case ReportKind::Csv: {
-            const char *dir = std::getenv("UBIK_CSV_DIR");
-            exportCsv(view, b.tag.c_str(),
-                      dir && *dir ? dir : ".");
-            break;
-          }
-          case ReportKind::Json: {
-            const char *dir = std::getenv("UBIK_JSON_DIR");
-            std::string path =
-                std::string(dir && *dir ? dir : ".") + "/" + b.tag +
-                "_results.json";
-            writeResultsJson(view, spec.name, path);
-            std::fprintf(stderr, "  [%s] wrote %s\n", b.tag.c_str(),
-                         path.c_str());
-            break;
-          }
         }
     }
 }

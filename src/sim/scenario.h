@@ -64,15 +64,15 @@ struct EnumNames<MixSource>
     };
 };
 
-/** One text/file report block rendered after the sweep. */
+/** One text report block rendered after the sweep. The structured
+ *  results are `ubik_run --results`, and per-run CSV is what an
+ *  averages block exports when UBIK_CSV_DIR is set. */
 enum class ReportKind
 {
     Distributions,  ///< Fig 9/13-style quantile rows
     Averages,       ///< Table 3-style averages (+ UBIK_CSV_DIR)
     PerApp,         ///< Fig 10/11-style per-LC-app breakdown
     UbikInterrupts, ///< de-boost interrupt mix (deboost ablation)
-    Csv,            ///< <tag>_runs.csv into UBIK_CSV_DIR (or .)
-    Json,           ///< <tag>_results.json into UBIK_JSON_DIR (or .)
 };
 
 template <>
@@ -84,15 +84,13 @@ struct EnumNames<ReportKind>
         {ReportKind::Averages, "averages"},
         {ReportKind::PerApp, "per-app"},
         {ReportKind::UbikInterrupts, "ubik-interrupts"},
-        {ReportKind::Csv, "csv"},
-        {ReportKind::Json, "json"},
     };
 };
 
 struct ReportBlock
 {
     ReportKind kind = ReportKind::Averages;
-    std::string tag;                  ///< grep prefix / file stem
+    std::string tag;                  ///< grep prefix / CSV file stem
     LoadBand band = LoadBand::All;    ///< row filter (mix metadata)
 };
 
@@ -113,7 +111,7 @@ struct ScenarioMix
     std::string name;      ///< empty = "<lc>-<lo|hi>/<batchName>"
     std::string lcPreset = "masstree";
     double load = 0.2;
-    std::array<BatchSel, 3> batch;
+    std::array<BatchSel, kMixBatchApps> batch;
     std::string batchName; ///< empty = the three class codes
 
     /** 0, 1, or 3 .ubtr paths each (workload/mix.h semantics). */
@@ -185,9 +183,8 @@ Json scenarioToJson(const ScenarioSpec &spec);
  * ill-typed values and out-of-range integers are fatal() with the
  * offending key named, so spec file typos fail loudly instead of
  * silently running the default. Integer fields take [0, 2^32-1]; the
- * four seeds (fleet.queue_seed, fleet.placement_seed,
- * fleet.arrivals.seed, load_profile.burst_seed) take [0, 2^53-1],
- * every integer a JSON number holds exactly.
+ * one u64 seed, load_profile.burst_seed, takes [0, 2^53-1], every
+ * integer a JSON number holds exactly.
  */
 ScenarioSpec scenarioFromJson(const Json &j);
 

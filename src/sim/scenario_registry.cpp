@@ -345,7 +345,6 @@ bandwidthSpec()
 
     sut.label = "Ubik/bw-part";
     sut.mem = MemKind::Partitioned;
-    sut.lcMemShare = 0.5;
     s.schemes.push_back(sut);
 
     // Bandwidth-critical colocations only: memory-intensive LC apps
@@ -618,7 +617,6 @@ fleetSizingSpec()
     s.fleet.arrivals.profile.amplitude = 0.5;
     s.fleet.arrivals.profile.periods = 1.0;
     s.fleet.queueWorkers = 0; // autosize
-    s.fleet.maxWorkers = 8;
     s.fleet.interference = 0.15;
     s.fleet.abortProb = 0.02;
     s.fleet.tailTargetMs = 6.0;
@@ -656,7 +654,6 @@ fleetBandwidthSpec()
 
     sut.label = "Ubik/bw-part";
     sut.mem = MemKind::Partitioned;
-    sut.lcMemShare = 0.5;
     s.schemes.push_back(sut);
 
     s.source = MixSource::Explicit;

@@ -25,11 +25,18 @@
 
 namespace ubik {
 
+/** The shape of every mix, and so of every fleet server: the paper's
+ *  six cores hold three instances of one LC app and three batch apps
+ *  (§6). Mix runs, the partitioned-bandwidth shares and the fleet
+ *  stage all read this one declaration. */
+constexpr std::uint32_t kMixLcInstances = 3;
+constexpr std::uint32_t kMixBatchApps = 3;
+
 /** One three-app batch mix. */
 struct BatchMix
 {
     std::string name; ///< e.g. "nft-0"
-    std::array<BatchAppParams, 3> apps;
+    std::array<BatchAppParams, kMixBatchApps> apps;
 
     /**
      * Trace-backed replay, mirroring LcConfig::traces. Empty: the

@@ -30,7 +30,6 @@ TEST(ClusterArrivals, ImbalanceIsDeterministicAndClamped)
     spec.nominalLoad = 0.5;
     spec.slices = 3;
     spec.imbalance = 1.5; // violent: forces both clamps into play
-    spec.seed = 7;
     ClusterArrivals a(spec, 500);
     ClusterArrivals b(spec, 500);
     bool spread = false;
@@ -44,14 +43,6 @@ TEST(ClusterArrivals, ImbalanceIsDeterministicAndClamped)
                 spread = true;
         }
     EXPECT_TRUE(spread);
-    // A different seed redraws the imbalance.
-    ArrivalSpec other = spec;
-    other.seed = 8;
-    ClusterArrivals c(other, 500);
-    bool differs = false;
-    for (std::uint32_t srv = 0; srv < 500 && !differs; srv++)
-        differs = c.serverLoad(0, srv) != a.serverLoad(0, srv);
-    EXPECT_TRUE(differs);
 }
 
 TEST(ClusterArrivals, ProfileShapesSliceLoads)

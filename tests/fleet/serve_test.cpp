@@ -152,7 +152,8 @@ TEST(ServeDaemon, BadRequestsGetErrorResponsesAndDaemonSurvives)
         "{\"query\": \"scenario\", \"spec\": "
         "{\"bogus_key\": 1}}",                      // spec typo
         "{\"query\": \"scenario\", \"spec\": {\"name\": \"x\", "
-        "\"fleet\": {\"queue_seed\": 1e20}}}",      // seed out of range
+        "\"load_profile\": {\"kind\": \"bursts\", "
+        "\"burst_seed\": 1e20}}}",                 // seed out of range
         "{\"query\": \"scenario\", \"name\": \"fleet-utilization\","
         " \"set\": [\"servers=0\"]}",               // bad override
         // Fatal inside the simulation, on the sweep's pool threads:

@@ -87,8 +87,8 @@ TEST(Report, ResultsJsonIsDeterministicAndParseable)
     std::vector<SweepResult> sweeps = {sweep("Ubik"), sweep("LRU")};
     std::string p1 = ::testing::TempDir() + "/r1.json";
     std::string p2 = ::testing::TempDir() + "/r2.json";
-    writeResultsJson(sweeps, "unit", p1);
-    writeResultsJson(sweeps, "unit", p2);
+    writeJsonFile(resultsToJson(sweeps, "unit"), p1);
+    writeJsonFile(resultsToJson(sweeps, "unit"), p2);
 
     auto slurp = [](const std::string &p) {
         std::ifstream in(p, std::ios::binary);
@@ -111,7 +111,7 @@ TEST(Report, ResultsJsonIsDeterministicAndParseable)
 
     // A perturbed result changes the bytes (the diff is meaningful).
     sweeps[0].runs[0].weightedSpeedup += 1e-12;
-    writeResultsJson(sweeps, "unit", p2);
+    writeJsonFile(resultsToJson(sweeps, "unit"), p2);
     EXPECT_NE(t1, slurp(p2));
 
     std::remove(p1.c_str());

@@ -253,6 +253,24 @@ TEST(JobPool, JobsRunUnderTheSubmittersFatalTrap)
     EXPECT_EQ(trapped.load(), 0);
 }
 
+TEST(JobPoolDeath, UntrappedFatalOnEveryWorkerIsReportedOnce)
+{
+    // Without a FatalTrap, a fatal() on a pool thread ends the
+    // process. When every job fails, all four workers get there at
+    // about the same time: the first reports and exits 1, the others
+    // neither print nor run exit() alongside it. The pattern spans the
+    // child's whole stderr, so it admits one "fatal:" line only.
+    auto everyJobFails = [] {
+        JobPool pool(4);
+        pool.run(32, [](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            fatal("job %zu failed", i);
+        });
+    };
+    EXPECT_EXIT(everyJobFails(), ::testing::ExitedWithCode(1),
+                "^fatal: [^\n]*: job [0-9]+ failed\n$");
+}
+
 TEST(JobPool, SequentialPoolKeepsExceptionContract)
 {
     // Same contract as the threaded path: remaining jobs still run,

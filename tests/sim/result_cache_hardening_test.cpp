@@ -122,11 +122,12 @@ TEST(ResultCacheHardening, PriorSchemaRecordsAreEvicted)
 {
     // A cache dir populated by an older binary must be evicted
     // wholesale — stale counts, nothing served, nothing read as
-    // corrupt: schema v1 (the first release) and the schema just
-    // before this one (v5 keys still held the scheme label and the
-    // mix, batch-mix and app names).
-    ASSERT_GE(kResultCacheSchemaVersion, 2u);
-    for (std::uint32_t old : {1u, kResultCacheSchemaVersion - 1}) {
+    // corrupt: schema v1 (the first release), v5 (keys still held the
+    // scheme label and the mix, batch-mix and app names) and v6
+    // (keys still held ubik.slackGain, ubik.dutyAlpha and
+    // sut.lcMemShare).
+    ASSERT_GE(kResultCacheSchemaVersion, 7u);
+    for (std::uint32_t old : {1u, 5u, 6u}) {
         SCOPED_TRACE("schema v" + std::to_string(old));
         TempCacheDir dir("schema_old");
         const std::string key = "v1|hardening|oldschema";

@@ -136,14 +136,11 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
         [](SchemeUnderTest &s) { s.slack = 0.1; },
         [](SchemeUnderTest &s) { s.ubik.idleOptions = 8; },
         [](SchemeUnderTest &s) { s.ubik.deboostGuard = 32.0; },
-        [](SchemeUnderTest &s) { s.ubik.slackGain = 0.2; },
-        [](SchemeUnderTest &s) { s.ubik.dutyAlpha = 0.5; },
         [](SchemeUnderTest &s) { s.ubik.accurateDeboost = false; },
         [](SchemeUnderTest &s) { s.reconfigScale = 2.0; },
         [](SchemeUnderTest &s) { s.mem = MemKind::Contended; },
         [](SchemeUnderTest &s) { s.memParams.channels = 4; },
         [](SchemeUnderTest &s) { s.memParams.channelOccupancy = 48; },
-        [](SchemeUnderTest &s) { s.lcMemShare = 0.7; },
     };
     std::set<std::string> keys{base};
     for (std::size_t i = 0; i < mutators.size(); i++) {

@@ -156,28 +156,29 @@ TEST(ScenarioJson, CanonicalBytesArePinned)
 {
     // Spec files on disk and ubik_serve's memo keys are these bytes,
     // so a codec change that moves any of them must show up here.
-    // Last moved when the ubik "slack" and mem_params "base_latency"
-    // keys left the codec: those lines are the only bytes removed.
+    // Last moved when the settings with one value in use became
+    // constants (ubik "slack_gain"/"duty_alpha", "lc_mem_share" and
+    // nine fleet keys): those lines are the only bytes removed.
     const std::pair<const char *, std::uint64_t> pinned[] = {
-        {"fig9", 0x8bc81f027c040d5aull},
-        {"fig10", 0x75231c989755028cull},
-        {"fig11", 0x923a9ae3335e8e46ull},
-        {"fig12", 0x84330b46890c49a7ull},
-        {"fig13", 0x841e7f93751abbe5ull},
-        {"flash-crowd", 0x19ea32a615aa113eull},
-        {"diurnal", 0xcac487bba5a0935dull},
-        {"bursts", 0x2b832e02f6ad3dc8ull},
-        {"churn", 0x3cf02764d56e9f15ull},
-        {"ablation-deboost", 0xf598ba46b05e22e4ull},
-        {"ablation-feedback", 0x2b2519dcf2c0b07full},
-        {"ablation-params-idle", 0xccc246e99f980f5full},
-        {"ablation-params-guard", 0xe3b768cc31695b3cull},
-        {"ablation-params-interval", 0x59f52e443a4f2d77ull},
-        {"ablation-bandwidth", 0xc1a1bfbba1637db8ull},
-        {"fleet-utilization", 0x00769995a5a15f3full},
-        {"fleet-colocation", 0x844d89b39ed4f745ull},
-        {"fleet-sizing", 0x9f87e88f6762eb3full},
-        {"fleet-bandwidth", 0x6074f8d8bea0f277ull},
+        {"fig9", 0x380d69d6da1a071full},
+        {"fig10", 0xb7106ad870b7b217ull},
+        {"fig11", 0x1195ec3353f98843ull},
+        {"fig12", 0xa99c815f4ff73933ull},
+        {"fig13", 0xa3d754f934b84ad2ull},
+        {"flash-crowd", 0xe9d8c11ce72af9f2ull},
+        {"diurnal", 0x055b1824747f2fe5ull},
+        {"bursts", 0x4bf8c90f4c33c6e0ull},
+        {"churn", 0xd62c0c143e02f981ull},
+        {"ablation-deboost", 0xf25ac4d2e6b653faull},
+        {"ablation-feedback", 0x1fde137fb7bab27aull},
+        {"ablation-params-idle", 0x40f8931eaa89c5f0ull},
+        {"ablation-params-guard", 0x3d00ebf690679f87ull},
+        {"ablation-params-interval", 0xa0aa7e7286f2e2f8ull},
+        {"ablation-bandwidth", 0x3a02f98f2fcc55efull},
+        {"fleet-utilization", 0x0524b2f5cd2ea2f9ull},
+        {"fleet-colocation", 0x4aebb8fe0729d4cdull},
+        {"fleet-sizing", 0x52d7d31237369e76ull},
+        {"fleet-bandwidth", 0x1a70d8f097ed93d4ull},
     };
     const auto &all = ScenarioRegistry::instance().all();
     ASSERT_EQ(all.size(), std::size(pinned));
@@ -189,7 +190,7 @@ TEST(ScenarioJson, CanonicalBytesArePinned)
     std::uint64_t gen = kFnvOffsetBasis;
     for (std::uint64_t seed = 1; seed <= 300; seed++)
         gen = canonicalHash(generateScenario(seed), gen);
-    EXPECT_EQ(gen, 0x2f831f44d876aae3ull);
+    EXPECT_EQ(gen, 0x4265a217c52f992bull);
 }
 
 TEST(ScenarioJsonFuzz, MutatedSpecsAreFatalOrCanonical)
@@ -262,27 +263,22 @@ TEST(ScenarioJsonDeath, UnknownKeysAndBadValuesAreFatal)
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"seeds\": -1}", "t")),
                 ::testing::ExitedWithCode(1), "non-negative");
-    // The u64 seeds stop at 2^53 - 1, the integers a JSON number
+    // The u64 seed stops at 2^53 - 1, the integers a JSON number
     // holds exactly: beyond it a seed would silently change value.
-    EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
-                    "{\"name\": \"x\", \"fleet\": "
-                    "{\"queue_seed\": 1e20}}",
-                    "t")),
-                ::testing::ExitedWithCode(1),
-                "queue_seed: must be a non-negative integer <= "
-                "9007199254740991");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"load_profile\": "
                     "{\"kind\": \"bursts\", \"burst_seed\": 3e19}}",
                     "t")),
                 ::testing::ExitedWithCode(1),
-                "burst_seed: must be a non-negative integer");
+                "burst_seed: must be a non-negative integer <= "
+                "9007199254740991");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
-                    "{\"name\": \"x\", \"fleet\": "
-                    "{\"placement_seed\": 9007199254740993}}",
+                    "{\"name\": \"x\", \"load_profile\": "
+                    "{\"kind\": \"bursts\", "
+                    "\"burst_seed\": 9007199254740993}}",
                     "t")),
                 ::testing::ExitedWithCode(1),
-                "placement_seed: must be a non-negative integer");
+                "burst_seed: must be a non-negative integer");
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"schemes\": []}", "t")),
                 ::testing::ExitedWithCode(1), "required");
@@ -301,6 +297,48 @@ TEST(ScenarioJsonDeath, UnknownKeysAndBadValuesAreFatal)
                     "t")),
                 ::testing::ExitedWithCode(1),
                 "schemes.mem_params: unknown key \"base_latency\"");
+    // Settings with one value in use are constants of the code, and
+    // the two file-writing report kinds repeated --results and the
+    // averages block's CSV: a spec that names one is fatal, like any
+    // other unknown key or kind.
+    const std::pair<const char *, const char *> removed[] = {
+        {"\"schemes\": [{\"label\": \"a\", \"ubik\": "
+         "{\"slack_gain\": 0.1}}]",
+         "schemes.ubik: unknown key \"slack_gain\""},
+        {"\"schemes\": [{\"label\": \"a\", \"ubik\": "
+         "{\"duty_alpha\": 0.3}}]",
+         "schemes.ubik: unknown key \"duty_alpha\""},
+        {"\"schemes\": [{\"label\": \"a\", \"lc_mem_share\": 0.5}]",
+         "schemes: unknown key \"lc_mem_share\""},
+        {"\"fleet\": {\"lc_per_server\": 4}",
+         "fleet: unknown key \"lc_per_server\""},
+        {"\"fleet\": {\"batch_per_server\": 3}",
+         "fleet: unknown key \"batch_per_server\""},
+        {"\"fleet\": {\"max_workers\": 8}",
+         "fleet: unknown key \"max_workers\""},
+        {"\"fleet\": {\"queue_requests\": 3000}",
+         "fleet: unknown key \"queue_requests\""},
+        {"\"fleet\": {\"queue_warmup\": 300}",
+         "fleet: unknown key \"queue_warmup\""},
+        {"\"fleet\": {\"queue_seed\": 2024}",
+         "fleet: unknown key \"queue_seed\""},
+        {"\"fleet\": {\"slo_margin\": 0.05}",
+         "fleet: unknown key \"slo_margin\""},
+        {"\"fleet\": {\"placement_seed\": 1}",
+         "fleet: unknown key \"placement_seed\""},
+        {"\"fleet\": {\"arrivals\": {\"seed\": 1}}",
+         "fleet.arrivals: unknown key \"seed\""},
+        {"\"reports\": [{\"kind\": \"csv\", \"tag\": \"x\"}]",
+         "unknown report kind 'csv'"},
+        {"\"reports\": [{\"kind\": \"json\", \"tag\": \"x\"}]",
+         "unknown report kind 'json'"},
+    };
+    for (const auto &[member, message] : removed)
+        EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
+                        std::string("{\"name\": \"x\", ") + member + "}",
+                        "t")),
+                    ::testing::ExitedWithCode(1), message)
+            << member;
     // Ill-typed field: caught by the Json accessor.
     EXPECT_EXIT(scenarioFromJson(Json::parseOrDie(
                     "{\"name\": \"x\", \"ooo\": \"yes\"}", "t")),
