@@ -1,6 +1,7 @@
 #include "common/failpoint.h"
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -16,12 +17,12 @@
 namespace ubik {
 
 namespace failpoint_detail {
-std::atomic<int> g_state{0};
+std::atomic<bool> g_armed{false};
 } // namespace failpoint_detail
 
 namespace {
 
-using failpoint_detail::g_state;
+using failpoint_detail::g_armed;
 
 /** Errno spellings the schedule grammar accepts by name. */
 const struct
@@ -278,6 +279,14 @@ parseEntry(const std::string &entry, std::string &site, SiteRule &rule)
     }
 }
 
+/** `v` in shortest round-trip form: parsing the text gives `v`. */
+std::string
+shortest(double v)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
 std::string
 formatEntry(const std::string &site, const SiteRule &r)
 {
@@ -292,12 +301,9 @@ formatEntry(const std::string &site, const SiteRule &r)
       case FailpointHit::Kind::Torn:
         out += "torn:" + std::to_string(r.arg);
         break;
-      case FailpointHit::Kind::Hang: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "hang:%gs", r.hangSec);
-        out += buf;
+      case FailpointHit::Kind::Hang:
+        out += "hang:" + shortest(r.hangSec) + "s";
         break;
-      }
       case FailpointHit::Kind::None:
         break;
     }
@@ -312,13 +318,10 @@ formatEntry(const std::string &site, const SiteRule &r)
       case Trigger::Kind::Every:
         out += "*";
         break;
-      case Trigger::Kind::Chance: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "p%g", r.trig.p);
-        out += buf;
-        out += ",seed" + std::to_string(r.trig.seed);
+      case Trigger::Kind::Chance:
+        out += "p" + shortest(r.trig.p) + ",seed" +
+               std::to_string(r.trig.seed);
         break;
-      }
     }
     return out;
 }
@@ -378,20 +381,7 @@ evalSlow(const char *site)
     FailpointHit hit;
     {
         std::lock_guard<std::mutex> lock(reg.mu);
-        int st = g_state.load(std::memory_order_relaxed);
-        if (st == 0) {
-            // First evaluation anywhere: read the environment once.
-            const char *env = std::getenv("UBIK_FAILPOINTS");
-            if (env && *env) {
-                // Re-entrant configure under our lock is a deadlock;
-                // release, configure, re-evaluate.
-                // (configure takes the same lock.)
-            } else {
-                g_state.store(1, std::memory_order_relaxed);
-                return FailpointHit{};
-            }
-        }
-        if (st == 2) {
+        if (g_armed.load(std::memory_order_relaxed)) {
             auto it = reg.sites.find(site);
             if (it == reg.sites.end()) {
                 // Schedules only arm table sites, so an evaluated site
@@ -424,13 +414,6 @@ evalSlow(const char *site)
             hit.arg = r.arg;
             hit.hangSec = r.hangSec;
         }
-    }
-    if (hit.kind == FailpointHit::Kind::None &&
-        g_state.load(std::memory_order_relaxed) == 0) {
-        // Deferred env initialization (outside the registry lock).
-        const char *env = std::getenv("UBIK_FAILPOINTS");
-        failpointConfigure(env ? env : "");
-        return failpointEval(site);
     }
     // Hang sleeps here, outside the lock, so a hung site never stalls
     // every other site's evaluation.
@@ -467,8 +450,7 @@ failpointConfigure(const std::string &schedule)
     Registry &reg = registry();
     std::lock_guard<std::mutex> lock(reg.mu);
     reg.sites = std::move(sites);
-    failpoint_detail::g_state.store(reg.sites.empty() ? 1 : 2,
-                                    std::memory_order_relaxed);
+    g_armed.store(!reg.sites.empty(), std::memory_order_relaxed);
 }
 
 void
@@ -480,8 +462,7 @@ failpointReset()
 bool
 failpointsArmed()
 {
-    return failpoint_detail::g_state.load(std::memory_order_relaxed) ==
-           2;
+    return g_armed.load(std::memory_order_relaxed);
 }
 
 std::string

@@ -5,9 +5,9 @@
  * A failpoint is a named site compiled into the binary permanently —
  * `failpointEval("cache.append")` costs one relaxed atomic load and a
  * predictable branch while disarmed, so production paths keep their
- * sites forever. A schedule (from the UBIK_FAILPOINTS environment
- * variable, a `--failpoints` flag, or failpointConfigure()) arms
- * selected sites with an action and a trigger:
+ * sites forever. A schedule (from the `--failpoints` flag of ubik_run
+ * and ubik_serve, or failpointConfigure()) arms selected sites with
+ * an action and a trigger:
  *
  *   cache.append=short_write@3;claim.create=err:EIO@p0.05,seed7;
  *   claim.heartbeat=hang:2s@1
@@ -73,8 +73,8 @@ struct FailpointHit
 
 namespace failpoint_detail {
 
-/** 0 = uninitialized (env not read yet), 1 = disarmed, 2 = armed. */
-extern std::atomic<int> g_state;
+/** Whether any site is armed; false until a schedule is configured. */
+extern std::atomic<bool> g_armed;
 
 FailpointHit evalSlow(const char *site);
 
@@ -83,13 +83,12 @@ FailpointHit evalSlow(const char *site);
 /**
  * Evaluate the named fault site. The common (disarmed) case is one
  * relaxed atomic load and an always-taken branch; the slow path is
- * only entered while a schedule is armed or on the very first call
- * (which reads UBIK_FAILPOINTS once).
+ * only entered while a schedule is armed.
  */
 inline FailpointHit
 failpointEval(const char *site)
 {
-    if (failpoint_detail::g_state.load(std::memory_order_relaxed) == 1)
+    if (!failpoint_detail::g_armed.load(std::memory_order_relaxed))
         return FailpointHit{};
     return failpoint_detail::evalSlow(site);
 }
@@ -111,7 +110,9 @@ bool failpointsArmed();
 
 /**
  * Canonical form of the active schedule (random: schedules come back
- * expanded, so a failing chaos run is replayable verbatim).
+ * expanded, so a failing chaos run is replayable verbatim). Numbers
+ * print in shortest round-trip form: configuring the echo arms the
+ * same schedule, which echoes the same text.
  */
 std::string failpointScheduleString();
 

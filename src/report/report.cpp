@@ -263,9 +263,8 @@ printCacheStats(const ResultCache &cache, std::FILE *out)
     CacheStats st = cache.stats();
     std::fprintf(out,
                  "  [cache] %s: %llu hits (%llu mix), %llu misses "
-                 "(%llu mix), %llu stores, %llu stale evicted, "
-                 "%llu corrupt dropped, %llu claims live, "
-                 "%llu claims reclaimed\n",
+                 "(%llu mix), %llu stores, %llu stale files removed, "
+                 "%llu corrupt dropped\n",
                  cache.dir().c_str(),
                  static_cast<unsigned long long>(st.hits),
                  static_cast<unsigned long long>(st.mixHits),
@@ -273,9 +272,7 @@ printCacheStats(const ResultCache &cache, std::FILE *out)
                  static_cast<unsigned long long>(st.mixMisses),
                  static_cast<unsigned long long>(st.stores),
                  static_cast<unsigned long long>(st.evicted),
-                 static_cast<unsigned long long>(st.corrupt),
-                 static_cast<unsigned long long>(st.claimsLive),
-                 static_cast<unsigned long long>(st.claimsGced));
+                 static_cast<unsigned long long>(st.corrupt));
     // Degradation accounting on its own line, printed only when
     // anything actually retried or degraded: the common clean run
     // keeps its familiar single [cache] line.
@@ -284,15 +281,12 @@ printCacheStats(const ResultCache &cache, std::FILE *out)
     std::fprintf(out,
                  "  [cache-degraded] %s: %llu append retries, "
                  "%llu stores dropped, %llu fsync degraded, "
-                 "%llu refresh degraded, %llu heartbeat releases, "
-                 "%llu solo fallbacks\n",
+                 "%llu refresh degraded\n",
                  cache.dir().c_str(),
                  static_cast<unsigned long long>(st.appendRetries),
                  static_cast<unsigned long long>(st.storesDropped),
                  static_cast<unsigned long long>(st.fsyncDegraded),
-                 static_cast<unsigned long long>(st.refreshDegraded),
-                 static_cast<unsigned long long>(st.hbReleases),
-                 static_cast<unsigned long long>(st.soloFallbacks));
+                 static_cast<unsigned long long>(st.refreshDegraded));
 }
 
 } // namespace ubik

@@ -111,8 +111,9 @@ class FleetFill
 {
   public:
     FleetFill(MixRunner &runner, JobPool &pool, ResultCache &cache,
-              const FleetOptions &opt)
+              const FleetOptions &opt, FleetCounters &counters)
         : runner_(runner), pool_(pool), cache_(cache),
+          counters_(counters),
           claims_(cache.dir(),
                   opt.workerId.empty() ? ClaimStore::defaultOwner()
                                        : opt.workerId,
@@ -145,6 +146,7 @@ class FleetFill
     MixRunner &runner_;
     JobPool &pool_;
     ResultCache &cache_;
+    FleetCounters &counters_;
     ClaimStore claims_;
     bool soloNoted_ = false; ///< count the fallback once per worker
 };
@@ -155,7 +157,7 @@ FleetFill::runSolo(std::vector<ClaimTask> &tasks,
 {
     if (!soloNoted_) {
         soloNoted_ = true;
-        cache_.noteSoloFallback();
+        counters_.soloFallbacks++;
         warn("fleet: claims directory unusable; degrading to solo "
              "execution of %zu remaining items (results unchanged, "
              "cross-worker dedup lost)",
@@ -309,12 +311,11 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
     hb.join();
 
     // Sweep-exit GC: reclaim expired leases crashed peers left behind
-    // (ours were all released above). Fold heartbeat-failure releases
-    // into the degradation accounting now that the heartbeat thread
-    // is quiesced.
-    cache_.noteHbReleases(claims_.hbReleases());
+    // (ours were all released above). Heartbeat-failure releases are
+    // final now that the heartbeat thread is quiesced.
+    counters_.hbReleases += claims_.hbReleases();
     if (claims_.usable())
-        cache_.noteClaimsGced(claims_.gcStale());
+        counters_.reclaimed += claims_.gcStale();
 }
 
 } // namespace
@@ -407,7 +408,7 @@ ParallelSweep::run(
     };
 
     if (fleet_)
-        FleetFill(runner_, pool_, cache, fleetOpt_)
+        FleetFill(runner_, pool_, cache, fleetOpt_, fleetCounters_)
             .fill(jobs, misses, results, notify);
     else
         fillLocal(runner_, pool_, jobs, misses, results, notify);

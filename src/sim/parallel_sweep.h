@@ -119,6 +119,26 @@ struct FleetOptions
     double leaseTtlSec = 60.0;
 };
 
+/** What the fleet fill degraded through or cleaned up (all 0 outside
+ *  fleet mode). */
+struct FleetCounters
+{
+    /** Leases voluntarily released because their heartbeat could not
+     *  be written (ClaimStore::hbReleases). */
+    std::uint64_t hbReleases = 0;
+
+    /** Fills that fell back to solo execution because the claims
+     *  directory was unusable. */
+    std::uint64_t soloFallbacks = 0;
+
+    /** Expired leases of crashed peers removed at sweep exit
+     *  (ClaimStore::gcStale). Cleanup, not degradation. */
+    std::uint64_t reclaimed = 0;
+
+    /** Degradation events: heartbeat releases and solo fallbacks. */
+    std::uint64_t degraded() const { return hbReleases + soloFallbacks; }
+};
+
 /** Executes SweepJob batches through a shared MixRunner, serving and
  *  storing mix results in the runner's cache. */
 class ParallelSweep
@@ -160,11 +180,15 @@ class ParallelSweep
         const std::function<void(const SweepProgress &)> &on_done =
             nullptr);
 
+    /** The fleet fill's counters, summed over every run() so far. */
+    const FleetCounters &fleetCounters() const { return fleetCounters_; }
+
   private:
     MixRunner &runner_;
     JobPool pool_;
     bool fleet_ = false;
     FleetOptions fleetOpt_;
+    FleetCounters fleetCounters_;
 };
 
 /**

@@ -18,7 +18,6 @@
 #include "common/hex.h"
 #include "common/log.h"
 #include "common/retry.h"
-#include "sim/claim_store.h"
 
 namespace ubik {
 
@@ -407,6 +406,44 @@ parseBatchIpc(std::string_view payload, double &out)
 
 constexpr char kRecordMagic[] = "U1";
 
+/** Extension of every cache file: the current log, and the stale
+ *  files an open removes. */
+constexpr char kCacheFileExt[] = ".ubikcache";
+
+/** File name of the log: the schema lives in it, not in its
+ *  records. */
+std::string
+logName()
+{
+    return "results.v" + std::to_string(kResultCacheSchemaVersion) +
+           kCacheFileExt;
+}
+
+/**
+ * Remove every `*.ubikcache` file in `dir` but `keep`, without reading
+ * it: other schemas' logs and the older per-hash shard files. A file
+ * that cannot be removed stays. Returns how many went.
+ */
+std::uint64_t
+removeStaleFiles(const std::string &dir, const std::string &keep)
+{
+    namespace fs = std::filesystem;
+    std::vector<fs::path> stale;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec)) {
+        const fs::path &p = it->path();
+        std::error_code typeEc;
+        if (p.extension() == kCacheFileExt && p.filename() != keep &&
+            it->is_regular_file(typeEc))
+            stale.push_back(p);
+    }
+    std::uint64_t removed = 0;
+    for (const fs::path &p : stale)
+        removed += fs::remove(p, ec);
+    return removed;
+}
+
 /** Record kinds. */
 constexpr char kKindMix = 'm';
 constexpr char kKindLc = 'l';
@@ -443,11 +480,11 @@ enum class AppendOutcome
  * Counts every extra attempt in `retries`.
  */
 AppendOutcome
-appendAll(std::FILE *f, const std::string &line, std::size_t shard_idx,
+appendAll(std::FILE *f, const std::string &line,
           std::atomic<std::uint64_t> &retries)
 {
     std::size_t done = 0;
-    RetryBackoff backoff(0x5afec0deull, shard_idx);
+    RetryBackoff backoff(0x5afec0deull, 0);
     for (;;) {
         std::size_t want = line.size() - done;
         FailpointHit hit = failpointEval("cache.append");
@@ -552,27 +589,10 @@ batchBaselineKey(const ExperimentConfig &cfg,
 // ResultCache
 // ---------------------------------------------------------------------------
 
-struct ResultCache::Shard
-{
-    std::mutex mu;
-    bool loaded = false;
-    /** Bytes of the shard file already parsed: refresh resumes here,
-     *  so picking up records appended by cooperating processes costs
-     *  one seek, not a rescan. An unterminated (torn) tail is never
-     *  consumed — a writer may still be mid-append — so it is
-     *  re-examined on the next refresh. */
-    std::uint64_t parsedBytes = 0;
-    /** Offset of the torn tail already counted as corrupt, so a
-     *  permanently-dead tail is counted once, not once per poll. */
-    std::uint64_t tornCountedAt = ~0ull;
-};
-
 /**
- * Every loaded record, across shards: key -> payload, one hashed
- * index per record kind (kindSlot), so a lookup takes the caller's
- * key as is and a hit never hashes the key for its shard (an indexed
- * key's shard is loaded already). Never iterated. Lock order: a
- * shard's mutex, then `mu`.
+ * Every loaded record: key -> payload, one hashed index per record
+ * kind (kindSlot), so a lookup takes the caller's key as is. Never
+ * iterated.
  */
 struct ResultCache::Index
 {
@@ -589,8 +609,7 @@ struct ResultCache::Index
 };
 
 ResultCache::ResultCache(std::string dir)
-    : dir_(std::move(dir)), shards_(new Shard[kShards]),
-      index_(new Index)
+    : dir_(std::move(dir)), index_(new Index)
 {
     if (dir_.empty())
         return;
@@ -600,7 +619,11 @@ ResultCache::ResultCache(std::string dir)
         warn("result cache: cannot create '%s' (%s); caching disabled",
              dir_.c_str(), ec.message().c_str());
         dir_.clear();
+        return;
     }
+    const std::string name = logName();
+    logPath_ = dir_ + "/" + name;
+    evicted_ = removeStaleFiles(dir_, name);
 }
 
 ResultCache::~ResultCache() = default;
@@ -611,25 +634,10 @@ ResultCache::open(const std::string &dir)
     return std::make_unique<ResultCache>(dir);
 }
 
-std::size_t
-ResultCache::shardOf(const std::string &key)
-{
-    return static_cast<std::size_t>(fnvFold(kFnvOffsetBasis, key) %
-                                    kShards);
-}
-
-std::string
-ResultCache::shardPath(std::size_t idx) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard_%02zx.ubikcache", idx);
-    return dir_ + "/" + name;
-}
-
 void
-ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
+ResultCache::refreshLocked()
 {
-    s.loaded = true;
+    loaded_ = true;
     if (!persistent())
         return;
     // A failed refresh leaves a stale view: subsequent lookups can
@@ -640,10 +648,10 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
         refreshDegraded_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    std::ifstream in(shardPath(idx), std::ios::binary);
+    std::ifstream in(logPath_, std::ios::binary);
     if (!in.is_open())
         return; // nothing persisted yet
-    in.seekg(static_cast<std::streamoff>(s.parsedBytes));
+    in.seekg(static_cast<std::streamoff>(parsedBytes_));
     if (!in)
         return;
     std::string buf;
@@ -651,7 +659,6 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
     while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
         buf.append(chunk, static_cast<std::size_t>(in.gcount()));
 
-    enum class Rec { Valid, Evicted, Bad };
     std::string key, payload;
     struct Parsed
     {
@@ -659,32 +666,27 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
         std::string key, payload;
     };
     std::vector<Parsed> parsed;
-    auto classify = [&](std::string_view line) -> Rec {
-        // U1 <schema> <kind> <key> <payload> <crc>
+    // Whether `line` is a whole, checksum-valid record.
+    auto parse = [&](std::string_view line) {
+        // U1 <kind> <key> <payload> <crc>
         Fields f(line, ' ');
-        std::string_view magic, schemaTok, kindTok, keyTok, payloadTok,
-            crcTok;
-        if (!f.next(magic) || !f.next(schemaTok) || !f.next(kindTok) ||
-            !f.next(keyTok) || !f.next(payloadTok) || !f.next(crcTok) ||
-            !f.done() || magic != kRecordMagic || kindTok.size() != 1)
-            return Rec::Bad;
-        std::uint64_t crc, schema;
-        if (!unescapeToken(keyTok, key) ||
+        std::string_view magic, kindTok, keyTok, payloadTok, crcTok;
+        std::uint64_t crc;
+        if (!f.next(magic) || !f.next(kindTok) || !f.next(keyTok) ||
+            !f.next(payloadTok) || !f.next(crcTok) || !f.done() ||
+            magic != kRecordMagic || kindTok.size() != 1 ||
+            !unescapeToken(keyTok, key) ||
             !unescapeToken(payloadTok, payload) ||
             !parseHex64(crcTok, crc) ||
             crc != recordChecksum(kindTok[0], key, payload))
-            return Rec::Bad;
-        if (!parseDec(schemaTok, schema))
-            return Rec::Bad;
-        if (schema != kResultCacheSchemaVersion)
-            return Rec::Evicted;
+            return false;
         int slot = kindSlot(kindTok[0]);
         if (slot >= 0)
             parsed.push_back({slot, key, payload});
-        return Rec::Valid;
+        return true;
     };
 
-    const std::uint64_t base = s.parsedBytes;
+    const std::uint64_t base = parsedBytes_;
     const std::string_view all(buf);
     std::size_t start = 0;
     while (start < all.size()) {
@@ -694,34 +696,26 @@ ResultCache::refreshShardLocked(Shard &s, std::size_t idx)
             all.substr(start, (terminated ? nl : all.size()) - start);
         std::uint64_t off = base + start;
         if (terminated) {
-            Rec r = line.empty() ? Rec::Valid : classify(line);
-            if (r == Rec::Bad && off != s.tornCountedAt)
+            if (!line.empty() && !parse(line) && off != tornCountedAt_)
                 corrupt_.fetch_add(1, std::memory_order_relaxed);
-            else if (r == Rec::Evicted)
-                evicted_.fetch_add(1, std::memory_order_relaxed);
-            if (off == s.tornCountedAt)
-                s.tornCountedAt = ~0ull; // the torn tail completed
-            s.parsedBytes = base + nl + 1;
+            if (off == tornCountedAt_)
+                tornCountedAt_ = ~0ull; // the torn tail completed
+            parsedBytes_ = base + nl + 1;
             start = nl + 1;
             continue;
         }
         // Unterminated tail: a writer may be mid-append.
-        Rec r = classify(line);
-        if (r == Rec::Bad) {
+        if (parse(line)) {
+            // Checksum-complete record that only lacks its trailing
+            // newline: consume it.
+            parsedBytes_ = base + all.size();
+        } else if (off != tornCountedAt_) {
             // Leave it unconsumed so the next refresh re-examines it
             // once it completes; count it corrupt only once (it may
             // be a crashed writer's permanent stump, re-seen by every
             // poll until the next store's newline repair).
-            if (off != s.tornCountedAt) {
-                corrupt_.fetch_add(1, std::memory_order_relaxed);
-                s.tornCountedAt = off;
-            }
-        } else {
-            // Checksum-complete record that only lacks its trailing
-            // newline: consume it.
-            if (r == Rec::Evicted)
-                evicted_.fetch_add(1, std::memory_order_relaxed);
-            s.parsedBytes = base + all.size();
+            corrupt_.fetch_add(1, std::memory_order_relaxed);
+            tornCountedAt_ = off;
         }
         break;
     }
@@ -751,11 +745,9 @@ ResultCache::lookup(char kind, const std::string &key, bool refresh,
     bool ok = false;
     bool found = !refresh && findDecode(ok);
     if (!found) {
-        std::size_t idx = shardOf(key);
-        Shard &s = shards_[idx];
-        std::lock_guard<std::mutex> lock(s.mu);
-        if (refresh || !s.loaded)
-            refreshShardLocked(s, idx);
+        std::lock_guard<std::mutex> lock(logMu_);
+        if (refresh || !loaded_)
+            refreshLocked();
         // Again, also after no refresh: a store may have indexed the
         // key since the first look.
         found = findDecode(ok);
@@ -792,7 +784,7 @@ bool
 ResultCache::probe(char kind, const std::string &key)
 {
     // Unconditional refresh: the point of a probe is seeing what
-    // cooperating processes appended since the shard was loaded.
+    // cooperating processes appended since the log was last read.
     std::optional<bool> unused;
     return lookup<bool>(kind, key, /*refresh=*/true,
                         [](std::string_view, bool &) { return true; },
@@ -803,13 +795,11 @@ void
 ResultCache::store(char kind, const std::string &key,
                    const std::string &payload)
 {
-    std::size_t idx = shardOf(key);
-    Shard &s = shards_[idx];
-    std::lock_guard<std::mutex> lock(s.mu);
+    std::lock_guard<std::mutex> lock(logMu_);
     // Full refresh (not just first-load): a cooperating process may
     // have appended this very record since we last looked, and
-    // skipping the duplicate append keeps shard files minimal.
-    refreshShardLocked(s, idx);
+    // skipping the duplicate append keeps the log minimal.
+    refreshLocked();
     {
         std::shared_lock<std::shared_mutex> ilock(index_->mu);
         const std::string *have = index_->find(kind, key);
@@ -817,7 +807,7 @@ ResultCache::store(char kind, const std::string &key,
             return; // already persisted (a racing process beat us)
     }
     if (persistent())
-        append(idx, kind, key, payload);
+        append(kind, key, payload);
     {
         std::unique_lock<std::shared_mutex> ilock(index_->mu);
         index_->byKind[kindSlot(kind)].insert_or_assign(key, payload);
@@ -826,14 +816,12 @@ ResultCache::store(char kind, const std::string &key,
 }
 
 void
-ResultCache::append(std::size_t idx, char kind, const std::string &key,
+ResultCache::append(char kind, const std::string &key,
                     const std::string &payload)
 {
     std::string line;
     line.reserve(key.size() + payload.size() + 32);
     line += kRecordMagic;
-    line += ' ';
-    appendDec(line, kResultCacheSchemaVersion);
     line += ' ';
     line += kind;
     line += ' ';
@@ -849,13 +837,13 @@ ResultCache::append(std::size_t idx, char kind, const std::string &key,
     // in-memory entry is kept either way, so this worker still serves
     // its own result and only peers pay a recompute.
     std::FILE *f = nullptr;
-    RetryBackoff openRetry(0x0be7c0deull, idx);
+    RetryBackoff openRetry(0x0be7c0deull, 0);
     for (;;) {
         FailpointHit hit = failpointEval("cache.open");
         if (hit.kind == FailpointHit::Kind::Err) {
             errno = hit.err;
         } else {
-            f = std::fopen(shardPath(idx).c_str(), "a+b");
+            f = std::fopen(logPath_.c_str(), "a+b");
         }
         if (f || !openRetry.next())
             break;
@@ -870,7 +858,7 @@ ResultCache::append(std::size_t idx, char kind, const std::string &key,
         // Update streams require a positioning call between the read
         // above and the write (C11 7.21.5.3p7).
         std::fseek(f, 0, SEEK_END);
-        AppendOutcome out = appendAll(f, line, idx, appendRetries_);
+        AppendOutcome out = appendAll(f, line, appendRetries_);
         persisted = out == AppendOutcome::Ok;
         if (persisted && durable_) {
             // Fleet mode: the claim protocol treats "lease released"
@@ -894,7 +882,7 @@ ResultCache::append(std::size_t idx, char kind, const std::string &key,
                 if (!fsyncWarned_.exchange(true))
                     warn("result cache: fsync failed on %s (%s); "
                          "records may not survive a crash",
-                         shardPath(idx).c_str(),
+                         logPath_.c_str(),
                          std::strerror(errno));
             }
         }
@@ -905,7 +893,7 @@ ResultCache::append(std::size_t idx, char kind, const std::string &key,
         if (!appendWarned_.exchange(true))
             warn("result cache: cannot append to %s (%s); continuing "
                  "uncached — this worker keeps its results in memory",
-                 shardPath(idx).c_str(), std::strerror(errno));
+                 logPath_.c_str(), std::strerror(errno));
     }
 }
 
@@ -945,24 +933,6 @@ ResultCache::hasBatchIpc(const std::string &key)
     return probe(kKindBatch, key);
 }
 
-void
-ResultCache::noteClaimsGced(std::uint64_t n)
-{
-    claimsGced_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-ResultCache::noteHbReleases(std::uint64_t n)
-{
-    hbReleases_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void
-ResultCache::noteSoloFallback()
-{
-    soloFallbacks_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::optional<LcBaseline>
 ResultCache::loadLcBaseline(const std::string &key)
 {
@@ -989,7 +959,7 @@ ResultCache::storeBatchIpc(const std::string &key, double ipc)
 }
 
 CacheStats
-ResultCache::counters() const
+ResultCache::stats() const
 {
     CacheStats st;
     st.hits = hits_.load(std::memory_order_relaxed);
@@ -997,9 +967,8 @@ ResultCache::counters() const
     st.stores = stores_.load(std::memory_order_relaxed);
     st.mixHits = mixHits_.load(std::memory_order_relaxed);
     st.mixMisses = mixMisses_.load(std::memory_order_relaxed);
-    st.evicted = evicted_.load(std::memory_order_relaxed);
+    st.evicted = evicted_;
     st.corrupt = corrupt_.load(std::memory_order_relaxed);
-    st.claimsGced = claimsGced_.load(std::memory_order_relaxed);
     st.appendRetries =
         appendRetries_.load(std::memory_order_relaxed);
     st.storesDropped =
@@ -1008,24 +977,6 @@ ResultCache::counters() const
         fsyncDegraded_.load(std::memory_order_relaxed);
     st.refreshDegraded =
         refreshDegraded_.load(std::memory_order_relaxed);
-    st.hbReleases = hbReleases_.load(std::memory_order_relaxed);
-    st.soloFallbacks =
-        soloFallbacks_.load(std::memory_order_relaxed);
-    return st;
-}
-
-std::uint64_t
-ResultCache::degraded() const
-{
-    return counters().degraded();
-}
-
-CacheStats
-ResultCache::stats() const
-{
-    CacheStats st = counters();
-    if (persistent())
-        st.claimsLive = ClaimStore::leases(dir_).size();
     return st;
 }
 

@@ -20,21 +20,25 @@
  * a simulator change alters results without changing any config
  * field.
  *
- * The store is sharded by key hash into kShards append-only files
- * under the cache directory. Concurrent JobPool workers (and
- * concurrent bench processes) therefore mostly touch disjoint files;
- * within a process a per-shard mutex serializes writers, and across
- * processes each record is appended with a single O_APPEND-style
- * write, so the worst interleaving is a duplicate or torn record.
- * Torn/garbage records fail their checksum and are treated as misses
- * (counted, skipped, and rewritten on the next store) — a corrupt
- * shard can cost recomputation but never poisons a result. Shards
- * are parsed incrementally from a per-shard byte offset, so peekMix
+ * The store is one append-only log per schema version,
+ * `results.v<schema>.ubikcache` under the cache directory. Opening a
+ * persistent cache removes every other `*.ubikcache` file there
+ * (older schemas' logs, the older per-hash shard files) without
+ * reading it, so builds of different schemas must not share a
+ * directory at the same time: each would remove the other's log,
+ * which costs recomputes, never a wrong value. Within a process one
+ * mutex serializes the log's writers, and across processes each
+ * record is appended with a single O_APPEND-style write, so the worst
+ * interleaving is a duplicate or torn record. Torn/garbage records
+ * fail their checksum and are treated as misses (counted, skipped,
+ * and rewritten on the next store) — a corrupt log can cost
+ * recomputation but never poisons a result. The log is read on first
+ * use and from then on incrementally from a byte offset, so peekMix
  * (the fleet sweep's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.
- * Loaded records live in one in-memory hashed index per record kind,
- * shared by all shards: a warm hit hashes its key once and decodes
- * the payload in place, without hashing the key for its shard.
+ * Logs merge by concatenation: the first record of a key wins.
+ * Loaded records live in one in-memory hashed index per record kind:
+ * a warm hit hashes its key once and decodes the payload in place.
  * Opened without a directory, the cache keeps its records in memory
  * for its lifetime and touches no file: it stays the one store of
  * results whether or not they persist.
@@ -61,8 +65,9 @@ namespace ubik {
 
 /** Bump to invalidate every cached result after a simulator change
  *  that alters results without changing any configuration field —
- *  or after a key-format change, so unreachable old-format records
- *  are evicted instead of lingering as dead weight.
+ *  or after a key-format change. Each schema writes its own log, so
+ *  a bump leaves the old log stale and the next open removes it:
+ *  unreachable old-format records never linger as dead weight.
  *  History: v1 = the initial store; v2 = trace-backed mixes (keys
  *  gain the trace content hashes, and trace replay changed
  *  request-cursor/address-salt semantics, which shifts any result
@@ -77,7 +82,10 @@ namespace ubik {
  *  names, which no simulation reads either (values unchanged); v7 =
  *  mix keys drop `ubik.slackGain`, `ubik.dutyAlpha` and
  *  `sut.lcMemShare`, now constants of UbikPolicy and
- *  SchemeUnderTest::applyTo (values unchanged). */
+ *  SchemeUnderTest::applyTo (values unchanged). The log per schema,
+ *  whose records no longer carry their schema, came without a bump:
+ *  the file name holds the schema, and opening a cache removes the
+ *  older v7 shard files. */
 constexpr std::uint32_t kResultCacheSchemaVersion = 7;
 
 /** Counters since this ResultCache was opened. */
@@ -92,21 +100,12 @@ struct CacheStats
     std::uint64_t mixHits = 0;
     std::uint64_t mixMisses = 0;
 
-    /** Stale records dropped on load: schema-version mismatch. */
+    /** Stale files removed at open, unread: other schemas' logs and
+     *  the older per-hash shard files. */
     std::uint64_t evicted = 0;
 
     /** Records dropped on load: truncated or failed checksum. */
     std::uint64_t corrupt = 0;
-
-    /** Fleet claim records (sim/claim_store.h) currently present in
-     *  the cache dir's claims/ subdirectory, sampled at stats()
-     *  time: in-flight work during a fleet sweep, orphans after a
-     *  crash. */
-    std::uint64_t claimsLive = 0;
-
-    /** Orphaned (expired) claim records reclaimed through this
-     *  cache's accounting (ResultCache::noteClaimsGced). */
-    std::uint64_t claimsGced = 0;
 
     // -- Degradation counters (fault tolerance, PR 8) ------------------
 
@@ -123,25 +122,16 @@ struct CacheStats
      *  its crash-survival guarantee is weakened. */
     std::uint64_t fsyncDegraded = 0;
 
-    /** Shard refreshes that failed to read the shard file; the stale
-     *  view can cost a duplicate compute, never a wrong result. */
+    /** Log refreshes that failed to read the log file; the stale view
+     *  can cost a duplicate compute, never a wrong result. */
     std::uint64_t refreshDegraded = 0;
 
-    /** Leases voluntarily released because their heartbeat could not
-     *  be written (ClaimStore -> noteHbReleases). */
-    std::uint64_t hbReleases = 0;
-
-    /** Fleet workers that fell back to solo execution because the
-     *  claims directory was unusable (ParallelSweep ->
-     *  noteSoloFallback). */
-    std::uint64_t soloFallbacks = 0;
-
     /** Total degradation events (appendRetries excluded: a recovered
-     *  retry delivered full service). */
+     *  retry delivered full service). The fleet fill counts its own
+     *  (ParallelSweep::fleetCounters). */
     std::uint64_t degraded() const
     {
-        return storesDropped + fsyncDegraded + refreshDegraded +
-               hbReleases + soloFallbacks;
+        return storesDropped + fsyncDegraded + refreshDegraded;
     }
 };
 
@@ -168,17 +158,14 @@ batchBaselineKey(const ExperimentConfig &cfg, const BatchAppParams &params,
                  std::uint64_t seed, bool out_of_order,
                  std::uint32_t schema = kResultCacheSchemaVersion);
 
-/** Sharded persistent (key -> result) store. Thread-safe. */
+/** Persistent (key -> result) store over one append-only log.
+ *  Thread-safe. */
 class ResultCache
 {
   public:
-    /** Shard-file count; concurrent writers on different shards never
-     *  contend. */
-    static constexpr std::size_t kShards = 64;
-
-    /** Opens (creating if needed) the cache under `dir`. An empty
-     *  `dir`, or one that cannot be created (warned), keeps records
-     *  in memory only. */
+    /** Opens (creating if needed) the cache under `dir` and removes
+     *  its stale files. An empty `dir`, or one that cannot be created
+     *  (warned), keeps records in memory only. */
     explicit ResultCache(std::string dir);
     ~ResultCache();
 
@@ -202,11 +189,11 @@ class ResultCache
     void storeBatchIpc(const std::string &key, double ipc);
 
     /**
-     * Like loadMix, but re-reads the key's shard file incrementally
-     * first, so records appended by cooperating processes since the
-     * shard was loaded become visible. Poll-friendly stats: counts a
-     * hit on success and never counts a miss (a fleet worker may
-     * peek the same key many times while a peer computes it).
+     * Like loadMix, but re-reads the log incrementally first, so
+     * records appended by cooperating processes since the last read
+     * become visible. Poll-friendly stats: counts a hit on success
+     * and never counts a miss (a fleet worker may peek the same key
+     * many times while a peer computes it).
      */
     std::optional<MixRunResult> peekMix(const std::string &key);
 
@@ -225,42 +212,21 @@ class ResultCache
      */
     void setDurable(bool on) { durable_ = on; }
 
-    /** Fold claim-record GC work (sim/claim_store.h) into this
-     *  cache's stats. */
-    void noteClaimsGced(std::uint64_t n);
-
-    /** Fold heartbeat-failure lease releases (sim/claim_store.h) into
-     *  this cache's degradation accounting. */
-    void noteHbReleases(std::uint64_t n);
-
-    /** Record a fleet worker degrading to solo execution
-     *  (sim/parallel_sweep.cpp). */
-    void noteSoloFallback();
-
-    /** stats(): the counters, plus a scan of the claims directory
-     *  for CacheStats::claimsLive. */
     CacheStats stats() const;
-
-    /** stats().degraded() without the directory scan. */
-    std::uint64_t degraded() const;
 
     /** The cache directory; empty for an in-memory cache. */
     const std::string &dir() const { return dir_; }
 
-    /** Which shard a key lands in (exposed for the hardening tests). */
-    static std::size_t shardOf(const std::string &key);
-
   private:
-    struct Shard;
     struct Index;
 
     /**
      * Look (kind, key) up in the index and decode a found payload in
      * place, under the index lock. A miss, or `refresh`, first reads
-     * the key's shard file under its shard lock (on a miss, only if
-     * the shard was never loaded). Returns whether the key is present;
-     * `out` holds the value only if it decoded (a payload that does
-     * not decode counts as corrupt).
+     * the log under the log lock (on a miss, only if the log was never
+     * read). Returns whether the key is present; `out` holds the
+     * value only if it decoded (a payload that does not decode counts
+     * as corrupt).
      */
     template <typename T>
     bool lookup(char kind, const std::string &key, bool refresh,
@@ -273,35 +239,45 @@ class ResultCache
     /** Presence after a refresh; counts nothing. */
     bool probe(char kind, const std::string &key);
     void countLookup(char kind, bool hit);
-    CacheStats counters() const; ///< stats() minus claimsLive
     void store(char kind, const std::string &key,
                const std::string &payload);
-    /** Append one record to shard `idx`'s file; caller holds its
-     *  lock. */
-    void append(std::size_t idx, char kind, const std::string &key,
+    /** Append one record to the log; caller holds logMu_. */
+    void append(char kind, const std::string &key,
                 const std::string &payload);
-    void refreshShardLocked(Shard &s, std::size_t idx);
-    std::string shardPath(std::size_t idx) const;
+    /** Index the records appended since the last read; caller holds
+     *  logMu_. */
+    void refreshLocked();
 
     std::string dir_;
-    std::unique_ptr<Shard[]> shards_;
+    std::string logPath_; ///< the log file; empty for an in-memory cache
     std::unique_ptr<Index> index_;
     bool durable_ = false; ///< fsync records before store() returns
 
+    /** Guards the log state below and serializes appends. Lock order:
+     *  logMu_, then the index's lock. */
+    std::mutex logMu_;
+    bool loaded_ = false;
+    /** Bytes of the log already parsed: a refresh resumes here, so
+     *  picking up records appended by cooperating processes costs one
+     *  seek, not a rescan. An unterminated (torn) tail is never
+     *  consumed — a writer may still be mid-append — so it is
+     *  re-examined on the next refresh. */
+    std::uint64_t parsedBytes_ = 0;
+    /** Offset of the torn tail already counted as corrupt, so a
+     *  permanently-dead tail is counted once, not once per poll. */
+    std::uint64_t tornCountedAt_ = ~0ull;
+
+    std::uint64_t evicted_ = 0; ///< stale files removed at open
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> stores_{0};
     std::atomic<std::uint64_t> mixHits_{0};
     std::atomic<std::uint64_t> mixMisses_{0};
-    std::atomic<std::uint64_t> evicted_{0};
     std::atomic<std::uint64_t> corrupt_{0};
-    std::atomic<std::uint64_t> claimsGced_{0};
     std::atomic<std::uint64_t> appendRetries_{0};
     std::atomic<std::uint64_t> storesDropped_{0};
     std::atomic<std::uint64_t> fsyncDegraded_{0};
     std::atomic<std::uint64_t> refreshDegraded_{0};
-    std::atomic<std::uint64_t> hbReleases_{0};
-    std::atomic<std::uint64_t> soloFallbacks_{0};
     std::atomic<bool> appendWarned_{false};
     std::atomic<bool> fsyncWarned_{false};
 };

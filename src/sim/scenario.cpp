@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <type_traits>
 
 #include "common/log.h"
+#include "common/parse_num.h"
 #include "sim/claim_store.h"
 #include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
@@ -346,9 +346,8 @@ namespace {
 std::uint32_t
 toU32(const std::string &value, const char *where)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end || v > 0xFFFFFFFFull)
+    std::uint64_t v = 0;
+    if (!parseU64Strict(value.c_str(), 0xFFFFFFFFull, v))
         fatal("%s: '%s' is not a non-negative integer", where,
               value.c_str());
     return static_cast<std::uint32_t>(v);
@@ -680,10 +679,13 @@ runSchemeSweep(const ExperimentConfig &cfg,
         });
     // Machine-greppable per-process accounting: CI sums `computed=`
     // across fleet workers to prove zero duplicate computation,
-    // `degraded=` counts fault-tolerance events (0 on a clean run),
-    // and elapsed/rate give each worker's wall-clock throughput
-    // (rate is computed-per-second — cache hits are free).
-    std::uint64_t degraded = cache->degraded();
+    // `degraded=` counts fault-tolerance events of the cache and the
+    // fleet fill (0 on a clean run), `reclaimed=` the expired leases
+    // of crashed peers this worker removed, and elapsed/rate give
+    // each worker's wall-clock throughput (rate is
+    // computed-per-second — cache hits are free).
+    const FleetCounters &fleet = engine.fleetCounters();
+    std::uint64_t degraded = cache->stats().degraded() + fleet.degraded();
     double rate = last.elapsedSec > 0
                       ? last.computed / last.elapsedSec
                       : 0.0;
@@ -691,10 +693,11 @@ runSchemeSweep(const ExperimentConfig &cfg,
         std::fprintf(progress,
                      "  [sweep-summary] worker=%s jobs=%zu hits=%zu "
                      "computed=%zu remote=%zu degraded=%llu "
-                     "elapsed=%.2fs rate=%.2f/s\n",
+                     "reclaimed=%llu elapsed=%.2fs rate=%.2f/s\n",
                      worker.empty() ? "local" : worker.c_str(),
                      jobs.size(), last.hits, last.computed, last.remote,
                      static_cast<unsigned long long>(degraded),
+                     static_cast<unsigned long long>(fleet.reclaimed),
                      last.elapsedSec, rate);
     if (acct) {
         acct->worker = worker.empty() ? "local" : worker;

@@ -237,7 +237,7 @@ struct SweepAccounting
     std::size_t hits = 0;     ///< served from the result cache
     std::size_t computed = 0; ///< simulated here
     std::size_t remote = 0;   ///< claimed + published elsewhere
-    std::uint64_t degraded = 0; ///< cache degradation events
+    std::uint64_t degraded = 0; ///< cache + fleet-fill degradations
     double elapsedSec = 0;    ///< sweep wall-clock
     unsigned workers = 0;     ///< thread-pool width used
 };

@@ -147,6 +147,13 @@ TEST_F(FailpointTest, ScheduleStringRoundTrips)
               std::string::npos);
     EXPECT_NE(canon.find("cache.append=short_write:9@2"),
               std::string::npos);
+    // Numbers echo in shortest round-trip form, every digit kept.
+    failpointConfigure("cache.append=err@p0.1234567,seed1");
+    EXPECT_EQ(failpointScheduleString(),
+              "cache.append=err:EIO@p0.1234567,seed1");
+    failpointConfigure("claim.heartbeat=hang:1.0000001s@1");
+    EXPECT_EQ(failpointScheduleString(),
+              "claim.heartbeat=hang:1.0000001s@1");
 }
 
 TEST_F(FailpointTest, RandomScheduleIsDeterministic)

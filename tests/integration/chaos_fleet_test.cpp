@@ -59,6 +59,7 @@ struct ChaosRun
     std::vector<MixRunResult> results;
     SweepProgress last;
     CacheStats stats;
+    FleetCounters fleet;
 };
 
 ChaosRun
@@ -78,6 +79,7 @@ runFleetWorker(const std::string &cache_dir, const std::string &id,
     out.results = sweep.run(
         jobs, [&](const SweepProgress &p) { out.last = p; });
     out.stats = cache->stats();
+    out.fleet = sweep.fleetCounters();
     return out;
 }
 
@@ -170,7 +172,7 @@ TEST_F(ChaosFleetTest, UnusableClaimsDirFallsBackToSolo)
     ChaosRun r = runFleetWorker(dir.path(), "stranded", jobs);
     expectSameResults(r.results, ref);
     EXPECT_EQ(r.last.computed, jobs.size());
-    EXPECT_EQ(r.stats.soloFallbacks, 1u);
+    EXPECT_EQ(r.fleet.soloFallbacks, 1u);
     // Solo still publishes through the cache: a healthy peer joining
     // later gets hits, not recomputes.
     EXPECT_GT(r.stats.stores, 0u);
@@ -187,7 +189,7 @@ TEST_F(ChaosFleetTest, RandomizedSeededSchedulesStayByteIdentical)
     // claim faults disable dedup), so the gate is byte-equality and
     // completion. On failure the trace names the exact schedule —
     // replay with failpointConfigure(<schedule>) or
-    // UBIK_FAILPOINTS=random:<seed>.
+    // `ubik_run --failpoints random:<seed>`.
     for (std::uint64_t seed : {7ull, 1984ull, 31337ull}) {
         failpointConfigure("random:" + std::to_string(seed));
         SCOPED_TRACE("chaos seed " + std::to_string(seed) +

@@ -1,12 +1,13 @@
 /**
  * @file
- * Seeded mutation fuzz of the result-cache shard parser: a shard
- * holding all three record kinds (mix results, LC baselines, batch
- * IPCs) is mutated by flipping, inserting and deleting bytes,
- * truncating, and duplicating lines. Loading from the mutated shard
- * must return, for every stored key, either nothing or the stored
- * value bit for bit — never a crash, a hang or a different value —
- * and the next store must make the key load again.
+ * Seeded mutation fuzz of the result-cache log parser: a log holding
+ * all three record kinds (mix results, LC baselines, batch IPCs) is
+ * mutated by flipping, inserting and deleting bytes, truncating, and
+ * duplicating lines, and two logs are merged by concatenation after
+ * the first was torn at every byte of its last record. Loading from
+ * the damaged log must return, for every stored key, either nothing
+ * or the stored value bit for bit — never a crash, a hang or a
+ * different value — and the next store must make the key load again.
  */
 
 #include <gtest/gtest.h>
@@ -60,8 +61,8 @@ sameLc(const LcBaseline &a, const LcBaseline &b)
            sameBits(a.tailMean, b.tailMean) && a.p95 == b.p95;
 }
 
-/** Records of every kind, all in shard 0; keys hold the characters
- *  the record layer escapes. */
+/** Records of every kind; keys hold the characters the record layer
+ *  escapes. */
 struct Corpus
 {
     std::vector<std::pair<std::string, MixRunResult>> mixes;
@@ -79,16 +80,11 @@ struct Corpus
     }
 };
 
-/** The next key "v6|fuzz <tag>%<n>" that lands in shard 0. */
+/** The key "v6|fuzz <tag>%<n>", n counting up. */
 std::string
-shardZeroKey(const char *tag, int &n)
+fuzzKey(const char *tag, int &n)
 {
-    for (;;) {
-        std::string key =
-            std::string("v6|fuzz ") + tag + "%" + std::to_string(n++);
-        if (ResultCache::shardOf(key) == 0)
-            return key;
-    }
+    return std::string("v6|fuzz ") + tag + "%" + std::to_string(n++);
 }
 
 Corpus
@@ -105,7 +101,7 @@ makeCorpus()
         r.batchSpeedups.assign(static_cast<std::size_t>(i), 1.0 / 3.0);
         r.ubikDeboosts = 0xdeadbeefull * static_cast<std::uint64_t>(i);
         r.ubikWatermarks = ~0ull;
-        c.mixes.emplace_back(shardZeroKey("mix", n), r);
+        c.mixes.emplace_back(fuzzKey("mix", n), r);
 
         LcBaseline b;
         b.meanServiceCycles = 12345.678 * (i + 1);
@@ -113,9 +109,9 @@ makeCorpus()
         b.meanLatency = 0.1 + 0.7;
         b.tailMean = 1e300 / (i + 1);
         b.p95 = 1000u + static_cast<Cycles>(i);
-        c.lcs.emplace_back(shardZeroKey("lc", n), b);
+        c.lcs.emplace_back(fuzzKey("lc", n), b);
 
-        c.batches.emplace_back(shardZeroKey("batch\n", n),
+        c.batches.emplace_back(fuzzKey("batch\n", n),
                                2.0 / (i + 3));
     }
     return c;
@@ -206,7 +202,30 @@ checkLoads(ResultCache &cache, const Corpus &c)
     return found;
 }
 
-TEST(ResultCacheFuzz, MutatedShardsLoadNothingOrTheStoredValue)
+/** The one file under `dir`, the log (fails the test if != 1). */
+std::string
+onlyFile(const std::string &dir)
+{
+    std::vector<std::string> files;
+    for (const auto &e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path().string());
+    EXPECT_EQ(files.size(), 1u);
+    return files.empty() ? std::string() : files.front();
+}
+
+/** The log bytes of a fresh cache holding `c`'s records. */
+std::string
+logOf(const Corpus &c)
+{
+    TempCacheDir dir("fuzz_log");
+    {
+        ResultCache cache(dir.path());
+        c.storeAll(cache);
+    }
+    return readFile(onlyFile(dir.path()));
+}
+
+TEST(ResultCacheFuzz, MutatedLogsLoadNothingOrTheStoredValue)
 {
     TempCacheDir dir("fuzz");
     const Corpus corpus = makeCorpus();
@@ -216,12 +235,9 @@ TEST(ResultCacheFuzz, MutatedShardsLoadNothingOrTheStoredValue)
         ResultCache cache(dir.path());
         corpus.storeAll(cache);
     }
-    std::vector<std::string> files;
-    for (const auto &e : std::filesystem::directory_iterator(dir.path()))
-        files.push_back(e.path().string());
-    ASSERT_EQ(files.size(), 1u);
-    const std::string shard = files.front();
-    const std::string pristine = readFile(shard);
+    const std::string log = onlyFile(dir.path());
+    ASSERT_FALSE(log.empty());
+    const std::string pristine = readFile(log);
     {
         ResultCache cache(dir.path());
         ASSERT_EQ(checkLoads(cache, corpus), records);
@@ -233,7 +249,7 @@ TEST(ResultCacheFuzz, MutatedShardsLoadNothingOrTheStoredValue)
         std::string bytes = pristine;
         for (std::size_t m = 1 + rng() % 3; m > 0; m--)
             mutate(bytes, rng);
-        writeFile(shard, bytes);
+        writeFile(log, bytes);
         SCOPED_TRACE("iteration " + std::to_string(iter));
 
         ResultCache cache(dir.path());
@@ -248,6 +264,31 @@ TEST(ResultCacheFuzz, MutatedShardsLoadNothingOrTheStoredValue)
     }
     // The mutations reach the records, not just the slack around them.
     EXPECT_GT(partial, 2500u);
+
+    // Merged logs (`cat a b > c`, as --shard caches merge): the first
+    // log ends in a record torn at every byte, so the second log's
+    // first record is glued onto the stump. Both read as misses, every
+    // other key loads its stored value, and the next store repairs.
+    Corpus first, second;
+    first.mixes = corpus.mixes;
+    first.lcs = corpus.lcs;
+    second.batches = corpus.batches;
+    const std::string a = logOf(first), b = logOf(second);
+    ASSERT_FALSE(a.empty());
+    ASSERT_FALSE(b.empty());
+    const std::size_t lastLine = a.size() - 1 - a.rfind('\n', a.size() - 2);
+    for (std::size_t cut = 1; cut < lastLine; cut++) {
+        SCOPED_TRACE("first log torn " + std::to_string(cut) +
+                     " bytes before its end");
+        writeFile(log, a.substr(0, a.size() - cut) + b);
+        ResultCache cache(dir.path());
+        EXPECT_EQ(checkLoads(cache, corpus), records - 2);
+        EXPECT_EQ(cache.stats().corrupt, 1u);
+        corpus.storeAll(cache);
+        ResultCache reread(dir.path());
+        EXPECT_EQ(checkLoads(reread, corpus), records);
+        EXPECT_EQ(reread.stats().corrupt, 1u);
+    }
 }
 
 } // namespace

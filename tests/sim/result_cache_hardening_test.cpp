@@ -1,9 +1,9 @@
 /**
  * @file
- * Hardening tests for the persistent result cache: truncated or
- * garbage shard files must read as misses (never poisoned results or
- * crashes) and be rewritten by the next store; stale-schema records
- * must be evicted; and concurrent writers into the same shard must
+ * Hardening tests for the persistent result cache: a truncated or
+ * garbage log must read as misses (never poisoned results or crashes)
+ * and be rewritten by the next store; stale cache files must be
+ * removed at open, unread; and concurrent writers into the log must
  * serialize into a parseable file.
  */
 
@@ -43,18 +43,51 @@ sampleResult(double salt)
     return r;
 }
 
-/** The single shard file under `dir` (fails the test if != 1). */
+/** The log's file name: the schema lives in it. */
 std::string
-onlyShardFile(const std::string &dir)
+logName()
+{
+    return "results.v" + std::to_string(kResultCacheSchemaVersion) +
+           ".ubikcache";
+}
+
+/** A record after its `U1 ` magic, with a valid checksum:
+ *  `<kind> <key> <payload> <crc>` and a newline. The payload's spaces
+ *  are escaped as the writer escapes them. */
+std::string
+recordLine(char kind, const std::string &key, const std::string &payload)
+{
+    std::uint64_t crc = 0xcbf29ce484222325ull;
+    for (unsigned char c :
+         std::string(1, kind) + '\x1f' + key + '\x1f' + payload) {
+        crc ^= c;
+        crc *= 0x100000001b3ull;
+    }
+    std::string escaped;
+    for (char c : payload)
+        escaped += c == ' ' ? std::string("%20") : std::string(1, c);
+    char crcText[17];
+    std::snprintf(crcText, sizeof crcText, "%016llx",
+                  static_cast<unsigned long long>(crc));
+    return std::string(1, kind) + ' ' + key + ' ' + escaped + ' ' +
+           crcText + '\n';
+}
+
+/** The single file under `dir`, the log (fails the test if != 1). */
+std::string
+onlyLogFile(const std::string &dir)
 {
     std::vector<std::string> files;
     for (const auto &e : std::filesystem::directory_iterator(dir))
         files.push_back(e.path().string());
     EXPECT_EQ(files.size(), 1u);
-    return files.empty() ? std::string() : files.front();
+    if (files.empty())
+        return std::string();
+    EXPECT_EQ(std::filesystem::path(files.front()).filename(), logName());
+    return files.front();
 }
 
-TEST(ResultCacheHardening, TruncatedShardIsAMissAndGetsRewritten)
+TEST(ResultCacheHardening, TruncatedLogIsAMissAndGetsRewritten)
 {
     TempCacheDir dir("truncate");
     const std::string key = "v1|hardening|truncate";
@@ -65,10 +98,10 @@ TEST(ResultCacheHardening, TruncatedShardIsAMissAndGetsRewritten)
     }
 
     // Chop the record's tail off, as a crashed or racing writer would.
-    std::string shard = onlyShardFile(dir.path());
-    ASSERT_FALSE(shard.empty());
-    auto size = std::filesystem::file_size(shard);
-    std::filesystem::resize_file(shard, size / 2);
+    std::string log = onlyLogFile(dir.path());
+    ASSERT_FALSE(log.empty());
+    auto size = std::filesystem::file_size(log);
+    std::filesystem::resize_file(log, size / 2);
 
     {
         ResultCache cache(dir.path());
@@ -95,18 +128,18 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
         ResultCache cache(dir.path());
         cache.storeMix(key, sampleResult(1.25));
     }
-    std::string shard = onlyShardFile(dir.path());
-    ASSERT_FALSE(shard.empty());
+    std::string log = onlyLogFile(dir.path());
+    ASSERT_FALSE(log.empty());
     {
         // Garbage before and after: random bytes, a wrong-checksum
         // record, and a half-record with no newline.
-        std::ofstream out(shard, std::ios::app | std::ios::binary);
+        std::ofstream out(log, std::ios::app | std::ios::binary);
         out << "not a record at all\n";
-        out << "U1 1 m v1%7Cfake 0123456789abcdef,2,"
+        out << "U1 m v1%7Cfake 0123456789abcdef,2,"
                "0000000000000000,0000000000000000,0000000000000000,"
                "0000000000000000,0000000000000000,0000000000000000 "
                "ffffffffffffffff\n";
-        out << "U1 1 m v1%7Ctorn 00112233";
+        out << "U1 m v1%7Ctorn 00112233";
     }
     ResultCache cache(dir.path());
     auto loaded = cache.loadMix(key);
@@ -118,103 +151,58 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
     EXPECT_FALSE(cache.loadMix("v1|fake").has_value());
 }
 
-TEST(ResultCacheHardening, PriorSchemaRecordsAreEvicted)
+TEST(ResultCacheHardening, StaleFilesAreRemovedAtOpenUnread)
 {
-    // A cache dir populated by an older binary must be evicted
-    // wholesale — stale counts, nothing served, nothing read as
-    // corrupt: schema v1 (the first release), v5 (keys still held the
-    // scheme label and the mix, batch-mix and app names) and v6
-    // (keys still held ubik.slackGain, ubik.dutyAlpha and
-    // sut.lcMemShare).
-    ASSERT_GE(kResultCacheSchemaVersion, 7u);
-    for (std::uint32_t old : {1u, 5u, 6u}) {
-        SCOPED_TRACE("schema v" + std::to_string(old));
-        TempCacheDir dir("schema_old");
-        const std::string key = "v1|hardening|oldschema";
-        {
-            ResultCache cache(dir.path());
-            cache.storeMix(key, sampleResult(4.25));
-        }
-        std::string shard = onlyShardFile(dir.path());
-        ASSERT_FALSE(shard.empty());
-        std::string content;
-        {
-            std::ifstream in(shard, std::ios::binary);
-            content.assign(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-        }
-        const std::string cur =
-            "U1 " + std::to_string(kResultCacheSchemaVersion) + " ";
-        auto pos = content.find(cur);
-        ASSERT_NE(pos, std::string::npos);
-        content.replace(pos, cur.size(),
-                        "U1 " + std::to_string(old) + " ");
-        {
-            std::ofstream out(shard, std::ios::trunc | std::ios::binary);
-            out << content;
-        }
-
+    // A directory filled by older builds: two per-hash shard files of
+    // the v7 layout, one holding a checksum-valid record in that
+    // layout (`U1 <schema> <kind> <key> <payload> <crc>`) and one
+    // garbage, and the log of another schema holding a record in the
+    // current layout and stray bytes. An open removes all three
+    // without reading them: nothing is served from them and nothing
+    // counts as corrupt.
+    TempCacheDir dir("stale_files");
+    std::filesystem::create_directories(dir.path());
+    const std::string key = "v7|hardening|stale";
+    const std::string one = "3ff0000000000000"; // 1.0
+    {
+        std::ofstream(dir.path() + "/shard_00.ubikcache")
+            << "U1 7 " << recordLine('b', key, one);
+        std::ofstream(dir.path() + "/shard_3f.ubikcache")
+            << "U1 7 b v7|garbage 0 0\n";
+        std::ofstream(dir.path() + "/results.v6.ubikcache")
+            << "U1 " << recordLine('b', key, one) << "\x01\xff";
+    }
+    {
         ResultCache cache(dir.path());
-        EXPECT_FALSE(cache.loadMix(key).has_value());
         CacheStats st = cache.stats();
-        EXPECT_EQ(st.evicted, 1u);
-        EXPECT_EQ(st.corrupt, 0u);
+        EXPECT_EQ(st.evicted, 3u);
+        EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+        EXPECT_FALSE(cache.loadBatchIpc(key).has_value());
+        EXPECT_EQ(cache.stats().corrupt, 0u);
 
-        // A store under the current schema repairs the entry.
-        cache.storeMix(key, sampleResult(4.25));
-        EXPECT_TRUE(cache.loadMix(key).has_value());
+        // A store then lands in the current schema's log.
+        cache.storeBatchIpc(key, 2.0);
+        EXPECT_EQ(onlyLogFile(dir.path()),
+                  dir.path() + "/" + logName());
     }
-}
-
-TEST(ResultCacheHardening, StaleSchemaRecordsAreEvictedNotServed)
-{
-    TempCacheDir dir("schema");
-    const std::string key = "v1|hardening|schema";
-    {
-        ResultCache cache(dir.path());
-        cache.storeMix(key, sampleResult(2.0));
-    }
-    // Rewrite the record's schema field to a version that never
-    // existed; the checksum intentionally covers only kind/key/payload
-    // so this reads as stale, not corrupt.
-    std::string shard = onlyShardFile(dir.path());
-    ASSERT_FALSE(shard.empty());
-    std::string content;
-    {
-        std::ifstream in(shard, std::ios::binary);
-        content.assign(std::istreambuf_iterator<char>(in),
-                       std::istreambuf_iterator<char>());
-    }
-    const std::string cur =
-        "U1 " + std::to_string(kResultCacheSchemaVersion) + " ";
-    auto pos = content.find(cur);
-    ASSERT_NE(pos, std::string::npos);
-    content.replace(pos, cur.size(), "U1 999 ");
-    {
-        std::ofstream out(shard, std::ios::trunc | std::ios::binary);
-        out << content;
-    }
-
+    // A reopen removes nothing and serves the stored value.
     ResultCache cache(dir.path());
-    EXPECT_FALSE(cache.loadMix(key).has_value());
+    auto ipc = cache.loadBatchIpc(key);
+    ASSERT_TRUE(ipc.has_value());
+    expectBitIdentical(*ipc, 2.0, "ipc", 0);
     CacheStats st = cache.stats();
-    EXPECT_EQ(st.evicted, 1u);
+    EXPECT_EQ(st.evicted, 0u);
     EXPECT_EQ(st.corrupt, 0u);
 }
 
-TEST(ResultCacheHardening, ConcurrentStoresIntoOneShardSerialize)
+TEST(ResultCacheHardening, ConcurrentStoresIntoOneLogSerialize)
 {
-    // Collect keys that all land in the same shard, then hammer that
-    // shard from four threads; every record must survive, parseable
-    // and bit-exact, in a fresh instance.
+    // Hammer the log from four threads; every record must survive,
+    // parseable and bit-exact, in a fresh instance.
     const std::size_t perThread = 10, threads = 4;
     std::vector<std::string> keys;
-    std::size_t target = ResultCache::shardOf("v1|conc|0");
-    for (std::size_t i = 0; keys.size() < perThread * threads; i++) {
-        std::string k = "v1|conc|" + std::to_string(i);
-        if (ResultCache::shardOf(k) == target)
-            keys.push_back(k);
-    }
+    for (std::size_t i = 0; i < perThread * threads; i++)
+        keys.push_back("v1|conc|" + std::to_string(i));
 
     TempCacheDir dir("concurrent");
     {
@@ -285,18 +273,11 @@ TEST(ResultCacheHardening, TornAppendAtEveryByteBoundaryRepairs)
     // (via the cache.append torn failpoint, which writes K bytes and
     // then "crashes") and prove that (a) the earlier record is never
     // lost, (b) the torn record reads as a miss, and (c) the next
-    // store repairs the shard.
+    // store repairs the log.
     const std::string keyA = "v1|hardening|torn|survivor";
+    const std::string keyB = "v1|hardening|torn|victim";
     const MixRunResult ra = sampleResult(6.5);
     const MixRunResult rb = sampleResult(8.5);
-    // The victim must share the survivor's shard so the cut tears the
-    // same file the survivor lives in.
-    std::string keyB;
-    for (int i = 0; keyB.empty(); i++) {
-        std::string k = "v1|hardening|torn|victim" + std::to_string(i);
-        if (ResultCache::shardOf(k) == ResultCache::shardOf(keyA))
-            keyB = k;
-    }
 
     // Learn the victim record's on-disk length from a clean store.
     std::uintmax_t lineLen;
@@ -305,7 +286,7 @@ TEST(ResultCacheHardening, TornAppendAtEveryByteBoundaryRepairs)
         ResultCache cache(scratch.path());
         cache.storeMix(keyB, rb);
         lineLen = std::filesystem::file_size(
-            onlyShardFile(scratch.path()));
+            onlyLogFile(scratch.path()));
     }
     ASSERT_GT(lineLen, 0u);
 
@@ -334,7 +315,7 @@ TEST(ResultCacheHardening, TornAppendAtEveryByteBoundaryRepairs)
             bool newlineOnlyCut = cut + 1 == lineLen;
             EXPECT_EQ(cache.loadMix(keyB).has_value(),
                       newlineOnlyCut);
-            // The re-store repairs the shard (newline-glue + fresh
+            // The re-store repairs the log (newline-glue + fresh
             // record) without disturbing the survivor.
             cache.storeMix(keyB, rb);
             ASSERT_TRUE(cache.loadMix(keyB).has_value());
@@ -418,33 +399,16 @@ TEST(ResultCacheHardening, DurableFsyncFailureDegradesNotDies)
     ASSERT_TRUE(cache.loadMix(key).has_value());
 }
 
-/** Append one hand-made record with a valid checksum to the shard
- *  `key` lands in: `U1 <schema> <kind> <key> <payload> <crc>`. The
- *  payload's spaces are escaped as the writer escapes them. */
+/** Append one hand-made record with a valid checksum to the log
+ *  under `dir`. */
 void
 appendRecord(const std::string &dir, char kind, const std::string &key,
              const std::string &payload)
 {
-    std::uint64_t crc = 0xcbf29ce484222325ull;
-    auto fold = [&crc](const std::string &s) {
-        for (unsigned char c : s) {
-            crc ^= c;
-            crc *= 0x100000001b3ull;
-        }
-    };
-    fold(std::string(1, kind) + '\x1f' + key + '\x1f' + payload);
-    std::string escaped;
-    for (char c : payload)
-        escaped += c == ' ' ? std::string("%20") : std::string(1, c);
-    char name[32], crcText[17];
-    std::snprintf(name, sizeof name, "/shard_%02zx.ubikcache",
-                  ResultCache::shardOf(key));
-    std::snprintf(crcText, sizeof crcText, "%016llx",
-                  static_cast<unsigned long long>(crc));
     std::filesystem::create_directories(dir);
-    std::ofstream out(dir + name, std::ios::app | std::ios::binary);
-    out << "U1 " << kResultCacheSchemaVersion << ' ' << kind << ' '
-        << key << ' ' << escaped << ' ' << crcText << '\n';
+    std::ofstream out(dir + "/" + logName(),
+                      std::ios::app | std::ios::binary);
+    out << "U1 " << recordLine(kind, key, payload);
 }
 
 TEST(ResultCacheHardening, HexFieldsAreExactlySixteenDigits)

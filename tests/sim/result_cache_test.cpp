@@ -407,7 +407,7 @@ TEST(ResultCacheRoundTrip, MixRunResultBitExactIncludingVectors)
         ResultCache cache(dir.path());
         cache.storeMix(key, r);
     }
-    // A fresh instance forces the shard file to be parsed.
+    // A fresh instance forces the log to be parsed.
     ResultCache cache(dir.path());
     auto loaded = cache.loadMix(key);
     ASSERT_TRUE(loaded.has_value());
@@ -515,7 +515,7 @@ expectServesEveryKind(ResultCache &cache)
 TEST(ResultCache, OpenWithoutDirServesFromMemoryAndWritesNothing)
 {
     // Run in an empty working directory: a memory cache must leave it
-    // empty (no shard, no claims directory).
+    // empty (no log, no claims directory).
     TempCacheDir dir("memory");
     std::filesystem::create_directories(dir.path());
     const std::filesystem::path cwd = std::filesystem::current_path();

@@ -376,6 +376,14 @@ TEST(ScenarioOverridesDeath, BadKeysAndValuesAreFatal)
                 ::testing::ExitedWithCode(1), "unknown key");
     EXPECT_EXIT(applyScenarioOverride(s, "seeds=abc"),
                 ::testing::ExitedWithCode(1), "not a non-negative");
+    // The integer grammar of UBIK_SEEDS: no sign and no space, so
+    // "-0" cannot reset seeds to "use UBIK_SEEDS".
+    EXPECT_EXIT(applyScenarioOverride(s, "seeds=+4"),
+                ::testing::ExitedWithCode(1), "not a non-negative");
+    EXPECT_EXIT(applyScenarioOverride(s, "seeds= 4"),
+                ::testing::ExitedWithCode(1), "not a non-negative");
+    EXPECT_EXIT(applyScenarioOverride(s, "seeds=-0"),
+                ::testing::ExitedWithCode(1), "not a non-negative");
     EXPECT_EXIT(applyScenarioOverride(s, "no-equals"),
                 ::testing::ExitedWithCode(1), "key=value");
     EXPECT_EXIT(applyScenarioOverride(s, "schemes=NoSuchLabel"),

@@ -205,8 +205,8 @@ main(int argc, char **argv)
         "failpoints", "",
         "arm deterministic fault injection, e.g. "
         "'cache.append=short_write@3;claim.create=err:EIO@p0.05,"
-        "seed7' or 'random:<seed>' (overrides UBIK_FAILPOINTS; see "
-        "README \"Fault injection\")");
+        "seed7' or 'random:<seed>' (see README \"Fault "
+        "injection\")");
     cli.parse(argc, argv);
     const std::uint64_t n_jobs = flagInRange(jobs, 0, kMaxJobs);
 
