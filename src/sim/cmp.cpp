@@ -240,19 +240,17 @@ Cmp::buildMemorySystem(std::uint64_t seed)
     // Main memory: one shared model across all cores. It adds only
     // queueing delay; the base latency is CoreParams::memLatency.
     mem_ = makeMemorySystem(cfg_.mem, cfg_.memParams, ncores);
-    if (!cfg_.memShares.empty()) {
-        if (cfg_.mem != MemKind::Partitioned)
-            fatal("memShares set but memory model is %s",
-                  enumName(cfg_.mem));
-        if (cfg_.memShares.size() != ncores)
-            fatal("memShares has %zu entries for %u cores",
-                  cfg_.memShares.size(), ncores);
+    if (cfg_.mem == MemKind::Partitioned) {
+        // LC cores bypass the regulator (strict priority); batch
+        // cores are throttled to the half the LC cores leave.
+        constexpr double kLcMemShare = 0.5;
+        const double nbatch = static_cast<double>(batchResults_.size());
         auto *pm = static_cast<PartitionedMemory *>(mem_.get());
         for (std::uint32_t c = 0; c < ncores; c++) {
-            if (cfg_.memShares[c] <= 0)
+            if (cores_[c]->isLc)
                 pm->setUnregulated(c);
             else
-                pm->setShare(c, cfg_.memShares[c]);
+                pm->setShare(c, (1.0 - kLcMemShare) / nbatch);
         }
     }
 

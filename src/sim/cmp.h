@@ -150,14 +150,12 @@ struct CmpConfig
     Cycles maxCycles = 0; ///< 0 = auto (scaled from the workload)
 
     /** Memory model (Fixed reproduces the paper; the others enable
-     *  the bandwidth-contention extension, see src/mem/). */
+     *  the bandwidth-contention extension, see src/mem/). Under
+     *  Partitioned, the LC cores run unregulated (strict priority)
+     *  and the batch cores split the half of the bandwidth left to
+     *  them equally. */
     MemKind mem = MemKind::Fixed;
     MemoryParams memParams;
-
-    /** Per-app bandwidth shares for MemKind::Partitioned (empty =
-     *  equal shares). Must have one entry per core if set; entries
-     *  <= 0 mark the app unregulated (strict priority, for LC apps). */
-    std::vector<double> memShares;
 };
 
 /** One LC app instance bound to a core. */

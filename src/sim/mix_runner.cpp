@@ -37,15 +37,6 @@ SchemeUnderTest::applyTo(CmpConfig &cc) const
             static_cast<double>(cc.reconfigInterval) * reconfigScale);
     cc.mem = mem;
     cc.memParams = memParams;
-    if (mem == MemKind::Partitioned) {
-        // LC instances bypass the regulator (strict priority); batch
-        // apps are throttled to the half the LC instances leave.
-        constexpr double kLcMemShare = 0.5;
-        cc.memShares.assign(kMixLcInstances + kMixBatchApps, 0.0);
-        for (std::uint32_t i = kMixLcInstances; i < cc.memShares.size();
-             i++)
-            cc.memShares[i] = (1.0 - kLcMemShare) / kMixBatchApps;
-    }
 }
 
 MixRunner::MixRunner(ExperimentConfig cfg, bool out_of_order)

@@ -267,12 +267,12 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
             [this, d = d] {
                 runner_.lcBaseline(d.params, d.load, d.seed);
             },
-            [this, key = key] { return cache_.hasLcBaseline(key); }});
+            [this, key = key] { return cache_.has(key); }});
     for (const auto &[key, d] : base.batch)
         tasks.push_back(ClaimTask{
             key,
             [this, d = d] { runner_.batchAloneIpc(d.params, d.seed); },
-            [this, key = key] { return cache_.hasBatchIpc(key); }});
+            [this, key = key] { return cache_.has(key); }});
     runClaimLoop(tasks);
 
     // Round 2: the mixes themselves. poll() fills the slot from a

@@ -34,20 +34,6 @@ fnvFold(std::uint64_t h, std::string_view s)
         h, reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
 }
 
-/** Record checksum: FNV-1a over the unescaped fields joined by an
- *  unambiguous separator that cannot appear inside them post-escape
- *  (kind 0x1f key 0x1f payload). */
-std::uint64_t
-recordChecksum(char kind, std::string_view key, std::string_view payload)
-{
-    const char sep = '\x1f';
-    std::uint64_t h = fnvFold(kFnvOffsetBasis, std::string_view(&kind, 1));
-    h = fnvFold(h, std::string_view(&sep, 1));
-    h = fnvFold(h, key);
-    h = fnvFold(h, std::string_view(&sep, 1));
-    return fnvFold(h, payload);
-}
-
 /** Decimal text of `v`, appended. */
 void
 appendDec(std::string &out, std::uint64_t v)
@@ -63,44 +49,6 @@ parseDec(std::string_view s, std::uint64_t &out)
     const char *end = s.data() + s.size();
     auto r = std::from_chars(s.data(), end, out);
     return r.ec == std::errc() && r.ptr == end;
-}
-
-/** Append `s` made safe as one space-separated record token. */
-void
-appendEscapedToken(std::string &out, std::string_view s)
-{
-    for (char c : s) {
-        if (c == ' ' || c == '%' || c == '\n' || c == '\r' ||
-            c == '\t' || c == '\0') {
-            static constexpr char kHex[] = "0123456789ABCDEF";
-            auto u = static_cast<unsigned char>(c);
-            const char esc[3] = {'%', kHex[u >> 4], kHex[u & 15]};
-            out.append(esc, sizeof esc);
-        } else {
-            out += c;
-        }
-    }
-}
-
-bool
-unescapeToken(std::string_view s, std::string &out)
-{
-    out.clear();
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); i++) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
-            return false;
-        int hi = hexDigitValue(s[i + 1]), lo = hexDigitValue(s[i + 2]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out += static_cast<char>(hi * 16 + lo);
-        i += 2;
-    }
-    return true;
 }
 
 /** Walks the `sep`-separated fields of a record or payload in place. */
@@ -153,112 +101,6 @@ class Fields
     std::string_view rest_;
     char sep_;
     bool done_ = false;
-};
-
-/**
- * Builds the canonical `v<schema>|name=value|...` key string, each
- * field appended in place.
- */
-class KeyBuilder
-{
-  public:
-    explicit KeyBuilder(const char *what, std::uint32_t schema)
-    {
-        out_.reserve(2048);
-        out_ += 'v';
-        appendDec(out_, schema);
-        out_ += '|';
-        out_ += what;
-    }
-
-    /** Prefix for the names of the fields added next ("b0."). */
-    KeyBuilder &scope(std::string_view prefix)
-    {
-        scope_ = prefix;
-        return *this;
-    }
-
-    /** A string field. '|' and '=' structure the key and '%'
-     *  escapes; nothing else needs quoting (spaces are handled at the
-     *  record layer). */
-    KeyBuilder &add(std::string_view name, std::string_view v)
-    {
-        if (std::none_of(v.begin(), v.end(), [](char c) {
-                return c == '|' || c == '=' || c == '%';
-            }))
-            return put(name, v);
-        std::string esc;
-        for (char c : v) {
-            if (c == '|')
-                esc += "%7C";
-            else if (c == '=')
-                esc += "%3D";
-            else if (c == '%')
-                esc += "%25";
-            else
-                esc += c;
-        }
-        return put(name, esc);
-    }
-
-    KeyBuilder &add(std::string_view name, const std::string &v)
-    {
-        return add(name, std::string_view(v));
-    }
-
-    KeyBuilder &add(std::string_view name, const char *v)
-    {
-        return add(name, std::string_view(v));
-    }
-
-    KeyBuilder &add(std::string_view name, std::uint64_t v)
-    {
-        char buf[20];
-        char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
-        return put(name, std::string_view(buf, end - buf));
-    }
-
-    KeyBuilder &add(std::string_view name, std::uint32_t v)
-    {
-        return add(name, static_cast<std::uint64_t>(v));
-    }
-
-    KeyBuilder &add(std::string_view name, int v)
-    {
-        char buf[12];
-        char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
-        return put(name, std::string_view(buf, end - buf));
-    }
-
-    KeyBuilder &add(std::string_view name, bool v)
-    {
-        return put(name, v ? "1" : "0");
-    }
-
-    /** Doubles key as their exact bit pattern. */
-    KeyBuilder &add(std::string_view name, double v)
-    {
-        char buf[16];
-        writeHex64(buf, doubleBits(v));
-        return put(name, std::string_view(buf, sizeof buf));
-    }
-
-    std::string take() { return std::move(out_); }
-
-  private:
-    /** Append "|<scope><name>=<value>" (value already escaped). */
-    KeyBuilder &put(std::string_view name, std::string_view value)
-    {
-        out_ += '|';
-        out_ += scope_;
-        out_ += name;
-        out_ += '=';
-        out_ += value;
-        return *this;
-    }
-
-    std::string out_;
-    std::string_view scope_;
 };
 
 void
@@ -404,8 +246,6 @@ parseBatchIpc(std::string_view payload, double &out)
     return parseHexDouble(payload, out);
 }
 
-constexpr char kRecordMagic[] = "U1";
-
 /** Extension of every cache file: the current log, and the stale
  *  files an open removes. */
 constexpr char kCacheFileExt[] = ".ubikcache";
@@ -442,27 +282,6 @@ removeStaleFiles(const std::string &dir, const std::string &keep)
     for (const fs::path &p : stale)
         removed += fs::remove(p, ec);
     return removed;
-}
-
-/** Record kinds. */
-constexpr char kKindMix = 'm';
-constexpr char kKindLc = 'l';
-constexpr char kKindBatch = 'b';
-
-/** The index slot of a record kind, or -1 for kinds this build never
- *  writes (their records are valid but unreachable). */
-int
-kindSlot(char kind)
-{
-    switch (kind) {
-      case kKindMix:
-        return 0;
-      case kKindLc:
-        return 1;
-      case kKindBatch:
-        return 2;
-    }
-    return -1;
 }
 
 /** How one append attempt ended. */
@@ -523,6 +342,55 @@ appendAll(std::FILE *f, const std::string &line,
 // ---------------------------------------------------------------------------
 // Canonical keys
 // ---------------------------------------------------------------------------
+
+KeyBuilder::KeyBuilder(const char *what, std::uint32_t schema)
+{
+    out_.reserve(2048);
+    out_ += 'v';
+    appendDec(out_, schema);
+    out_ += '|';
+    out_ += what;
+}
+
+KeyBuilder &
+KeyBuilder::add(std::string_view name, std::string_view v)
+{
+    ubik_assert(v.find_first_of("|=") == std::string_view::npos);
+    return put(name, v);
+}
+
+KeyBuilder &
+KeyBuilder::add(std::string_view name, std::uint64_t v)
+{
+    char buf[20];
+    char *end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    return put(name, std::string_view(buf, end - buf));
+}
+
+KeyBuilder &
+KeyBuilder::add(std::string_view name, bool v)
+{
+    return put(name, v ? "1" : "0");
+}
+
+KeyBuilder &
+KeyBuilder::add(std::string_view name, double v)
+{
+    char buf[16];
+    writeHex64(buf, doubleBits(v));
+    return put(name, std::string_view(buf, sizeof buf));
+}
+
+KeyBuilder &
+KeyBuilder::put(std::string_view name, std::string_view value)
+{
+    out_ += '|';
+    out_ += scope_;
+    out_ += name;
+    out_ += '=';
+    out_ += value;
+    return *this;
+}
 
 std::string
 mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
@@ -589,23 +457,11 @@ batchBaselineKey(const ExperimentConfig &cfg,
 // ResultCache
 // ---------------------------------------------------------------------------
 
-/**
- * Every loaded record: key -> payload, one hashed index per record
- * kind (kindSlot), so a lookup takes the caller's key as is. Never
- * iterated.
- */
+/** Every loaded record, key -> payload. Never iterated. */
 struct ResultCache::Index
 {
     std::shared_mutex mu;
-    std::unordered_map<std::string, std::string> byKind[3];
-
-    /** The payload under (kind, key), or nullptr; caller holds mu. */
-    const std::string *find(char kind, const std::string &key) const
-    {
-        const auto &m = byKind[kindSlot(kind)];
-        auto it = m.find(key);
-        return it == m.end() ? nullptr : &it->second;
-    }
+    std::unordered_map<std::string, std::string> records;
 };
 
 ResultCache::ResultCache(std::string dir)
@@ -659,30 +515,22 @@ ResultCache::refreshLocked()
     while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
         buf.append(chunk, static_cast<std::size_t>(in.gcount()));
 
-    std::string key, payload;
-    struct Parsed
-    {
-        int slot;
-        std::string key, payload;
-    };
-    std::vector<Parsed> parsed;
-    // Whether `line` is a whole, checksum-valid record.
+    // First record wins; duplicates from racing appends or merged
+    // logs carry the same deterministic value anyway.
+    std::unique_lock<std::shared_mutex> lock(index_->mu);
+    // Whether `line` is a whole, checksum-valid record; indexes it.
     auto parse = [&](std::string_view line) {
-        // U1 <kind> <key> <payload> <crc>
+        // <key> <payload> <crc>, the crc covering `<key> <payload>`
         Fields f(line, ' ');
-        std::string_view magic, kindTok, keyTok, payloadTok, crcTok;
+        std::string_view key, payload, crcText;
         std::uint64_t crc;
-        if (!f.next(magic) || !f.next(kindTok) || !f.next(keyTok) ||
-            !f.next(payloadTok) || !f.next(crcTok) || !f.done() ||
-            magic != kRecordMagic || kindTok.size() != 1 ||
-            !unescapeToken(keyTok, key) ||
-            !unescapeToken(payloadTok, payload) ||
-            !parseHex64(crcTok, crc) ||
-            crc != recordChecksum(kindTok[0], key, payload))
+        if (!f.next(key) || !f.next(payload) || !f.next(crcText) ||
+            !f.done() || !parseHex64(crcText, crc))
             return false;
-        int slot = kindSlot(kindTok[0]);
-        if (slot >= 0)
-            parsed.push_back({slot, key, payload});
+        const std::size_t body = key.size() + 1 + payload.size();
+        if (crc != fnvFold(kFnvOffsetBasis, line.substr(0, body)))
+            return false;
+        index_->records.try_emplace(std::string(key), payload);
         return true;
     };
 
@@ -719,82 +567,62 @@ ResultCache::refreshLocked()
         }
         break;
     }
-    if (parsed.empty())
-        return;
-    // First record wins; duplicates from racing appends carry the
-    // same deterministic value anyway.
-    std::unique_lock<std::shared_mutex> lock(index_->mu);
-    for (Parsed &p : parsed)
-        index_->byKind[p.slot].try_emplace(std::move(p.key),
-                                           std::move(p.payload));
 }
 
 template <typename T>
-bool
-ResultCache::lookup(char kind, const std::string &key, bool refresh,
-                    bool (*decode)(std::string_view, T &),
-                    std::optional<T> &out)
+std::optional<T>
+ResultCache::lookup(const std::string &key, bool refresh,
+                    bool (*decode)(std::string_view, T &))
 {
-    auto findDecode = [&](bool &ok) {
+    std::optional<T> out;
+    // Whether the key is indexed; decodes its payload into `out`.
+    auto find = [&] {
         std::shared_lock<std::shared_mutex> lock(index_->mu);
-        const std::string *payload = index_->find(kind, key);
-        if (payload)
-            ok = decode(*payload, out.emplace());
-        return payload != nullptr;
+        auto it = index_->records.find(key);
+        if (it == index_->records.end())
+            return false;
+        if (!decode(it->second, out.emplace())) {
+            out.reset();
+            corrupt_.fetch_add(1, std::memory_order_relaxed);
+        }
+        return true;
     };
-    bool ok = false;
-    bool found = !refresh && findDecode(ok);
-    if (!found) {
+    if (refresh || !find()) {
         std::lock_guard<std::mutex> lock(logMu_);
         if (refresh || !loaded_)
             refreshLocked();
         // Again, also after no refresh: a store may have indexed the
         // key since the first look.
-        found = findDecode(ok);
+        find();
     }
-    if (!found)
-        return false;
-    if (!ok) {
-        out.reset();
-        corrupt_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return true;
+    return out;
 }
 
 void
-ResultCache::countLookup(char kind, bool hit)
+ResultCache::countLookup(bool hit, bool mix)
 {
     (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-    if (kind == kKindMix)
+    if (mix)
         (hit ? mixHits_ : mixMisses_)
             .fetch_add(1, std::memory_order_relaxed);
 }
 
 template <typename T>
 std::optional<T>
-ResultCache::load(char kind, const std::string &key,
-                  bool (*decode)(std::string_view, T &))
+ResultCache::load(const std::string &key,
+                  bool (*decode)(std::string_view, T &), bool mix)
 {
-    std::optional<T> out;
-    countLookup(kind, lookup(kind, key, /*refresh=*/false, decode, out));
+    std::optional<T> out = lookup(key, /*refresh=*/false, decode);
+    countLookup(out.has_value(), mix);
     return out;
 }
 
-bool
-ResultCache::probe(char kind, const std::string &key)
-{
-    // Unconditional refresh: the point of a probe is seeing what
-    // cooperating processes appended since the log was last read.
-    std::optional<bool> unused;
-    return lookup<bool>(kind, key, /*refresh=*/true,
-                        [](std::string_view, bool &) { return true; },
-                        unused);
-}
-
 void
-ResultCache::store(char kind, const std::string &key,
-                   const std::string &payload)
+ResultCache::store(const std::string &key, const std::string &payload)
 {
+    // A record is `<key> <payload> <crc>` on one line, unescaped.
+    ubik_assert(key.find_first_of(" \n") == std::string::npos);
+    ubik_assert(payload.find_first_of(" \n") == std::string::npos);
     std::lock_guard<std::mutex> lock(logMu_);
     // Full refresh (not just first-load): a cooperating process may
     // have appended this very record since we last looked, and
@@ -802,34 +630,30 @@ ResultCache::store(char kind, const std::string &key,
     refreshLocked();
     {
         std::shared_lock<std::shared_mutex> ilock(index_->mu);
-        const std::string *have = index_->find(kind, key);
-        if (have && *have == payload)
+        auto it = index_->records.find(key);
+        if (it != index_->records.end() && it->second == payload)
             return; // already persisted (a racing process beat us)
     }
     if (persistent())
-        append(kind, key, payload);
+        append(key, payload);
     {
         std::unique_lock<std::shared_mutex> ilock(index_->mu);
-        index_->byKind[kindSlot(kind)].insert_or_assign(key, payload);
+        index_->records.insert_or_assign(key, payload);
     }
     stores_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
-ResultCache::append(char kind, const std::string &key,
-                    const std::string &payload)
+ResultCache::append(const std::string &key, const std::string &payload)
 {
     std::string line;
-    line.reserve(key.size() + payload.size() + 32);
-    line += kRecordMagic;
+    line.reserve(key.size() + payload.size() + 19);
+    line += key;
     line += ' ';
-    line += kind;
+    line += payload;
+    const std::uint64_t crc = fnvFold(kFnvOffsetBasis, line);
     line += ' ';
-    appendEscapedToken(line, key);
-    line += ' ';
-    appendEscapedToken(line, payload);
-    line += ' ';
-    appendHex64(line, recordChecksum(kind, key, payload));
+    appendHex64(line, crc);
     line += '\n';
     // One append per record: concurrent processes interleave at
     // record granularity at worst (a torn tail fails its checksum and
@@ -900,13 +724,13 @@ ResultCache::append(char kind, const std::string &key,
 std::optional<MixRunResult>
 ResultCache::loadMix(const std::string &key)
 {
-    return load(kKindMix, key, parseMix);
+    return load(key, parseMix, /*mix=*/true);
 }
 
 void
 ResultCache::storeMix(const std::string &key, const MixRunResult &res)
 {
-    store(kKindMix, key, serializeMix(res));
+    store(key, serializeMix(res));
 }
 
 std::optional<MixRunResult>
@@ -915,47 +739,46 @@ ResultCache::peekMix(const std::string &key)
     // Never a miss: a fleet worker may peek the same key many times
     // while a peer computes it, and that polling is not recomputation
     // (the "0 misses" warm-sweep invariant must survive fleet mode).
-    std::optional<MixRunResult> out;
-    if (lookup(kKindMix, key, /*refresh=*/true, parseMix, out))
-        countLookup(kKindMix, true);
+    std::optional<MixRunResult> out =
+        lookup(key, /*refresh=*/true, parseMix);
+    if (out)
+        countLookup(true, /*mix=*/true);
     return out;
 }
 
 bool
-ResultCache::hasLcBaseline(const std::string &key)
+ResultCache::has(const std::string &key)
 {
-    return probe(kKindLc, key);
-}
-
-bool
-ResultCache::hasBatchIpc(const std::string &key)
-{
-    return probe(kKindBatch, key);
+    // Unconditional refresh: the point of a probe is seeing what
+    // cooperating processes appended since the log was last read.
+    return lookup<bool>(key, /*refresh=*/true,
+                        [](std::string_view, bool &) { return true; })
+        .has_value();
 }
 
 std::optional<LcBaseline>
 ResultCache::loadLcBaseline(const std::string &key)
 {
-    return load(kKindLc, key, parseLcBaseline);
+    return load(key, parseLcBaseline, /*mix=*/false);
 }
 
 void
 ResultCache::storeLcBaseline(const std::string &key,
                              const LcBaseline &base)
 {
-    store(kKindLc, key, serializeLcBaseline(base));
+    store(key, serializeLcBaseline(base));
 }
 
 std::optional<double>
 ResultCache::loadBatchIpc(const std::string &key)
 {
-    return load(kKindBatch, key, parseBatchIpc);
+    return load(key, parseBatchIpc, /*mix=*/false);
 }
 
 void
 ResultCache::storeBatchIpc(const std::string &key, double ipc)
 {
-    store(kKindBatch, key, hexDouble(ipc));
+    store(key, hexDouble(ipc));
 }
 
 CacheStats

@@ -21,9 +21,14 @@
  * field.
  *
  * The store is one append-only log per schema version,
- * `results.v<schema>.ubikcache` under the cache directory. Opening a
- * persistent cache removes every other `*.ubikcache` file there
- * (older schemas' logs, the older per-hash shard files) without
+ * `results.v<schema>.ubikcache` under the cache directory. Each
+ * record is one line, `<key> <payload> <crc>`, the crc being the
+ * FNV-1a digest of the text `<key> <payload>` in 16 hex digits. Keys
+ * hold only enum names, hex bit patterns and decimal counts, and
+ * payloads only hex digits, commas and decimals, so nothing is
+ * escaped: store() asserts that neither holds a space or a newline.
+ * Opening a persistent cache removes every other `*.ubikcache` file
+ * there (older schemas' logs, the older per-hash shard files) without
  * reading it, so builds of different schemas must not share a
  * directory at the same time: each would remove the other's log,
  * which costs recomputes, never a wrong value. Within a process one
@@ -36,12 +41,14 @@
  * use and from then on incrementally from a byte offset, so peekMix
  * (the fleet sweep's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.
- * Logs merge by concatenation: the first record of a key wins.
- * Loaded records live in one in-memory hashed index per record kind:
- * a warm hit hashes its key once and decodes the payload in place.
- * Opened without a directory, the cache keeps its records in memory
- * for its lifetime and touches no file: it stays the one store of
- * results whether or not they persist.
+ * Logs merge by concatenation (the first record of a key wins), and
+ * keeping the first copy of each line drops duplicate records.
+ * Loaded records live in one in-memory hashed index, key to payload
+ * (the keys of mix results and of both baselines differ in their
+ * second field): a warm hit hashes its key once and decodes the
+ * payload in place. Opened without a directory, the cache keeps its
+ * records in memory for its lifetime and touches no file: it stays
+ * the one store of results whether or not they persist.
  *
  * Determinism contract: values round-trip bit-exactly (doubles are
  * stored as their 64-bit patterns), so a warm-cache sweep is
@@ -85,14 +92,18 @@ namespace ubik {
  *  SchemeUnderTest::applyTo (values unchanged). The log per schema,
  *  whose records no longer carry their schema, came without a bump:
  *  the file name holds the schema, and opening a cache removes the
- *  older v7 shard files. */
-constexpr std::uint32_t kResultCacheSchemaVersion = 7;
+ *  older v7 shard files. v8 = records are `<key> <payload> <crc>`
+ *  lines, without the `U1` magic, the kind token or any escaping
+ *  (keys and values unchanged but for the `v8|` prefix); the bump
+ *  makes an open remove a v7 log unread instead of reading each of
+ *  its records as corrupt. */
+constexpr std::uint32_t kResultCacheSchemaVersion = 8;
 
 /** Counters since this ResultCache was opened. */
 struct CacheStats
 {
-    std::uint64_t hits = 0;   ///< lookups served from the store
-    std::uint64_t misses = 0; ///< lookups that found nothing
+    std::uint64_t hits = 0;   ///< lookups served a value from the store
+    std::uint64_t misses = 0; ///< lookups that returned nothing
     std::uint64_t stores = 0; ///< records appended
 
     /** Mix-result subset of hits/misses (baselines excluded) — what
@@ -104,7 +115,8 @@ struct CacheStats
      *  the older per-hash shard files. */
     std::uint64_t evicted = 0;
 
-    /** Records dropped on load: truncated or failed checksum. */
+    /** Records dropped: truncated or failed checksum on load, or a
+     *  payload a lookup could not decode (that lookup is a miss). */
     std::uint64_t corrupt = 0;
 
     // -- Degradation counters (fault tolerance, PR 8) ------------------
@@ -158,6 +170,50 @@ batchBaselineKey(const ExperimentConfig &cfg, const BatchAppParams &params,
                  std::uint64_t seed, bool out_of_order,
                  std::uint32_t schema = kResultCacheSchemaVersion);
 
+/**
+ * Builds a canonical key, `v<schema>|<what>|name=value|...`, each
+ * field appended as it is: integers in decimal, doubles as their
+ * 16-hex-digit bit pattern, strings verbatim. A string value must
+ * hold no '|' or '=', which structure the key (asserted; enum names
+ * and the canonical() strings never do). The key functions above
+ * build every key through it.
+ */
+class KeyBuilder
+{
+  public:
+    KeyBuilder(const char *what, std::uint32_t schema);
+
+    /** Prefix for the names of the fields added next ("b0."). */
+    KeyBuilder &scope(std::string_view prefix)
+    {
+        scope_ = prefix;
+        return *this;
+    }
+
+    KeyBuilder &add(std::string_view name, std::string_view v);
+    /** A string literal or enum name (it would convert to bool). */
+    KeyBuilder &add(std::string_view name, const char *v)
+    {
+        return add(name, std::string_view(v));
+    }
+    KeyBuilder &add(std::string_view name, std::uint64_t v);
+    KeyBuilder &add(std::string_view name, std::uint32_t v)
+    {
+        return add(name, static_cast<std::uint64_t>(v));
+    }
+    KeyBuilder &add(std::string_view name, bool v);
+    KeyBuilder &add(std::string_view name, double v);
+
+    std::string take() { return std::move(out_); }
+
+  private:
+    /** Append "|<scope><name>=<value>". */
+    KeyBuilder &put(std::string_view name, std::string_view value);
+
+    std::string out_;
+    std::string_view scope_;
+};
+
 /** Persistent (key -> result) store over one append-only log.
  *  Thread-safe. */
 class ResultCache
@@ -197,11 +253,10 @@ class ResultCache
      */
     std::optional<MixRunResult> peekMix(const std::string &key);
 
-    /** Fresh-view presence probes for baselines (same refresh as
-     *  peekMix). Count nothing: the caller's subsequent
-     *  loadLcBaseline/loadBatchIpc does the counting. */
-    bool hasLcBaseline(const std::string &key);
-    bool hasBatchIpc(const std::string &key);
+    /** Whether a record under `key` is present, after the same
+     *  refresh as peekMix. Counts nothing: the caller's subsequent
+     *  load does the counting. */
+    bool has(const std::string &key);
 
     /**
      * Durable mode: fsync every appended record before store()
@@ -221,29 +276,23 @@ class ResultCache
     struct Index;
 
     /**
-     * Look (kind, key) up in the index and decode a found payload in
-     * place, under the index lock. A miss, or `refresh`, first reads
-     * the log under the log lock (on a miss, only if the log was never
-     * read). Returns whether the key is present; `out` holds the
-     * value only if it decoded (a payload that does not decode counts
-     * as corrupt).
+     * The value under `key`, its payload decoded in place under the
+     * index lock; a payload that does not decode counts as corrupt
+     * and returns nothing. A miss, or `refresh`, first reads the log
+     * under the log lock (on a miss, only if the log was never read).
      */
     template <typename T>
-    bool lookup(char kind, const std::string &key, bool refresh,
-                bool (*decode)(std::string_view, T &),
-                std::optional<T> &out);
-    /** lookup() counting a hit or a miss. */
+    std::optional<T> lookup(const std::string &key, bool refresh,
+                            bool (*decode)(std::string_view, T &));
+    /** lookup() counting a hit or a miss (`mix`: also a mix one). */
     template <typename T>
-    std::optional<T> load(char kind, const std::string &key,
-                          bool (*decode)(std::string_view, T &));
-    /** Presence after a refresh; counts nothing. */
-    bool probe(char kind, const std::string &key);
-    void countLookup(char kind, bool hit);
-    void store(char kind, const std::string &key,
-               const std::string &payload);
+    std::optional<T> load(const std::string &key,
+                          bool (*decode)(std::string_view, T &),
+                          bool mix);
+    void countLookup(bool hit, bool mix);
+    void store(const std::string &key, const std::string &payload);
     /** Append one record to the log; caller holds logMu_. */
-    void append(char kind, const std::string &key,
-                const std::string &payload);
+    void append(const std::string &key, const std::string &payload);
     /** Index the records appended since the last read; caller holds
      *  logMu_. */
     void refreshLocked();

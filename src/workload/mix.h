@@ -27,8 +27,7 @@ namespace ubik {
 
 /** The shape of every mix, and so of every fleet server: the paper's
  *  six cores hold three instances of one LC app and three batch apps
- *  (§6). Mix runs, the partitioned-bandwidth shares and the fleet
- *  stage all read this one declaration. */
+ *  (§6). Mix runs and the fleet stage read this one declaration. */
 constexpr std::uint32_t kMixLcInstances = 3;
 constexpr std::uint32_t kMixBatchApps = 3;
 

@@ -32,8 +32,7 @@ traceContentHash(const TraceData &trace)
 }
 
 std::shared_ptr<const TraceApp>
-TraceApp::load(const std::string &path, std::string name,
-               TraceReaderOptions opt)
+TraceApp::load(const std::string &path, TraceReaderOptions opt)
 {
     TraceReader reader(path, opt);
     auto data = std::make_shared<TraceData>();
@@ -44,22 +43,18 @@ TraceApp::load(const std::string &path, std::string name,
         fatal("trace app %s: trace has no requests", path.c_str());
 
     auto app = std::shared_ptr<TraceApp>(new TraceApp());
-    app->name_ = name.empty() ? path : std::move(name);
-    app->path_ = path;
     app->data_ = std::move(data);
     app->contentHash_ = reader.contentHash();
     return app;
 }
 
 std::shared_ptr<const TraceApp>
-TraceApp::fromData(std::shared_ptr<const TraceData> data,
-                   std::string name)
+TraceApp::fromData(std::shared_ptr<const TraceData> data)
 {
     ubik_assert(data != nullptr);
     if (data->requests() == 0)
-        fatal("trace app %s: trace has no requests", name.c_str());
+        fatal("trace app: in-memory trace has no requests");
     auto app = std::shared_ptr<TraceApp>(new TraceApp());
-    app->name_ = std::move(name);
     app->contentHash_ = traceContentHash(*data);
     app->data_ = std::move(data);
     return app;

@@ -6,11 +6,11 @@
  *
  * A TraceApp owns one loaded trace (streamed in through TraceReader,
  * so loading never double-buffers the file) plus the identity the
- * rest of the stack needs: a name, the source path, and a content
- * hash over the logical record stream. The hash is what ResultCache
- * keys embed for trace-backed mixes — two traces with identical
- * records share cached results no matter which file or format version
- * they came from, and any edit to the trace invalidates them.
+ * rest of the stack needs: a content hash over the logical record
+ * stream. The hash is what ResultCache keys embed for trace-backed
+ * mixes — two traces with identical records share cached results no
+ * matter which file or format version they came from, and any edit
+ * to the trace invalidates them.
  *
  * Replay semantics (see LcApp::bindTrace / BatchApp::bindTrace):
  * replayed as an LC app, REQUEST records drive the request harness
@@ -38,22 +38,16 @@ namespace ubik {
 class TraceApp
 {
   public:
-    /**
-     * Load `path` (v1 or v2) through the streaming reader.
-     * @param name label for mixes and logs; empty = the path itself
-     */
+    /** Load `path` (v1 or v2) through the streaming reader. */
     static std::shared_ptr<const TraceApp>
-    load(const std::string &path, std::string name = "",
-         TraceReaderOptions opt = {});
+    load(const std::string &path, TraceReaderOptions opt = {});
 
     /** Wrap an in-memory trace (tests, capture pipelines). The
      *  content hash is computed from the records, so it matches what
      *  load() would produce for the same stream written to disk. */
     static std::shared_ptr<const TraceApp>
-    fromData(std::shared_ptr<const TraceData> data, std::string name);
+    fromData(std::shared_ptr<const TraceData> data);
 
-    const std::string &name() const { return name_; }
-    const std::string &path() const { return path_; }
     const std::shared_ptr<const TraceData> &data() const { return data_; }
 
     /** FNV-1a digest of the logical record stream (format-version
@@ -67,8 +61,6 @@ class TraceApp
   private:
     TraceApp() = default;
 
-    std::string name_;
-    std::string path_;
     std::shared_ptr<const TraceData> data_;
     std::uint64_t contentHash_ = 0;
 };

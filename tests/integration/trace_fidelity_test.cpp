@@ -157,7 +157,7 @@ TEST_F(TraceFidelity, IngestionTransportNeverChangesResults)
     };
 
     MixRunResult ref = runWith(
-        TraceApp::fromData(std::make_shared<TraceData>(td), "mem"));
+        TraceApp::fromData(std::make_shared<TraceData>(td)));
 
     MixRunResult fromV1 = runWith(TraceApp::load(v1));
     expectIdenticalResults(ref, fromV1);
@@ -168,11 +168,11 @@ TEST_F(TraceFidelity, IngestionTransportNeverChangesResults)
     TraceReaderOptions tiny;
     tiny.batchRecords = 257;
     tiny.prefetch = false;
-    MixRunResult tinySync = runWith(TraceApp::load(v2, "", tiny));
+    MixRunResult tinySync = runWith(TraceApp::load(v2, tiny));
     expectIdenticalResults(ref, tinySync);
 
     tiny.prefetch = true;
-    MixRunResult tinyPre = runWith(TraceApp::load(v2, "", tiny));
+    MixRunResult tinyPre = runWith(TraceApp::load(v2, tiny));
     expectIdenticalResults(ref, tinyPre);
 }
 
@@ -191,8 +191,7 @@ TEST_F(TraceFidelity, PerInstanceTraceAssignmentEntersCacheKey)
               TraceApp::load(v2)->contentHash());
 
     TraceData other = captureInstance(1, requests);
-    EXPECT_NE(TraceApp::fromData(
-                  std::make_shared<TraceData>(other), "o")
+    EXPECT_NE(TraceApp::fromData(std::make_shared<TraceData>(other))
                   ->contentHash(),
               TraceApp::load(v1)->contentHash());
 }
@@ -202,9 +201,9 @@ TEST_F(TraceFidelity, RunMixRejectsBadTraceCount)
     MixSpec bad = spec;
     TraceData td = captureInstance(0, 8);
     bad.lc.traces.push_back(
-        TraceApp::fromData(std::make_shared<TraceData>(td), "a"));
+        TraceApp::fromData(std::make_shared<TraceData>(td)));
     bad.lc.traces.push_back(
-        TraceApp::fromData(std::make_shared<TraceData>(td), "b"));
+        TraceApp::fromData(std::make_shared<TraceData>(td)));
     MixRunner runner(cfg);
     EXPECT_DEATH(runner.runMix(bad, sut, seed),
                  "0, 1, or 3 traces");

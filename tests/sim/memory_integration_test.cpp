@@ -54,13 +54,12 @@ streamingBatch(int n)
 }
 
 double
-lcServiceMean(MemKind kind, std::vector<double> shares = {})
+lcServiceMean(MemKind kind)
 {
     CmpConfig cfg = baseCfg();
     cfg.mem = kind;
     cfg.memParams.channels = 1; // a scarce memory system
     cfg.memParams.channelOccupancy = 48;
-    cfg.memShares = std::move(shares);
     Cmp cmp(cfg, {lcSpec()}, streamingBatch(2), 7);
     cmp.run();
     return cmp.lcResult(0).serviceTimes.mean();
@@ -98,13 +97,28 @@ TEST(MemoryIntegration, BandwidthPartitioningRestoresIsolation)
 {
     double fixed = lcServiceMean(MemKind::Fixed);
     double contended = lcServiceMean(MemKind::Contended);
-    // The LC app (core 0) gets strict priority (share <= 0 marks it
-    // unregulated); the streaming hogs are regulated to a quarter of
-    // the bandwidth each.
-    double partitioned =
-        lcServiceMean(MemKind::Partitioned, {0.0, 0.25, 0.25});
+    // The LC app (core 0) gets strict priority; the two streaming
+    // hogs split the other half of the bandwidth, a quarter each.
+    double partitioned = lcServiceMean(MemKind::Partitioned);
     EXPECT_LT(partitioned, contended);
     EXPECT_GT(partitioned, fixed * 0.99); // cannot beat no contention
+}
+
+TEST(MemoryIntegration, PartitionedSharesFollowTheCoreRoles)
+{
+    // The LC cores run unregulated; the batch cores split the half of
+    // the bandwidth the LC cores leave.
+    CmpConfig cfg = baseCfg();
+    cfg.mem = MemKind::Partitioned;
+    Cmp cmp(cfg, {lcSpec(), lcSpec()}, streamingBatch(3), 5);
+    const auto &pm =
+        dynamic_cast<const PartitionedMemory &>(cmp.memory());
+    EXPECT_TRUE(pm.unregulated(0));
+    EXPECT_TRUE(pm.unregulated(1));
+    for (AppId c = 2; c < 5; c++) {
+        EXPECT_FALSE(pm.unregulated(c));
+        EXPECT_EQ(pm.share(c), 0.5 / 3);
+    }
 }
 
 TEST(MemoryIntegration, MemoryStatsExposedThroughCmp)
@@ -120,20 +134,6 @@ TEST(MemoryIntegration, MemoryStatsExposedThroughCmp)
     EXPECT_GT(mem.utilization(cmp.now()), 0.0);
     // Streaming apps (cores 1, 2) dominate memory traffic.
     EXPECT_GT(mem.appStats(1).requests, mem.appStats(0).requests);
-}
-
-TEST(MemoryIntegration, ShareValidationIsFatal)
-{
-    CmpConfig cfg = baseCfg();
-    cfg.mem = MemKind::Contended;
-    cfg.memShares = {0.5, 0.5, 0.5};
-    EXPECT_EXIT(Cmp(cfg, {lcSpec()}, streamingBatch(2), 1),
-                testing::ExitedWithCode(1), "memShares");
-
-    cfg.mem = MemKind::Partitioned;
-    cfg.memShares = {0.5, 0.5}; // 3 cores, 2 entries
-    EXPECT_EXIT(Cmp(cfg, {lcSpec()}, streamingBatch(2), 1),
-                testing::ExitedWithCode(1), "memShares");
 }
 
 TEST(MemoryIntegration, DeterministicUnderContention)

@@ -236,10 +236,8 @@ TEST(MixRunner, TraceOutputCoversBatchTraceMixes)
     std::vector<AllocSample> synthetic = tracedRunMatchesPlain(mix);
 
     BatchAppParams p = mix.batch.apps[1].scaled(fastCfg().scale);
-    mix.batch.traces.push_back(TraceApp::fromData(
-        std::make_shared<TraceData>(
-            captureBatchTrace(p, 20000, /*seed=*/5)),
-        "batch"));
+    mix.batch.traces.push_back(TraceApp::fromData(std::make_shared<TraceData>(
+        captureBatchTrace(p, 20000, /*seed=*/5))));
     // The replayed batch apps are what the traced run allocates for:
     // a trace that ignored them would repeat the synthetic one.
     EXPECT_FALSE(sameTargets(tracedRunMatchesPlain(mix), synthetic));

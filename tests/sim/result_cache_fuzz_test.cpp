@@ -61,8 +61,8 @@ sameLc(const LcBaseline &a, const LcBaseline &b)
            sameBits(a.tailMean, b.tailMean) && a.p95 == b.p95;
 }
 
-/** Records of every kind; keys hold the characters the record layer
- *  escapes. */
+/** Records of every kind, under keys shaped like the real ones:
+ *  no space, newline or '%', the fields joined by '|'. */
 struct Corpus
 {
     std::vector<std::pair<std::string, MixRunResult>> mixes;
@@ -80,11 +80,11 @@ struct Corpus
     }
 };
 
-/** The key "v6|fuzz <tag>%<n>", n counting up. */
+/** The key "v8|fuzz|<tag>=<n>", n counting up. */
 std::string
 fuzzKey(const char *tag, int &n)
 {
-    return std::string("v6|fuzz ") + tag + "%" + std::to_string(n++);
+    return std::string("v8|fuzz|") + tag + "=" + std::to_string(n++);
 }
 
 Corpus
@@ -111,8 +111,7 @@ makeCorpus()
         b.p95 = 1000u + static_cast<Cycles>(i);
         c.lcs.emplace_back(fuzzKey("lc", n), b);
 
-        c.batches.emplace_back(fuzzKey("batch\n", n),
-                               2.0 / (i + 3));
+        c.batches.emplace_back(fuzzKey("batch", n), 2.0 / (i + 3));
     }
     return c;
 }

@@ -51,26 +51,21 @@ logName()
            ".ubikcache";
 }
 
-/** A record after its `U1 ` magic, with a valid checksum:
- *  `<kind> <key> <payload> <crc>` and a newline. The payload's spaces
- *  are escaped as the writer escapes them. */
+/** A record with a valid checksum: `<key> <payload> <crc>` and a
+ *  newline, the crc being FNV-1a over `<key> <payload>`. */
 std::string
-recordLine(char kind, const std::string &key, const std::string &payload)
+recordLine(const std::string &key, const std::string &payload)
 {
+    const std::string body = key + ' ' + payload;
     std::uint64_t crc = 0xcbf29ce484222325ull;
-    for (unsigned char c :
-         std::string(1, kind) + '\x1f' + key + '\x1f' + payload) {
+    for (unsigned char c : body) {
         crc ^= c;
         crc *= 0x100000001b3ull;
     }
-    std::string escaped;
-    for (char c : payload)
-        escaped += c == ' ' ? std::string("%20") : std::string(1, c);
     char crcText[17];
     std::snprintf(crcText, sizeof crcText, "%016llx",
                   static_cast<unsigned long long>(crc));
-    return std::string(1, kind) + ' ' + key + ' ' + escaped + ' ' +
-           crcText + '\n';
+    return body + ' ' + crcText + '\n';
 }
 
 /** The single file under `dir`, the log (fails the test if != 1). */
@@ -132,14 +127,16 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
     ASSERT_FALSE(log.empty());
     {
         // Garbage before and after: random bytes, a wrong-checksum
-        // record, and a half-record with no newline.
+        // record, a valid record behind the v7 layout's magic and kind
+        // token, and a half-record with no newline.
         std::ofstream out(log, std::ios::app | std::ios::binary);
         out << "not a record at all\n";
-        out << "U1 m v1%7Cfake 0123456789abcdef,2,"
+        out << "v1|fake 0123456789abcdef,2,"
                "0000000000000000,0000000000000000,0000000000000000,"
                "0000000000000000,0000000000000000,0000000000000000 "
                "ffffffffffffffff\n";
-        out << "U1 m v1%7Ctorn 00112233";
+        out << "U1 b " << recordLine("v1|old", "3ff0000000000000");
+        out << "v1|torn 00112233";
     }
     ResultCache cache(dir.path());
     auto loaded = cache.loadMix(key);
@@ -147,35 +144,38 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
     expectBitIdentical(loaded->tailDegradation,
                        sampleResult(1.25).tailDegradation,
                        "tailDegradation", 0);
-    EXPECT_GE(cache.stats().corrupt, 3u);
+    EXPECT_GE(cache.stats().corrupt, 4u);
     EXPECT_FALSE(cache.loadMix("v1|fake").has_value());
+    EXPECT_FALSE(cache.loadBatchIpc("v1|old").has_value());
 }
 
 TEST(ResultCacheHardening, StaleFilesAreRemovedAtOpenUnread)
 {
-    // A directory filled by older builds: two per-hash shard files of
-    // the v7 layout, one holding a checksum-valid record in that
-    // layout (`U1 <schema> <kind> <key> <payload> <crc>`) and one
-    // garbage, and the log of another schema holding a record in the
-    // current layout and stray bytes. An open removes all three
-    // without reading them: nothing is served from them and nothing
-    // counts as corrupt.
+    // A directory filled by older builds: two per-hash shard files,
+    // one holding a record in their layout
+    // (`U1 <schema> <kind> <key> <payload> <crc>`) and one garbage,
+    // the v7 log, whose records are `U1 <kind> <key> <payload> <crc>`,
+    // and the log of another schema holding a record in the current
+    // layout and stray bytes. An open removes all four without reading
+    // them: nothing is served from them and nothing counts as corrupt.
     TempCacheDir dir("stale_files");
     std::filesystem::create_directories(dir.path());
     const std::string key = "v7|hardening|stale";
     const std::string one = "3ff0000000000000"; // 1.0
     {
         std::ofstream(dir.path() + "/shard_00.ubikcache")
-            << "U1 7 " << recordLine('b', key, one);
+            << "U1 7 b " << recordLine(key, one);
         std::ofstream(dir.path() + "/shard_3f.ubikcache")
             << "U1 7 b v7|garbage 0 0\n";
+        std::ofstream(dir.path() + "/results.v7.ubikcache")
+            << "U1 b " << recordLine(key, one);
         std::ofstream(dir.path() + "/results.v6.ubikcache")
-            << "U1 " << recordLine('b', key, one) << "\x01\xff";
+            << recordLine(key, one) << "\x01\xff";
     }
     {
         ResultCache cache(dir.path());
         CacheStats st = cache.stats();
-        EXPECT_EQ(st.evicted, 3u);
+        EXPECT_EQ(st.evicted, 4u);
         EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
         EXPECT_FALSE(cache.loadBatchIpc(key).has_value());
         EXPECT_EQ(cache.stats().corrupt, 0u);
@@ -402,13 +402,13 @@ TEST(ResultCacheHardening, DurableFsyncFailureDegradesNotDies)
 /** Append one hand-made record with a valid checksum to the log
  *  under `dir`. */
 void
-appendRecord(const std::string &dir, char kind, const std::string &key,
+appendRecord(const std::string &dir, const std::string &key,
              const std::string &payload)
 {
     std::filesystem::create_directories(dir);
     std::ofstream out(dir + "/" + logName(),
                       std::ios::app | std::ios::binary);
-    out << "U1 " << recordLine(kind, key, payload);
+    out << recordLine(key, payload);
 }
 
 TEST(ResultCacheHardening, HexFieldsAreExactlySixteenDigits)
@@ -431,9 +431,9 @@ TEST(ResultCacheHardening, HexFieldsAreExactlySixteenDigits)
         const std::string &field = ok ? good : bad[i];
         TempCacheDir dir("hexfield");
         const std::string tag = std::to_string(i);
-        appendRecord(dir.path(), 'b', "v4|batch|" + tag, field);
-        appendRecord(dir.path(), 'l', "v4|lc|" + tag, lcHead + field);
-        appendRecord(dir.path(), 'm', "v4|mix|" + tag,
+        appendRecord(dir.path(), "v4|batch|" + tag, field);
+        appendRecord(dir.path(), "v4|lc|" + tag, lcHead + field);
+        appendRecord(dir.path(), "v4|mix|" + tag,
                      mixHead + field + mixTail);
         ResultCache cache(dir.path());
         auto ipc = cache.loadBatchIpc("v4|batch|" + tag);
@@ -467,8 +467,7 @@ TEST(ResultCacheHardening, HugeSpeedupCountIsCorruptNotACrash)
         std::string payload = z + "," + z + "," + z + "," + z + "," + count;
         for (int i = 0; i < trailing; i++)
             payload += "," + z;
-        appendRecord(dir.path(), 'm', std::string("v4|count|") + count,
-                     payload);
+        appendRecord(dir.path(), std::string("v4|count|") + count, payload);
     }
     ResultCache cache(dir.path());
     for (const auto &[count, trailing] : cases)
@@ -532,13 +531,16 @@ TEST(ResultCacheHardening, EveryPayloadKindRoundTripsBitExactly)
     auto ipcBack = cache.loadBatchIpc("v4|rt|batch");
     ASSERT_TRUE(ipcBack.has_value());
     expectBitIdentical(*ipcBack, ipc, "ipc", 0);
-    // Kinds index separately: one key under another kind misses.
+    // One index holds every kind (their keys differ): a record read
+    // as another kind's value does not decode, so it counts as
+    // corrupt and serves nothing.
     EXPECT_FALSE(cache.loadBatchIpc("v4|rt|lc").has_value());
     EXPECT_FALSE(cache.loadMix("v4|rt|batch").has_value());
+    EXPECT_FALSE(cache.loadLcBaseline("v4|rt|mix0").has_value());
     CacheStats st = cache.stats();
-    EXPECT_EQ(st.corrupt, 0u);
+    EXPECT_EQ(st.corrupt, 3u);
     EXPECT_EQ(st.hits, mixes.size() + 2);
-    EXPECT_EQ(st.misses, 2u);
+    EXPECT_EQ(st.misses, 3u);
 }
 
 } // namespace

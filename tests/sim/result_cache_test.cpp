@@ -5,8 +5,10 @@
  * were constructed, any single field change produces a different key,
  * result-neutral knobs (worker count, sweep shape, names) never enter
  * the key, MixRunResult / LcBaseline / batch-IPC values round-trip
- * bit-exactly through a fresh ResultCache instance, and a cache
- * opened without a directory keeps its records in memory.
+ * bit-exactly through a fresh ResultCache instance, a stored record
+ * is the line `<key> <payload> <crc>`, no key of a registered
+ * scenario holds a byte that would break that line or a key field,
+ * and a cache opened without a directory keeps its records in memory.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +17,14 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/log.h"
+#include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
 #include "support/cache_test_util.h"
@@ -226,7 +230,7 @@ TEST(ResultCacheKey, TraceBackingEntersTheKeyByContent)
         td->requestWork = {1000.0, 2000.0};
         td->requestStart = {0, 2};
         td->accesses = {salt + 1, salt + 2, salt + 3};
-        return TraceApp::fromData(std::move(td), "t");
+        return TraceApp::fromData(std::move(td));
     };
 
     // Backing the same mix with a trace changes the key...
@@ -264,7 +268,7 @@ TEST(ResultCacheKey, BatchTraceBackingEntersTheKeyByContent)
         td->requestWork = {1000.0};
         td->requestStart = {0};
         td->accesses = {salt + 1, salt + 2, salt + 3};
-        return TraceApp::fromData(std::move(td), "bt");
+        return TraceApp::fromData(std::move(td));
     };
 
     // Backing the batch side with a trace changes the key...
@@ -387,6 +391,69 @@ TEST(ResultCacheKey, KindsAreDisjoint)
     EXPECT_NE(l, b);
 }
 
+/** Whether `key` is `v<schema>|<kind>|name=value|...`, with no space
+ *  or newline and exactly one '=' in each field after the kind. */
+bool
+wellFormedKey(const std::string &key)
+{
+    if (key.find_first_of(" \n") != std::string::npos)
+        return false;
+    std::vector<std::string> fields{""};
+    for (char c : key) {
+        if (c == '|')
+            fields.emplace_back();
+        else
+            fields.back() += c;
+    }
+    if (fields.size() < 3 ||
+        fields[0] != "v" + std::to_string(kResultCacheSchemaVersion))
+        return false;
+    for (std::size_t i = 2; i < fields.size(); i++) {
+        const std::size_t eq = fields[i].find('=');
+        if (eq == 0 || eq == std::string::npos ||
+            fields[i].find('=', eq + 1) != std::string::npos)
+            return false;
+    }
+    return true;
+}
+
+TEST(ResultCacheKey, RegisteredScenarioKeysHoldNoSeparator)
+{
+    // Records are written unescaped, so no key may hold a space or a
+    // newline, and no key value a '|' or '='. Every mix and baseline
+    // key of every registered scenario, at a small scale.
+    ExperimentConfig cfg = cacheTestCfg();
+    cfg.seeds = 1;
+    std::size_t checked = 0;
+    for (const ScenarioSpec &spec : ScenarioRegistry::instance().all()) {
+        SweepBaselines base;
+        for (const SweepJob &job : buildSweepJobs(
+                 spec.schemes, buildScenarioMixes(spec, cfg), cfg.seeds)) {
+            const std::string key =
+                mixResultKey(cfg, job.mix, job.sut, job.seed, spec.ooo);
+            EXPECT_TRUE(wellFormedKey(key)) << spec.name << ": " << key;
+            base.add(cfg, spec.ooo, job);
+            checked++;
+        }
+        for (const auto &kv : base.lc)
+            EXPECT_TRUE(wellFormedKey(kv.first))
+                << spec.name << ": " << kv.first;
+        for (const auto &kv : base.batch)
+            EXPECT_TRUE(wellFormedKey(kv.first))
+                << spec.name << ": " << kv.first;
+        checked += base.lc.size() + base.batch.size();
+    }
+    EXPECT_GT(checked, 100u);
+}
+
+TEST(KeyBuilderDeath, StringValueHoldingASeparatorAsserts)
+{
+    EXPECT_DEATH(KeyBuilder("mix", 1).add("name", "a|b"),
+                 "assertion failed");
+    EXPECT_DEATH(KeyBuilder("mix", 1).add("name", "a=b"),
+                 "assertion failed");
+}
+
 TEST(ResultCacheRoundTrip, MixRunResultBitExactIncludingVectors)
 {
     TempCacheDir dir("roundtrip_mix");
@@ -457,6 +524,40 @@ TEST(ResultCacheRoundTrip, LcBaselineAndBatchIpcBitExact)
     auto ipc = cache.loadBatchIpc("v1|test|batch");
     ASSERT_TRUE(ipc.has_value());
     expectBitIdentical(*ipc, 2.0 / 3.0, "batchIpc", 0);
+}
+
+TEST(ResultCache, RecordIsKeyPayloadChecksum)
+{
+    // One line: the key, the payload (comma-joined hex fields), and
+    // the FNV-1a digest of the text before it.
+    TempCacheDir dir("record");
+    LcBaseline b;
+    b.meanServiceCycles = 1.0;
+    b.meanInterarrival = 0.0;
+    b.meanLatency = -1.0;
+    b.tailMean = -0.0;
+    b.p95 = 42;
+    {
+        ResultCache cache(dir.path());
+        cache.storeLcBaseline("v8|rec|lc", b);
+    }
+    const std::string log = dir.path() + "/results.v" +
+                            std::to_string(kResultCacheSchemaVersion) +
+                            ".ubikcache";
+    std::ifstream in(log, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, "v8|rec|lc 3ff0000000000000,0000000000000000,"
+                     "bff0000000000000,8000000000000000,000000000000002a "
+                     "02697dd9e4fb6286\n");
+}
+
+TEST(ResultCacheDeath, KeyHoldingASpaceOrNewlineAsserts)
+{
+    TempCacheDir dir("record_death");
+    ResultCache cache(dir.path());
+    EXPECT_DEATH(cache.storeBatchIpc("v8|a b", 1.0), "assertion failed");
+    EXPECT_DEATH(cache.storeBatchIpc("v8|a\nb", 1.0), "assertion failed");
 }
 
 TEST(ResultCache, StatsCountHitsMissesAndStores)

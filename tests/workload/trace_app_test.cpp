@@ -32,20 +32,14 @@ TEST(TraceApp, LoadMatchesFromData)
     std::string path = tmpPath("app.ubtr");
     writeTrace(td, path);
 
-    auto fromFile = TraceApp::load(path, "file");
-    auto fromMem =
-        TraceApp::fromData(std::make_shared<TraceData>(td), "mem");
+    auto fromFile = TraceApp::load(path);
+    auto fromMem = TraceApp::fromData(std::make_shared<TraceData>(td));
 
     EXPECT_EQ(fromFile->contentHash(), fromMem->contentHash());
     EXPECT_EQ(fromFile->requests(), td.requests());
     EXPECT_EQ(fromFile->accesses(), td.accesses.size());
     EXPECT_EQ(fromFile->data()->accesses, td.accesses);
-    EXPECT_EQ(fromFile->name(), "file");
-    EXPECT_EQ(fromFile->path(), path);
     EXPECT_NEAR(fromFile->apki(), td.apki(), 1e-12);
-
-    // Default name falls back to the path.
-    EXPECT_EQ(TraceApp::load(path)->name(), path);
 }
 
 TEST(TraceApp, ContentHashSurvivesReencoding)
@@ -63,8 +57,7 @@ TEST(TraceApp, ContentHashSurvivesReencoding)
 
 TEST(TraceAppDeath, RejectsEmptyTrace)
 {
-    EXPECT_DEATH(TraceApp::fromData(std::make_shared<TraceData>(),
-                                    "empty"),
+    EXPECT_DEATH(TraceApp::fromData(std::make_shared<TraceData>()),
                  "no requests");
 }
 

@@ -105,9 +105,9 @@ printFleetStatus(const ScenarioSpec &spec,
     }
     std::size_t lcDone = 0, batchDone = 0;
     for (const auto &kv : base.lc)
-        lcDone += cache->hasLcBaseline(kv.first);
+        lcDone += cache->has(kv.first);
     for (const auto &kv : base.batch)
-        batchDone += cache->hasBatchIpc(kv.first);
+        batchDone += cache->has(kv.first);
     std::printf("[fleet-status] scenario=%s cache=%s\n",
                 spec.name.c_str(), cfg.cacheDir.c_str());
     std::printf("[fleet-status] matrix: jobs=%zu done=%zu (%.1f%%) "
