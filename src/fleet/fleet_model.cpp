@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "common/log.h"
@@ -11,6 +12,7 @@
 #include "common/types.h"
 #include "core/advisor.h"
 #include "queueing/queue_sim.h"
+#include "sim/result_cache.h"
 #include "stats/latency_recorder.h"
 #include "trace/trace_analyzer.h"
 #include "workload/trace_capture.h"
@@ -24,10 +26,6 @@ namespace {
  *  that an imbalanced fleet needs tens of sims, not thousands. */
 constexpr double kLoadBucket = 0.02;
 
-/** Requests captured per LC preset for the advisor's miss curve
- *  (the curve shape converges well before this). */
-constexpr std::uint64_t kAdvisorTraceRequests = 256;
-
 /** Largest G/G/k worker count autosizing tries. */
 constexpr std::uint32_t kMaxWorkers = 8;
 
@@ -35,6 +33,10 @@ constexpr std::uint32_t kMaxWorkers = 8;
 constexpr std::uint64_t kQueueRequests = 3000;
 constexpr std::uint64_t kQueueWarmup = 300;
 constexpr std::uint64_t kQueueSeed = 2024;
+
+/** The tail the composition reads: the mean above the 95th
+ *  percentile. */
+constexpr double kTailPct = 95;
 
 /** Extra end-to-end degradation tolerated beyond each scheme's slack
  *  before a (slice, server) counts as an SLO violation (queueing
@@ -64,6 +66,43 @@ classPressure(BatchClass c)
       case BatchClass::Streaming: return 3;
     }
     return 3;
+}
+
+/**
+ * The advisor's verdict on one LC preset, anchored at `load`: a
+ * capture of the preset (kAdvisorTraceRequests requests, so the curve
+ * shape has converged) gives the miss curve, and the LC baseline's
+ * p95 the deadline.
+ */
+AdvisorVerdict
+adviseLc(MixRunner &runner, const ExperimentConfig &cfg,
+         const LcAppParams &app, double load)
+{
+    const LcBaseline base =
+        runner.lcBaseline(app, load, kAdvisorBaselineSeed);
+    TraceData trace = captureLcTrace(app.scaled(cfg.scale),
+                                     kAdvisorTraceRequests,
+                                     kAdvisorTraceSeed);
+    TraceAnalysis an = analyzeTrace(trace);
+    std::uint64_t target = cfg.privateLines();
+
+    CoreProfile prof;
+    prof.missPenalty = 200.0 / app.mlp;
+    prof.hitCyclesPerAccess = 20;
+    prof.missRate = an.missRatioAtSize(target);
+    prof.accessesPerCycle = app.apki / 1000.0 * app.baseIpc;
+    prof.valid = true;
+
+    AdvisorInput in;
+    in.curve = an.missCurve(kAdvisorCurvePoints, target * 4);
+    in.intervalAccesses = an.accesses;
+    in.profile = prof;
+    in.targetLines = target;
+    in.deadline = base.p95;
+    in.boostCap = cfg.llcLines() / kMixLcInstances;
+    AdvisorReport rep = advise(in);
+    return {rep.canDownsize, rep.best.freedLines,
+            rep.best.transientCycles};
 }
 
 /** One LC preset's slice of the scenario mixes. */
@@ -174,8 +213,9 @@ runFleet(const FleetSpec &fs,
     runner.attachCache(cache);
 
     // --- Per-group advisor verdict (scheme-independent, so every
-    // scheme is compared on identical placements) and the fallback
-    // minimum-pressure bundle for non-downsizable groups.
+    // scheme is compared on identical placements), served by the
+    // cache when it holds one, and the fallback minimum-pressure
+    // bundle for non-downsizable groups.
     for (std::size_t gi = 0; gi < groups.size(); gi++) {
         LcGroup &g = groups[gi];
 
@@ -188,35 +228,18 @@ runFleet(const FleetSpec &fs,
                           fs.arrivals.nominalLoad))
                 anchor = m;
         const LcAppParams &app = mixes[anchor].lc.app;
-        const LcBaseline base =
-            runner.lcBaseline(app, mixes[anchor].lc.load, 1);
+        const double load = mixes[anchor].lc.load;
+        const std::string key = advisorKey(cfg, app, load, ooo);
+        std::optional<AdvisorVerdict> verdict = cache->loadAdvice(key);
+        if (!verdict) {
+            verdict = adviseLc(runner, cfg, app, load);
+            cache->storeAdvice(key, *verdict);
+        }
 
-        TraceData trace = captureLcTrace(app.scaled(cfg.scale),
-                                         kAdvisorTraceRequests,
-                                         /*seed=*/42);
-        TraceAnalysis an = analyzeTrace(trace);
-        std::uint64_t target = cfg.privateLines();
-
-        CoreProfile prof;
-        prof.missPenalty = 200.0 / app.mlp;
-        prof.hitCyclesPerAccess = 20;
-        prof.missRate = an.missRatioAtSize(target);
-        prof.accessesPerCycle = app.apki / 1000.0 * app.baseIpc;
-        prof.valid = true;
-
-        AdvisorInput in;
-        in.curve = an.missCurve(257, target * 4);
-        in.intervalAccesses = an.accesses;
-        in.profile = prof;
-        in.targetLines = target;
-        in.deadline = base.p95;
-        in.boostCap = cfg.llcLines() / kMixLcInstances;
-        AdvisorReport rep = advise(in);
-
-        g.canDownsize = rep.canDownsize;
-        g.freedLines = rep.best.freedLines;
+        g.canDownsize = verdict->canDownsize;
+        g.freedLines = verdict->freedLines;
         g.transientUs =
-            rep.best.transientCycles / kClockHz * 1e6 * cfg.scale;
+            verdict->transientCycles / kClockHz * 1e6 * cfg.scale;
         g.rotation = Rng::jobStream(kPlacementSeed, gi)
                          .uniformInt(g.bundles.size());
 
@@ -251,9 +274,10 @@ runFleet(const FleetSpec &fs,
     };
 
     // Queue tails memoized on (scheme(-1 = alone), mix, load bucket,
-    // workers). The alone run is scheme-independent and shares its
-    // seed with the inflated runs so each comparison is paired on
-    // the identical arrival sequence.
+    // workers), each served by the cache when it holds one. The alone
+    // run is scheme-independent and shares its seed with the inflated
+    // runs so each comparison is paired on the identical arrival
+    // sequence.
     std::map<std::tuple<long, std::size_t, long, std::uint32_t>,
              double>
         tailMemo;
@@ -284,10 +308,14 @@ runFleet(const FleetSpec &fs,
                              static_cast<std::uint64_t>(m) * 1000003 +
                              static_cast<std::uint64_t>(bucket) * 7919 +
                              k * 31;
-        double tail =
-            QueueSim(qp, seed).run().latencies.tailMean(95);
-        tailMemo.emplace(key, tail);
-        return tail;
+        const std::string cacheKey = queueTailKey(qp, seed, kTailPct);
+        std::optional<double> tail = cache->loadDouble(cacheKey);
+        if (!tail) {
+            tail = QueueSim(qp, seed).run().latencies.tailMean(kTailPct);
+            cache->storeDouble(cacheKey, *tail);
+        }
+        tailMemo.emplace(key, *tail);
+        return *tail;
     };
 
     // Autosize memo: smallest k <= kMaxWorkers whose alone tail meets

@@ -14,10 +14,12 @@
  * through the G/G/k queue simulator (queueing/queue_sim.h).
  *
  * The composition runs single-threaded after the sweep, memoizes
- * QueueSim runs on quantized load buckets, and draws all randomness
- * from pure seed streams — so fleet results are bit-identical across
- * UBIK_JOBS, cache states, and fleet worker counts, exactly like the
- * sweep results they are built from.
+ * QueueSim runs on quantized load buckets, keeps each queue tail and
+ * advisor verdict in the result cache (so a warm query simulates
+ * nothing), and draws all randomness from pure seed streams — so
+ * fleet results are bit-identical across UBIK_JOBS, cache states,
+ * and fleet worker counts, exactly like the sweep results they are
+ * built from.
  *
  * Outputs, per scheme: fleet-wide p95/p99 end-to-end tail latency,
  * utilization vs a dedicated (LC-only) fleet, machines saved vs
@@ -151,7 +153,9 @@ struct FleetResult
  * @param cfg     experiment scale/seed configuration
  * @param ooo     core model flavour (matches the sweep)
  * @param cache   the sweep's cache (not null), holding the LC
- *                baselines the composition needs
+ *                baselines the composition needs; the stage looks its
+ *                queue tails and advisor verdicts up there too, and
+ *                stores each one it has to compute
  */
 FleetResult runFleet(const FleetSpec &fs,
                      const std::vector<SchemeUnderTest> &schemes,

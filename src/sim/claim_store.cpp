@@ -198,29 +198,29 @@ ClaimStore::staleAt(const std::string &path) const
     return ageSec(mtime) > ttlSec_;
 }
 
-bool
+ClaimStore::Break
 ClaimStore::breakStale(const std::string &key)
 {
     std::string path = leasePath(key);
     std::error_code ec;
     fs::file_time_type mtime = fs::last_write_time(path, ec);
     if (ec)
-        return true; // no lease: claimable
+        return Break::Absent;
     if (ageSec(mtime) <= ttlSec_)
-        return false; // live owner
+        return Break::Live;
     // An injected break failure reads as "not claimable right now";
     // the caller's poll loop simply retries later, so liveness holds.
     if (failpointEval("claim.break").kind == FailpointHit::Kind::Err)
-        return false;
+        return Break::Live;
     // Atomic rename to a per-breaker tombstone: of N racing breakers
     // exactly one wins the rename; losers see ENOENT, which means
     // "someone broke it" — equally claimable.
     std::string tomb = path + ".rip-" + owner_;
     if (std::rename(path.c_str(), tomb.c_str()) == 0) {
         fs::remove(tomb, ec);
-        return true;
+        return Break::Broken;
     }
-    return errno == ENOENT;
+    return errno == ENOENT ? Break::Absent : Break::Live;
 }
 
 std::uint64_t

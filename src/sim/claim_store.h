@@ -96,13 +96,16 @@ class ClaimStore
         return hbReleases_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Break `key`'s lease if it exists and is older than the TTL.
-     * Returns true when the lease is gone afterwards (broken by us,
-     * by a racing peer, or never existed) — i.e. the key is
-     * claimable; false while a live owner holds it.
-     */
-    bool breakStale(const std::string &key);
+    /** What breakStale found. The key is claimable unless Live. */
+    enum class Break
+    {
+        Live,   ///< a live owner holds the lease
+        Absent, ///< no lease: never taken, released, or a peer broke it
+        Broken, ///< this store's rename removed a stale lease
+    };
+
+    /** Break `key`'s lease if it exists and is older than the TTL. */
+    Break breakStale(const std::string &key);
 
     /** Remove every expired lease left in the claims directory
      *  (crash leftovers); returns how many were reclaimed. */

@@ -122,7 +122,7 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
                          std::uint64_t seed)
 {
     const std::string key = batchKey(params, seed);
-    if (auto cached = cache_->loadBatchIpc(key))
+    if (auto cached = cache_->loadDouble(key))
         return *cached;
 
     CmpConfig cc = cfg_.baseCmpConfig(ooo_);
@@ -133,7 +133,7 @@ MixRunner::batchAloneIpc(const BatchAppParams &params,
     cmp.run();
     double ipc = cmp.batchResult(0).ipc();
     ubik_assert(ipc > 0);
-    cache_->storeBatchIpc(key, ipc);
+    cache_->storeDouble(key, ipc);
     return ipc;
 }
 

@@ -220,8 +220,11 @@ FleetFill::runClaimLoop(std::vector<ClaimTask> &tasks)
         // owner stopped heartbeating; a broken (or vanished) lease is
         // immediately claimable, so skip the wait.
         bool claimable = false;
-        for (std::size_t i : pending)
-            claimable = claims_.breakStale(tasks[i].key) || claimable;
+        for (std::size_t i : pending) {
+            const ClaimStore::Break b = claims_.breakStale(tasks[i].key);
+            counters_.reclaimed += b == ClaimStore::Break::Broken;
+            claimable = claimable || b != ClaimStore::Break::Live;
+        }
         if (claimable)
             continue;
         if (moved)

@@ -131,7 +131,8 @@ struct FleetCounters
      *  directory was unusable. */
     std::uint64_t soloFallbacks = 0;
 
-    /** Expired leases of crashed peers removed at sweep exit
+    /** Expired leases of crashed peers this worker removed: broken
+     *  in the claim loop (ClaimStore::breakStale) or at sweep exit
      *  (ClaimStore::gcStale). Cleanup, not degradation. */
     std::uint64_t reclaimed = 0;
 

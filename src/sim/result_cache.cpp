@@ -1,13 +1,15 @@
 #include "sim/result_cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <shared_mutex>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +20,7 @@
 #include "common/hex.h"
 #include "common/log.h"
 #include "common/retry.h"
+#include "queueing/queue_sim.h"
 
 namespace ubik {
 
@@ -140,6 +143,18 @@ addBatchApp(KeyBuilder &kb, const BatchAppParams &p, int i)
         .scope({});
 }
 
+/** An LC baseline's inputs: lcBaselineKey's fields after the kind. */
+void
+addLcBaseline(KeyBuilder &kb, const ExperimentConfig &cfg,
+              const LcAppParams &params, double load, std::uint64_t seed,
+              bool ooo)
+{
+    addExperiment(kb, cfg, ooo);
+    addLcApp(kb, params);
+    kb.add("lc.load", load);
+    kb.add("seed", seed);
+}
+
 void
 addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
 {
@@ -241,9 +256,37 @@ parseLcBaseline(std::string_view payload, LcBaseline &out)
 }
 
 bool
-parseBatchIpc(std::string_view payload, double &out)
+parseDouble(std::string_view payload, double &out)
 {
     return parseHexDouble(payload, out);
+}
+
+std::string
+serializeAdvice(const AdvisorVerdict &v)
+{
+    std::string out;
+    out.reserve(2 + 17 * 2);
+    out += v.canDownsize ? '1' : '0';
+    out += ',';
+    appendHex64(out, v.freedLines);
+    out += ',';
+    appendHex64(out, doubleBits(v.transientCycles));
+    return out;
+}
+
+bool
+parseAdvice(std::string_view payload, AdvisorVerdict &out)
+{
+    Fields f(payload, ',');
+    AdvisorVerdict v;
+    std::string_view flag;
+    if (!f.next(flag) || (flag != "0" && flag != "1") ||
+        !f.nextHex(v.freedLines) || !f.nextHexDouble(v.transientCycles) ||
+        !f.done())
+        return false;
+    v.canDownsize = flag == "1";
+    out = v;
+    return true;
 }
 
 /** Extension of every cache file: the current log, and the stale
@@ -282,6 +325,39 @@ removeStaleFiles(const std::string &dir, const std::string &keep)
     for (const fs::path &p : stale)
         removed += fs::remove(p, ec);
     return removed;
+}
+
+/**
+ * The bytes of `path` from `offset` to its length now, in one read
+ * into a string sized from that length (records appended later wait
+ * for the next read). False if the file cannot be opened.
+ */
+bool
+readFrom(const std::string &path, std::uint64_t offset, std::string &out)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    std::size_t got = 0;
+    if (::fstat(fd, &st) == 0 &&
+        static_cast<std::uint64_t>(st.st_size) > offset) {
+        out.resize(static_cast<std::size_t>(
+            static_cast<std::uint64_t>(st.st_size) - offset));
+        while (got < out.size()) {
+            const ssize_t n =
+                ::pread(fd, out.data() + got, out.size() - got,
+                        static_cast<off_t>(offset + got));
+            if (n < 0 && errno == EINTR)
+                continue;
+            if (n <= 0)
+                break;
+            got += static_cast<std::size_t>(n);
+        }
+    }
+    out.resize(got);
+    ::close(fd);
+    return true;
 }
 
 /** How one append attempt ended. */
@@ -434,10 +510,7 @@ lcBaselineKey(const ExperimentConfig &cfg, const LcAppParams &params,
               std::uint32_t schema)
 {
     KeyBuilder kb("lcbase", schema);
-    addExperiment(kb, cfg, out_of_order);
-    addLcApp(kb, params);
-    kb.add("lc.load", load);
-    kb.add("seed", seed);
+    addLcBaseline(kb, cfg, params, load, seed, out_of_order);
     return kb.take();
 }
 
@@ -450,6 +523,37 @@ batchBaselineKey(const ExperimentConfig &cfg,
     addExperiment(kb, cfg, out_of_order);
     addBatchApp(kb, params, 0);
     kb.add("seed", seed);
+    return kb.take();
+}
+
+std::string
+queueTailKey(const QueueSimParams &qp, std::uint64_t seed, double pct,
+             std::uint32_t schema)
+{
+    KeyBuilder kb("qtail", schema);
+    kb.add("workers", qp.workers)
+        .add("interarrival", qp.meanInterarrival)
+        .add("service", qp.service.canonical())
+        .add("requests", qp.requests)
+        .add("warmup", qp.warmup)
+        .add("interference", qp.interferenceFactor)
+        .add("abortProb", qp.abortProb)
+        .add("maxAborts", qp.maxAborts)
+        .add("seed", seed)
+        .add("pct", pct);
+    return kb.take();
+}
+
+std::string
+advisorKey(const ExperimentConfig &cfg, const LcAppParams &params,
+           double load, bool out_of_order, std::uint32_t schema)
+{
+    KeyBuilder kb("advice", schema);
+    addLcBaseline(kb, cfg, params, load, kAdvisorBaselineSeed,
+                  out_of_order);
+    kb.add("traceRequests", kAdvisorTraceRequests)
+        .add("traceSeed", kAdvisorTraceSeed)
+        .add("curvePoints", kAdvisorCurvePoints);
     return kb.take();
 }
 
@@ -504,16 +608,9 @@ ResultCache::refreshLocked()
         refreshDegraded_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    std::ifstream in(logPath_, std::ios::binary);
-    if (!in.is_open())
-        return; // nothing persisted yet
-    in.seekg(static_cast<std::streamoff>(parsedBytes_));
-    if (!in)
-        return;
     std::string buf;
-    char chunk[16384];
-    while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
-        buf.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (!readFrom(logPath_, parsedBytes_, buf))
+        return; // nothing persisted yet
 
     // First record wins; duplicates from racing appends or merged
     // logs carry the same deterministic value anyway.
@@ -770,15 +867,27 @@ ResultCache::storeLcBaseline(const std::string &key,
 }
 
 std::optional<double>
-ResultCache::loadBatchIpc(const std::string &key)
+ResultCache::loadDouble(const std::string &key)
 {
-    return load(key, parseBatchIpc, /*mix=*/false);
+    return load(key, parseDouble, /*mix=*/false);
 }
 
 void
-ResultCache::storeBatchIpc(const std::string &key, double ipc)
+ResultCache::storeDouble(const std::string &key, double v)
 {
-    store(key, hexDouble(ipc));
+    store(key, hexDouble(v));
+}
+
+std::optional<AdvisorVerdict>
+ResultCache::loadAdvice(const std::string &key)
+{
+    return load(key, parseAdvice, /*mix=*/false);
+}
+
+void
+ResultCache::storeAdvice(const std::string &key, const AdvisorVerdict &v)
+{
+    store(key, serializeAdvice(v));
 }
 
 CacheStats

@@ -1,24 +1,27 @@
 /**
  * @file
- * Persistent sharded result cache: maps a canonical fingerprint of
- * (experiment scale, mix, scheme, seed, code-schema version) to a
- * serialized MixRunResult — or an LC/batch baseline — on disk, so
- * repeated sweeps across bench invocations only pay for
- * configurations they have never seen.
+ * Persistent result cache: maps a canonical fingerprint of a
+ * simulation's inputs and the code-schema version to its serialized
+ * result on disk, so repeated sweeps and fleet queries across
+ * invocations only pay for configurations they have never seen. Five
+ * kinds of result live in it, each named by its key's second field:
+ * `mix` (a MixRunResult), `lcbase` (an LcBaseline), `batchbase` (a
+ * batch alone IPC), and the fleet stage's `qtail` (one G/G/k queue
+ * tail) and `advice` (an AdvisorVerdict).
  *
  * Keys are canonical and hold only simulation inputs: every field of
  * ExperimentConfig, MixSpec and SchemeUnderTest (its slack, the other
- * UbikConfig tunables, MemoryParams) that a simulation reads, the
- * seed, and the core model flavour are serialized into the key,
- * doubles as exact bit patterns, so two differently-constructed but
- * equal configurations produce the same key and any single field
- * change produces a different one. Names no simulation reads (the
- * scheme label, the mix, batch-mix and app names) stay out, so a
- * relabelled scheme or renamed mix is served its results. The key
- * starts with the code-schema version (kResultCacheSchemaVersion);
- * bumping it invalidates every stale entry at once — bump it whenever
- * a simulator change alters results without changing any config
- * field.
+ * UbikConfig tunables, MemoryParams) that a simulation reads, every
+ * QueueSimParams field, the seed, and the core model flavour are
+ * serialized into the key, doubles as exact bit patterns, so two
+ * differently-constructed but equal configurations produce the same
+ * key and any single field change produces a different one. Names no
+ * simulation reads (the scheme label, the mix, batch-mix and app
+ * names) stay out, so a relabelled scheme or renamed mix is served
+ * its results. The key starts with the code-schema version
+ * (kResultCacheSchemaVersion); bumping it invalidates every stale
+ * entry at once — bump it whenever a simulator change alters results
+ * without changing any config field.
  *
  * The store is one append-only log per schema version,
  * `results.v<schema>.ubikcache` under the cache directory. Each
@@ -44,11 +47,11 @@
  * Logs merge by concatenation (the first record of a key wins), and
  * keeping the first copy of each line drops duplicate records.
  * Loaded records live in one in-memory hashed index, key to payload
- * (the keys of mix results and of both baselines differ in their
- * second field): a warm hit hashes its key once and decodes the
- * payload in place. Opened without a directory, the cache keeps its
- * records in memory for its lifetime and touches no file: it stays
- * the one store of results whether or not they persist.
+ * (keys of different kinds differ in their second field): a warm hit
+ * hashes its key once and decodes the payload in place. Opened
+ * without a directory, the cache keeps its records in memory for its
+ * lifetime and touches no file: it stays the one store of results
+ * whether or not they persist.
  *
  * Determinism contract: values round-trip bit-exactly (doubles are
  * stored as their 64-bit patterns), so a warm-cache sweep is
@@ -69,6 +72,8 @@
 #include "sim/mix_runner.h"
 
 namespace ubik {
+
+struct QueueSimParams;
 
 /** Bump to invalidate every cached result after a simulator change
  *  that alters results without changing any configuration field —
@@ -96,7 +101,9 @@ namespace ubik {
  *  lines, without the `U1` magic, the kind token or any escaping
  *  (keys and values unchanged but for the `v8|` prefix); the bump
  *  makes an open remove a v7 log unread instead of reading each of
- *  its records as corrupt. */
+ *  its records as corrupt. The fleet stage's `qtail` and `advice`
+ *  kinds came without a bump: no existing key or value changed, and
+ *  a build without them indexes their records harmlessly. */
 constexpr std::uint32_t kResultCacheSchemaVersion = 8;
 
 /** Counters since this ResultCache was opened. */
@@ -106,8 +113,8 @@ struct CacheStats
     std::uint64_t misses = 0; ///< lookups that returned nothing
     std::uint64_t stores = 0; ///< records appended
 
-    /** Mix-result subset of hits/misses (baselines excluded) — what
-     *  "zero mix recomputation" is asserted on. */
+    /** Mix-result subset of hits/misses (every other kind excluded)
+     *  — what "zero mix recomputation" is asserted on. */
     std::uint64_t mixHits = 0;
     std::uint64_t mixMisses = 0;
 
@@ -169,6 +176,39 @@ std::string
 batchBaselineKey(const ExperimentConfig &cfg, const BatchAppParams &params,
                  std::uint64_t seed, bool out_of_order,
                  std::uint32_t schema = kResultCacheSchemaVersion);
+
+/** The fleet stage's advisor constants (fleet/fleet_model.cpp): the
+ *  seed of the LC baseline its deadline comes from, the LC requests
+ *  captured per preset, the capture's seed, and the points of the miss
+ *  curve handed to advise(). advisorKey holds each, so changing one
+ *  changes every verdict's key. */
+constexpr std::uint64_t kAdvisorBaselineSeed = 1;
+constexpr std::uint64_t kAdvisorTraceRequests = 256;
+constexpr std::uint64_t kAdvisorTraceSeed = 42;
+constexpr std::uint64_t kAdvisorCurvePoints = 257;
+
+/** What the fleet stage keeps of the advisor's answer for one LC
+ *  preset: the value under an advisorKey. */
+struct AdvisorVerdict
+{
+    bool canDownsize = false;
+    std::uint64_t freedLines = 0; ///< of the deepest feasible option
+    double transientCycles = 0;   ///< of the deepest feasible option
+};
+
+/** Canonical key for one G/G/k queue tail: every QueueSimParams field,
+ *  the seed and the tail percentile. */
+std::string queueTailKey(const QueueSimParams &qp, std::uint64_t seed,
+                         double pct,
+                         std::uint32_t schema = kResultCacheSchemaVersion);
+
+/** Canonical key for the advisor verdict on one LC preset: the inputs
+ *  of its anchor's LC baseline (lcBaselineKey at kAdvisorBaselineSeed)
+ *  and the advisor constants above. */
+std::string advisorKey(const ExperimentConfig &cfg,
+                       const LcAppParams &params, double load,
+                       bool out_of_order,
+                       std::uint32_t schema = kResultCacheSchemaVersion);
 
 /**
  * Builds a canonical key, `v<schema>|<what>|name=value|...`, each
@@ -241,8 +281,12 @@ class ResultCache
     std::optional<LcBaseline> loadLcBaseline(const std::string &key);
     void storeLcBaseline(const std::string &key, const LcBaseline &base);
 
-    std::optional<double> loadBatchIpc(const std::string &key);
-    void storeBatchIpc(const std::string &key, double ipc);
+    /** One double: a batch alone IPC or a queue tail. */
+    std::optional<double> loadDouble(const std::string &key);
+    void storeDouble(const std::string &key, double v);
+
+    std::optional<AdvisorVerdict> loadAdvice(const std::string &key);
+    void storeAdvice(const std::string &key, const AdvisorVerdict &v);
 
     /**
      * Like loadMix, but re-reads the log incrementally first, so

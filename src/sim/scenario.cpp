@@ -709,8 +709,6 @@ runSchemeSweep(const ExperimentConfig &cfg,
         acct->elapsedSec = last.elapsedSec;
         acct->workers = engine.workers();
     }
-    if (progress && cache->persistent())
-        printCacheStats(*cache, progress);
 
     // Regroup the flat job-ordered results per scheme (jobs are
     // scheme-major, so each scheme's block is contiguous).
@@ -762,6 +760,9 @@ runScenario(const ScenarioSpec &spec, const ExperimentConfig &cfg0,
                              res.sweeps, cfg, spec.ooo, cache);
         res.hasFleet = true;
     }
+    // One [cache] line for the whole run, fleet stage included.
+    if (progress && cache->persistent())
+        printCacheStats(*cache, progress);
     res.mixes = std::move(mixes);
     return res;
 }

@@ -249,9 +249,8 @@ struct SweepAccounting
  * metadata, and are bit-identical across worker counts and cache
  * states. This is the one sweep path: scenarios and tools all run
  * through it. `acct` receives the per-worker accounting when
- * non-null. The progress, [sweep-summary], [cache] and per-scheme
- * lines go to `progress`; nullptr prints nothing (the daemon, unless
- * --verbose).
+ * non-null. The progress, [sweep-summary] and per-scheme lines go to
+ * `progress`; nullptr prints nothing (the daemon, unless --verbose).
  */
 std::vector<SweepResult>
 runSchemeSweep(const ExperimentConfig &cfg,
@@ -273,7 +272,8 @@ struct ScenarioResult
  *  fleet composition when spec.fleet.servers > 0) over one cache:
  *  `shared` when non-null (the serving daemon keeps one warm cache
  *  across requests), else one opened on cfg.cacheDir (in memory when
- *  empty). `progress` is runSchemeSweep's. */
+ *  empty). `progress` is runSchemeSweep's; a persistent cache's
+ *  [cache] line goes there too, once, after the fleet stage. */
 ScenarioResult runScenario(const ScenarioSpec &spec,
                            const ExperimentConfig &cfg,
                            ResultCache *shared = nullptr,

@@ -38,15 +38,17 @@ ServiceDistribution::multimodal(std::vector<WorkMode> modes)
     ServiceDistribution d;
     d.kind_ = Kind::Multimodal;
     double wsum = 0, msum = 0;
+    std::vector<double> weights;
     for (const auto &m : modes) {
         ubik_assert(m.weight > 0 && m.meanInstr > 0);
         ubik_assert(m.jitterFrac >= 0 && m.jitterFrac < 1);
         wsum += m.weight;
         msum += m.weight * m.meanInstr;
-        d.weights_.push_back(m.weight);
+        weights.push_back(m.weight);
     }
     d.mean_ = msum / wsum;
     d.modes_ = std::move(modes);
+    d.pick_.emplace(std::move(weights));
     return d;
 }
 
@@ -62,8 +64,7 @@ ServiceDistribution::sample(Rng &rng) const
         v = std::exp(mu_ + sigma_ * rng.normal());
         break;
       case Kind::Multimodal: {
-        DiscreteDistribution pick(weights_);
-        const WorkMode &m = modes_[pick(rng)];
+        const WorkMode &m = modes_[(*pick_)(rng)];
         v = m.meanInstr *
             (1.0 + rng.uniform(-m.jitterFrac, m.jitterFrac));
         break;

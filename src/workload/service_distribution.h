@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,8 @@ class ServiceDistribution
     double mu_ = 0;
     double sigma_ = 0;
     std::vector<WorkMode> modes_;
-    std::vector<double> weights_;
+    /** Multimodal: picks a mode by weight, built once. */
+    std::optional<DiscreteDistribution> pick_;
 };
 
 } // namespace ubik

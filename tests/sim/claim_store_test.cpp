@@ -92,23 +92,25 @@ TEST(ClaimStore, BreakStaleRespectsFreshLeases)
     ClaimStore owner(dir.path(), "owner", 5.0);
     ClaimStore peer(dir.path(), "peer", 5.0);
 
-    // Absent lease: claimable.
-    EXPECT_TRUE(peer.breakStale("job"));
+    using Break = ClaimStore::Break;
+    // Absent lease: claimable, and nothing was broken.
+    EXPECT_EQ(peer.breakStale("job"), Break::Absent);
 
     ASSERT_TRUE(owner.tryAcquire("job"));
     // Fresh lease: a live owner is protected.
-    EXPECT_FALSE(peer.breakStale("job"));
+    EXPECT_EQ(peer.breakStale("job"), Break::Live);
     EXPECT_FALSE(peer.tryAcquire("job"));
 
     // Heartbeats keep it fresh even when backdated in between.
     backdate(owner.leasePath("job"), 60.0);
     owner.heartbeatAll();
-    EXPECT_FALSE(peer.breakStale("job"));
+    EXPECT_EQ(peer.breakStale("job"), Break::Live);
 
-    // A dead owner (no heartbeat past the TTL) is reclaimed; exactly
-    // one break wins and the key becomes claimable.
+    // A dead owner (no heartbeat past the TTL) is reclaimed: the
+    // break reports it, and the key becomes claimable.
     backdate(owner.leasePath("job"), 60.0);
-    EXPECT_TRUE(peer.breakStale("job"));
+    EXPECT_EQ(peer.breakStale("job"), Break::Broken);
+    EXPECT_EQ(peer.breakStale("job"), Break::Absent);
     EXPECT_TRUE(peer.tryAcquire("job"));
 }
 
@@ -121,6 +123,7 @@ TEST(ClaimStore, ConcurrentBreakersAgreeLeaseIsGone)
 
     constexpr int kThreads = 8;
     std::atomic<int> claimable{0};
+    std::atomic<int> broken{0};
     std::vector<std::thread> threads;
     std::vector<std::unique_ptr<ClaimStore>> peers;
     for (int t = 0; t < kThreads; t++)
@@ -128,15 +131,21 @@ TEST(ClaimStore, ConcurrentBreakersAgreeLeaseIsGone)
             dir.path(), "p" + std::to_string(t), 1.0));
     for (int t = 0; t < kThreads; t++)
         threads.emplace_back([&, t] {
-            if (peers[static_cast<std::size_t>(t)]->breakStale("job"))
+            const ClaimStore::Break b =
+                peers[static_cast<std::size_t>(t)]->breakStale("job");
+            if (b != ClaimStore::Break::Live)
                 claimable.fetch_add(1);
+            if (b == ClaimStore::Break::Broken)
+                broken.fetch_add(1);
         });
     for (auto &th : threads)
         th.join();
 
     // Whether a breaker won the rename or raced a winner (ENOENT),
-    // every one must report the lease claimable afterwards.
+    // every one must report the lease claimable afterwards, and only
+    // the one that won the rename reports breaking it.
     EXPECT_EQ(claimable.load(), kThreads);
+    EXPECT_EQ(broken.load(), 1);
     EXPECT_FALSE(std::filesystem::exists(owner.leasePath("job")));
 }
 

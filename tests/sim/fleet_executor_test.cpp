@@ -38,6 +38,7 @@ struct FleetRun
 {
     std::vector<MixRunResult> results;
     SweepProgress last;
+    FleetCounters counters;
 };
 
 FleetRun
@@ -56,6 +57,7 @@ runFleetWorker(const std::string &cache_dir, const std::string &id,
     FleetRun out;
     out.results = sweep.run(
         jobs, [&](const SweepProgress &p) { out.last = p; });
+    out.counters = sweep.fleetCounters();
     return out;
 }
 
@@ -123,9 +125,11 @@ TEST(FleetExecutor, OrphanedLeaseFromDeadWorkerIsReclaimed)
                             std::chrono::minutes(5));
 
     // A live worker with the same TTL must break the orphan, claim
-    // the job itself, and still produce the reference matrix.
+    // the job itself, and still produce the reference matrix. The
+    // break counts as the one lease it reclaimed.
     FleetRun r = runFleetWorker(dir.path(), "live", jobs, 2.0);
     expectSameResults(r.results, ref);
     EXPECT_EQ(r.last.computed, jobs.size());
     EXPECT_FALSE(fs::exists(dead.leasePath(key)));
+    EXPECT_EQ(r.counters.reclaimed, 1u);
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Seeded mutation fuzz of the result-cache log parser: a log holding
- * all three record kinds (mix results, LC baselines, batch IPCs) is
+ * all five record kinds (mix results, LC baselines, batch IPCs, queue
+ * tails, advisor verdicts) is
  * mutated by flipping, inserting and deleting bytes, truncating, and
  * duplicating lines, and two logs are merged by concatenation after
  * the first was torn at every byte of its last record. Loading from
@@ -61,6 +62,14 @@ sameLc(const LcBaseline &a, const LcBaseline &b)
            sameBits(a.tailMean, b.tailMean) && a.p95 == b.p95;
 }
 
+bool
+sameAdvice(const AdvisorVerdict &a, const AdvisorVerdict &b)
+{
+    return a.canDownsize == b.canDownsize &&
+           a.freedLines == b.freedLines &&
+           sameBits(a.transientCycles, b.transientCycles);
+}
+
 /** Records of every kind, under keys shaped like the real ones:
  *  no space, newline or '%', the fields joined by '|'. */
 struct Corpus
@@ -68,6 +77,8 @@ struct Corpus
     std::vector<std::pair<std::string, MixRunResult>> mixes;
     std::vector<std::pair<std::string, LcBaseline>> lcs;
     std::vector<std::pair<std::string, double>> batches;
+    std::vector<std::pair<std::string, double>> tails;
+    std::vector<std::pair<std::string, AdvisorVerdict>> advices;
 
     void storeAll(ResultCache &c) const
     {
@@ -76,7 +87,17 @@ struct Corpus
         for (const auto &[k, v] : lcs)
             c.storeLcBaseline(k, v);
         for (const auto &[k, v] : batches)
-            c.storeBatchIpc(k, v);
+            c.storeDouble(k, v);
+        for (const auto &[k, v] : tails)
+            c.storeDouble(k, v);
+        for (const auto &[k, v] : advices)
+            c.storeAdvice(k, v);
+    }
+
+    std::size_t size() const
+    {
+        return mixes.size() + lcs.size() + batches.size() +
+               tails.size() + advices.size();
     }
 };
 
@@ -112,6 +133,14 @@ makeCorpus()
         c.lcs.emplace_back(fuzzKey("lc", n), b);
 
         c.batches.emplace_back(fuzzKey("batch", n), 2.0 / (i + 3));
+
+        c.tails.emplace_back(fuzzKey("qtail", n), 3.5e5 * (i + 1) + 1.0 / 3.0);
+
+        AdvisorVerdict v;
+        v.canDownsize = i % 2 == 0;
+        v.freedLines = 1024ull << i;
+        v.transientCycles = 1e6 / (i + 1);
+        c.advices.emplace_back(fuzzKey("advice", n), v);
     }
     return c;
 }
@@ -194,9 +223,19 @@ checkLoads(ResultCache &cache, const Corpus &c)
             EXPECT_TRUE(sameLc(*got, v)) << "lc " << k;
         }
     for (const auto &[k, v] : c.batches)
-        if (auto got = cache.loadBatchIpc(k)) {
+        if (auto got = cache.loadDouble(k)) {
             found++;
             EXPECT_TRUE(sameBits(*got, v)) << "batch " << k;
+        }
+    for (const auto &[k, v] : c.tails)
+        if (auto got = cache.loadDouble(k)) {
+            found++;
+            EXPECT_TRUE(sameBits(*got, v)) << "qtail " << k;
+        }
+    for (const auto &[k, v] : c.advices)
+        if (auto got = cache.loadAdvice(k)) {
+            found++;
+            EXPECT_TRUE(sameAdvice(*got, v)) << "advice " << k;
         }
     return found;
 }
@@ -228,8 +267,7 @@ TEST(ResultCacheFuzz, MutatedLogsLoadNothingOrTheStoredValue)
 {
     TempCacheDir dir("fuzz");
     const Corpus corpus = makeCorpus();
-    const std::size_t records =
-        corpus.mixes.size() + corpus.lcs.size() + corpus.batches.size();
+    const std::size_t records = corpus.size();
     {
         ResultCache cache(dir.path());
         corpus.storeAll(cache);
@@ -272,6 +310,8 @@ TEST(ResultCacheFuzz, MutatedLogsLoadNothingOrTheStoredValue)
     first.mixes = corpus.mixes;
     first.lcs = corpus.lcs;
     second.batches = corpus.batches;
+    second.tails = corpus.tails;
+    second.advices = corpus.advices;
     const std::string a = logOf(first), b = logOf(second);
     ASSERT_FALSE(a.empty());
     ASSERT_FALSE(b.empty());

@@ -146,7 +146,7 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
                        "tailDegradation", 0);
     EXPECT_GE(cache.stats().corrupt, 4u);
     EXPECT_FALSE(cache.loadMix("v1|fake").has_value());
-    EXPECT_FALSE(cache.loadBatchIpc("v1|old").has_value());
+    EXPECT_FALSE(cache.loadDouble("v1|old").has_value());
 }
 
 TEST(ResultCacheHardening, StaleFilesAreRemovedAtOpenUnread)
@@ -177,17 +177,17 @@ TEST(ResultCacheHardening, StaleFilesAreRemovedAtOpenUnread)
         CacheStats st = cache.stats();
         EXPECT_EQ(st.evicted, 4u);
         EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
-        EXPECT_FALSE(cache.loadBatchIpc(key).has_value());
+        EXPECT_FALSE(cache.loadDouble(key).has_value());
         EXPECT_EQ(cache.stats().corrupt, 0u);
 
         // A store then lands in the current schema's log.
-        cache.storeBatchIpc(key, 2.0);
+        cache.storeDouble(key, 2.0);
         EXPECT_EQ(onlyLogFile(dir.path()),
                   dir.path() + "/" + logName());
     }
     // A reopen removes nothing and serves the stored value.
     ResultCache cache(dir.path());
-    auto ipc = cache.loadBatchIpc(key);
+    auto ipc = cache.loadDouble(key);
     ASSERT_TRUE(ipc.has_value());
     expectBitIdentical(*ipc, 2.0, "ipc", 0);
     CacheStats st = cache.stats();
@@ -436,7 +436,7 @@ TEST(ResultCacheHardening, HexFieldsAreExactlySixteenDigits)
         appendRecord(dir.path(), "v4|mix|" + tag,
                      mixHead + field + mixTail);
         ResultCache cache(dir.path());
-        auto ipc = cache.loadBatchIpc("v4|batch|" + tag);
+        auto ipc = cache.loadDouble("v4|batch|" + tag);
         auto lc = cache.loadLcBaseline("v4|lc|" + tag);
         auto mix = cache.loadMix("v4|mix|" + tag);
         EXPECT_EQ(ipc.has_value(), ok) << "'" << field << "'";
@@ -503,12 +503,17 @@ TEST(ResultCacheHardening, EveryPayloadKindRoundTripsBitExactly)
     lc.tailMean = 123456.789;
     lc.p95 = ~0ull;
     const double ipc = std::numeric_limits<double>::denorm_min();
+    AdvisorVerdict advice;
+    advice.canDownsize = true;
+    advice.freedLines = ~0ull;
+    advice.transientCycles = -0.0;
     {
         ResultCache cache(dir.path());
         for (std::size_t i = 0; i < mixes.size(); i++)
             cache.storeMix("v4|rt|mix" + std::to_string(i), mixes[i]);
         cache.storeLcBaseline("v4|rt|lc", lc);
-        cache.storeBatchIpc("v4|rt|batch", ipc);
+        cache.storeDouble("v4|rt|batch", ipc);
+        cache.storeAdvice("v4|rt|advice", advice);
     }
     ResultCache cache(dir.path());
     std::vector<MixRunResult> back;
@@ -528,19 +533,27 @@ TEST(ResultCacheHardening, EveryPayloadKindRoundTripsBitExactly)
                        "meanLatency", 0);
     expectBitIdentical(lcBack->tailMean, lc.tailMean, "tailMean", 0);
     EXPECT_EQ(lcBack->p95, lc.p95);
-    auto ipcBack = cache.loadBatchIpc("v4|rt|batch");
+    auto ipcBack = cache.loadDouble("v4|rt|batch");
     ASSERT_TRUE(ipcBack.has_value());
     expectBitIdentical(*ipcBack, ipc, "ipc", 0);
+    auto adviceBack = cache.loadAdvice("v4|rt|advice");
+    ASSERT_TRUE(adviceBack.has_value());
+    EXPECT_EQ(adviceBack->canDownsize, advice.canDownsize);
+    EXPECT_EQ(adviceBack->freedLines, advice.freedLines);
+    expectBitIdentical(adviceBack->transientCycles,
+                       advice.transientCycles, "transientCycles", 0);
     // One index holds every kind (their keys differ): a record read
     // as another kind's value does not decode, so it counts as
     // corrupt and serves nothing.
-    EXPECT_FALSE(cache.loadBatchIpc("v4|rt|lc").has_value());
+    EXPECT_FALSE(cache.loadDouble("v4|rt|lc").has_value());
     EXPECT_FALSE(cache.loadMix("v4|rt|batch").has_value());
     EXPECT_FALSE(cache.loadLcBaseline("v4|rt|mix0").has_value());
+    EXPECT_FALSE(cache.loadAdvice("v4|rt|batch").has_value());
+    EXPECT_FALSE(cache.loadDouble("v4|rt|advice").has_value());
     CacheStats st = cache.stats();
-    EXPECT_EQ(st.corrupt, 3u);
-    EXPECT_EQ(st.hits, mixes.size() + 2);
-    EXPECT_EQ(st.misses, 3u);
+    EXPECT_EQ(st.corrupt, 5u);
+    EXPECT_EQ(st.hits, mixes.size() + 3);
+    EXPECT_EQ(st.misses, 5u);
 }
 
 } // namespace

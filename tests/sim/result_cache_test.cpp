@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "queueing/queue_sim.h"
 #include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
@@ -219,6 +220,108 @@ TEST(ResultCacheKey, EverySchemeFieldChangesTheKey)
     }
 }
 
+/** Whether every key `mutants` builds differs from `base` and from
+ *  every other mutant's. */
+void
+expectDistinctKeys(const std::string &base,
+                   const std::vector<std::function<std::string()>> &mutants)
+{
+    std::set<std::string> keys{base};
+    for (std::size_t i = 0; i < mutants.size(); i++) {
+        const std::string key = mutants[i]();
+        EXPECT_NE(key, base) << "mutant " << i << " did not change "
+                             << "the key";
+        EXPECT_TRUE(keys.insert(key).second)
+            << "mutant " << i << " collided with another mutation";
+    }
+}
+
+TEST(ResultCacheKey, EveryQueueTailInputChangesTheKey)
+{
+    // Every QueueSimParams field, the seed and the tail percentile.
+    QueueSimParams base;
+    const std::uint64_t seed = 7;
+    const double pct = 95;
+    auto with = [&](const std::function<void(QueueSimParams &)> &edit) {
+        return [=] {
+            QueueSimParams q = base;
+            edit(q);
+            return queueTailKey(q, seed, pct);
+        };
+    };
+    expectDistinctKeys(
+        queueTailKey(base, seed, pct),
+        {
+            with([](QueueSimParams &q) { q.workers = 2; }),
+            with([](QueueSimParams &q) { q.meanInterarrival = 2e6; }),
+            with([](QueueSimParams &q) {
+                q.service = ServiceDistribution::lognormal(2e5, 0.5);
+            }),
+            with([](QueueSimParams &q) { q.service.scale(2.0); }),
+            with([](QueueSimParams &q) { q.requests = 6000; }),
+            with([](QueueSimParams &q) { q.warmup = 600; }),
+            with([](QueueSimParams &q) { q.interferenceFactor = 0.05; }),
+            with([](QueueSimParams &q) { q.abortProb = 0.01; }),
+            with([](QueueSimParams &q) { q.maxAborts = 4; }),
+            [&] { return queueTailKey(base, seed + 1, pct); },
+            [&] { return queueTailKey(base, seed, 99); },
+            [&] {
+                return queueTailKey(base, seed, pct,
+                                    kResultCacheSchemaVersion + 1);
+            },
+        });
+}
+
+TEST(ResultCacheKey, EveryAdvisorInputChangesTheKey)
+{
+    // The anchor baseline's inputs: the experiment fields, every LC
+    // app field, the load and the core flavour.
+    const ExperimentConfig cfg = cacheTestCfg();
+    const LcAppParams app = baseMix().lc.app;
+    const double load = 0.2;
+    auto withCfg = [&](const std::function<void(ExperimentConfig &)> &edit) {
+        return [=] {
+            ExperimentConfig c = cfg;
+            edit(c);
+            return advisorKey(c, app, load, true);
+        };
+    };
+    auto withApp = [&](const std::function<void(LcAppParams &)> &edit) {
+        return [=] {
+            LcAppParams a = app;
+            edit(a);
+            return advisorKey(cfg, a, load, true);
+        };
+    };
+    expectDistinctKeys(
+        advisorKey(cfg, app, load, true),
+        {
+            withCfg([](ExperimentConfig &c) { c.scale *= 2; }),
+            withCfg([](ExperimentConfig &c) { c.roiRequests += 1; }),
+            withCfg([](ExperimentConfig &c) { c.warmupRequests += 1; }),
+            withApp([](LcAppParams &a) { a.apki *= 2; }),
+            withApp([](LcAppParams &a) { a.work.scale(2.0); }),
+            withApp([](LcAppParams &a) { a.hotLines += 1; }),
+            withApp([](LcAppParams &a) { a.hotTheta += 0.1; }),
+            withApp([](LcAppParams &a) { a.hotFrac /= 2; }),
+            withApp([](LcAppParams &a) { a.reqLines += 1; }),
+            withApp([](LcAppParams &a) { a.mlp += 1; }),
+            withApp([](LcAppParams &a) { a.baseIpc /= 2; }),
+            withApp([](LcAppParams &a) { a.requests += 1; }),
+            [&] { return advisorKey(cfg, app, 0.3, true); },
+            [&] { return advisorKey(cfg, app, load, false); },
+            [&] {
+                return advisorKey(cfg, app, load, true,
+                                  kResultCacheSchemaVersion + 1);
+            },
+        });
+    // A name no simulation reads stays out.
+    LcAppParams renamed = app;
+    renamed.name += "2";
+    EXPECT_EQ(advisorKey(cfg, renamed, load, true),
+              advisorKey(cfg, app, load, true));
+}
+
 TEST(ResultCacheKey, TraceBackingEntersTheKeyByContent)
 {
     const SchemeUnderTest sut = baseSut();
@@ -379,16 +482,33 @@ TEST(ResultCacheKey, ResultNeutralKnobsDoNotChangeTheKey)
 
 TEST(ResultCacheKey, KindsAreDisjoint)
 {
-    // A mix key, an LC-baseline key, and a batch key can never
-    // collide, whatever their parameters.
+    // A mix key, an LC-baseline key, a batch key, a queue-tail key and
+    // an advisor key can never collide, whatever their parameters:
+    // each names its kind. An advisor key holds its anchor baseline's
+    // inputs, and still differs from that baseline's key.
     ExperimentConfig cfg = cacheTestCfg();
     MixSpec mix = baseMix();
-    std::string m = mixResultKey(cfg, mix, baseSut(), 1, true);
-    std::string l = lcBaselineKey(cfg, mix.lc.app, 0.2, 1, true);
-    std::string b = batchBaselineKey(cfg, mix.batch.apps[0], 1, true);
-    EXPECT_NE(m, l);
-    EXPECT_NE(m, b);
-    EXPECT_NE(l, b);
+    QueueSimParams qp;
+    qp.service = mix.lc.app.work;
+    const std::vector<std::pair<std::string, std::string>> keys = {
+        {"mix", mixResultKey(cfg, mix, baseSut(), 1, true)},
+        {"lcbase", lcBaselineKey(cfg, mix.lc.app, 0.2,
+                                 kAdvisorBaselineSeed, true)},
+        {"batchbase", batchBaselineKey(cfg, mix.batch.apps[0], 1, true)},
+        {"qtail", queueTailKey(qp, 1, 95)},
+        {"advice", advisorKey(cfg, mix.lc.app, 0.2, true)},
+    };
+    std::set<std::string> distinct;
+    for (const auto &[kind, key] : keys) {
+        EXPECT_EQ(key.rfind("v" + std::to_string(
+                                      kResultCacheSchemaVersion) +
+                                "|" + kind + "|",
+                            0),
+                  0u)
+            << key;
+        distinct.insert(key);
+    }
+    EXPECT_EQ(distinct.size(), 5u);
 }
 
 /** Whether `key` is `v<schema>|<kind>|name=value|...`, with no space
@@ -442,6 +562,19 @@ TEST(ResultCacheKey, RegisteredScenarioKeysHoldNoSeparator)
             EXPECT_TRUE(wellFormedKey(kv.first))
                 << spec.name << ": " << kv.first;
         checked += base.lc.size() + base.batch.size();
+        // The fleet stage's keys: an advisor verdict per LC preset
+        // and queue tails over each preset's service distribution.
+        for (const auto &kv : base.lc) {
+            const SweepBaselines::Lc &lc = kv.second;
+            QueueSimParams qp;
+            qp.service = lc.params.work;
+            for (const std::string &key :
+                 {advisorKey(cfg, lc.params, lc.load, spec.ooo),
+                  queueTailKey(qp, 1, 95)})
+                EXPECT_TRUE(wellFormedKey(key)) << spec.name << ": "
+                                                << key;
+            checked += 2;
+        }
     }
     EXPECT_GT(checked, 100u);
 }
@@ -507,7 +640,7 @@ TEST(ResultCacheRoundTrip, LcBaselineAndBatchIpcBitExact)
     {
         ResultCache cache(dir.path());
         cache.storeLcBaseline("v1|test|lc", b);
-        cache.storeBatchIpc("v1|test|batch", 2.0 / 3.0);
+        cache.storeDouble("v1|test|batch", 2.0 / 3.0);
     }
     ResultCache cache(dir.path());
     auto lb = cache.loadLcBaseline("v1|test|lc");
@@ -521,7 +654,7 @@ TEST(ResultCacheRoundTrip, LcBaselineAndBatchIpcBitExact)
     expectBitIdentical(lb->tailMean, b.tailMean, "tailMean", 0);
     EXPECT_EQ(lb->p95, b.p95);
 
-    auto ipc = cache.loadBatchIpc("v1|test|batch");
+    auto ipc = cache.loadDouble("v1|test|batch");
     ASSERT_TRUE(ipc.has_value());
     expectBitIdentical(*ipc, 2.0 / 3.0, "batchIpc", 0);
 }
@@ -556,8 +689,8 @@ TEST(ResultCacheDeath, KeyHoldingASpaceOrNewlineAsserts)
 {
     TempCacheDir dir("record_death");
     ResultCache cache(dir.path());
-    EXPECT_DEATH(cache.storeBatchIpc("v8|a b", 1.0), "assertion failed");
-    EXPECT_DEATH(cache.storeBatchIpc("v8|a\nb", 1.0), "assertion failed");
+    EXPECT_DEATH(cache.storeDouble("v8|a b", 1.0), "assertion failed");
+    EXPECT_DEATH(cache.storeDouble("v8|a\nb", 1.0), "assertion failed");
 }
 
 TEST(ResultCache, StatsCountHitsMissesAndStores)
@@ -594,7 +727,7 @@ expectServesEveryKind(ResultCache &cache)
     b.p95 = 77;
     cache.storeMix("v1|mem|mix", r);
     cache.storeLcBaseline("v1|mem|lc", b);
-    cache.storeBatchIpc("v1|mem|batch", 2.0 / 3.0);
+    cache.storeDouble("v1|mem|batch", 2.0 / 3.0);
     auto mix = cache.loadMix("v1|mem|mix");
     ASSERT_TRUE(mix.has_value());
     expectBitIdentical(mix->lcTailMean, r.lcTailMean, "lcTailMean", 0);
@@ -602,7 +735,7 @@ expectServesEveryKind(ResultCache &cache)
     ASSERT_TRUE(lc.has_value());
     expectBitIdentical(lc->tailMean, b.tailMean, "tailMean", 0);
     EXPECT_EQ(lc->p95, b.p95);
-    auto ipc = cache.loadBatchIpc("v1|mem|batch");
+    auto ipc = cache.loadDouble("v1|mem|batch");
     ASSERT_TRUE(ipc.has_value());
     expectBitIdentical(*ipc, 2.0 / 3.0, "batchIpc", 0);
     EXPECT_FALSE(cache.loadMix("v1|mem|absent").has_value());

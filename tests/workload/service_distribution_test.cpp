@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "workload/service_distribution.h"
 
 namespace ubik {
@@ -58,6 +61,30 @@ TEST(ServiceDistribution, MultimodalMeanIsWeightedAverage)
     });
     EXPECT_DOUBLE_EQ(d.mean(), 2e6);
     EXPECT_NEAR(sampleMean(d) / 2e6, 1.0, 0.02);
+}
+
+TEST(ServiceDistribution, MultimodalDrawsMatchAPerDrawPicker)
+{
+    // The mode picker is built once, yet each draw is still bit for
+    // bit what a picker built for that draw gives: one uniform picks
+    // the mode, one more its jitter. Copies and scaled copies too.
+    const std::vector<WorkMode> modes = {
+        {0.2, 1e5, 0.1}, {0.5, 4e5, 0.0}, {0.3, 2e6, 0.3}};
+    std::vector<double> weights;
+    for (const WorkMode &m : modes)
+        weights.push_back(m.weight);
+    const ServiceDistribution d = ServiceDistribution::multimodal(modes);
+    ServiceDistribution scaled = d;
+    scaled.scale(0.5);
+    Rng ref(9), a(9), b(9);
+    for (int i = 0; i < 2000; i++) {
+        const WorkMode &m = modes[DiscreteDistribution(weights)(ref)];
+        const double u = 1.0 + ref.uniform(-m.jitterFrac, m.jitterFrac);
+        EXPECT_EQ(d.sample(a), std::max(1000.0, m.meanInstr * u)) << i;
+        EXPECT_EQ(scaled.sample(b),
+                  std::max(1000.0, m.meanInstr * 0.5 * u))
+            << i;
+    }
 }
 
 TEST(ServiceDistribution, MultimodalModesDistinct)
