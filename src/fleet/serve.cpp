@@ -32,6 +32,52 @@ usSince(std::chrono::steady_clock::time_point t0)
 
 } // namespace
 
+std::optional<std::string>
+ResponseMemo::find(const std::string &key)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end())
+        return std::nullopt;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    stats_.hits++;
+    return it->second->body;
+}
+
+void
+ResponseMemo::insert(std::string key, std::string body)
+{
+    const std::size_t size = key.size() + body.size();
+    if (size > kServeMemoBudgetBytes)
+        return;
+    // Kept until evicted: drop the slack the dumps' growth left.
+    key.shrink_to_fit();
+    body.shrink_to_fit();
+    std::lock_guard<std::mutex> lk(mu_);
+    if (index_.count(key))
+        return; // a concurrent request kept the same answer first
+    lru_.push_front(Entry{std::move(key), std::move(body)});
+    index_.emplace(lru_.front().key, lru_.begin());
+    stats_.bytes += size;
+    // The new entry alone fits, so it is never the one evicted.
+    while (stats_.bytes > kServeMemoBudgetBytes) {
+        const Entry &old = lru_.back();
+        stats_.bytes -= old.key.size() + old.body.size();
+        stats_.evictions++;
+        index_.erase(old.key);
+        lru_.pop_back();
+    }
+}
+
+ResponseMemo::Stats
+ResponseMemo::stats() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    Stats s = stats_;
+    s.entries = lru_.size();
+    return s;
+}
+
 ServeDaemon::ServeDaemon(const ServeOptions &opt,
                          const ExperimentConfig &cfg)
     : opt_(opt), cfg_(cfg), cache_(ResultCache::open(cfg_.cacheDir)),
@@ -134,6 +180,11 @@ ServeDaemon::handleStats()
     st.set("ok", s.ok);
     st.set("errors", s.errors);
     st.set("memo_hits", s.memoHits);
+    st.set("memo_bytes", s.memoBytes);
+    st.set("memo_budget_bytes",
+           static_cast<std::uint64_t>(kServeMemoBudgetBytes));
+    st.set("memo_entries", s.memoEntries);
+    st.set("memo_evictions", s.memoEvictions);
     st.set("accept_errors", s.acceptErrors);
     st.set("read_errors", s.readErrors);
     st.set("write_errors", s.writeErrors);
@@ -184,17 +235,8 @@ ServeDaemon::handleScenario(const Json &req)
     // differ in spelling but not meaning share the entry; cfg is
     // daemon-constant so it never enters the key.
     std::string key = scenarioCanonicalJson(spec);
-    {
-        std::lock_guard<std::mutex> lk(memoMu_);
-        auto it = memo_.find(key);
-        if (it != memo_.end()) {
-            {
-                std::lock_guard<std::mutex> sk(statsMu_);
-                memoHits_++;
-            }
-            return it->second;
-        }
-    }
+    if (std::optional<std::string> body = memo_.find(key))
+        return std::move(*body);
 
     // The sweep's progress and cache lines are a terminal user's;
     // the daemon's log gets them only under --verbose.
@@ -205,11 +247,7 @@ ServeDaemon::handleScenario(const Json &req)
     resp.set("results",
              scenarioResultsJson(spec, res, /*accounting=*/false));
     std::string body = resp.dump(/*pretty=*/true);
-    // The memo keeps its key for the daemon's lifetime: drop the
-    // slack the dump's growth left (up to half the key).
-    key.shrink_to_fit();
-    std::lock_guard<std::mutex> lk(memoMu_);
-    memo_.emplace(std::move(key), body);
+    memo_.insert(std::move(key), body);
     return body;
 }
 
@@ -263,13 +301,17 @@ ServeDaemon::handleRequest(const std::string &body)
 ServeStatsSnapshot
 ServeDaemon::snapshot() const
 {
+    const ResponseMemo::Stats memo = memo_.stats();
     std::lock_guard<std::mutex> lk(statsMu_);
     ServeStatsSnapshot s;
     s.uptimeSec = usSince(started_) / 1e6;
     s.requests = requests_;
     s.ok = ok_;
     s.errors = errors_;
-    s.memoHits = memoHits_;
+    s.memoHits = memo.hits;
+    s.memoBytes = memo.bytes;
+    s.memoEntries = memo.entries;
+    s.memoEvictions = memo.evictions;
     s.acceptErrors = acceptErrors_;
     s.readErrors = readErrors_;
     s.writeErrors = writeErrors_;

@@ -23,9 +23,12 @@
  * paths that would exit a CLI tool become per-request
  * {"ok": false, "error": ...} responses. Repeated identical queries
  * are answered from an in-memory response memo without touching the
- * engine at all; cold queries compute through runScenario() (the
- * normal sweep path) against the daemon's one result cache (on disk
- * under --cache-dir, else in memory) and warm it for everyone else.
+ * engine at all; the memo keeps at most kServeMemoBudgetBytes of
+ * answers and evicts the least recently used first, so a daemon fed
+ * fresh queries runs in flat memory. Other queries compute through
+ * runScenario() (the normal sweep path) against the daemon's one
+ * result cache (on disk under --cache-dir, else in memory) and warm
+ * it for everyone else.
  *
  * Failure injection: the accept/read/write paths evaluate the
  * serve.accept / serve.read / serve.write failpoint sites
@@ -42,11 +45,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.h"
@@ -64,6 +70,49 @@ struct ServeOptions
     bool verbose = false;   ///< per-request log lines to stderr
 };
 
+/** The response memo's budget: key plus body bytes of the answers
+ *  it keeps, about 130 fig9 answers. */
+constexpr std::size_t kServeMemoBudgetBytes = std::size_t{4} << 20;
+
+/**
+ * The daemon's response memo: canonical expanded spec -> response
+ * body. It keeps at most kServeMemoBudgetBytes of keys plus bodies,
+ * evicting the least recently used answer first; an answer larger
+ * than the budget is not kept. Thread-safe.
+ */
+class ResponseMemo
+{
+  public:
+    /** The body kept under `key`, now the most recently used. */
+    std::optional<std::string> find(const std::string &key);
+
+    /** Keep `body` under `key` unless it is kept already, evicting
+     *  least recently used answers until the budget holds it. */
+    void insert(std::string key, std::string body);
+
+    struct Stats
+    {
+        std::uint64_t hits = 0;      ///< find() calls that found
+        std::uint64_t bytes = 0;     ///< key plus body bytes kept
+        std::uint64_t entries = 0;   ///< answers kept
+        std::uint64_t evictions = 0; ///< answers evicted so far
+    };
+    Stats stats() const;
+
+  private:
+    struct Entry
+    {
+        std::string key, body;
+    };
+
+    mutable std::mutex mu_;
+    std::list<Entry> lru_; ///< most recently used first
+    /** Each kept key (viewing its entry's) -> its entry. */
+    std::unordered_map<std::string_view, std::list<Entry>::iterator>
+        index_;
+    Stats stats_;
+};
+
 /** One consistent stats snapshot (the "stats" query's payload). */
 struct ServeStatsSnapshot
 {
@@ -72,6 +121,9 @@ struct ServeStatsSnapshot
     std::uint64_t ok = 0;
     std::uint64_t errors = 0;
     std::uint64_t memoHits = 0;
+    std::uint64_t memoBytes = 0;     ///< key plus body bytes memoized
+    std::uint64_t memoEntries = 0;   ///< answers memoized
+    std::uint64_t memoEvictions = 0; ///< answers the budget evicted
     std::uint64_t acceptErrors = 0;
     std::uint64_t readErrors = 0;
     std::uint64_t writeErrors = 0;
@@ -139,15 +191,12 @@ class ServeDaemon
     std::vector<int> queue_;
     std::vector<std::thread> workers_;
 
-    // Response memo: canonical expanded spec -> response body.
-    std::mutex memoMu_;
-    std::map<std::string, std::string> memo_;
+    ResponseMemo memo_;
 
     // Stats.
     mutable std::mutex statsMu_;
     std::chrono::steady_clock::time_point started_;
     std::uint64_t requests_ = 0, ok_ = 0, errors_ = 0;
-    std::uint64_t memoHits_ = 0;
     std::uint64_t acceptErrors_ = 0, readErrors_ = 0,
                   writeErrors_ = 0;
     LatencyRecorder serviceUs_; ///< service time, microseconds

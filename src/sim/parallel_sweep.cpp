@@ -352,6 +352,20 @@ ParallelSweep::run(
     const std::vector<SweepJob> &jobs,
     const std::function<void(const SweepProgress &)> &on_done)
 {
+    std::vector<std::string> keys;
+    keys.reserve(jobs.size());
+    for (const SweepJob &job : jobs)
+        keys.push_back(mixResultKey(runner_.config(), job.mix, job.sut,
+                                    job.seed, runner_.outOfOrder()));
+    return run(jobs, std::move(keys), on_done);
+}
+
+std::vector<MixRunResult>
+ParallelSweep::run(
+    const std::vector<SweepJob> &jobs, std::vector<std::string> keys,
+    const std::function<void(const SweepProgress &)> &on_done)
+{
+    ubik_assert(keys.size() == jobs.size());
     std::vector<MixRunResult> results(jobs.size());
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -378,15 +392,12 @@ ParallelSweep::run(
     std::vector<Miss> misses;
     std::size_t hits = 0;
     for (std::size_t i = 0; i < jobs.size(); i++) {
-        std::string key =
-            mixResultKey(runner_.config(), jobs[i].mix, jobs[i].sut,
-                         jobs[i].seed, runner_.outOfOrder());
-        if (auto cached = cache.loadMix(key)) {
+        if (auto cached = cache.loadMix(keys[i])) {
             results[i] = std::move(*cached);
             hits++;
             continue;
         }
-        misses.push_back(Miss{i, std::move(key)});
+        misses.push_back(Miss{i, std::move(keys[i])});
     }
     if (on_done && hits > 0)
         on_done({hits, jobs.size(), hits, 0, 0, elapsed()});
@@ -429,6 +440,27 @@ buildSweepJobs(const std::vector<SchemeUnderTest> &schemes,
             for (std::uint32_t s = 0; s < seeds; s++)
                 jobs.push_back(SweepJob{mix, sut, s + 1});
     return jobs;
+}
+
+std::vector<std::string>
+buildSweepKeys(const ExperimentConfig &cfg, bool out_of_order,
+               const std::vector<SchemeUnderTest> &schemes,
+               const std::vector<MixSpec> &mixes, std::uint32_t seeds)
+{
+    const std::string head = mixKeyHead(cfg, out_of_order);
+    std::vector<std::string> mixParts;
+    mixParts.reserve(mixes.size());
+    for (const MixSpec &mix : mixes)
+        mixParts.push_back(mixKeyPart(mix));
+    std::vector<std::string> keys;
+    keys.reserve(schemes.size() * mixes.size() * seeds);
+    for (const SchemeUnderTest &sut : schemes) {
+        const std::string scheme = schemeKeyPart(sut);
+        for (const std::string &mix : mixParts)
+            for (std::uint32_t s = 0; s < seeds; s++)
+                keys.push_back(joinMixKey(head, mix, scheme, s + 1));
+    }
+    return keys;
 }
 
 } // namespace ubik

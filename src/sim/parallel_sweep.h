@@ -181,6 +181,14 @@ class ParallelSweep
         const std::function<void(const SweepProgress &)> &on_done =
             nullptr);
 
+    /** run() over jobs whose mix keys the caller built: keys[i] is
+     *  mixResultKey of jobs[i] under the runner's config (what
+     *  buildSweepKeys returns for buildSweepJobs' jobs). */
+    std::vector<MixRunResult>
+    run(const std::vector<SweepJob> &jobs, std::vector<std::string> keys,
+        const std::function<void(const SweepProgress &)> &on_done =
+            nullptr);
+
     /** The fleet fill's counters, summed over every run() so far. */
     const FleetCounters &fleetCounters() const { return fleetCounters_; }
 
@@ -199,6 +207,16 @@ class ParallelSweep
  */
 std::vector<SweepJob>
 buildSweepJobs(const std::vector<SchemeUnderTest> &schemes,
+               const std::vector<MixSpec> &mixes, std::uint32_t seeds);
+
+/**
+ * The mix key of every job buildSweepJobs(schemes, mixes, seeds)
+ * returns, in its order: mixResultKey's bytes, joined from each mix's
+ * and each scheme's key part, each part built once.
+ */
+std::vector<std::string>
+buildSweepKeys(const ExperimentConfig &cfg, bool out_of_order,
+               const std::vector<SchemeUnderTest> &schemes,
                const std::vector<MixSpec> &mixes, std::uint32_t seeds);
 
 } // namespace ubik

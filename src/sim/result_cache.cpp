@@ -155,22 +155,6 @@ addLcBaseline(KeyBuilder &kb, const ExperimentConfig &cfg,
     kb.add("seed", seed);
 }
 
-void
-addScheme(KeyBuilder &kb, const SchemeUnderTest &sut)
-{
-    kb.add("sut.scheme", enumName(sut.scheme))
-        .add("sut.array", enumName(sut.array))
-        .add("sut.policy", enumName(sut.policy))
-        .add("sut.slack", sut.slack)
-        .add("ubik.idleOptions", sut.ubik.idleOptions)
-        .add("ubik.deboostGuard", sut.ubik.deboostGuard)
-        .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
-        .add("sut.reconfigScale", sut.reconfigScale)
-        .add("sut.mem", enumName(sut.mem))
-        .add("mem.channels", sut.memParams.channels)
-        .add("mem.channelOccupancy", sut.memParams.channelOccupancy);
-}
-
 // ---------------------------------------------------------------------------
 // Payload serialization (comma-joined tokens, doubles bit-exact)
 // ---------------------------------------------------------------------------
@@ -473,8 +457,23 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
              const SchemeUnderTest &sut, std::uint64_t seed,
              bool out_of_order, std::uint32_t schema)
 {
+    return joinMixKey(mixKeyHead(cfg, out_of_order, schema),
+                      mixKeyPart(mix), schemeKeyPart(sut), seed);
+}
+
+std::string
+mixKeyHead(const ExperimentConfig &cfg, bool out_of_order,
+           std::uint32_t schema)
+{
     KeyBuilder kb("mix", schema);
     addExperiment(kb, cfg, out_of_order);
+    return kb.take();
+}
+
+std::string
+mixKeyPart(const MixSpec &mix)
+{
+    KeyBuilder kb;
     addLcApp(kb, mix.lc.app);
     kb.add("lc.load", mix.lc.load);
     // Canonical profile string (kind + kind-relevant parameters as
@@ -499,9 +498,41 @@ mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
     for (std::size_t i = 0; i < mix.batch.traces.size(); i++)
         kb.add("batch.trace" + std::to_string(i),
                mix.batch.traces[i]->contentHash());
-    addScheme(kb, sut);
-    kb.add("seed", seed);
     return kb.take();
+}
+
+std::string
+schemeKeyPart(const SchemeUnderTest &sut)
+{
+    KeyBuilder kb;
+    kb.add("sut.scheme", enumName(sut.scheme))
+        .add("sut.array", enumName(sut.array))
+        .add("sut.policy", enumName(sut.policy))
+        .add("sut.slack", sut.slack)
+        .add("ubik.idleOptions", sut.ubik.idleOptions)
+        .add("ubik.deboostGuard", sut.ubik.deboostGuard)
+        .add("ubik.accurateDeboost", sut.ubik.accurateDeboost)
+        .add("sut.reconfigScale", sut.reconfigScale)
+        .add("sut.mem", enumName(sut.mem))
+        .add("mem.channels", sut.memParams.channels)
+        .add("mem.channelOccupancy", sut.memParams.channelOccupancy);
+    return kb.take();
+}
+
+std::string
+joinMixKey(std::string_view head, std::string_view mix,
+           std::string_view scheme, std::uint64_t seed)
+{
+    // The field KeyBuilder::add("seed", seed) appends.
+    constexpr std::string_view kSeed = "|seed=";
+    char buf[20];
+    const std::string_view dec(
+        buf, std::to_chars(buf, buf + sizeof buf, seed).ptr - buf);
+    std::string key;
+    key.reserve(head.size() + mix.size() + scheme.size() + kSeed.size() +
+                dec.size());
+    key.append(head).append(mix).append(scheme).append(kSeed).append(dec);
+    return key;
 }
 
 std::string
@@ -612,8 +643,11 @@ ResultCache::refreshLocked()
     if (!readFrom(logPath_, parsedBytes_, buf))
         return; // nothing persisted yet
 
-    // First record wins; duplicates from racing appends or merged
-    // logs carry the same deterministic value anyway.
+    // The last record of a key wins, as store() replaces it in
+    // memory: a checksum-valid record whose payload no longer decodes
+    // is then hidden by its repair, appended after it. Duplicates
+    // from racing appends or merged logs carry the same deterministic
+    // value anyway.
     std::unique_lock<std::shared_mutex> lock(index_->mu);
     // Whether `line` is a whole, checksum-valid record; indexes it.
     auto parse = [&](std::string_view line) {
@@ -627,7 +661,8 @@ ResultCache::refreshLocked()
         const std::size_t body = key.size() + 1 + payload.size();
         if (crc != fnvFold(kFnvOffsetBasis, line.substr(0, body)))
             return false;
-        index_->records.try_emplace(std::string(key), payload);
+        index_->records.insert_or_assign(std::string(key),
+                                         std::string(payload));
         return true;
     };
 

@@ -44,8 +44,10 @@
  * use and from then on incrementally from a byte offset, so peekMix
  * (the fleet sweep's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.
- * Logs merge by concatenation (the first record of a key wins), and
- * keeping the first copy of each line drops duplicate records.
+ * Logs merge by concatenation: the last record of a key wins, at load
+ * as in store(), so a record whose payload no longer decodes is hidden
+ * by the repair appended after it, and keeping the first copy of each
+ * line drops duplicate records.
  * Loaded records live in one in-memory hashed index, key to payload
  * (keys of different kinds differ in their second field): a warm hit
  * hashes its key once and decodes the payload in place. Opened
@@ -159,11 +161,27 @@ struct CacheStats
  * ExperimentConfig fields (scale, roiRequests, warmupRequests) enter
  * the key: seeds/mixesPerLc select *which* jobs run, jobs is proven
  * result-neutral by the determinism tests, and cacheDir is I/O-only.
+ * It joins the parts below.
  */
 std::string mixResultKey(const ExperimentConfig &cfg, const MixSpec &mix,
                          const SchemeUnderTest &sut, std::uint64_t seed,
                          bool out_of_order,
                          std::uint32_t schema = kResultCacheSchemaVersion);
+
+/**
+ * The parts of a mix key, joined in this order:
+ * mixResultKey(cfg, mix, sut, seed, ooo) is
+ * joinMixKey(mixKeyHead(cfg, ooo), mixKeyPart(mix),
+ * schemeKeyPart(sut), seed), byte for byte. A sweep builds each
+ * mix's and each scheme's part once and joins them per job
+ * (buildSweepKeys), instead of rebuilding every ~1.4 KB key whole.
+ */
+std::string mixKeyHead(const ExperimentConfig &cfg, bool out_of_order,
+                       std::uint32_t schema = kResultCacheSchemaVersion);
+std::string mixKeyPart(const MixSpec &mix);
+std::string schemeKeyPart(const SchemeUnderTest &sut);
+std::string joinMixKey(std::string_view head, std::string_view mix,
+                       std::string_view scheme, std::uint64_t seed);
 
 /** Canonical key for an LC baseline (calibration + open-loop run). */
 std::string lcBaselineKey(const ExperimentConfig &cfg,
@@ -211,17 +229,19 @@ std::string advisorKey(const ExperimentConfig &cfg,
                        std::uint32_t schema = kResultCacheSchemaVersion);
 
 /**
- * Builds a canonical key, `v<schema>|<what>|name=value|...`, each
- * field appended as it is: integers in decimal, doubles as their
+ * Builds a canonical key, `v<schema>|<what>|name=value|...`, or,
+ * default-constructed, a part of one, `|name=value|...`, each field
+ * appended as it is: integers in decimal, doubles as their
  * 16-hex-digit bit pattern, strings verbatim. A string value must
  * hold no '|' or '=', which structure the key (asserted; enum names
  * and the canonical() strings never do). The key functions above
- * build every key through it.
+ * build every key and part through it.
  */
 class KeyBuilder
 {
   public:
     KeyBuilder(const char *what, std::uint32_t schema);
+    KeyBuilder() = default;
 
     /** Prefix for the names of the fields added next ("b0."). */
     KeyBuilder &scope(std::string_view prefix)

@@ -666,8 +666,9 @@ runSchemeSweep(const ExperimentConfig &cfg,
     // lines below only appear once the whole sweep is done).
     std::size_t step = std::max<std::size_t>(1, jobs.size() / 20);
     SweepProgress last;
-    std::vector<MixRunResult> results =
-        engine.run(jobs, [&](const SweepProgress &p) {
+    std::vector<MixRunResult> results = engine.run(
+        jobs, buildSweepKeys(cfg, ooo, schemes, mixes, cfg.seeds),
+        [&](const SweepProgress &p) {
             last = p;
             if (progress && (p.done % step == 0 || p.done == p.total))
                 std::fprintf(progress,

@@ -8,6 +8,9 @@
  *    direct runScenario + scenarioResultsJson produces (what
  *    `ubik_run --results` writes);
  *  - repeated queries hit the response memo and stay byte-identical;
+ *  - fresh-named queries always miss the memo and read every job
+ *    from the result cache, and the memo stays within its budget,
+ *    evicting the least recently used answer first;
  *  - malformed/invalid requests get {"ok": false, ...} responses and
  *    never kill the daemon;
  *  - concurrent socket clients all receive the same bytes, and
@@ -22,6 +25,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include "support/cache_test_util.h"
@@ -133,6 +137,129 @@ TEST(ServeDaemon, ScenarioQueryMatchesDirectRunAndMemoizes)
     EXPECT_EQ(s.ok, 2u);
     EXPECT_EQ(s.errors, 0u);
     EXPECT_EQ(s.memoHits, 1u);
+}
+
+/**
+ * A cache warmed once per suite by a direct fig9 run at a small
+ * scale, for the memo tests: every daemon query over it reads its
+ * results from the cache and simulates nothing.
+ */
+class ServeMemo : public ::testing::Test
+{
+  protected:
+    static void SetUpTestSuite()
+    {
+        dir_ = std::make_unique<TempCacheDir>("serve_memo");
+        ScenarioResult res = runScenario(fig9(), cfg(), nullptr, nullptr);
+        reference_ = std::make_unique<Json>(
+            scenarioResultsJson(fig9(), res, false));
+    }
+
+    static void TearDownTestSuite()
+    {
+        reference_.reset();
+        dir_.reset();
+    }
+
+    static ExperimentConfig cfg()
+    {
+        ExperimentConfig c = serveTestCfg(dir_->path());
+        c.scale = 64.0;
+        c.roiRequests = 10;
+        c.warmupRequests = 5;
+        return c;
+    }
+
+    static const ScenarioSpec &fig9()
+    {
+        return *ScenarioRegistry::instance().find("fig9");
+    }
+
+    /** fig9 under another name. */
+    static ScenarioSpec renamed(const std::string &name)
+    {
+        ScenarioSpec spec = fig9();
+        spec.name = name;
+        return spec;
+    }
+
+    /** The query for the inline fig9 spec under a fresh name. */
+    static std::string inlineQuery(const std::string &name)
+    {
+        Json req = Json::object();
+        req.set("query", "scenario");
+        req.set("spec", scenarioToJson(renamed(name)));
+        return req.dump();
+    }
+
+    /** The answer's "results", renamed to the direct run's. */
+    static std::string renamedResults(const std::string &resp)
+    {
+        Json j;
+        EXPECT_TRUE(parseResponse(resp, j)) << resp;
+        const Json *results = j.find("results");
+        if (!results)
+            return std::string();
+        Json named = *results;
+        named.set("scenario", fig9().name);
+        return named.dump(true);
+    }
+
+    static inline std::unique_ptr<TempCacheDir> dir_;
+    /** The direct run's results. */
+    static inline std::unique_ptr<Json> reference_;
+};
+
+TEST_F(ServeMemo, FreshNamesMissTheMemoAndReadEveryJobFromTheCache)
+{
+    ServeOptions opt;
+    ServeDaemon daemon(opt, cfg());
+    const std::string a = daemon.handleRequest(inlineQuery("fresh-a"));
+    const std::string b = daemon.handleRequest(inlineQuery("fresh-b"));
+    EXPECT_EQ(renamedResults(a), reference_->dump(true));
+    EXPECT_EQ(renamedResults(b), reference_->dump(true));
+    ServeStatsSnapshot s = daemon.snapshot();
+    EXPECT_EQ(s.requests, 2u);
+    EXPECT_EQ(s.memoHits, 0u);
+    // The memo counts each answer's key (the canonical spec) and body.
+    EXPECT_EQ(s.memoEntries, 2u);
+    EXPECT_EQ(s.memoBytes,
+              scenarioCanonicalJson(renamed("fresh-a")).size() + a.size() +
+                  scenarioCanonicalJson(renamed("fresh-b")).size() +
+                  b.size());
+    EXPECT_EQ(s.cacheMisses, 0u);
+    EXPECT_GT(s.cacheHits, 0u);
+}
+
+TEST_F(ServeMemo, FreshNamesPastTheBudgetEvictTheLeastRecentlyUsed)
+{
+    ServeOptions opt;
+    ServeDaemon daemon(opt, cfg());
+    const std::string registered =
+        "{\"query\": \"scenario\", \"name\": \"fig9\"}";
+    const std::string hot = daemon.handleRequest(registered);
+    const std::string oldest = daemon.handleRequest(inlineQuery("fresh0"));
+    // Fresh names until the budget evicts, the registered query asked
+    // between them: it stays the most recently used, so a memo hit.
+    std::uint64_t fresh = 1, hits = 0;
+    ServeStatsSnapshot s = daemon.snapshot();
+    for (; s.memoEvictions < 3 && fresh < 1000; fresh++) {
+        daemon.handleRequest(inlineQuery("fresh" + std::to_string(fresh)));
+        EXPECT_EQ(daemon.handleRequest(registered), hot);
+        hits++;
+        s = daemon.snapshot();
+        ASSERT_LE(s.memoBytes, kServeMemoBudgetBytes);
+        ASSERT_EQ(s.memoHits, hits);
+    }
+    EXPECT_GE(s.memoEvictions, 3u);
+    EXPECT_EQ(s.memoEntries, 1 + fresh - s.memoEvictions);
+    // The oldest fresh answer was evicted: asked again it misses the
+    // memo, and the cache serves it byte-identical.
+    EXPECT_EQ(daemon.handleRequest(inlineQuery("fresh0")), oldest);
+    s = daemon.snapshot();
+    EXPECT_EQ(s.memoHits, hits);
+    EXPECT_EQ(s.cacheMisses, 0u);
+    EXPECT_EQ(renamedResults(oldest), reference_->dump(true));
 }
 
 TEST(ServeDaemon, BadRequestsGetErrorResponsesAndDaemonSurvives)

@@ -2,9 +2,10 @@
  * @file
  * Hardening tests for the persistent result cache: a truncated or
  * garbage log must read as misses (never poisoned results or crashes)
- * and be rewritten by the next store; stale cache files must be
- * removed at open, unread; and concurrent writers into the log must
- * serialize into a parseable file.
+ * and be rewritten by the next store; a record whose payload does not
+ * decode must be hidden for good by its repair; stale cache files must
+ * be removed at open, unread; and concurrent writers into the log
+ * must serialize into a parseable file.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +24,7 @@
 
 #include "common/failpoint.h"
 #include "sim/result_cache.h"
+#include "sim/scenario.h"
 #include "support/cache_test_util.h"
 
 namespace ubik {
@@ -147,6 +150,67 @@ TEST(ResultCacheHardening, GarbageLinesAreSkippedValidOnesKept)
     EXPECT_GE(cache.stats().corrupt, 4u);
     EXPECT_FALSE(cache.loadMix("v1|fake").has_value());
     EXPECT_FALSE(cache.loadDouble("v1|old").has_value());
+}
+
+/** The lines of the file at `path`. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+TEST(ResultCacheHardening, RepairOfAnUndecodablePayloadWinsAtLoad)
+{
+    // A record that passes its checksum but whose payload does not
+    // decode (say, written by a build that changed a codec without a
+    // schema bump) is a miss, and the value is recomputed and stored
+    // again. The last record of a key wins at load, so from the next
+    // run on the repair is served: one recompute, not one per run.
+    // Replayed on a fleet-utilization log with one queue tail's
+    // payload replaced by `zz` under a valid crc.
+    TempCacheDir dir("undecodable");
+    ExperimentConfig cfg = test::cacheTestCfg();
+    cfg.seeds = 1;
+    cfg.cacheDir = dir.path();
+    const ScenarioSpec &spec =
+        *ScenarioRegistry::instance().find("fleet-utilization");
+    auto run = [&] {
+        std::unique_ptr<ResultCache> cache = ResultCache::open(dir.path());
+        runScenario(spec, cfg, cache.get(), nullptr);
+        return cache->stats();
+    };
+    run();
+    const std::string log = onlyLogFile(dir.path());
+    std::vector<std::string> lines = readLines(log);
+    auto qtail = std::find_if(lines.begin(), lines.end(),
+                              [](const std::string &l) {
+                                  return l.find("|qtail|") !=
+                                         std::string::npos;
+                              });
+    ASSERT_NE(qtail, lines.end());
+    *qtail = recordLine(qtail->substr(0, qtail->find(' ')), "zz");
+    qtail->pop_back(); // its newline
+    {
+        std::ofstream out(log, std::ios::binary | std::ios::trunc);
+        for (const std::string &l : lines)
+            out << l << '\n';
+    }
+
+    CacheStats first = run();
+    EXPECT_EQ(first.misses, 1u);
+    EXPECT_EQ(first.stores, 1u);
+    EXPECT_EQ(first.corrupt, 1u);
+    EXPECT_EQ(readLines(log).size(), lines.size() + 1);
+
+    CacheStats second = run();
+    EXPECT_EQ(second.misses, 0u);
+    EXPECT_EQ(second.stores, 0u);
+    EXPECT_EQ(second.corrupt, 0u);
+    EXPECT_EQ(readLines(log).size(), lines.size() + 1);
 }
 
 TEST(ResultCacheHardening, StaleFilesAreRemovedAtOpenUnread)

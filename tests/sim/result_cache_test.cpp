@@ -8,7 +8,9 @@
  * bit-exactly through a fresh ResultCache instance, a stored record
  * is the line `<key> <payload> <crc>`, no key of a registered
  * scenario holds a byte that would break that line or a key field,
- * and a cache opened without a directory keeps its records in memory.
+ * the sweep keys joined from per-mix and per-scheme parts equal the
+ * whole keys, and a cache opened without a directory keeps its
+ * records in memory.
  */
 
 #include <gtest/gtest.h>
@@ -577,6 +579,71 @@ TEST(ResultCacheKey, RegisteredScenarioKeysHoldNoSeparator)
         }
     }
     EXPECT_GT(checked, 100u);
+}
+
+TEST(ResultCacheKey, SweepKeysFromPartsEqualWholeKeys)
+{
+    // buildSweepKeys builds each mix's and each scheme's key part once
+    // and joins them per job: every registered scenario's keys must
+    // equal mixResultKey's byte for byte, in buildSweepJobs' order.
+    const ExperimentConfig cfg0 = cacheTestCfg(); // 2 seeds
+    std::size_t checked = 0;
+    for (const ScenarioSpec &spec : ScenarioRegistry::instance().all()) {
+        const ExperimentConfig cfg = scenarioConfig(spec, cfg0);
+        const std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
+        const std::vector<SweepJob> jobs =
+            buildSweepJobs(spec.schemes, mixes, cfg.seeds);
+        const std::vector<std::string> keys =
+            buildSweepKeys(cfg, spec.ooo, spec.schemes, mixes, cfg.seeds);
+        ASSERT_EQ(keys.size(), jobs.size()) << spec.name;
+        for (std::size_t i = 0; i < jobs.size(); i++)
+            EXPECT_EQ(keys[i], mixResultKey(cfg, jobs[i].mix, jobs[i].sut,
+                                            jobs[i].seed, spec.ooo))
+                << spec.name << " job " << i;
+        checked += jobs.size();
+    }
+    EXPECT_GT(checked, 100u);
+}
+
+TEST(ResultCacheKey, Fig9KeyIsPinned)
+{
+    // A key format change without a schema bump would serve old
+    // records under new meanings (or orphan them): pin one fig9 job's
+    // whole key, its first job (the first scheme on the first mix,
+    // seed 1) at the unit-test scale.
+    const ScenarioSpec &spec = *ScenarioRegistry::instance().find("fig9");
+    const ExperimentConfig cfg = scenarioConfig(spec, cacheTestCfg());
+    const std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
+    const std::string key = buildSweepKeys(cfg, spec.ooo, spec.schemes,
+                                           mixes, cfg.seeds)
+                                .front();
+    EXPECT_EQ(key, mixResultKey(cfg, mixes.front(), spec.schemes.front(),
+                                1, spec.ooo));
+    EXPECT_EQ(key,
+              "v8|mix|scale=4030000000000000|roi=30|warmup=10|ooo=1"
+              "|lc.apki=3fb999999999999a"
+              "|lc.work=multi:414437c800000000:0000000000000000"
+              ":0000000000000000"
+              ":(3fe199999999999a,412e848000000000,3fe0000000000000)"
+              ":(3fd3333333333333,4146e36000000000,3fd999999999999a)"
+              ":(3fc3333333333333,415e848000000000,3fd3333333333333)"
+              "|lc.hotLines=24576|lc.hotTheta=3feccccccccccccd"
+              "|lc.hotFrac=3feb333333333333|lc.reqLines=2048"
+              "|lc.mlp=4000000000000000|lc.baseIpc=3ff8000000000000"
+              "|lc.requests=6000|lc.load=3fc999999999999a|lc.profile=constant"
+              "|lc.ntraces=0|b0.cls=n|b0.apki=4010000000000000"
+              "|b0.wsLines=5324|b0.theta=3ff3333333333333"
+              "|b0.mlp=4000000000000000|b0.baseIpc=3ff8000000000000|b1.cls=n"
+              "|b1.apki=4010000000000000|b1.wsLines=2867"
+              "|b1.theta=3ff3333333333333|b1.mlp=4000000000000000"
+              "|b1.baseIpc=3ff8000000000000|b2.cls=t|b2.apki=402e000000000000"
+              "|b2.wsLines=49152|b2.theta=0000000000000000"
+              "|b2.mlp=4008000000000000|b2.baseIpc=3ff8000000000000"
+              "|batch.ntraces=0|sut.scheme=LRU|sut.array=Z4/52|sut.policy=LRU"
+              "|sut.slack=0000000000000000|ubik.idleOptions=16"
+              "|ubik.deboostGuard=4030000000000000|ubik.accurateDeboost=1"
+              "|sut.reconfigScale=3ff0000000000000|sut.mem=fixed"
+              "|mem.channels=3|mem.channelOccupancy=24|seed=1");
 }
 
 TEST(KeyBuilderDeath, StringValueHoldingASeparatorAsserts)

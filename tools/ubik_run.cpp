@@ -88,6 +88,8 @@ printFleetStatus(const ScenarioSpec &spec,
     std::vector<MixSpec> mixes = buildScenarioMixes(spec, cfg);
     std::vector<SweepJob> jobs =
         buildSweepJobs(spec.schemes, mixes, cfg.seeds);
+    std::vector<std::string> keys =
+        buildSweepKeys(cfg, spec.ooo, spec.schemes, mixes, cfg.seeds);
 
     // Matrix fill: probe every (scheme, mix, seed) result key plus
     // the baseline keys the sweep would prewarm. Probes only — no
@@ -95,13 +97,11 @@ printFleetStatus(const ScenarioSpec &spec,
     std::set<std::string> jobKeys;
     std::size_t done = 0;
     SweepBaselines base;
-    for (const SweepJob &job : jobs) {
-        std::string key =
-            mixResultKey(cfg, job.mix, job.sut, job.seed, spec.ooo);
-        jobKeys.insert(key);
-        if (cache->peekMix(key))
+    for (std::size_t i = 0; i < jobs.size(); i++) {
+        if (cache->peekMix(keys[i]))
             done++;
-        base.add(cfg, spec.ooo, job);
+        jobKeys.insert(std::move(keys[i]));
+        base.add(cfg, spec.ooo, jobs[i]);
     }
     std::size_t lcDone = 0, batchDone = 0;
     for (const auto &kv : base.lc)
