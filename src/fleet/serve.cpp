@@ -1,5 +1,6 @@
 #include "fleet/serve.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <csignal>
@@ -12,6 +13,7 @@
 #include "common/log.h"
 #include "sim/result_cache.h"
 #include "sim/scenario.h"
+#include "stats/latency_recorder.h"
 
 namespace ubik {
 
@@ -287,10 +289,12 @@ ServeDaemon::handleRequest(const std::string &body)
     }
     double us = usSince(t0);
     {
+        const auto whole = static_cast<Cycles>(us);
         std::lock_guard<std::mutex> lk(statsMu_);
+        recentUs_[requests_ % kServeServiceWindow] = whole;
         requests_++;
         (ok ? ok_ : errors_)++;
-        serviceUs_.record(static_cast<Cycles>(us));
+        serviceSumUs_ += static_cast<double>(whole);
     }
     if (opt_.verbose)
         std::fprintf(stderr, "  [serve] %s in %.1f us\n",
@@ -302,22 +306,34 @@ ServeStatsSnapshot
 ServeDaemon::snapshot() const
 {
     const ResponseMemo::Stats memo = memo_.stats();
-    std::lock_guard<std::mutex> lk(statsMu_);
     ServeStatsSnapshot s;
-    s.uptimeSec = usSince(started_) / 1e6;
-    s.requests = requests_;
-    s.ok = ok_;
-    s.errors = errors_;
+    std::array<Cycles, kServeServiceWindow> recent{};
+    std::size_t n = 0;
+    {
+        std::lock_guard<std::mutex> lk(statsMu_);
+        s.uptimeSec = usSince(started_) / 1e6;
+        s.requests = requests_;
+        s.ok = ok_;
+        s.errors = errors_;
+        s.acceptErrors = acceptErrors_;
+        s.readErrors = readErrors_;
+        s.writeErrors = writeErrors_;
+        if (requests_ > 0)
+            s.meanServiceUs =
+                serviceSumUs_ / static_cast<double>(requests_);
+        n = std::min<std::uint64_t>(requests_, kServeServiceWindow);
+        recent = recentUs_;
+    }
     s.memoHits = memo.hits;
     s.memoBytes = memo.bytes;
     s.memoEntries = memo.entries;
     s.memoEvictions = memo.evictions;
-    s.acceptErrors = acceptErrors_;
-    s.readErrors = readErrors_;
-    s.writeErrors = writeErrors_;
-    if (!serviceUs_.empty()) {
-        s.meanServiceUs = serviceUs_.mean();
-        s.p95ServiceUs = serviceUs_.percentile(95.0);
+    // The first n slots hold the window (the ring fills them in order
+    // before it wraps); select its p95 outside the lock.
+    if (n > 0) {
+        auto p95 = recent.begin() + (nearestRank(95.0, n) - 1);
+        std::nth_element(recent.begin(), p95, recent.begin() + n);
+        s.p95ServiceUs = static_cast<double>(*p95);
     }
     CacheStats cs = cache_->stats();
     s.cacheHits = cs.hits;

@@ -41,6 +41,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -56,8 +57,8 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/types.h"
 #include "sim/experiment.h"
-#include "stats/latency_recorder.h"
 
 namespace ubik {
 
@@ -73,6 +74,11 @@ struct ServeOptions
 /** The response memo's budget: key plus body bytes of the answers
  *  it keeps, about 130 fig9 answers. */
 constexpr std::size_t kServeMemoBudgetBytes = std::size_t{4} << 20;
+
+/** The "stats" query's p95_service_us covers the last this many
+ *  requests (its mean_service_us covers every request), so the
+ *  daemon keeps a fixed 32 KiB of service times. */
+constexpr std::size_t kServeServiceWindow = 4096;
 
 /**
  * The daemon's response memo: canonical expanded spec -> response
@@ -199,7 +205,11 @@ class ServeDaemon
     std::uint64_t requests_ = 0, ok_ = 0, errors_ = 0;
     std::uint64_t acceptErrors_ = 0, readErrors_ = 0,
                   writeErrors_ = 0;
-    LatencyRecorder serviceUs_; ///< service time, microseconds
+    /** Every request's service time, microseconds, summed. */
+    double serviceSumUs_ = 0;
+    /** The last kServeServiceWindow service times, microseconds;
+     *  request r (0-based) lands in slot r % kServeServiceWindow. */
+    std::array<Cycles, kServeServiceWindow> recentUs_{};
 };
 
 /** The ubik_serve server entry: install SIGTERM/SIGINT -> self-pipe

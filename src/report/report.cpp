@@ -13,6 +13,20 @@
 
 namespace ubik {
 
+namespace {
+
+/** The number of runs in `s`, whose four vectors are parallel. */
+std::size_t
+runCount(const SweepResult &s)
+{
+    const std::size_t n = s.runs.size();
+    ubik_assert(s.mixNames.size() == n && s.mixLoads.size() == n &&
+                s.seeds.size() == n);
+    return n;
+}
+
+} // namespace
+
 std::vector<SweepResult>
 filterByLoad(const std::vector<SweepResult> &sweeps, LoadBand band)
 {
@@ -20,18 +34,16 @@ filterByLoad(const std::vector<SweepResult> &sweeps, LoadBand band)
         return sweeps;
     std::vector<SweepResult> out;
     for (const auto &s : sweeps) {
-        ubik_assert(s.mixLoads.size() == s.runs.size());
         SweepResult p;
         p.label = s.label;
-        for (std::size_t i = 0; i < s.runs.size(); i++) {
+        for (std::size_t i = 0, n = runCount(s); i < n; i++) {
             bool low = isLowLoad(s.mixLoads[i]);
             if (low != (band == LoadBand::Low))
                 continue;
             p.runs.push_back(s.runs[i]);
             p.mixNames.push_back(s.mixNames[i]);
             p.mixLoads.push_back(s.mixLoads[i]);
-            if (i < s.seeds.size())
-                p.seeds.push_back(s.seeds[i]);
+            p.seeds.push_back(s.seeds[i]);
         }
         out.push_back(std::move(p));
     }
@@ -218,14 +230,12 @@ resultsToJson(const std::vector<SweepResult> &sweeps,
         Json js = Json::object();
         js.set("scheme", s.label);
         Json jruns = Json::array();
-        for (std::size_t i = 0; i < s.runs.size(); i++) {
+        for (std::size_t i = 0, n = runCount(s); i < n; i++) {
             const MixRunResult &r = s.runs[i];
             Json jr = Json::object();
             jr.set("mix", s.mixNames[i]);
-            if (i < s.mixLoads.size())
-                jr.set("load", s.mixLoads[i]);
-            if (i < s.seeds.size())
-                jr.set("seed", s.seeds[i]);
+            jr.set("load", s.mixLoads[i]);
+            jr.set("seed", s.seeds[i]);
             jr.set("lc_tail_mean", r.lcTailMean);
             jr.set("tail_degradation", r.tailDegradation);
             jr.set("mean_degradation", r.meanDegradation);

@@ -238,7 +238,7 @@ Cmp::buildMemorySystem(std::uint64_t seed)
     }
 
     // Main memory: one shared model across all cores. It adds only
-    // queueing delay; the base latency is CoreParams::memLatency.
+    // queueing delay; the base latency is kMemLatency (sim/core_model.h).
     mem_ = makeMemorySystem(cfg_.mem, cfg_.memParams, ncores);
     if (cfg_.mem == MemKind::Partitioned) {
         // LC cores bypass the regulator (strict priority); batch

@@ -35,15 +35,15 @@ CoreModel::hitCycles() const
     if (params_.outOfOrder) {
         // OOO cores overlap most of the L3 hit latency with
         // independent work; a quarter is exposed on average.
-        return params_.l3Latency / 4;
+        return kL3Latency / 4;
     }
-    return params_.l3Latency;
+    return kL3Latency;
 }
 
 Cycles
 CoreModel::missCycles() const
 {
-    Cycles full = params_.l3Latency + params_.memLatency;
+    Cycles full = kL3Latency + kMemLatency;
     if (params_.outOfOrder) {
         double stall = static_cast<double>(full) / traits_.mlp;
         return static_cast<Cycles>(std::llround(stall));

@@ -8,7 +8,7 @@
  * is the MLP-corrected stall per LLC miss. We model exactly that:
  *
  *  - OOO (Westmere-like): runs at the app's base IPC; L3 hit latency
- *    is largely hidden; an LLC miss stalls for memLatency / MLP.
+ *    is largely hidden; an LLC miss stalls for kMemLatency / MLP.
  *  - In-order: IPC = 1 when hitting; every LLC access exposes the
  *    full L3 latency and every miss the full memory latency (§7.1's
  *    "IPC=1 except on L1 misses" simple core).
@@ -24,16 +24,16 @@
 
 namespace ubik {
 
+/** Shared L3 access latency, cycles (Table 2). */
+constexpr Cycles kL3Latency = 20;
+
+/** Main memory latency beyond the L3, cycles (Table 2). */
+constexpr Cycles kMemLatency = 200;
+
 /** Static machine-level core parameters (Table 2). */
 struct CoreParams
 {
     bool outOfOrder = true;
-
-    /** Shared L3 access latency, cycles. */
-    Cycles l3Latency = 20;
-
-    /** Main memory latency beyond the L3, cycles. */
-    Cycles memLatency = 200;
 };
 
 /** Per-app dynamic traits the timing model consumes. */
@@ -88,7 +88,6 @@ class CoreModel
     const IntervalCounters &interval() const { return interval_; }
     IntervalCounters takeInterval();
 
-    const CoreParams &machineParams() const { return params_; }
     const CoreTraits &traits() const { return traits_; }
 
   private:

@@ -1,9 +1,9 @@
 #include "sim/parallel_sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -40,119 +40,124 @@ using Notify = std::function<void(Fill)>;
 constexpr double kPollSec = 0.05;
 constexpr double kPollMaxSec = 1.0;
 
-/** The baselines the missed jobs need. */
-SweepBaselines
-missedBaselines(const MixRunner &runner, const std::vector<SweepJob> &jobs,
-                const std::vector<Miss> &misses)
+/** One unit of fill work under its cache key: compute() produces it
+ *  and publishes it to the cache; poll(), which only the fleet fill
+ *  calls, returns true when a peer has published it (and performs any
+ *  slot fill / notification itself). */
+struct FillTask
 {
+    std::string key;
+    std::function<void()> compute;
+    std::function<bool()> poll;
+};
+
+/** Every fill runs its rounds in order: round 0 before round 1. */
+using FillRounds = std::array<std::vector<FillTask>, 2>;
+
+/**
+ * The two rounds of a fill: every LC and batch baseline the misses
+ * need, LC first (two calibration runs each, the expensive ones), then
+ * one task per miss. Baselines go first so that the mix round hits
+ * only warm caches and no fleet worker recomputes a baseline a peer
+ * already owns. The tasks refer to `jobs`, `misses`, `results` and
+ * `notify`, which must outlive them.
+ */
+FillRounds
+fillRounds(MixRunner &runner, const std::vector<SweepJob> &jobs,
+           const std::vector<Miss> &misses,
+           std::vector<MixRunResult> &results, const Notify &notify)
+{
+    ResultCache &cache = runner.cache();
     SweepBaselines base;
     for (const Miss &m : misses)
         base.add(runner.config(), runner.outOfOrder(), jobs[m.job]);
-    return base;
-}
+    auto published = [&cache](const std::string &key) {
+        return [&cache, key] { return cache.has(key); };
+    };
 
-/**
- * The in-process fill: compute every LC and batch baseline the misses
- * need in one parallel phase, so the mix phase hits only warm caches,
- * then one JobPool task per miss.
- */
-void
-fillLocal(MixRunner &runner, JobPool &pool,
-          const std::vector<SweepJob> &jobs,
-          const std::vector<Miss> &misses,
-          std::vector<MixRunResult> &results, const Notify &notify)
-{
-    SweepBaselines base = missedBaselines(runner, jobs, misses);
-    std::vector<SweepBaselines::Lc> lc;
-    for (auto &kv : base.lc)
-        lc.push_back(std::move(kv.second));
-    std::vector<SweepBaselines::Batch> batch;
-    for (auto &kv : base.batch)
-        batch.push_back(std::move(kv.second));
-
-    // LC baselines are the expensive ones (two calibration runs
-    // each), so schedule them first.
-    pool.run(lc.size() + batch.size(), [&](std::size_t i) {
-        if (i < lc.size())
-            runner.lcBaseline(lc[i].params, lc[i].load, lc[i].seed);
-        else
-            runner.batchAloneIpc(batch[i - lc.size()].params,
-                                 batch[i - lc.size()].seed);
-    });
-
-    pool.run(misses.size(), [&](std::size_t k) {
-        const Miss &m = misses[k];
-        const SweepJob &job = jobs[m.job];
-        results[m.job] = runner.runMix(job.mix, job.sut, job.seed);
-        runner.cache().storeMix(m.key, results[m.job]);
-        notify(Fill::Computed);
-    });
+    FillRounds rounds;
+    for (const auto &[key, d] : base.lc)
+        rounds[0].push_back(
+            {key,
+             [&runner, d = d] {
+                 runner.lcBaseline(d.params, d.load, d.seed);
+             },
+             published(key)});
+    for (const auto &[key, d] : base.batch)
+        rounds[0].push_back(
+            {key,
+             [&runner, d = d] { runner.batchAloneIpc(d.params, d.seed); },
+             published(key)});
+    // A mix's poll fills its slot from a peer's published result. Its
+    // compute publishes with storeMix, which fsyncs in durable (fleet)
+    // mode, so release-after-store means the record survives any
+    // crash.
+    for (const Miss &m : misses)
+        rounds[1].push_back(
+            {m.key,
+             [&, p = &m] {
+                 const SweepJob &job = jobs[p->job];
+                 results[p->job] =
+                     runner.runMix(job.mix, job.sut, job.seed);
+                 cache.storeMix(p->key, results[p->job]);
+                 notify(Fill::Computed);
+             },
+             [&, p = &m] {
+                 auto r = cache.peekMix(p->key);
+                 if (!r)
+                     return false;
+                 results[p->job] = std::move(*r);
+                 notify(Fill::Remote);
+                 return true;
+             }});
+    return rounds;
 }
 
 /**
  * The work-claiming fill over a shared cache directory.
  *
- * Two claim-loop rounds: baselines first (so no worker recomputes a
- * baseline a peer already owns), then mixes. Each round repeatedly
- * offers every unfilled item to the pool; a worker polls the shared
- * cache, tries to lease the item, re-polls under the lease (the
- * previous owner may have published between poll and claim), and only
- * then computes. Leases of crashed peers are broken once they exceed
- * the TTL. A heartbeat thread refreshes owned leases so a live worker
- * never looks dead, however long one simulation takes.
+ * Each round repeatedly offers every unfilled task to the pool; a
+ * worker polls the shared cache, tries to lease the task, re-polls
+ * under the lease (the previous owner may have published between
+ * poll and claim), and only then computes. Leases of crashed peers
+ * are broken once they exceed the TTL. A heartbeat thread refreshes
+ * owned leases so a live worker never looks dead, however long one
+ * simulation takes.
  *
  * Degradation: claims only deduplicate work, so if the claims
  * directory is (or becomes) unusable, the worker falls back to solo
- * execution of its remaining items — poll the shared cache once, then
+ * execution of its remaining tasks — poll the shared cache once, then
  * compute — instead of dying. The sweep still completes with
  * identical results; only cross-worker dedup is lost.
  */
 class FleetFill
 {
   public:
-    FleetFill(MixRunner &runner, JobPool &pool, ResultCache &cache,
-              const FleetOptions &opt, FleetCounters &counters)
-        : runner_(runner), pool_(pool), cache_(cache),
-          counters_(counters),
-          claims_(cache.dir(),
-                  opt.workerId.empty() ? ClaimStore::defaultOwner()
-                                       : opt.workerId,
-                  opt.leaseTtlSec)
+    FleetFill(JobPool &pool, const std::string &dir,
+              const std::string &owner, double ttl_sec,
+              FleetCounters &counters)
+        : pool_(pool), counters_(counters), claims_(dir, owner, ttl_sec)
     {
     }
 
-    void fill(const std::vector<SweepJob> &jobs,
-              const std::vector<Miss> &misses,
-              std::vector<MixRunResult> &results, const Notify &notify);
+    void fill(FillRounds &rounds);
 
   private:
-    /** One leasable unit of work: poll() returns true when the item
-     *  no longer needs computing (and performs any slot fill /
-     *  notification itself); compute() produces and publishes it. */
-    struct ClaimTask
-    {
-        std::string key;
-        std::function<void()> compute;
-        std::function<bool()> poll;
-    };
-
-    void runClaimLoop(std::vector<ClaimTask> &tasks);
+    void runClaimLoop(std::vector<FillTask> &tasks);
 
     /** Fill the pending tasks without claims (poll once, then
      *  compute): the degraded path when the claims dir is unusable. */
-    void runSolo(std::vector<ClaimTask> &tasks,
+    void runSolo(std::vector<FillTask> &tasks,
                  const std::vector<std::size_t> &pending);
 
-    MixRunner &runner_;
     JobPool &pool_;
-    ResultCache &cache_;
     FleetCounters &counters_;
     ClaimStore claims_;
     bool soloNoted_ = false; ///< count the fallback once per worker
 };
 
 void
-FleetFill::runSolo(std::vector<ClaimTask> &tasks,
+FleetFill::runSolo(std::vector<FillTask> &tasks,
                    const std::vector<std::size_t> &pending)
 {
     if (!soloNoted_) {
@@ -168,14 +173,14 @@ FleetFill::runSolo(std::vector<ClaimTask> &tasks,
     // an identical deterministic value, so the merged matrix is
     // unchanged.
     pool_.run(pending.size(), [&](std::size_t k) {
-        ClaimTask &t = tasks[pending[k]];
+        FillTask &t = tasks[pending[k]];
         if (!t.poll())
             t.compute();
     });
 }
 
 void
-FleetFill::runClaimLoop(std::vector<ClaimTask> &tasks)
+FleetFill::runClaimLoop(std::vector<FillTask> &tasks)
 {
     std::vector<std::size_t> pending(tasks.size());
     std::iota(pending.begin(), pending.end(), std::size_t{0});
@@ -187,7 +192,7 @@ FleetFill::runClaimLoop(std::vector<ClaimTask> &tasks)
         }
         std::vector<char> finished(pending.size(), 0);
         pool_.run(pending.size(), [&](std::size_t k) {
-            ClaimTask &t = tasks[pending[k]];
+            FillTask &t = tasks[pending[k]];
             if (t.poll()) {
                 finished[k] = 1;
                 return;
@@ -236,10 +241,7 @@ FleetFill::runClaimLoop(std::vector<ClaimTask> &tasks)
 }
 
 void
-FleetFill::fill(const std::vector<SweepJob> &jobs,
-                const std::vector<Miss> &misses,
-                std::vector<MixRunResult> &results,
-                const Notify &notify)
+FleetFill::fill(FillRounds &rounds)
 {
     // Heartbeat thread: refresh every owned lease well inside the
     // TTL, so a live worker never looks dead no matter how long one
@@ -256,55 +258,8 @@ FleetFill::fill(const std::vector<SweepJob> &jobs,
             claims_.heartbeatAll();
     });
 
-    // Round 1: baselines, as leasable units of their own — otherwise
-    // every worker would recompute the full baseline set before its
-    // first mix. poll() is a presence probe against the shared cache;
-    // compute() publishes through the runner's cache.
-    const SweepBaselines base = missedBaselines(runner_, jobs, misses);
-
-    std::vector<ClaimTask> tasks;
-    tasks.reserve(base.lc.size() + base.batch.size());
-    for (const auto &[key, d] : base.lc)
-        tasks.push_back(ClaimTask{
-            key,
-            [this, d = d] {
-                runner_.lcBaseline(d.params, d.load, d.seed);
-            },
-            [this, key = key] { return cache_.has(key); }});
-    for (const auto &[key, d] : base.batch)
-        tasks.push_back(ClaimTask{
-            key,
-            [this, d = d] { runner_.batchAloneIpc(d.params, d.seed); },
-            [this, key = key] { return cache_.has(key); }});
-    runClaimLoop(tasks);
-
-    // Round 2: the mixes themselves. poll() fills the slot from a
-    // peer's published result; compute() simulates and publishes
-    // (storeMix fsyncs in durable mode, so release-after-store means
-    // the record survives any crash).
-    std::vector<ClaimTask> mixTasks;
-    mixTasks.reserve(misses.size());
-    for (const Miss &m : misses) {
-        const Miss *p = &m;
-        mixTasks.push_back(ClaimTask{
-            p->key,
-            [this, p, &jobs, &results, &notify] {
-                const SweepJob &job = jobs[p->job];
-                results[p->job] =
-                    runner_.runMix(job.mix, job.sut, job.seed);
-                cache_.storeMix(p->key, results[p->job]);
-                notify(Fill::Computed);
-            },
-            [this, p, &results, &notify] {
-                auto r = cache_.peekMix(p->key);
-                if (!r)
-                    return false;
-                results[p->job] = std::move(*r);
-                notify(Fill::Remote);
-                return true;
-            }});
-    }
-    runClaimLoop(mixTasks);
+    for (std::vector<FillTask> &round : rounds)
+        runClaimLoop(round);
 
     {
         std::lock_guard<std::mutex> lock(hbMu);
@@ -336,15 +291,11 @@ SweepBaselines::add(const ExperimentConfig &cfg, bool out_of_order,
 }
 
 ParallelSweep::ParallelSweep(MixRunner &runner, unsigned workers)
-    : runner_(runner), pool_(workers)
+    : runner_(runner), pool_(workers),
+      worker_(!runner.config().workerId.empty() ? runner.config().workerId
+              : runner.config().fleet           ? ClaimStore::defaultOwner()
+                                                : "local")
 {
-}
-
-void
-ParallelSweep::enableFleet(const FleetOptions &opt)
-{
-    fleet_ = true;
-    fleetOpt_ = opt;
 }
 
 std::vector<MixRunResult>
@@ -375,8 +326,9 @@ ParallelSweep::run(
             .count();
     };
 
+    const ExperimentConfig &cfg = runner_.config();
     ResultCache &cache = runner_.cache();
-    if (fleet_) {
+    if (cfg.fleet) {
         if (!cache.persistent())
             fatal("fleet sweep needs a result cache: pass --cache-dir "
                   "(or UBIK_CACHE_DIR) alongside --fleet");
@@ -410,7 +362,8 @@ ParallelSweep::run(
     std::mutex progressMu;
     std::size_t computed = 0;
     std::size_t remote = 0;
-    auto notify = [&](Fill fill) {
+    // Named, not a temporary: the tasks keep a reference to it.
+    const Notify notify = [&](Fill fill) {
         std::lock_guard<std::mutex> lock(progressMu);
         if (fill == Fill::Remote)
             remote++;
@@ -421,11 +374,15 @@ ParallelSweep::run(
                      computed, remote, elapsed()});
     };
 
-    if (fleet_)
-        FleetFill(runner_, pool_, cache, fleetOpt_, fleetCounters_)
-            .fill(jobs, misses, results, notify);
+    FillRounds rounds = fillRounds(runner_, jobs, misses, results, notify);
+    if (cfg.fleet)
+        FleetFill(pool_, cache.dir(), worker_, cfg.leaseTtlSec,
+                  fleetCounters_)
+            .fill(rounds);
     else
-        fillLocal(runner_, pool_, jobs, misses, results, notify);
+        for (std::vector<FillTask> &round : rounds)
+            pool_.run(round.size(),
+                      [&](std::size_t k) { round[k].compute(); });
     return results;
 }
 

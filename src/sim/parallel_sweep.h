@@ -18,21 +18,19 @@
  * (--jobs or UBIK_JOBS): 0 = all cores, 1 = the legacy sequential
  * path on the calling thread.
  *
- * run() first serves cache hits, then fills the misses one of two
- * ways:
- *
- *  - locally (the default): prewarm the misses' baselines, then one
- *    JobPool task per missed job;
- *  - as a fleet worker (enableFleet): N independent processes sharing
- *    one cache directory partition the misses between them by leasing
- *    claim records (sim/claim_store.h). Every job is filled either by
- *    computing it under an owned lease (publishing the result to the
- *    shared cache before release) or by observing a peer's published
- *    result. Results are pure functions of their descriptors and
- *    round-trip bit-exactly, so the filled matrix is identical to the
- *    single-process one at any fleet size, and a worker killed
- *    mid-sweep costs at most its in-flight jobs (whose leases expire
- *    and are reclaimed).
+ * run() first serves cache hits, then fills the misses in two
+ * rounds of tasks: every baseline the misses need, then the missed
+ * jobs. Locally (the default) each round runs through the JobPool
+ * once. As a fleet worker (ExperimentConfig::fleet), N independent
+ * processes sharing one cache directory partition the rounds between
+ * them by leasing claim records (sim/claim_store.h). Every task is
+ * filled either by computing it under an owned lease (publishing the
+ * result to the shared cache before release) or by observing a peer's
+ * published result. Results are pure functions of their descriptors
+ * and round-trip bit-exactly, so the filled matrix is identical to
+ * the single-process one at any fleet size, and a worker killed
+ * mid-sweep costs at most its in-flight jobs (whose leases expire and
+ * are reclaimed).
  */
 
 #pragma once
@@ -107,18 +105,6 @@ struct SweepProgress
     double elapsedSec = 0;
 };
 
-/** Fleet-mode knobs (ParallelSweep::enableFleet). */
-struct FleetOptions
-{
-    /** Lease owner identity; empty defers to ClaimStore::defaultOwner
-     *  (host + pid). Distinct per cooperating process. */
-    std::string workerId;
-
-    /** Lease age beyond which a worker is presumed dead and its
-     *  in-flight jobs are reclaimed by peers. */
-    double leaseTtlSec = 60.0;
-};
-
 /** What the fleet fill degraded through or cleaned up (all 0 outside
  *  fleet mode). */
 struct FleetCounters
@@ -140,8 +126,16 @@ struct FleetCounters
     std::uint64_t degraded() const { return hbReleases + soloFallbacks; }
 };
 
-/** Executes SweepJob batches through a shared MixRunner, serving and
- *  storing mix results in the runner's cache. */
+/**
+ * Executes SweepJob batches through a shared MixRunner, serving and
+ * storing mix results in the runner's cache. Fleet mode, the worker
+ * id and the lease TTL are the runner's ExperimentConfig::fleet,
+ * workerId and leaseTtlSec. A fleet sweep claims its misses through
+ * leases in the runner's cache directory, so N processes sharing it
+ * partition one sweep between them; it needs a persistent cache
+ * (run() fatals otherwise), which run() switches to durable mode so
+ * "claim released" implies "result on disk".
+ */
 class ParallelSweep
 {
   public:
@@ -154,18 +148,13 @@ class ParallelSweep
     /** Worker count the engine executes with. */
     unsigned workers() const { return pool_.workers(); }
 
+    /** This worker's name, which also owns its fleet leases: the
+     *  config's workerId, else ClaimStore::defaultOwner() (host +
+     *  pid) in fleet mode, else "local". */
+    const std::string &worker() const { return worker_; }
+
     /** MixRunner::attachCache on the runner. */
     void attachCache(ResultCache *cache) { runner_.attachCache(cache); }
-
-    /**
-     * Fleet mode: fill cache misses by claiming them through leases
-     * in the runner's cache directory, so N processes sharing it
-     * partition one sweep between them. Requires a persistent cache
-     * (run() fatals otherwise), which run() switches to durable mode
-     * so "claim released" implies "result on disk". Results stay
-     * bit-identical to the single-process path.
-     */
-    void enableFleet(const FleetOptions &opt);
 
     /**
      * Run every job and return results in job order. Results are
@@ -195,8 +184,7 @@ class ParallelSweep
   private:
     MixRunner &runner_;
     JobPool pool_;
-    bool fleet_ = false;
-    FleetOptions fleetOpt_;
+    std::string worker_;
     FleetCounters fleetCounters_;
 };
 

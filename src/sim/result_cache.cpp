@@ -607,7 +607,8 @@ ResultCache::ResultCache(std::string dir)
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (!std::filesystem::is_directory(dir_)) {
-        warn("result cache: cannot create '%s' (%s); caching disabled",
+        warn("result cache: cannot create '%s' (%s); results kept in "
+             "memory for this run",
              dir_.c_str(), ec.message().c_str());
         dir_.clear();
         return;

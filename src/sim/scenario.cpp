@@ -8,7 +8,6 @@
 
 #include "common/log.h"
 #include "common/parse_num.h"
-#include "sim/claim_store.h"
 #include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
 #include "workload/trace_app.h"
@@ -651,15 +650,6 @@ runSchemeSweep(const ExperimentConfig &cfg,
     MixRunner runner(cfg, ooo);
     runner.attachCache(cache);
     ParallelSweep engine(runner, cfg.jobs);
-    std::string worker = cfg.workerId;
-    if (cfg.fleet) {
-        if (worker.empty())
-            worker = ClaimStore::defaultOwner();
-        FleetOptions opt;
-        opt.workerId = worker;
-        opt.leaseTtlSec = cfg.leaseTtlSec;
-        engine.enableFleet(opt);
-    }
     std::vector<SweepJob> jobs =
         buildSweepJobs(schemes, mixes, cfg.seeds);
     // Live progress from inside the engine (the per-scheme summary
@@ -686,30 +676,21 @@ runSchemeSweep(const ExperimentConfig &cfg,
     // each worker's wall-clock throughput (rate is
     // computed-per-second — cache hits are free).
     const FleetCounters &fleet = engine.fleetCounters();
-    std::uint64_t degraded = cache->stats().degraded() + fleet.degraded();
-    double rate = last.elapsedSec > 0
-                      ? last.computed / last.elapsedSec
-                      : 0.0;
+    const SweepAccounting a{engine.worker(), jobs.size(), last.hits,
+                            last.computed, last.remote,
+                            cache->stats().degraded() + fleet.degraded(),
+                            last.elapsedSec, engine.workers()};
     if (progress)
         std::fprintf(progress,
                      "  [sweep-summary] worker=%s jobs=%zu hits=%zu "
                      "computed=%zu remote=%zu degraded=%llu "
                      "reclaimed=%llu elapsed=%.2fs rate=%.2f/s\n",
-                     worker.empty() ? "local" : worker.c_str(),
-                     jobs.size(), last.hits, last.computed, last.remote,
-                     static_cast<unsigned long long>(degraded),
+                     a.worker.c_str(), a.jobs, a.hits, a.computed,
+                     a.remote, static_cast<unsigned long long>(a.degraded),
                      static_cast<unsigned long long>(fleet.reclaimed),
-                     last.elapsedSec, rate);
-    if (acct) {
-        acct->worker = worker.empty() ? "local" : worker;
-        acct->jobs = jobs.size();
-        acct->hits = last.hits;
-        acct->computed = last.computed;
-        acct->remote = last.remote;
-        acct->degraded = degraded;
-        acct->elapsedSec = last.elapsedSec;
-        acct->workers = engine.workers();
-    }
+                     a.elapsedSec, a.rate());
+    if (acct)
+        *acct = a;
 
     // Regroup the flat job-ordered results per scheme (jobs are
     // scheme-major, so each scheme's block is contiguous).
@@ -808,9 +789,7 @@ scenarioResultsJson(const ScenarioSpec &spec,
         ja.set("remote", static_cast<std::uint64_t>(a.remote));
         ja.set("degraded", a.degraded);
         ja.set("elapsed_sec", a.elapsedSec);
-        ja.set("rate_per_sec", a.elapsedSec > 0
-                                   ? a.computed / a.elapsedSec
-                                   : 0.0);
+        ja.set("rate_per_sec", a.rate());
         ja.set("workers", a.workers);
         root.set("sweep", std::move(ja));
     }

@@ -240,6 +240,12 @@ struct SweepAccounting
     std::uint64_t degraded = 0; ///< cache + fleet-fill degradations
     double elapsedSec = 0;    ///< sweep wall-clock
     unsigned workers = 0;     ///< thread-pool width used
+
+    /** Jobs computed per wall-clock second (hits are free). */
+    double rate() const
+    {
+        return elapsedSec > 0 ? computed / elapsedSec : 0.0;
+    }
 };
 
 /**

@@ -66,15 +66,15 @@ ChaosRun
 runFleetWorker(const std::string &cache_dir, const std::string &id,
                const std::vector<SweepJob> &jobs)
 {
-    MixRunner runner(cacheTestCfg());
+    ExperimentConfig cfg = cacheTestCfg();
+    cfg.fleet = true;
+    cfg.workerId = id;
+    cfg.leaseTtlSec = 60.0;
+    MixRunner runner(cfg);
     std::unique_ptr<ResultCache> cache = ResultCache::open(cache_dir);
     runner.attachCache(cache.get());
     ParallelSweep sweep(runner, 2);
     sweep.attachCache(cache.get());
-    FleetOptions opt;
-    opt.workerId = id;
-    opt.leaseTtlSec = 60.0;
-    sweep.enableFleet(opt);
     ChaosRun out;
     out.results = sweep.run(
         jobs, [&](const SweepProgress &p) { out.last = p; });

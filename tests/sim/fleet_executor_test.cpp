@@ -12,12 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <thread>
 
 #include "sim/claim_store.h"
 #include "sim/parallel_sweep.h"
 #include "sim/result_cache.h"
+#include "sim/scenario.h"
 #include "support/cache_test_util.h"
 
 using namespace ubik;
@@ -45,15 +47,15 @@ FleetRun
 runFleetWorker(const std::string &cache_dir, const std::string &id,
                const std::vector<SweepJob> &jobs, double ttl_sec)
 {
-    MixRunner runner(cacheTestCfg());
+    ExperimentConfig cfg = cacheTestCfg();
+    cfg.fleet = true;
+    cfg.workerId = id;
+    cfg.leaseTtlSec = ttl_sec;
+    MixRunner runner(cfg);
     std::unique_ptr<ResultCache> cache = ResultCache::open(cache_dir);
     runner.attachCache(cache.get());
     ParallelSweep sweep(runner, 2);
     sweep.attachCache(cache.get());
-    FleetOptions opt;
-    opt.workerId = id;
-    opt.leaseTtlSec = ttl_sec;
-    sweep.enableFleet(opt);
     FleetRun out;
     out.results = sweep.run(
         jobs, [&](const SweepProgress &p) { out.last = p; });
@@ -132,4 +134,46 @@ TEST(FleetExecutor, OrphanedLeaseFromDeadWorkerIsReclaimed)
     EXPECT_EQ(r.last.computed, jobs.size());
     EXPECT_FALSE(fs::exists(dead.leasePath(key)));
     EXPECT_EQ(r.counters.reclaimed, 1u);
+}
+
+TEST(FleetExecutor, WorkerIsIdElseLeaseOwnerElseLocal)
+{
+    const SweepJob job = cacheTestJobs()[0];
+    TempCacheDir dir("fleet_worker");
+    std::unique_ptr<ResultCache> cache = ResultCache::open(dir.path());
+    // The engine's name for a one-job sweep under `cfg`, checked
+    // against what runSchemeSweep's [sweep-summary] line and its
+    // accounting (the --accounting JSON's "worker") report.
+    auto worker = [&](const ExperimentConfig &cfg) {
+        MixRunner runner(cfg);
+        const std::string name = ParallelSweep(runner, 1).worker();
+        std::FILE *progress = std::tmpfile();
+        EXPECT_NE(progress, nullptr);
+        if (!progress)
+            return name;
+        SweepAccounting acct;
+        runSchemeSweep(cfg, {job.sut}, {job.mix}, true, cache.get(),
+                       &acct, progress);
+        std::rewind(progress);
+        std::string text;
+        char buf[512];
+        while (std::fgets(buf, sizeof buf, progress))
+            text += buf;
+        std::fclose(progress);
+        EXPECT_NE(text.find("[sweep-summary] worker=" + name + " "),
+                  std::string::npos)
+            << text;
+        EXPECT_EQ(acct.worker, name);
+        return name;
+    };
+
+    ExperimentConfig cfg = cacheTestCfg();
+    cfg.seeds = 1;
+    EXPECT_EQ(worker(cfg), "local");
+    cfg.workerId = "w7";
+    EXPECT_EQ(worker(cfg), "w7");
+    cfg.fleet = true;
+    EXPECT_EQ(worker(cfg), "w7");
+    cfg.workerId.clear();
+    EXPECT_EQ(worker(cfg), ClaimStore::defaultOwner());
 }

@@ -214,8 +214,8 @@ main(int argc, char **argv)
 
     if (cache_stats.value) {
         if (!cache->persistent()) {
-            std::printf("\nResult cache: disabled (set UBIK_CACHE_DIR "
-                        "or --cache-dir)\n");
+            std::printf("\nResult cache: in memory for this run (set "
+                        "UBIK_CACHE_DIR or --cache-dir to keep results)\n");
         } else {
             std::printf("\n");
             printCacheStats(*cache, stdout);
