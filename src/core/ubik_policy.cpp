@@ -1,8 +1,6 @@
 #include "core/ubik_policy.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 
 #include "common/log.h"
 #include "policy/policy_util.h"
@@ -31,10 +29,8 @@ UbikPolicy::UbikPolicy(PartitionScheme &scheme,
         fatal("UbikPolicy: need at least one idle-size option");
     const std::uint64_t total = scheme_.array().numLines();
     for (AppId a = 0; a < apps_.size(); a++) {
-        if (!apps_[a].latencyCritical) {
-            batchIds_.push_back(a);
+        if (!apps_[a].latencyCritical)
             continue;
-        }
         // Until the first reconfiguration we only know the target:
         // behave like StaticLC (safe).
         UbikLcState &st = lc_[a];
@@ -47,22 +43,6 @@ UbikPolicy::UbikPolicy(PartitionScheme &scheme,
         st.deboost = DeboostMonitor(cfg_.deboostGuard);
         scheme_.setTargetSize(partOf(a), st.sActive);
     }
-}
-
-const char *
-UbikPolicy::name() const
-{
-    if (name_.empty()) {
-        if (cfg_.slack <= 0) {
-            name_ = "Ubik";
-        } else {
-            name_ = "Ubik(slack=" +
-                    std::to_string(static_cast<int>(
-                        std::lround(cfg_.slack * 100))) +
-                    "%)";
-        }
-    }
-    return name_.c_str();
 }
 
 std::uint64_t
@@ -90,15 +70,8 @@ UbikPolicy::lcBuckets() const
 void
 UbikPolicy::applyBatchAllocation()
 {
-    if (!table_.valid() || batchIds_.empty())
-        return;
-    const std::uint64_t total = scheme_.array().numLines();
-    std::uint64_t lc = lcBuckets();
-    std::uint64_t budget = lc < kBuckets ? kBuckets - lc : 0;
-    auto alloc = table_.allocationAt(budget);
-    for (std::size_t i = 0; i < batchIds_.size(); i++)
-        scheme_.setTargetSize(partOf(batchIds_[i]),
-                              bucketsToLines(alloc[i], total));
+    if (table_.valid())
+        setBatchTargets(table_.allocationAt(batchBudget(lcBuckets())));
 }
 
 void
@@ -166,9 +139,7 @@ UbikPolicy::sizeLcApp(AppId app)
         std::uint64_t b_act = linesToBuckets(s_act, total);
         std::uint64_t lc_others = lcBuckets() -
             linesToBuckets(scheme_.targetSize(partOf(app)), total);
-        std::uint64_t base_budget =
-            kBuckets > lc_others + b_act ? kBuckets - lc_others - b_act
-                                         : 0;
+        std::uint64_t base_budget = batchBudget(lc_others + b_act);
         double boosted_frac = std::min(
             1.0, static_cast<double>(st.activations) *
                      static_cast<double>(deadline) /
@@ -237,13 +208,7 @@ UbikPolicy::reconfigure(Cycles now)
 
     // 1. Batch inputs and the repartitioning table, anchored at the
     //    expected batch budget (duty-cycle-weighted LC usage).
-    std::vector<LookaheadInput> inputs;
-    inputs.reserve(batchIds_.size());
-    for (AppId a : batchIds_) {
-        LookaheadInput in = monitorInput(apps_[a], total);
-        in.minBuckets = 1;
-        inputs.push_back(std::move(in));
-    }
+    std::vector<LookaheadInput> inputs = batchInputs();
     double expected_lc = 0;
     for (AppId a = 0; a < apps_.size(); a++) {
         if (!apps_[a].latencyCritical)
@@ -255,12 +220,10 @@ UbikPolicy::reconfigure(Cycles now)
             linesToBuckets(st.sActive, total));
         expected_lc += st.idleFrac * b_idle + (1 - st.idleFrac) * b_act;
     }
-    std::uint64_t expected_budget =
-        expected_lc < static_cast<double>(kBuckets)
-            ? kBuckets - static_cast<std::uint64_t>(expected_lc)
-            : 0;
     if (!inputs.empty())
-        table_.build(inputs, expected_budget, kBuckets);
+        table_.build(inputs,
+                     batchBudget(static_cast<std::uint64_t>(expected_lc)),
+                     kBuckets);
 
     // 2. Per-LC sizing, then apply the size matching the app's state.
     for (AppId a = 0; a < apps_.size(); a++) {

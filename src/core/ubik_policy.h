@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/deboost_monitor.h"
@@ -112,8 +111,6 @@ class UbikPolicy : public PartitionPolicy
     UbikPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps,
                UbikConfig cfg = {});
 
-    const char *name() const override;
-
     void reconfigure(Cycles now) override;
     void onActive(AppId app, Cycles now) override;
     void onIdle(AppId app, Cycles now) override;
@@ -162,14 +159,12 @@ class UbikPolicy : public PartitionPolicy
 
     UbikConfig cfg_;
     std::vector<UbikLcState> lc_;   ///< indexed by AppId (batch unused)
-    std::vector<AppId> batchIds_;
     RepartitionTable table_;
     Cycles lastReconfigure_ = 0;
     Cycles intervalLen_ = 0;        ///< length of the last interval
     std::uint64_t deboostInterrupts_ = 0;
     std::uint64_t watermarkInterrupts_ = 0;
     std::uint64_t deadlineDeboosts_ = 0;
-    mutable std::string name_;
 };
 
 } // namespace ubik

@@ -86,8 +86,6 @@ class MemorySystem
     MemorySystem(MemoryParams params, std::uint32_t num_apps);
     virtual ~MemorySystem() = default;
 
-    virtual const char *name() const = 0;
-
     /**
      * Account one LLC miss issued by `app` at cycle `now`.
      * @return contention + throttle delay, cycles (0 if uncontended)
@@ -131,8 +129,6 @@ class FixedLatencyMemory : public MemorySystem
     {
     }
 
-    const char *name() const override { return "fixed"; }
-
   protected:
     Cycles queueingDelay(AppId app, Cycles now) override;
 };
@@ -150,8 +146,6 @@ class ContendedMemory : public MemorySystem
 {
   public:
     ContendedMemory(MemoryParams params, std::uint32_t num_apps);
-
-    const char *name() const override { return "contended"; }
 
   protected:
     Cycles queueingDelay(AppId app, Cycles now) override;
@@ -187,8 +181,6 @@ class PartitionedMemory : public ContendedMemory
 {
   public:
     PartitionedMemory(MemoryParams params, std::uint32_t num_apps);
-
-    const char *name() const override { return "partitioned"; }
 
     /**
      * Set an app's bandwidth share. Fatal unless 0 < share <= 1.

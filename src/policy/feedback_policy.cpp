@@ -4,21 +4,14 @@
 #include <cmath>
 
 #include "policy/policy_util.h"
-#include "common/log.h"
 
 namespace ubik {
 
 FeedbackPolicy::FeedbackPolicy(PartitionScheme &scheme,
-                               std::vector<AppMonitor> &apps,
-                               FeedbackConfig cfg)
-    : PartitionPolicy(scheme, apps), cfg_(cfg), alloc_(apps.size(), 0),
+                               std::vector<AppMonitor> &apps)
+    : PartitionPolicy(scheme, apps), alloc_(apps.size(), 0),
       window_(apps.size())
 {
-    if (cfg_.gain <= 0)
-        fatal("FeedbackPolicy: gain must be positive");
-    if (cfg_.comfortFrac <= 0 || cfg_.comfortFrac >= 1)
-        fatal("FeedbackPolicy: comfort fraction must be in (0, 1)");
-
     // Start from the StaticLC allocation: the controller adapts from
     // a safe point rather than from zero.
     const std::uint64_t total = scheme_.array().numLines();
@@ -59,18 +52,15 @@ FeedbackPolicy::reconfigure(Cycles now)
         if (mon.deadline > 0 && !w.empty()) {
             // Proportional step on the relative tail error, with a
             // comfort deadband so the controller does not thrash.
-            double observed = w.tailMean(cfg_.tailPct);
+            double observed = w.tailMean(kTailPct);
             double target = static_cast<double>(mon.deadline);
             double error = (observed - target) / target;
             double step = 0;
-            if (error > 0)
-                step = cfg_.gain * error * static_cast<double>(kBuckets);
-            else if (observed < cfg_.comfortFrac * target)
-                step =
-                    cfg_.gain * error * static_cast<double>(kBuckets);
+            if (error > 0 || observed < kComfortFrac * target)
+                step = kGain * error * static_cast<double>(kBuckets);
             double clamped = std::clamp(
-                step, -static_cast<double>(cfg_.maxStepBuckets),
-                static_cast<double>(cfg_.maxStepBuckets));
+                step, -static_cast<double>(kMaxStepBuckets),
+                static_cast<double>(kMaxStepBuckets));
             std::int64_t next =
                 static_cast<std::int64_t>(alloc_[a]) +
                 static_cast<std::int64_t>(std::llround(clamped));
@@ -84,25 +74,8 @@ FeedbackPolicy::reconfigure(Cycles now)
         lc_buckets += alloc_[a];
     }
 
-    std::uint64_t batch_budget =
-        lc_buckets < kBuckets ? kBuckets - lc_buckets : 0;
-
-    std::vector<LookaheadInput> inputs;
-    std::vector<AppId> batch_ids;
-    for (AppId a = 0; a < apps_.size(); a++) {
-        if (apps_[a].latencyCritical)
-            continue;
-        LookaheadInput in = monitorInput(apps_[a], total);
-        in.minBuckets = 1;
-        inputs.push_back(std::move(in));
-        batch_ids.push_back(a);
-    }
-    if (inputs.empty())
-        return;
-    auto alloc = lookaheadAllocate(inputs, batch_budget);
-    for (std::size_t i = 0; i < batch_ids.size(); i++)
-        scheme_.setTargetSize(partOf(batch_ids[i]),
-                              bucketsToLines(alloc[i], total));
+    setBatchTargets(
+        lookaheadAllocate(batchInputs(), batchBudget(lc_buckets)));
 }
 
 } // namespace ubik

@@ -29,23 +29,6 @@
 
 namespace ubik {
 
-/** Tunables for FeedbackPolicy. */
-struct FeedbackConfig
-{
-    /** Proportional gain on the relative tail error. */
-    double gain = 0.5;
-
-    /** Shrink only below this fraction of the deadline (deadband
-     *  against oscillation). */
-    double comfortFrac = 0.8;
-
-    /** Largest per-interval allocation step, in buckets. */
-    std::uint64_t maxStepBuckets = 32;
-
-    /** Tail percentile the controller tracks. */
-    double tailPct = 95.0;
-};
-
 /**
  * Proportional feedback on observed per-interval tail latency.
  * Representative of long-term-adaptation QoS schemes; expected to
@@ -54,10 +37,20 @@ struct FeedbackConfig
 class FeedbackPolicy : public PartitionPolicy
 {
   public:
-    FeedbackPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps,
-                   FeedbackConfig cfg = {});
+    /** Proportional gain on the relative tail error. */
+    static constexpr double kGain = 0.5;
 
-    const char *name() const override { return "Feedback"; }
+    /** Shrink only below this fraction of the deadline (deadband
+     *  against oscillation). */
+    static constexpr double kComfortFrac = 0.8;
+
+    /** Largest per-interval allocation step, in buckets. */
+    static constexpr std::uint64_t kMaxStepBuckets = 32;
+
+    /** Tail percentile the controller tracks. */
+    static constexpr double kTailPct = 95.0;
+
+    FeedbackPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
     void reconfigure(Cycles now) override;
     void onRequestComplete(AppId app, Cycles latency) override;
@@ -69,8 +62,6 @@ class FeedbackPolicy : public PartitionPolicy
     }
 
   private:
-    FeedbackConfig cfg_;
-
     /** Per-app allocation, buckets (batch entries unused). */
     std::vector<std::uint64_t> alloc_;
 

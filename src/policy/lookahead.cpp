@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.h"
-
 namespace ubik {
 
 std::vector<std::uint64_t>
@@ -25,15 +23,6 @@ lookaheadAllocate(const std::vector<LookaheadInput> &inputs,
         remaining -= min_b;
     }
 
-    auto curve_at = [&](std::size_t i, std::uint64_t b) -> double {
-        const auto &c = inputs[i].curve;
-        if (c.empty())
-            return 0.0;
-        if (b >= c.size())
-            return c.back();
-        return c[b];
-    };
-
     while (remaining > 0) {
         // For each partition, find the extension with max marginal
         // utility per bucket.
@@ -41,20 +30,17 @@ lookaheadAllocate(const std::vector<LookaheadInput> &inputs,
         std::size_t best_part = n;
         std::uint64_t best_ext = 0;
         for (std::size_t i = 0; i < n; i++) {
+            const LookaheadInput &in = inputs[i];
             std::uint64_t cur = alloc[i];
-            std::uint64_t cap = std::min<std::uint64_t>(
-                inputs[i].maxBuckets,
-                inputs[i].curve.empty()
-                    ? cur
-                    : inputs[i].curve.size() - 1);
+            std::uint64_t cap = in.curve.empty() ? cur : in.curve.size() - 1;
             if (cap <= cur)
                 continue;
             std::uint64_t max_ext = std::min<std::uint64_t>(
                 cap - cur, remaining);
-            double base = curve_at(i, cur);
+            double base = in.missesAt(cur);
             for (std::uint64_t ext = 1; ext <= max_ext; ext++) {
-                double saved = (base - curve_at(i, cur + ext)) *
-                               inputs[i].weight;
+                double saved = (base - in.missesAt(cur + ext)) *
+                               in.weight;
                 double mu = saved / static_cast<double>(ext);
                 if (mu > best_mu) {
                     best_mu = mu;
@@ -69,30 +55,10 @@ lookaheadAllocate(const std::vector<LookaheadInput> &inputs,
         remaining -= best_ext;
     }
 
-    if (remaining > 0) {
-        // Utility exhausted: dump the remainder on the partition with
-        // the most room (keeps the cache fully allocated, which is
-        // what hardware partitioning requires).
-        std::size_t best = 0;
-        std::uint64_t best_room = 0;
-        for (std::size_t i = 0; i < n; i++) {
-            std::uint64_t cap = inputs[i].maxBuckets;
-            std::uint64_t room = cap > alloc[i] ? cap - alloc[i] : 0;
-            if (room > best_room) {
-                best_room = room;
-                best = i;
-            }
-        }
-        std::uint64_t give = std::min(remaining, best_room);
-        alloc[best] += give;
-        remaining -= give;
-        // If everyone is capped, round-robin the tail (rare).
-        for (std::size_t i = 0; i < n && remaining > 0; i++) {
-            alloc[i] += 1;
-            remaining -= 1;
-        }
-    }
-
+    // Utility exhausted: dump the remainder on the partition with the
+    // most room, the smallest (keeps the cache fully allocated, which
+    // is what hardware partitioning requires).
+    *std::min_element(alloc.begin(), alloc.end()) += remaining;
     return alloc;
 }
 

@@ -37,8 +37,14 @@ struct LookaheadInput
     /** Lower bound on this partition's allocation, buckets. */
     std::uint64_t minBuckets = 0;
 
-    /** Upper bound on this partition's allocation, buckets. */
-    std::uint64_t maxBuckets = ~0ull;
+    /** Expected misses with `b` buckets: the curve's last point past
+     *  its end, 0 for an empty curve. */
+    double missesAt(std::uint64_t b) const
+    {
+        if (curve.empty())
+            return 0.0;
+        return b < curve.size() ? curve[b] : curve.back();
+    }
 };
 
 /**
@@ -46,9 +52,9 @@ struct LookaheadInput
  *
  * @param inputs per-partition curves/weights
  * @param budget total buckets to distribute
- * @return buckets allocated per partition (sums to <= budget; the
- *         remainder, if any utility is exhausted, is handed to the
- *         partition with the largest curve tail)
+ * @return buckets allocated per partition, summing to the budget (once
+ *         utility is exhausted, the remainder goes to the first
+ *         partition with the smallest allocation)
  */
 std::vector<std::uint64_t> lookaheadAllocate(
     const std::vector<LookaheadInput> &inputs, std::uint64_t budget);

@@ -17,7 +17,6 @@ class LruPolicy : public PartitionPolicy
   public:
     LruPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
-    const char *name() const override { return "LRU"; }
     void reconfigure(Cycles now) override;
 };
 

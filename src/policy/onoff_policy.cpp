@@ -18,7 +18,7 @@ OnOffPolicy::currentBatchBudget() const
     for (const auto &mon : apps_)
         if (mon.latencyCritical && mon.active)
             lc += linesToBuckets(mon.targetLines, total);
-    return lc < kBuckets ? kBuckets - lc : 0;
+    return batchBudget(lc);
 }
 
 void
@@ -26,18 +26,7 @@ OnOffPolicy::reconfigure(Cycles now)
 {
     (void)now;
     const std::uint64_t total = scheme_.array().numLines();
-
-    // Gather batch inputs once.
-    std::vector<LookaheadInput> inputs;
-    batchIds_.clear();
-    for (AppId a = 0; a < apps_.size(); a++) {
-        if (apps_[a].latencyCritical)
-            continue;
-        LookaheadInput in = monitorInput(apps_[a], total);
-        in.minBuckets = 1;
-        inputs.push_back(std::move(in));
-        batchIds_.push_back(a);
-    }
+    const std::vector<LookaheadInput> inputs = batchInputs();
 
     // Precompute the batch split for every possible active subset of
     // LC apps (distinct budgets only; with equal LC targets this is
@@ -54,8 +43,7 @@ OnOffPolicy::reconfigure(Cycles now)
             if (mask & (1u << i))
                 lc_buckets += linesToBuckets(
                     apps_[lc_ids[i]].targetLines, total);
-        std::uint64_t budget =
-            lc_buckets < kBuckets ? kBuckets - lc_buckets : 0;
+        std::uint64_t budget = batchBudget(lc_buckets);
         if (!precomputed_.count(budget) && !inputs.empty())
             precomputed_[budget] = lookaheadAllocate(inputs, budget);
     }
@@ -66,22 +54,17 @@ OnOffPolicy::reconfigure(Cycles now)
 void
 OnOffPolicy::applyCurrent()
 {
-    const std::uint64_t total = scheme_.array().numLines();
     for (AppId a = 0; a < apps_.size(); a++) {
         if (!apps_[a].latencyCritical)
             continue;
         std::uint64_t lines = apps_[a].active ? apps_[a].targetLines : 0;
         scheme_.setTargetSize(partOf(a), lines);
     }
-    if (batchIds_.empty())
-        return;
+    // Before the first reconfigure (or with no batch apps) there is
+    // no split: keep the previous targets.
     auto it = precomputed_.find(currentBatchBudget());
-    if (it == precomputed_.end())
-        return; // before first reconfigure; keep previous targets
-    const auto &alloc = it->second;
-    for (std::size_t i = 0; i < batchIds_.size(); i++)
-        scheme_.setTargetSize(partOf(batchIds_[i]),
-                              bucketsToLines(alloc[i], total));
+    if (it != precomputed_.end())
+        setBatchTargets(it->second);
 }
 
 void

@@ -22,7 +22,6 @@ class OnOffPolicy : public PartitionPolicy
   public:
     OnOffPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
-    const char *name() const override { return "OnOff"; }
     void reconfigure(Cycles now) override;
     void onActive(AppId app, Cycles now) override;
     void onIdle(AppId app, Cycles now) override;
@@ -37,7 +36,6 @@ class OnOffPolicy : public PartitionPolicy
 
     /** budget (buckets) -> per-batch-app buckets. */
     std::map<std::uint64_t, std::vector<std::uint64_t>> precomputed_;
-    std::vector<AppId> batchIds_;
 };
 
 } // namespace ubik

@@ -22,6 +22,7 @@
 #include "cache/scheme.h"
 #include "mon/mlp_profiler.h"
 #include "mon/umon.h"
+#include "policy/lookahead.h"
 #include "common/types.h"
 
 namespace ubik {
@@ -62,15 +63,10 @@ struct AppMonitor
 class PartitionPolicy
 {
   public:
-    PartitionPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps)
-        : scheme_(scheme), apps_(apps)
-    {
-    }
+    /** Reads which apps are latency-critical: mark them first. */
+    PartitionPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
     virtual ~PartitionPolicy() = default;
-
-    /** Human-readable name for reports. */
-    virtual const char *name() const = 0;
 
     /**
      * Periodic coarse-grained reconfiguration (paper: every 50 ms).
@@ -119,8 +115,25 @@ class PartitionPolicy
     static PartId partOf(AppId a) { return a + 1; }
 
   protected:
+    // The batch side of every LC-aware policy (StaticLC, OnOff and
+    // Feedback, §4; Ubik, §5.1.2): batch apps share whatever the LC
+    // partitions leave, split by UCP's Lookahead.
+
+    /** Each batch app's Lookahead input, in batchIds_ order. */
+    std::vector<LookaheadInput> batchInputs() const;
+
+    /** Buckets left to batch apps when LC partitions hold
+     *  `lc_buckets` (0 if they hold the whole cache). */
+    static std::uint64_t batchBudget(std::uint64_t lc_buckets);
+
+    /** Size batch app batchIds_[i]'s partition to alloc[i] buckets. */
+    void setBatchTargets(const std::vector<std::uint64_t> &alloc);
+
     PartitionScheme &scheme_;
     std::vector<AppMonitor> &apps_;
+
+    /** The batch (not latency-critical) apps, in app order. */
+    const std::vector<AppId> batchIds_;
 };
 
 } // namespace ubik

@@ -33,7 +33,7 @@ linesPerBucket(std::uint64_t total_lines)
  * Build a Lookahead input from an app's UMON: a (kBuckets+1)-point
  * miss curve weighted by the app's miss penalty, so the allocator
  * maximizes saved stall cycles (the paper's miss-per-cycle objective,
- * UCP + MLP).
+ * UCP + MLP). Every app keeps at least one bucket to make progress.
  */
 inline LookaheadInput
 monitorInput(const AppMonitor &mon, std::uint64_t total_lines)
@@ -45,6 +45,7 @@ monitorInput(const AppMonitor &mon, std::uint64_t total_lines)
         in.curve = c.values();
     }
     in.weight = mon.mlp ? mon.mlp->profile().missPenalty : 1.0;
+    in.minBuckets = 1;
     return in;
 }
 

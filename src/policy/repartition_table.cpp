@@ -21,16 +21,8 @@ RepartitionTable::build(const std::vector<LookaheadInput> &inputs,
 
     baseline_budget = std::min(baseline_budget, max_budget);
 
-    auto curve_at = [&](std::size_t i, std::uint64_t b) -> double {
-        const auto &c = inputs[i].curve;
-        if (c.empty())
-            return 0.0;
-        if (b >= c.size())
-            return c.back();
-        return c[b];
-    };
     auto weighted_at = [&](std::size_t i, std::uint64_t b) -> double {
-        return curve_at(i, b) * inputs[i].weight;
+        return inputs[i].missesAt(b) * inputs[i].weight;
     };
 
     // Anchor: Lookahead at the expected budget.
@@ -87,14 +79,14 @@ RepartitionTable::build(const std::vector<LookaheadInput> &inputs,
     {
         std::vector<std::uint64_t> cur(numParts_, 0);
         double total = 0.0;
-        for (std::size_t i = 0; i < numParts_; i++)
-            total += curve_at(i, 0);
+        for (const LookaheadInput &in : inputs)
+            total += in.missesAt(0);
         misses_[0] = total;
         for (std::uint64_t b = 0; b < max_budget; b++) {
             std::size_t p = marginal_[b];
-            total -= curve_at(p, cur[p]);
+            total -= inputs[p].missesAt(cur[p]);
             cur[p]++;
-            total += curve_at(p, cur[p]);
+            total += inputs[p].missesAt(cur[p]);
             misses_[b + 1] = total;
         }
     }

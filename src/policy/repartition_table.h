@@ -45,7 +45,6 @@ class RepartitionTable
                std::uint64_t baseline_budget, std::uint64_t max_budget);
 
     bool valid() const { return maxBudget_ > 0; }
-    std::uint64_t maxBudget() const { return maxBudget_; }
 
     /** Per-partition buckets at the given batch budget. */
     std::vector<std::uint64_t> allocationAt(std::uint64_t budget) const;

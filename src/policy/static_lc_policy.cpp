@@ -25,25 +25,8 @@ StaticLcPolicy::reconfigure(Cycles now)
         lc_buckets += b;
     }
 
-    std::uint64_t batch_budget =
-        lc_buckets < kBuckets ? kBuckets - lc_buckets : 0;
-
-    std::vector<LookaheadInput> inputs;
-    std::vector<AppId> batch_ids;
-    for (AppId a = 0; a < apps_.size(); a++) {
-        if (apps_[a].latencyCritical)
-            continue;
-        LookaheadInput in = monitorInput(apps_[a], total);
-        in.minBuckets = 1;
-        inputs.push_back(std::move(in));
-        batch_ids.push_back(a);
-    }
-    if (inputs.empty())
-        return;
-    auto alloc = lookaheadAllocate(inputs, batch_budget);
-    for (std::size_t i = 0; i < batch_ids.size(); i++)
-        scheme_.setTargetSize(partOf(batch_ids[i]),
-                              bucketsToLines(alloc[i], total));
+    setBatchTargets(
+        lookaheadAllocate(batchInputs(), batchBudget(lc_buckets)));
 }
 
 } // namespace ubik

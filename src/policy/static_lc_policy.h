@@ -19,7 +19,6 @@ class StaticLcPolicy : public PartitionPolicy
   public:
     StaticLcPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
-    const char *name() const override { return "StaticLC"; }
     void reconfigure(Cycles now) override;
 };
 

@@ -17,11 +17,8 @@ UcpPolicy::reconfigure(Cycles now)
     const std::uint64_t total = scheme_.array().numLines();
     std::vector<LookaheadInput> inputs;
     inputs.reserve(apps_.size());
-    for (const auto &mon : apps_) {
-        LookaheadInput in = monitorInput(mon, total);
-        in.minBuckets = 1; // every app keeps a sliver to make progress
-        inputs.push_back(std::move(in));
-    }
+    for (const auto &mon : apps_)
+        inputs.push_back(monitorInput(mon, total));
     auto alloc = lookaheadAllocate(inputs, kBuckets);
     for (AppId a = 0; a < apps_.size(); a++)
         scheme_.setTargetSize(partOf(a), bucketsToLines(alloc[a], total));

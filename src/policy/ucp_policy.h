@@ -22,7 +22,6 @@ class UcpPolicy : public PartitionPolicy
   public:
     UcpPolicy(PartitionScheme &scheme, std::vector<AppMonitor> &apps);
 
-    const char *name() const override { return "UCP"; }
     void reconfigure(Cycles now) override;
 };
 

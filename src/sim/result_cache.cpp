@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <shared_mutex>
@@ -353,13 +352,15 @@ enum class AppendOutcome
 };
 
 /**
- * Write all of `line`, absorbing short fwrite returns (real or
- * injected) by retrying the remainder. Zero-progress attempts burn
- * bounded backoff attempts; partial progress retries immediately.
- * Counts every extra attempt in `retries`.
+ * Write all of `line` to the O_APPEND descriptor `fd`, one write(2)
+ * per attempt, so a whole record lands at the end of the log in one
+ * piece: a peer's record can precede or follow it, never split it.
+ * Short writes (real or injected) retry the remainder; zero-progress
+ * attempts burn bounded backoff attempts, partial progress retries
+ * immediately. Counts every extra attempt in `retries`.
  */
 AppendOutcome
-appendAll(std::FILE *f, const std::string &line,
+appendAll(int fd, const std::string &line,
           std::atomic<std::uint64_t> &retries)
 {
     std::size_t done = 0;
@@ -367,28 +368,23 @@ appendAll(std::FILE *f, const std::string &line,
     for (;;) {
         std::size_t want = line.size() - done;
         FailpointHit hit = failpointEval("cache.append");
-        std::size_t wrote = 0;
+        ssize_t wrote = 0;
         if (hit.kind == FailpointHit::Kind::Err) {
             errno = hit.err; // simulated device error: nothing written
-        } else if (hit.kind == FailpointHit::Kind::ShortWrite ||
-                   hit.kind == FailpointHit::Kind::Torn) {
-            std::size_t n = hit.arg < want
-                                ? static_cast<std::size_t>(hit.arg)
-                                : want;
-            wrote = std::fwrite(line.data() + done, 1, n, f);
-            if (hit.kind == FailpointHit::Kind::Torn) {
-                // Simulated crash: whatever made it out stays, the
-                // writer never comes back for the rest.
-                std::fflush(f);
-                return AppendOutcome::Torn;
-            }
         } else {
-            wrote = std::fwrite(line.data() + done, 1, want, f);
+            if (hit.kind == FailpointHit::Kind::ShortWrite ||
+                hit.kind == FailpointHit::Kind::Torn)
+                want = std::min<std::uint64_t>(hit.arg, want);
+            wrote = ::write(fd, line.data() + done, want);
+            // Simulated crash: whatever made it out stays, the writer
+            // never comes back for the rest.
+            if (hit.kind == FailpointHit::Kind::Torn)
+                return AppendOutcome::Torn;
         }
-        done += wrote;
+        if (wrote > 0)
+            done += static_cast<std::size_t>(wrote);
         if (done == line.size())
             return AppendOutcome::Ok;
-        std::clearerr(f); // a failed stream must accept the retry
         retries.fetch_add(1, std::memory_order_relaxed);
         if (wrote > 0)
             continue; // partial progress: retry the remainder now
@@ -788,47 +784,48 @@ ResultCache::append(const std::string &key, const std::string &payload)
     line += ' ';
     appendHex64(line, crc);
     line += '\n';
-    // One append per record: concurrent processes interleave at
-    // record granularity at worst (a torn tail fails its checksum and
-    // reads as a miss). Persistence failures degrade, never kill: the
-    // in-memory entry is kept either way, so this worker still serves
-    // its own result and only peers pay a recompute.
-    std::FILE *f = nullptr;
+    // One write(2) per record on an O_APPEND descriptor: concurrent
+    // processes interleave whole records (a crashed writer's torn
+    // tail fails its checksum and reads as a miss). Persistence
+    // failures degrade, never kill: the in-memory entry is kept
+    // either way, so this worker still serves its own result and only
+    // peers pay a recompute.
+    int fd = -1;
     RetryBackoff openRetry(0x0be7c0deull, 0);
     for (;;) {
         FailpointHit hit = failpointEval("cache.open");
         if (hit.kind == FailpointHit::Kind::Err) {
             errno = hit.err;
         } else {
-            f = std::fopen(logPath_.c_str(), "a+b");
+            fd = ::open(logPath_.c_str(),
+                        O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0666);
         }
-        if (f || !openRetry.next())
+        if (fd >= 0 || !openRetry.next())
             break;
     }
     bool persisted = false;
-    if (f) {
+    if (fd >= 0) {
         // A crashed writer can leave a torn tail with no newline;
         // gluing this record onto it would corrupt both. Start a
         // fresh line instead (the blank line is skipped on load).
-        if (std::fseek(f, -1, SEEK_END) == 0 && std::fgetc(f) != '\n')
+        struct stat st;
+        char last = '\n';
+        if (::fstat(fd, &st) == 0 && st.st_size > 0 &&
+            ::pread(fd, &last, 1, st.st_size - 1) == 1 && last != '\n')
             line.insert(0, 1, '\n');
-        // Update streams require a positioning call between the read
-        // above and the write (C11 7.21.5.3p7).
-        std::fseek(f, 0, SEEK_END);
-        AppendOutcome out = appendAll(f, line, appendRetries_);
+        AppendOutcome out = appendAll(fd, line, appendRetries_);
         persisted = out == AppendOutcome::Ok;
         if (persisted && durable_) {
             // Fleet mode: the claim protocol treats "lease released"
             // as "result survives a crash", so the record must be on
             // disk before the caller drops its lease.
-            std::fflush(f);
             int rc;
             FailpointHit fs = failpointEval("cache.fsync");
             if (fs.kind == FailpointHit::Kind::Err) {
                 errno = fs.err;
                 rc = -1;
             } else {
-                rc = ::fsync(fileno(f));
+                rc = ::fsync(fd);
             }
             if (rc != 0) {
                 // The record is appended but its crash-survival
@@ -843,7 +840,7 @@ ResultCache::append(const std::string &key, const std::string &payload)
                          std::strerror(errno));
             }
         }
-        std::fclose(f);
+        ::close(fd);
     }
     if (!persisted) {
         storesDropped_.fetch_add(1, std::memory_order_relaxed);

@@ -35,12 +35,13 @@
  * reading it, so builds of different schemas must not share a
  * directory at the same time: each would remove the other's log,
  * which costs recomputes, never a wrong value. Within a process one
- * mutex serializes the log's writers, and across processes each
- * record is appended with a single O_APPEND-style write, so the worst
- * interleaving is a duplicate or torn record. Torn/garbage records
- * fail their checksum and are treated as misses (counted, skipped,
- * and rewritten on the next store) — a corrupt log can cost
- * recomputation but never poisons a result. The log is read on first
+ * mutex serializes the log's writers, and each record goes out in one
+ * write(2) on an O_APPEND descriptor, so processes on one host's
+ * local filesystem append whole records: the worst interleaving is a
+ * duplicate. A writer that dies mid-record leaves a torn one. Torn
+ * and garbage records fail their checksum and are treated as misses
+ * (counted, skipped, and rewritten on the next store) — a corrupt log
+ * can cost recomputation but never poisons a result. The log is read on first
  * use and from then on incrementally from a byte offset, so peekMix
  * (the fleet sweep's poll primitive) and store() pick up records
  * appended by cooperating processes without rescanning the file.

@@ -48,16 +48,6 @@ struct UbikFixture : public ::testing::Test
     }
 };
 
-TEST_F(UbikFixture, NameReflectsSlack)
-{
-    warm();
-    EXPECT_STREQ(policy->name(), "Ubik");
-    UbikConfig cfg;
-    cfg.slack = 0.05;
-    UbikPolicy with_slack(*h.scheme, h.monitors, cfg);
-    EXPECT_STREQ(with_slack.name(), "Ubik(slack=5%)");
-}
-
 TEST_F(UbikFixture, ConstructionBehavesLikeStaticLc)
 {
     // Before any monitoring data, the LC partition sits at its

@@ -257,9 +257,10 @@ TEST(MemorySystemFactory, MakesEveryKind)
     auto f = makeMemorySystem(MemKind::Fixed, params(2, 10), 2);
     auto c = makeMemorySystem(MemKind::Contended, params(2, 10), 2);
     auto p = makeMemorySystem(MemKind::Partitioned, params(2, 10), 2);
-    EXPECT_STREQ(f->name(), "fixed");
-    EXPECT_STREQ(c->name(), "contended");
-    EXPECT_STREQ(p->name(), "partitioned");
+    EXPECT_NE(dynamic_cast<FixedLatencyMemory *>(f.get()), nullptr);
+    EXPECT_NE(dynamic_cast<ContendedMemory *>(c.get()), nullptr);
+    EXPECT_EQ(dynamic_cast<PartitionedMemory *>(c.get()), nullptr);
+    EXPECT_NE(dynamic_cast<PartitionedMemory *>(p.get()), nullptr);
     EXPECT_STREQ(enumName(MemKind::Contended), "contended");
 }
 

@@ -116,16 +116,6 @@ TEST(Lookahead, MinBucketsHonored)
     EXPECT_GE(alloc[1], 3u);
 }
 
-TEST(Lookahead, MaxBucketsCaps)
-{
-    LookaheadInput hog, other;
-    hog.curve = linearCurve(1000, 0, 11);
-    hog.maxBuckets = 4;
-    other.curve = linearCurve(100, 50, 11);
-    auto alloc = lookaheadAllocate({hog, other}, 10);
-    EXPECT_LE(alloc[0], 4u);
-}
-
 TEST(Lookahead, BudgetFullyAllocatedWhenUtilityExhausted)
 {
     // Flat curves: no utility anywhere, but hardware partitioning

@@ -4,8 +4,9 @@
  * garbage log must read as misses (never poisoned results or crashes)
  * and be rewritten by the next store; a record whose payload does not
  * decode must be hidden for good by its repair; stale cache files must
- * be removed at open, unread; and concurrent writers into the log
- * must serialize into a parseable file.
+ * be removed at open, unread; and concurrent writers into the log,
+ * threads of one instance or separate instances, must leave only
+ * whole records.
  */
 
 #include <gtest/gtest.h>
@@ -318,6 +319,48 @@ TEST(ResultCacheHardening, ConcurrentSameKeyStoresStayConsistent)
     ASSERT_TRUE(loaded.has_value());
     expectBitIdentical(loaded->lcTailMean, r.lcTailMean, "lcTailMean",
                        0);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+}
+
+TEST(ResultCacheHardening, ConcurrentInstancesAppendWholeRecords)
+{
+    // Two instances on one directory append as two processes would,
+    // each under its own lock. Records of 1.2-1.4 KB cross the log's
+    // 4 KiB block boundaries, where an append issued as two writes
+    // lets the peer's record land between its halves. Every record
+    // must reach a fresh reader whole.
+    const std::size_t perWriter = 400, writers = 2;
+    auto key = [](std::size_t k) {
+        return "v1|hardening|whole|" + std::to_string(k);
+    };
+    auto result = [](std::size_t k) {
+        MixRunResult r = sampleResult(static_cast<double>(k));
+        r.batchSpeedups.assign(62 + k % 12, static_cast<double>(k));
+        return r;
+    };
+
+    TempCacheDir dir("whole_records");
+    {
+        std::vector<std::thread> pool;
+        for (std::size_t w = 0; w < writers; w++)
+            pool.emplace_back([&, w] {
+                ResultCache cache(dir.path());
+                for (std::size_t i = 0; i < perWriter; i++)
+                    cache.storeMix(key(w * perWriter + i),
+                                   result(w * perWriter + i));
+            });
+        for (auto &th : pool)
+            th.join();
+    }
+
+    ResultCache cache(dir.path());
+    std::size_t whole = 0;
+    for (std::size_t k = 0; k < writers * perWriter; k++) {
+        auto loaded = cache.loadMix(key(k));
+        if (loaded && loaded->batchSpeedups == result(k).batchSpeedups)
+            whole++;
+    }
+    EXPECT_EQ(whole, writers * perWriter);
     EXPECT_EQ(cache.stats().corrupt, 0u);
 }
 
