@@ -211,6 +211,55 @@ numberValue(const char *first, const char *last)
     return d;
 }
 
+/** The number text "%.<p>g" gives a normal double that is not a power
+ *  of two, from its shortest round-trip text `sci` (scientific form,
+ *  [sci, sciEnd)): p = max(15, k) for k significant digits, and
+ *  the k digits laid out as "%.<p>g" lays them out (jsonNumberText).
+ *  Writes into `buf`; returns the end of the text. */
+char *
+layoutShortest(char *buf, const char *sci, const char *sciEnd)
+{
+    char *o = buf;
+    const char *c = sci;
+    if (*c == '-')
+        *o++ = *c++;
+    char digits[17];
+    int k = 0;
+    for (; *c != 'e'; c++)
+        if (*c != '.')
+            digits[k++] = *c;
+    const char *const exp = c; // "e+XX", printf's exponent form
+    int x = 0;
+    for (const char *e = exp + 2; e < sciEnd; e++)
+        x = x * 10 + (*e - '0');
+    if (exp[1] == '-')
+        x = -x;
+    if (x < -4 || x >= std::max(15, k)) {
+        *o++ = digits[0];
+        if (k > 1) {
+            *o++ = '.';
+            o = std::copy(digits + 1, digits + k, o);
+        }
+        return std::copy(exp, sciEnd, o);
+    }
+    if (x < 0) {
+        *o++ = '0';
+        *o++ = '.';
+        o = std::fill_n(o, -x - 1, '0');
+        return std::copy(digits, digits + k, o);
+    }
+    // x + 1 integer digits; trailing zeros only if the digits end
+    // before the point, as "%g" strips them after it.
+    const int whole = std::min(k, x + 1);
+    o = std::copy(digits, digits + whole, o);
+    o = std::fill_n(o, x + 1 - whole, '0');
+    if (k > whole) {
+        *o++ = '.';
+        o = std::copy(digits + whole, digits + k, o);
+    }
+    return o;
+}
+
 /** Write jsonNumberText(d) into `buf` (kNumberTextMax bytes); returns
  *  the end of the text. */
 char *
@@ -223,15 +272,22 @@ numberText(char *buf, double d)
     if (d == std::floor(d) && std::fabs(d) < 9007199254740992.0)
         return std::to_chars(buf, end, static_cast<long long>(d)).ptr;
 
-    // printf's %.<p>g for the smallest p of 15, 16 and 17 whose text
-    // parses back to the same bits. No text with fewer significant
-    // digits than the shortest round-trip text (k digits) parses back,
-    // so the search starts at p = max(15, k).
     char sci[kNumberTextMax];
     char *const sciEnd =
         std::to_chars(sci, sci + sizeof sci, d,
                       std::chars_format::scientific)
             .ptr;
+    // A normal double whose significand bits are not all zero has a
+    // symmetric rounding interval: the shortest digits are the text.
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    if (std::isnormal(d) && (bits & ((std::uint64_t{1} << 52) - 1)))
+        return layoutShortest(buf, sci, sciEnd);
+
+    // printf's %.<p>g for the smallest p of 15, 16 and 17 whose text
+    // parses back to the same bits. No text with fewer significant
+    // digits than the shortest round-trip text (k digits) parses back,
+    // so the search starts at p = max(15, k).
     int k = 0;
     for (const char *c = sci; c < sciEnd && *c != 'e'; c++)
         k += *c >= '0' && *c <= '9';
@@ -254,29 +310,74 @@ jsonNumberText(double d)
 
 namespace {
 
-/** Characters a JSON string must escape: '"', '\\' and controls. */
+/** Bytes a string's run of plain ASCII ends at: '"', '\\', controls
+ *  (each escaped), and bytes >= 0x80 (copied only as valid UTF-8). */
 bool
-needsEscape(unsigned char c)
+endsPlainRun(unsigned char c)
 {
-    return c < 0x20 || c == '"' || c == '\\';
+    return c < 0x20 || c == '"' || c == '\\' || c >= 0x80;
+}
+
+/** Length of the well-formed UTF-8 sequence at [p, end), whose first
+ *  byte is >= 0x80, or 0 if there is none: a stray continuation byte,
+ *  an overlong form, a surrogate, a code point past U+10FFFF, or a
+ *  sequence cut short. The ranges are Unicode's table of well-formed
+ *  byte sequences. */
+std::size_t
+utf8Length(const unsigned char *p, const unsigned char *end)
+{
+    const unsigned char c = p[0];
+    std::size_t n = 0;
+    unsigned char lo = 0x80, hi = 0xBF; // the second byte's range
+    if (c >= 0xC2 && c <= 0xDF) {
+        n = 2;
+    } else if (c >= 0xE0 && c <= 0xEF) {
+        n = 3;
+        lo = c == 0xE0 ? 0xA0 : lo;
+        hi = c == 0xED ? 0x9F : hi;
+    } else if (c >= 0xF0 && c <= 0xF4) {
+        n = 4;
+        lo = c == 0xF0 ? 0x90 : lo;
+        hi = c == 0xF4 ? 0x8F : hi;
+    }
+    if (n == 0 || static_cast<std::size_t>(end - p) < n || p[1] < lo ||
+        p[1] > hi)
+        return 0;
+    for (std::size_t i = 2; i < n; i++)
+        if ((p[i] & 0xC0) != 0x80)
+            return 0;
+    return n;
 }
 
 void
-dumpString(std::string &out, const std::string &s)
+writeString(std::string &out, std::string_view s)
 {
     out += '"';
-    const char *p = s.data();
-    const char *const end = p + s.size();
+    const auto *p = reinterpret_cast<const unsigned char *>(s.data());
+    const auto *const end = p + s.size();
     while (p < end) {
-        // Copy the run of plain bytes in one append. Bytes >= 0x80
-        // pass through: strings are treated as (already valid) UTF-8.
-        const char *run = p;
-        while (p < end && !needsEscape(static_cast<unsigned char>(*p)))
+        // Copy the run of plain bytes in one append.
+        const auto *run = p;
+        while (p < end && !endsPlainRun(*p))
             p++;
-        out.append(run, static_cast<std::size_t>(p - run));
+        out.append(reinterpret_cast<const char *>(run),
+                   static_cast<std::size_t>(p - run));
         if (p == end)
             break;
-        unsigned char c = static_cast<unsigned char>(*p++);
+        if (*p >= 0x80) {
+            // Valid UTF-8 is copied as it is; a byte that begins no
+            // valid sequence (text a request echoes, say) becomes
+            // U+FFFD, so the output is always valid UTF-8.
+            if (const std::size_t n = utf8Length(p, end)) {
+                out.append(reinterpret_cast<const char *>(p), n);
+                p += n;
+            } else {
+                out += "\xEF\xBF\xBD";
+                p++;
+            }
+            continue;
+        }
+        const unsigned char c = *p++;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -310,79 +411,123 @@ dumpString(std::string &out, const std::string &s)
     out += '"';
 }
 
-void
-newlineIndent(std::string &out, int indent)
-{
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent) * 2, ' ');
-}
-
 } // namespace
 
 void
-Json::dumpTo(std::string &out, bool pretty, int indent) const
+JsonWriter::next()
 {
-    switch (kind_) {
-      case Kind::Null:
-        out += "null";
+    if (bare_) {
+        bare_ = false;
         return;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
-        return;
-      case Kind::Number: {
-        char buf[kNumberTextMax];
-        out.append(buf, numberText(buf, num_));
-        return;
-      }
-      case Kind::String:
-        dumpString(out, str_);
-        return;
-      case Kind::Array: {
-        if (arr_.empty()) {
-            out += "[]";
-            return;
-        }
-        out += '[';
-        for (std::size_t i = 0; i < arr_.size(); i++) {
-            if (i)
-                out += ',';
-            if (pretty)
-                newlineIndent(out, indent + 1);
-            arr_[i].dumpTo(out, pretty, indent + 1);
-        }
-        if (pretty)
-            newlineIndent(out, indent);
-        out += ']';
-        return;
-      }
-      case Kind::Object: {
-        if (obj_.empty()) {
-            out += "{}";
-            return;
-        }
-        out += '{';
-        for (std::size_t i = 0; i < obj_.size(); i++) {
-            if (i)
-                out += ',';
-            if (pretty)
-                newlineIndent(out, indent + 1);
-            dumpString(out, obj_[i].first);
-            out += pretty ? ": " : ":";
-            obj_[i].second.dumpTo(out, pretty, indent + 1);
-        }
-        if (pretty)
-            newlineIndent(out, indent);
-        out += '}';
-        return;
-      }
     }
+    if (!empty_)
+        out_ += ',';
+    empty_ = false;
+    if (pretty_) {
+        out_ += '\n';
+        out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
+    }
+}
+
+JsonWriter &
+JsonWriter::open(char c)
+{
+    next();
+    out_ += c;
+    depth_++;
+    empty_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::close(char c)
+{
+    depth_--;
+    if (!empty_ && pretty_) {
+        out_ += '\n';
+        out_.append(static_cast<std::size_t>(depth_) * 2, ' ');
+    }
+    out_ += c;
+    // The container is itself an element of the one around it.
+    empty_ = false;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    next();
+    writeString(out_, k);
+    out_ += pretty_ ? ": " : ":";
+    bare_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(std::string_view s)
+{
+    next();
+    writeString(out_, s);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(bool b)
+{
+    next();
+    out_ += b ? "true" : "false";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    next();
+    out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double d)
+{
+    char buf[kNumberTextMax];
+    char *const text = numberText(buf, d);
+    next();
+    out_.append(buf, static_cast<std::size_t>(text - buf));
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(const Json &v)
+{
+    switch (v.kind()) {
+      case Json::Kind::Null:
+        return null();
+      case Json::Kind::Bool:
+        return value(v.boolean());
+      case Json::Kind::Number:
+        return number(v.number());
+      case Json::Kind::String:
+        return value(v.str());
+      case Json::Kind::Array:
+        beginArray();
+        for (const Json &e : v.items())
+            value(e);
+        return endArray();
+      case Json::Kind::Object:
+        beginObject();
+        for (const auto &m : v.members())
+            member(m.first, m.second);
+        return endObject();
+    }
+    panic("bad Json::Kind");
 }
 
 std::string
 Json::dump(bool pretty) const
 {
     std::string out;
-    dumpTo(out, pretty, 0);
+    JsonWriter(out, pretty).value(*this);
     return out;
 }
 

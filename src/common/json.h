@@ -11,10 +11,18 @@
  * dying, so malformed spec files fail with a message the user can
  * act on (and the fuzz-ish tests can exercise every reject path).
  *
- * Losslessness contract: `parse(dump(v))` reproduces `v` exactly.
- * Numbers are stored as doubles; the writer emits them as
- * jsonNumberText() does. Object members keep insertion order, so
- * dump() output is deterministic and diff-friendly.
+ * Losslessness contract: `parse(dump(v))` reproduces `v` exactly when
+ * its strings are valid UTF-8. Numbers are stored as doubles; the
+ * writer emits them as jsonNumberText() does. Object members keep
+ * insertion order, so dump() output is deterministic and
+ * diff-friendly. Output is always valid UTF-8: a string byte that
+ * begins no well-formed sequence is written as U+FFFD.
+ *
+ * Output goes through one JsonWriter, which appends a document to a
+ * string as it is described, with no tree built first: the documents
+ * a hot path produces (results, daemon answers, canonical specs) are
+ * written with it directly, and dump() walks a tree into it, so the
+ * indentation, escaping and number rules live in one place.
  */
 
 #pragma once
@@ -22,10 +30,89 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace ubik {
+
+class Json;
+
+/**
+ * Streaming writer: appends one JSON value to a string, container by
+ * container. Pretty output indents two spaces per level and puts one
+ * member or element per line, exactly as Json::dump(true) does;
+ * compact output has no whitespace. A document written after a key
+ * (or as an array element) of another one lays out as that member,
+ * so the whole is what Json::dump gives the tree with it in place.
+ *
+ * Calls must describe one well-formed value: an object's members are
+ * key() then one value each, and every begin has its end. Strings
+ * are escaped, and bytes that are not valid UTF-8 become U+FFFD;
+ * non-finite numbers are fatal().
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string &out, bool pretty = false)
+        : out_(out), pretty_(pretty)
+    {
+    }
+
+    JsonWriter &beginObject() { return open('{'); }
+    JsonWriter &endObject() { return close('}'); }
+    JsonWriter &beginArray() { return open('['); }
+    JsonWriter &endArray() { return close(']'); }
+
+    /** The next object member's key; its value is the next call. */
+    JsonWriter &key(std::string_view k);
+
+    JsonWriter &value(std::string_view s);
+    JsonWriter &value(const std::string &s)
+    {
+        return value(std::string_view(s));
+    }
+    JsonWriter &value(const char *s) { return value(std::string_view(s)); }
+    JsonWriter &value(bool b);
+    /** A number: every arithmetic type is written as the double it
+     *  converts to, as a Json number holds it. */
+    template <class T,
+              std::enable_if_t<std::is_arithmetic_v<T> &&
+                                   !std::is_same_v<T, bool>,
+                               int> = 0>
+    JsonWriter &value(T v)
+    {
+        return number(static_cast<double>(v));
+    }
+    /** A whole tree, as Json::dump lays it out. */
+    JsonWriter &value(const Json &v);
+    JsonWriter &null();
+
+    /** key(k) then value(v). */
+    template <class T>
+    JsonWriter &member(std::string_view k, const T &v)
+    {
+        key(k);
+        return value(v);
+    }
+
+  private:
+    JsonWriter &open(char c);
+    JsonWriter &close(char c);
+    JsonWriter &number(double d);
+    /** Before a value: the separator and line break it needs. */
+    void next();
+
+    std::string &out_;
+    bool pretty_;
+    /** Containers open around the next value. */
+    int depth_ = 0;
+    /** The innermost open container holds nothing yet. */
+    bool empty_ = true;
+    /** The next value needs no separator: it is the document itself,
+     *  or follows its key. */
+    bool bare_ = true;
+};
 
 /** One JSON value: null, bool, number, string, array, or object. */
 class Json
@@ -113,9 +200,9 @@ class Json
     bool operator!=(const Json &o) const { return !(*this == o); }
 
     /**
-     * Serialize. Compact by default; `pretty` uses two-space
-     * indentation and one member/element per line. fatal() on
-     * non-finite numbers (JSON cannot represent them).
+     * Serialize through a JsonWriter. Compact by default; `pretty`
+     * uses two-space indentation and one member/element per line.
+     * fatal() on non-finite numbers (JSON cannot represent them).
      */
     std::string dump(bool pretty = false) const;
 
@@ -138,8 +225,6 @@ class Json
                           std::string &err);
 
   private:
-    void dumpTo(std::string &out, bool pretty, int indent) const;
-
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
@@ -152,13 +237,34 @@ class Json
  * Render a finite double the way the writer does. Integral values
  * below 2^53 print as plain integers. Every other value prints as
  * printf's "%.<p>g" would, with p the smallest of 15, 16 and 17 whose
- * text parses back to the same bits. The search starts at
- * p = max(15, k), where k is the digit count of the shortest text that
- * round-trips, since no text with fewer digits parses back; p rises
- * past that start only in rare cases next to a power of two. Exposed
- * for the report layer's structured exports, which need the same
- * "bit-identical runs produce byte-identical files" guarantee.
+ * text parses back to the same bits.
+ *
+ * One shortest round-trip conversion (k digits) gives that text for
+ * every normal double that is not a power of two: p is max(15, k),
+ * and the text is those k digits laid out as "%.<p>g" lays them out.
+ * There the rounding interval is symmetric, so the nearest p-digit
+ * decimal is at least as close as the shortest one, and it is the
+ * shortest one padded with zeros. Next to a power of two the interval
+ * is lopsided, and among subnormals a 15-digit decimal resolves finer
+ * than the spacing of doubles, so for those two the writer prints
+ * "%.<p>g" for p from max(15, k) up and parses each text back until
+ * one gives the same bits; p passes max(15, k) only next to a power
+ * of two. Exposed for the report layer's structured exports, which
+ * need the same "bit-identical runs produce byte-identical files"
+ * guarantee.
  */
 std::string jsonNumberText(double d);
+
+/** The value `write` writes into a JsonWriter, parsed back into a
+ *  tree: the Json form of a document that is written directly. */
+template <class Write>
+Json
+writtenJson(Write &&write)
+{
+    std::string text;
+    JsonWriter w(text);
+    write(w);
+    return Json::parseOrDie(text, "written JSON");
+}
 
 } // namespace ubik

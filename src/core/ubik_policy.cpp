@@ -21,12 +21,20 @@ UbikPolicy::UbikPolicy(PartitionScheme &scheme,
                        std::vector<AppMonitor> &apps, UbikConfig cfg)
     : PartitionPolicy(scheme, apps), cfg_(cfg), lc_(apps.size())
 {
-    // Both values arrive from user configuration, so misconfiguration
-    // is a usage error, not a ubik bug.
+    // These values arrive from user configuration, so misconfiguration
+    // is a usage error, not a ubik bug. More idle-size options than
+    // buckets only repeat sizes, and each one costs a search per
+    // reconfiguration.
     if (cfg_.slack < 0 || cfg_.slack >= 1.0)
         fatal("UbikPolicy: slack %f must be in [0, 1)", cfg_.slack);
     if (cfg_.idleOptions < 1)
         fatal("UbikPolicy: need at least one idle-size option");
+    if (cfg_.idleOptions > kBuckets)
+        fatal("UbikPolicy: %u idle-size options exceed the %llu buckets",
+              cfg_.idleOptions, static_cast<unsigned long long>(kBuckets));
+    if (!(cfg_.deboostGuard >= 0))
+        fatal("UbikPolicy: deboost guard %g must be >= 0",
+              cfg_.deboostGuard);
     const std::uint64_t total = scheme_.array().numLines();
     for (AppId a = 0; a < apps_.size(); a++) {
         if (!apps_[a].latencyCritical)

@@ -440,9 +440,15 @@ runFleet(const FleetSpec &fs,
         r.dedicatedUtil = kMixLcInstances * r.meanLoad / cores;
         r.utilizationLift =
             r.dedicatedUtil > 0 ? r.utilization / r.dedicatedUtil : 0;
-        std::sort(tails_ms.begin(), tails_ms.end());
-        r.tailP95Ms = tails_ms[nearestRank(95, tails_ms.size()) - 1];
-        r.tailP99Ms = tails_ms[nearestRank(99, tails_ms.size()) - 1];
+        // The two nearest-rank elements a full sort would put there.
+        const std::size_t rank95 = nearestRank(95, tails_ms.size()) - 1;
+        const std::size_t rank99 = nearestRank(99, tails_ms.size()) - 1;
+        std::nth_element(tails_ms.begin(), tails_ms.begin() + rank99,
+                         tails_ms.end());
+        std::nth_element(tails_ms.begin(), tails_ms.begin() + rank95,
+                         tails_ms.begin() + rank99);
+        r.tailP95Ms = tails_ms[rank95];
+        r.tailP99Ms = tails_ms[rank99];
         r.sloViolationFrac = static_cast<double>(violations) / n;
         r.batchCoreEquivalents = sum_batch_cores / fr.slices;
         r.machinesSavedVsDedicated = r.batchCoreEquivalents / cores;
@@ -513,51 +519,55 @@ printFleetReport(const FleetResult &fr)
             r.meanWorkers);
 }
 
+void
+writeFleet(JsonWriter &w, const FleetResult &fr)
+{
+    w.beginObject();
+    w.member("servers", fr.servers);
+    w.member("slices", fr.slices);
+    w.member("users_millions", fr.users);
+    w.member("implied_per_user_rps", fr.impliedPerUserRps);
+    w.member("servers_downsizable", fr.serversDownsizable);
+
+    w.key("plan").beginArray();
+    for (const FleetPlanRow &p : fr.plan) {
+        w.beginObject();
+        w.member("lc", p.lc);
+        w.member("placement", p.placement);
+        w.member("downsize", p.canDownsize);
+        w.member("freed_lines", p.freedLines);
+        w.member("transient_us", p.transientUs);
+        w.member("servers", p.servers);
+        w.endObject();
+    }
+    w.endArray();
+
+    w.key("schemes").beginArray();
+    for (const FleetSchemeResult &r : fr.schemes) {
+        w.beginObject();
+        w.member("scheme", r.label);
+        w.member("mean_load", r.meanLoad);
+        w.member("utilization", r.utilization);
+        w.member("dedicated_utilization", r.dedicatedUtil);
+        w.member("utilization_lift", r.utilizationLift);
+        w.member("tail_p95_ms", r.tailP95Ms);
+        w.member("tail_p99_ms", r.tailP99Ms);
+        w.member("slo_violation_frac", r.sloViolationFrac);
+        w.member("batch_core_equivalents", r.batchCoreEquivalents);
+        w.member("machines_saved_vs_dedicated",
+                 r.machinesSavedVsDedicated);
+        w.member("machines_saved_vs_static", r.machinesSavedVsStatic);
+        w.member("mean_workers", r.meanWorkers);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 Json
 fleetToJson(const FleetResult &fr)
 {
-    Json root = Json::object();
-    root.set("servers", Json(fr.servers));
-    root.set("slices", Json(fr.slices));
-    root.set("users_millions", Json(fr.users));
-    root.set("implied_per_user_rps", Json(fr.impliedPerUserRps));
-    root.set("servers_downsizable", Json(fr.serversDownsizable));
-
-    Json plan = Json::array();
-    for (const FleetPlanRow &p : fr.plan) {
-        Json row = Json::object();
-        row.set("lc", Json(p.lc));
-        row.set("placement", Json(p.placement));
-        row.set("downsize", Json(p.canDownsize));
-        row.set("freed_lines", Json(p.freedLines));
-        row.set("transient_us", Json(p.transientUs));
-        row.set("servers", Json(p.servers));
-        plan.push(std::move(row));
-    }
-    root.set("plan", std::move(plan));
-
-    Json schemes = Json::array();
-    for (const FleetSchemeResult &r : fr.schemes) {
-        Json row = Json::object();
-        row.set("scheme", Json(r.label));
-        row.set("mean_load", Json(r.meanLoad));
-        row.set("utilization", Json(r.utilization));
-        row.set("dedicated_utilization", Json(r.dedicatedUtil));
-        row.set("utilization_lift", Json(r.utilizationLift));
-        row.set("tail_p95_ms", Json(r.tailP95Ms));
-        row.set("tail_p99_ms", Json(r.tailP99Ms));
-        row.set("slo_violation_frac", Json(r.sloViolationFrac));
-        row.set("batch_core_equivalents",
-                Json(r.batchCoreEquivalents));
-        row.set("machines_saved_vs_dedicated",
-                Json(r.machinesSavedVsDedicated));
-        row.set("machines_saved_vs_static",
-                Json(r.machinesSavedVsStatic));
-        row.set("mean_workers", Json(r.meanWorkers));
-        schemes.push(std::move(row));
-    }
-    root.set("schemes", std::move(schemes));
-    return root;
+    return writtenJson([&](JsonWriter &w) { writeFleet(w, fr); });
 }
 
 } // namespace ubik

@@ -167,8 +167,11 @@ FleetResult runFleet(const FleetSpec &fs,
 /** Print the [fleet] / [fleet-plan] / [fleet-summary] report rows. */
 void printFleetReport(const FleetResult &fr);
 
-/** Structured JSON (round-trip doubles: bit-identical fleets produce
- *  byte-identical JSON). */
+/** Write the fleet result as one JSON object (round-trip doubles:
+ *  bit-identical fleets produce byte-identical JSON). */
+void writeFleet(JsonWriter &w, const FleetResult &fr);
+
+/** The written fleet result as a tree. */
 Json fleetToJson(const FleetResult &fr);
 
 } // namespace ubik

@@ -164,50 +164,51 @@ ServeDaemon::requestStop()
 std::string
 ServeDaemon::errorResponse(const std::string &msg)
 {
-    Json j = Json::object();
-    j.set("ok", false);
-    j.set("error", msg);
-    return j.dump(/*pretty=*/true);
+    std::string out;
+    JsonWriter w(out, /*pretty=*/true);
+    w.beginObject().member("ok", false).member("error", msg).endObject();
+    return out;
 }
 
 std::string
 ServeDaemon::handleStats()
 {
-    ServeStatsSnapshot s = snapshot();
-    Json j = Json::object();
-    j.set("ok", true);
-    Json st = Json::object();
-    st.set("uptime_sec", s.uptimeSec);
-    st.set("requests", s.requests);
-    st.set("ok", s.ok);
-    st.set("errors", s.errors);
-    st.set("memo_hits", s.memoHits);
-    st.set("memo_bytes", s.memoBytes);
-    st.set("memo_budget_bytes",
-           static_cast<std::uint64_t>(kServeMemoBudgetBytes));
-    st.set("memo_entries", s.memoEntries);
-    st.set("memo_evictions", s.memoEvictions);
-    st.set("accept_errors", s.acceptErrors);
-    st.set("read_errors", s.readErrors);
-    st.set("write_errors", s.writeErrors);
-    st.set("mean_service_us", s.meanServiceUs);
-    st.set("p95_service_us", s.p95ServiceUs);
-    st.set("cache_hits", s.cacheHits);
-    st.set("cache_misses", s.cacheMisses);
-    j.set("stats", std::move(st));
-    return j.dump(/*pretty=*/true);
+    const ServeStatsSnapshot s = snapshot();
+    std::string out;
+    JsonWriter w(out, /*pretty=*/true);
+    w.beginObject().member("ok", true);
+    w.key("stats").beginObject();
+    w.member("uptime_sec", s.uptimeSec);
+    w.member("requests", s.requests);
+    w.member("ok", s.ok);
+    w.member("errors", s.errors);
+    w.member("memo_hits", s.memoHits);
+    w.member("memo_bytes", s.memoBytes);
+    w.member("memo_budget_bytes", kServeMemoBudgetBytes);
+    w.member("memo_entries", s.memoEntries);
+    w.member("memo_evictions", s.memoEvictions);
+    w.member("accept_errors", s.acceptErrors);
+    w.member("read_errors", s.readErrors);
+    w.member("write_errors", s.writeErrors);
+    w.member("mean_service_us", s.meanServiceUs);
+    w.member("p95_service_us", s.p95ServiceUs);
+    w.member("cache_hits", s.cacheHits);
+    w.member("cache_misses", s.cacheMisses);
+    w.endObject().endObject();
+    return out;
 }
 
 std::string
 ServeDaemon::handleList()
 {
-    Json j = Json::object();
-    j.set("ok", true);
-    Json names = Json::array();
+    std::string out;
+    JsonWriter w(out, /*pretty=*/true);
+    w.beginObject().member("ok", true);
+    w.key("scenarios").beginArray();
     for (const ScenarioSpec &s : ScenarioRegistry::instance().all())
-        names.push(s.name);
-    j.set("scenarios", std::move(names));
-    return j.dump(/*pretty=*/true);
+        w.value(s.name);
+    w.endArray().endObject();
+    return out;
 }
 
 std::string
@@ -244,11 +245,11 @@ ServeDaemon::handleScenario(const Json &req)
     // the daemon's log gets them only under --verbose.
     ScenarioResult res = runScenario(spec, cfg_, cache_.get(),
                                      opt_.verbose ? stderr : nullptr);
-    Json resp = Json::object();
-    resp.set("ok", true);
-    resp.set("results",
-             scenarioResultsJson(spec, res, /*accounting=*/false));
-    std::string body = resp.dump(/*pretty=*/true);
+    std::string body;
+    JsonWriter w(body, /*pretty=*/true);
+    w.beginObject().member("ok", true).key("results");
+    writeScenarioResults(w, spec, res, /*accounting=*/false);
+    w.endObject();
     memo_.insert(std::move(key), body);
     return body;
 }
@@ -344,26 +345,54 @@ ServeDaemon::snapshot() const
 void
 ServeDaemon::serveConnection(int fd)
 {
-    // Read the whole request: until the client shuts down its write
-    // side, or a newline arrives at the top of an already-complete
-    // JSON... keeping it simple: EOF or the size cap ends the read,
-    // and parse errors become error responses.
+    // The socket is non-blocking (accept4's SOCK_NONBLOCK): every read
+    // and write first waits, through poll(), for what is left of its
+    // phase's one deadline, so a client that trickles bytes times out
+    // as surely as one that sends nothing.
+    using Clock = std::chrono::steady_clock;
+    const auto ms = kServeSocketTimeout.count();
+    auto ready = [fd](short events, Clock::time_point deadline) {
+        for (;;) {
+            const auto left =
+                std::chrono::ceil<std::chrono::milliseconds>(
+                    deadline - Clock::now())
+                    .count();
+            if (left <= 0)
+                return false;
+            pollfd p{fd, events, 0};
+            const int r = ::poll(&p, 1, static_cast<int>(left));
+            // An error or hang-up is ready too: the read or write
+            // that follows reports it.
+            if (r > 0 || (r < 0 && errno != EINTR))
+                return true;
+        }
+    };
+
+    // Read the whole request: EOF (the client shut down its write
+    // side) or the size cap ends the read, and parse errors become
+    // error responses.
     std::string body;
-    bool read_failed = false, too_large = false;
+    bool too_large = false;
+    int read_errno = 0;
+    const Clock::time_point read_deadline =
+        Clock::now() + kServeSocketTimeout;
     for (;;) {
         if (FailpointHit hit = failpointEval("serve.read")) {
             if (hit.kind == FailpointHit::Kind::Err) {
-                errno = hit.err;
-                read_failed = true;
+                read_errno = hit.err;
                 break;
             }
+        }
+        if (!ready(POLLIN, read_deadline)) {
+            read_errno = ETIMEDOUT;
+            break;
         }
         char buf[4096];
         ssize_t n = ::read(fd, buf, sizeof buf);
         if (n < 0) {
-            if (errno == EINTR)
+            if (errno == EINTR || errno == EAGAIN)
                 continue;
-            read_failed = true;
+            read_errno = errno;
             break;
         }
         if (n == 0)
@@ -376,15 +405,18 @@ ServeDaemon::serveConnection(int fd)
     }
 
     std::string resp;
-    if (read_failed) {
+    if (read_errno) {
         {
             std::lock_guard<std::mutex> lk(statsMu_);
             readErrors_++;
         }
         // Can't trust the request; answer an error anyway in case
         // the client's half of the socket still works.
-        resp = errorResponse(std::string("read failed: ") +
-                             std::strerror(errno));
+        resp = errorResponse(
+            read_errno == ETIMEDOUT
+                ? "read timed out after " + std::to_string(ms) + " ms"
+                : std::string("read failed: ") +
+                      std::strerror(read_errno));
     } else if (too_large) {
         resp = errorResponse("request exceeds " +
                              std::to_string(kMaxRequestBytes) +
@@ -395,6 +427,8 @@ ServeDaemon::serveConnection(int fd)
     resp += "\n";
 
     std::size_t off = 0;
+    const Clock::time_point write_deadline =
+        Clock::now() + kServeSocketTimeout;
     while (off < resp.size()) {
         std::size_t want = resp.size() - off;
         if (FailpointHit hit = failpointEval("serve.write")) {
@@ -407,10 +441,13 @@ ServeDaemon::serveConnection(int fd)
                 want = std::min<std::size_t>(
                     want, std::max<std::uint64_t>(hit.arg, 1));
         }
-        ssize_t n = ::write(fd, resp.data() + off, want);
-        if (n < 0) {
-            if (errno == EINTR)
+        ssize_t n = -1;
+        if (ready(POLLOUT, write_deadline)) {
+            n = ::write(fd, resp.data() + off, want);
+            if (n < 0 && (errno == EINTR || errno == EAGAIN))
                 continue;
+        }
+        if (n < 0) {
             std::lock_guard<std::mutex> lk(statsMu_);
             writeErrors_++;
             break;
@@ -478,7 +515,8 @@ ServeDaemon::run()
                 continue;
             }
         }
-        cfd = ::accept4(listenFd_, nullptr, nullptr, SOCK_CLOEXEC);
+        cfd = ::accept4(listenFd_, nullptr, nullptr,
+                        SOCK_CLOEXEC | SOCK_NONBLOCK);
         if (cfd < 0) {
             if (errno == EINTR || errno == ECONNABORTED)
                 continue;

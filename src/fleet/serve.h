@@ -14,8 +14,9 @@
  *   {"query": "stats"}                    -> {"ok": true, "stats": {...}}
  *
  * The "results" member is byte-for-byte the document `ubik_run
- * --results` writes for the same spec and environment (both render
- * scenarioResultsJson()), so a client can diff daemon answers
+ * --results` writes for the same spec and environment (both write it
+ * with writeScenarioResults(), the daemon straight into its answer
+ * after the "results" key), so a client can diff daemon answers
  * against direct runs — CI does.
  *
  * A malformed or invalid request never kills the daemon: request
@@ -29,6 +30,11 @@
  * runScenario() (the normal sweep path) against the daemon's one
  * result cache (on disk under --cache-dir, else in memory) and warm
  * it for everyone else.
+ *
+ * Each accepted connection has kServeSocketTimeout to send its whole
+ * request, and again to take its whole answer: a client that takes
+ * longer, even one trickling a byte at a time, gets an error answer
+ * (if it still reads) and its worker moves on.
  *
  * Failure injection: the accept/read/write paths evaluate the
  * serve.accept / serve.read / serve.write failpoint sites
@@ -74,6 +80,14 @@ struct ServeOptions
 /** The response memo's budget: key plus body bytes of the answers
  *  it keeps, about 130 fig9 answers. */
 constexpr std::size_t kServeMemoBudgetBytes = std::size_t{4} << 20;
+
+/** Each accepted connection's deadline to send its whole request, and
+ *  then to take its whole answer, counted from the start of each. A
+ *  read or write past it counts as a read or write error and frees
+ *  its worker, so a client that never finishes its request, sends it
+ *  a byte at a time, or never reads the answer cannot hold a worker,
+ *  or the drain, for good. */
+constexpr std::chrono::milliseconds kServeSocketTimeout{2000};
 
 /** The "stats" query's p95_service_us covers the last this many
  *  requests (its mean_service_us covers every request), so the

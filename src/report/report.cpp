@@ -216,55 +216,70 @@ printUbikInterrupts(const std::vector<SweepResult> &sweeps,
     }
 }
 
+void
+writeResultsMembers(JsonWriter &w, const std::vector<SweepResult> &sweeps,
+                    const std::string &scenario)
+{
+    w.member("format", "ubik-results");
+    w.member("version", 1);
+    if (!scenario.empty())
+        w.member("scenario", scenario);
+    w.key("sweeps").beginArray();
+    for (const auto &s : sweeps) {
+        w.beginObject();
+        w.member("scheme", s.label);
+        w.key("runs").beginArray();
+        for (std::size_t i = 0, n = runCount(s); i < n; i++) {
+            const MixRunResult &r = s.runs[i];
+            w.beginObject();
+            w.member("mix", s.mixNames[i]);
+            w.member("load", s.mixLoads[i]);
+            w.member("seed", s.seeds[i]);
+            w.member("lc_tail_mean", r.lcTailMean);
+            w.member("tail_degradation", r.tailDegradation);
+            w.member("mean_degradation", r.meanDegradation);
+            w.member("weighted_speedup", r.weightedSpeedup);
+            w.key("batch_speedups").beginArray();
+            for (double v : r.batchSpeedups)
+                w.value(v);
+            w.endArray();
+            w.member("ubik_deboosts", r.ubikDeboosts);
+            w.member("ubik_deadline_deboosts", r.ubikDeadlineDeboosts);
+            w.member("ubik_watermarks", r.ubikWatermarks);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+}
+
 Json
 resultsToJson(const std::vector<SweepResult> &sweeps,
               const std::string &scenario)
 {
-    Json root = Json::object();
-    root.set("format", "ubik-results");
-    root.set("version", 1);
-    if (!scenario.empty())
-        root.set("scenario", scenario);
-    Json jsweeps = Json::array();
-    for (const auto &s : sweeps) {
-        Json js = Json::object();
-        js.set("scheme", s.label);
-        Json jruns = Json::array();
-        for (std::size_t i = 0, n = runCount(s); i < n; i++) {
-            const MixRunResult &r = s.runs[i];
-            Json jr = Json::object();
-            jr.set("mix", s.mixNames[i]);
-            jr.set("load", s.mixLoads[i]);
-            jr.set("seed", s.seeds[i]);
-            jr.set("lc_tail_mean", r.lcTailMean);
-            jr.set("tail_degradation", r.tailDegradation);
-            jr.set("mean_degradation", r.meanDegradation);
-            jr.set("weighted_speedup", r.weightedSpeedup);
-            Json bs = Json::array();
-            for (double v : r.batchSpeedups)
-                bs.push(v);
-            jr.set("batch_speedups", std::move(bs));
-            jr.set("ubik_deboosts", r.ubikDeboosts);
-            jr.set("ubik_deadline_deboosts", r.ubikDeadlineDeboosts);
-            jr.set("ubik_watermarks", r.ubikWatermarks);
-            jruns.push(std::move(jr));
-        }
-        js.set("runs", std::move(jruns));
-        jsweeps.push(std::move(js));
-    }
-    root.set("sweeps", std::move(jsweeps));
-    return root;
+    return writtenJson([&](JsonWriter &w) {
+        w.beginObject();
+        writeResultsMembers(w, sweeps, scenario);
+        w.endObject();
+    });
+}
+
+void
+writeTextFile(const std::string &text, const std::string &path)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        fatal("cannot write results to %s", path.c_str());
+    out << text << "\n";
+    if (!out.flush())
+        fatal("short write to %s", path.c_str());
 }
 
 void
 writeJsonFile(const Json &doc, const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        fatal("cannot write results to %s", path.c_str());
-    out << doc.dump(/*pretty=*/true) << "\n";
-    if (!out.flush())
-        fatal("short write to %s", path.c_str());
+    writeTextFile(doc.dump(/*pretty=*/true), path);
 }
 
 void

@@ -93,18 +93,27 @@ void printUbikInterrupts(const std::vector<SweepResult> &sweeps,
                          const char *tag);
 
 /**
- * The structured-results document as a JSON value: per scheme, per
- * run, the mix name/load/seed and every MixRunResult field, doubles
- * in round-trip form (bit-identical results => byte-identical
- * serializations). The file writer and the serving daemon both
- * render this one construction, so their outputs agree byte for
- * byte. `scenario` labels the export (empty = omitted).
+ * Write the structured-results members into the object `w` has open:
+ * "format", "version", "scenario" (left out when empty) and
+ * "sweeps", per scheme per run the mix name/load/seed and every
+ * MixRunResult field, doubles in round-trip form (bit-identical
+ * results => byte-identical serializations). The scenario layer
+ * adds its fleet and accounting members after them
+ * (writeScenarioResults).
  */
+void writeResultsMembers(JsonWriter &w,
+                         const std::vector<SweepResult> &sweeps,
+                         const std::string &scenario);
+
+/** Those members alone, as one object tree. */
 Json resultsToJson(const std::vector<SweepResult> &sweeps,
                    const std::string &scenario);
 
-/** Write `doc` pretty-printed plus a trailing newline to `path`
- *  (binary mode); fatal() on open or flush failure. */
+/** Write `text` plus a trailing newline to `path` (binary mode);
+ *  fatal() on open or flush failure. */
+void writeTextFile(const std::string &text, const std::string &path);
+
+/** writeTextFile() of `doc` pretty-printed. */
 void writeJsonFile(const Json &doc, const std::string &path);
 
 /** Print a ResultCache's counters (sweep epilogue, --cache-stats). */

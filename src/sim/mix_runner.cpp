@@ -32,9 +32,17 @@ SchemeUnderTest::applyTo(CmpConfig &cc) const
     cc.policy = policy;
     cc.ubik = ubik;
     cc.ubik.slack = slack;
-    if (reconfigScale != 1.0)
-        cc.reconfigInterval = static_cast<Cycles>(
-            static_cast<double>(cc.reconfigInterval) * reconfigScale);
+    if (reconfigScale != 1.0) {
+        // Under one cycle the simulator would reconfigure forever
+        // without advancing time.
+        const double interval =
+            static_cast<double>(cc.reconfigInterval) * reconfigScale;
+        if (!(interval >= 1 && interval < 0x1p63))
+            fatal("scheme %s: reconfig_scale %g makes the reconfiguration "
+                  "interval %g cycles (needs [1, 2^63))",
+                  label.c_str(), reconfigScale, interval);
+        cc.reconfigInterval = static_cast<Cycles>(interval);
+    }
     cc.mem = mem;
     cc.memParams = memParams;
 }

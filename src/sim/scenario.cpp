@@ -184,29 +184,31 @@ template <class T, std::size_t N>
 constexpr bool kIsList<std::array<T, N>> = true;
 
 template <class T>
-Json
-toJson(const T &m)
+void
+write(JsonWriter &w, const T &m)
 {
     if constexpr (std::is_enum_v<T>)
-        return Json(enumName(m));
+        w.value(enumName(m));
     else if constexpr (std::is_same_v<T, AsU32>)
-        return Json(m.value);
+        w.value(m.value);
     else if constexpr (std::is_arithmetic_v<T> ||
                        std::is_same_v<T, std::string>)
-        return Json(m);
+        w.value(m);
     else if constexpr (kIsList<T>) {
-        Json out = Json::array();
+        w.beginArray();
         for (const auto &e : m)
-            out.push(toJson(e));
-        return out;
+            write(w, e);
+        w.endArray();
     } else {
-        Json out = Json::object();
+        w.beginObject();
         auto writer = [&](const char *key, const auto &v, FieldUse use = {}) {
-            if (use.written)
-                out.set(key, toJson(v));
+            if (use.written) {
+                w.key(key);
+                write(w, v);
+            }
         };
         fields(writer, const_cast<T &>(m)); // the writer only reads
-        return out;
+        w.endObject();
     }
 }
 
@@ -319,7 +321,7 @@ readStruct(const Json &j, T &out, const SpecPath &at)
 Json
 scenarioToJson(const ScenarioSpec &spec)
 {
-    return toJson(spec);
+    return writtenJson([&](JsonWriter &w) { write(w, spec); });
 }
 
 ScenarioSpec
@@ -333,7 +335,10 @@ scenarioFromJson(const Json &j)
 std::string
 scenarioCanonicalJson(const ScenarioSpec &spec)
 {
-    return scenarioToJson(spec).dump(/*pretty=*/true);
+    std::string text;
+    JsonWriter w(text, /*pretty=*/true);
+    write(w, spec);
+    return text;
 }
 
 // ---------------------------------------------------------------------------
@@ -772,28 +777,40 @@ renderReports(const ScenarioSpec &spec, const ScenarioResult &res)
     }
 }
 
+void
+writeScenarioResults(JsonWriter &w, const ScenarioSpec &spec,
+                     const ScenarioResult &res, bool accounting)
+{
+    w.beginObject();
+    writeResultsMembers(w, res.sweeps, spec.name);
+    if (res.hasFleet) {
+        w.key("fleet");
+        writeFleet(w, res.fleet);
+    }
+    if (accounting) {
+        const SweepAccounting &a = res.accounting;
+        w.key("sweep").beginObject();
+        w.member("worker", a.worker);
+        w.member("jobs", a.jobs);
+        w.member("hits", a.hits);
+        w.member("computed", a.computed);
+        w.member("remote", a.remote);
+        w.member("degraded", a.degraded);
+        w.member("elapsed_sec", a.elapsedSec);
+        w.member("rate_per_sec", a.rate());
+        w.member("workers", a.workers);
+        w.endObject();
+    }
+    w.endObject();
+}
+
 Json
 scenarioResultsJson(const ScenarioSpec &spec,
                     const ScenarioResult &res, bool accounting)
 {
-    Json root = resultsToJson(res.sweeps, spec.name);
-    if (res.hasFleet)
-        root.set("fleet", fleetToJson(res.fleet));
-    if (accounting) {
-        const SweepAccounting &a = res.accounting;
-        Json ja = Json::object();
-        ja.set("worker", a.worker);
-        ja.set("jobs", static_cast<std::uint64_t>(a.jobs));
-        ja.set("hits", static_cast<std::uint64_t>(a.hits));
-        ja.set("computed", static_cast<std::uint64_t>(a.computed));
-        ja.set("remote", static_cast<std::uint64_t>(a.remote));
-        ja.set("degraded", a.degraded);
-        ja.set("elapsed_sec", a.elapsedSec);
-        ja.set("rate_per_sec", a.rate());
-        ja.set("workers", a.workers);
-        root.set("sweep", std::move(ja));
-    }
-    return root;
+    return writtenJson([&](JsonWriter &w) {
+        writeScenarioResults(w, spec, res, accounting);
+    });
 }
 
 int
@@ -807,8 +824,10 @@ executeScenario(const ScenarioSpec &spec, ExperimentConfig cfg,
     if (res.hasFleet)
         printFleetReport(res.fleet);
     if (!results_path.empty()) {
-        writeJsonFile(scenarioResultsJson(spec, res, accounting),
-                      results_path);
+        std::string text;
+        JsonWriter w(text, /*pretty=*/true);
+        writeScenarioResults(w, spec, res, accounting);
+        writeTextFile(text, results_path);
         std::fprintf(stderr, "  [%s] wrote %s\n", spec.name.c_str(),
                      results_path.c_str());
     }

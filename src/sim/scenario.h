@@ -174,7 +174,8 @@ struct ScenarioSpec
  * struct's JSON keys are declared once, in its field list in
  * scenario.cpp, which this writer and the parser both walk. A key at
  * its "unset" value (empty notes, a constant load_profile, no fleet,
- * ...) is left out.
+ * ...) is left out. The spec is written as text (see
+ * scenarioCanonicalJson()); this is that text parsed back.
  */
 Json scenarioToJson(const ScenarioSpec &spec);
 
@@ -188,8 +189,9 @@ Json scenarioToJson(const ScenarioSpec &spec);
  */
 ScenarioSpec scenarioFromJson(const Json &j);
 
-/** Pretty-printed scenarioToJson() — the canonical form `--dump`
- *  emits and the round-trip tests compare. */
+/** The spec written pretty-printed: the canonical form `--dump`
+ *  emits, the daemon's memo key, and what the round-trip tests
+ *  compare. */
 std::string scenarioCanonicalJson(const ScenarioSpec &spec);
 
 // ---------------------------------------------------------------------------
@@ -290,11 +292,17 @@ void renderReports(const ScenarioSpec &spec,
                    const ScenarioResult &res);
 
 /**
- * The results-JSON document for a finished run: resultsToJson()
- * plus a "fleet" member when the spec ran a fleet stage, plus a
- * "sweep" accounting member when `accounting` is set (opt-in
- * because wall-clock values break byte-identical reruns).
+ * Write the results-JSON document for a finished run as one object:
+ * the runs (writeResultsMembers()), plus a "fleet" member when the
+ * spec ran a fleet stage, plus a "sweep" accounting member when
+ * `accounting` is set (opt-in because wall-clock values break
+ * byte-identical reruns). `ubik_run --results` and the daemon's
+ * answers both write it, so they agree byte for byte.
  */
+void writeScenarioResults(JsonWriter &w, const ScenarioSpec &spec,
+                          const ScenarioResult &res, bool accounting);
+
+/** The written results document as a tree. */
 Json scenarioResultsJson(const ScenarioSpec &spec,
                          const ScenarioResult &res, bool accounting);
 

@@ -16,6 +16,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "common/json.h"
 
@@ -404,6 +405,153 @@ TEST(Json, ParseFileReportsMissingFiles)
     std::string err;
     EXPECT_FALSE(Json::parseFile("/nonexistent/no.json", out, err));
     EXPECT_NE(err.find("cannot open"), std::string::npos);
+}
+
+/** A document with empty and nested containers, strings that need
+ *  escapes (in values and keys) and every scalar kind. */
+Json
+writerSample()
+{
+    Json inner = Json::object();
+    inner.set("empty_object", Json::object());
+    inner.set("empty_array", Json::array());
+    inner.set("esc \"k\"\n", "q\"b\\s/\b\f\n\r\t\x01\x1f \xc3\xa9");
+    Json deep = Json::array();
+    deep.push(Json::array().push(Json::array()).push(Json::object()));
+    deep.push(Json::object().set("x", Json::array().push(1).push(2)));
+    inner.set("deep", std::move(deep));
+    Json doc = Json::object();
+    doc.set("null", Json());
+    doc.set("t", true);
+    doc.set("f", false);
+    doc.set("int", -17);
+    doc.set("frac", 0.1 + 0.2);
+    doc.set("big", 1e23);
+    doc.set("tiny", 4.9e-324);
+    doc.set("inner", std::move(inner));
+    doc.set("list", Json::array().push("a").push(Json::object()).push(2.5));
+    return doc;
+}
+
+/** `v` through explicit writer calls, not JsonWriter::value(Json). */
+void
+writeByHand(JsonWriter &w, const Json &v)
+{
+    switch (v.kind()) {
+      case Json::Kind::Null:
+        w.null();
+        return;
+      case Json::Kind::Bool:
+        w.value(v.boolean());
+        return;
+      case Json::Kind::Number:
+        w.value(v.number());
+        return;
+      case Json::Kind::String:
+        w.value(v.str());
+        return;
+      case Json::Kind::Array:
+        w.beginArray();
+        for (const Json &e : v.items())
+            writeByHand(w, e);
+        w.endArray();
+        return;
+      case Json::Kind::Object:
+        w.beginObject();
+        for (const auto &m : v.members()) {
+            w.key(m.first);
+            writeByHand(w, m.second);
+        }
+        w.endObject();
+        return;
+    }
+}
+
+TEST(JsonWriter, WritesWhatTheTreeDumps)
+{
+    const Json doc = writerSample();
+    for (bool pretty : {false, true}) {
+        std::string text;
+        JsonWriter w(text, pretty);
+        writeByHand(w, doc);
+        EXPECT_EQ(text, doc.dump(pretty));
+        EXPECT_EQ(parseOk(text), doc);
+    }
+    EXPECT_EQ(writtenJson([&](JsonWriter &w) { writeByHand(w, doc); }),
+              doc);
+    // Scalars and empty containers are whole documents too.
+    for (const Json &v : {Json(), Json(true), Json(-0.5), Json("s"),
+                          Json::array(), Json::object()}) {
+        std::string text;
+        JsonWriter(text, true).value(v);
+        EXPECT_EQ(text, v.dump(true));
+    }
+    // Integers are written as the doubles they convert to.
+    std::string text;
+    JsonWriter(text)
+        .beginArray()
+        .value(std::uint64_t{1} << 60)
+        .value(3u)
+        .value(-2)
+        .endArray();
+    EXPECT_EQ(text, "[1.152921504606847e+18,3,-2]");
+}
+
+TEST(JsonWriter, BytesThatAreNotUtf8BecomeReplacementCharacters)
+{
+    const std::string fffd = "\xef\xbf\xbd";
+    // Well-formed sequences of every length, the range ends included,
+    // are copied as they are.
+    const std::string valid = "a\xc2\xa9\xe2\x82\xac\xed\x9f\xbf"
+                              "\xf0\x9f\x98\x80\xf4\x8f\xbf\xbf";
+    EXPECT_EQ(Json(valid).dump(), "\"" + valid + "\"");
+    // Each byte that begins no well-formed sequence is one U+FFFD.
+    const std::pair<std::string, std::string> cases[] = {
+        {"\xff", fffd},                                  // never UTF-8
+        {"\x80", fffd},                                  // continuation
+        {"\xc0\xaf", fffd + fffd},                       // overlong '/'
+        {"\xe0\x80\xaf", fffd + fffd + fffd},            // overlong
+        {"\xed\xa0\x80", fffd + fffd + fffd},            // surrogate
+        {"\xf4\x90\x80\x80", fffd + fffd + fffd + fffd}, // > U+10FFFF
+        {"x\xe2\x82y", "x" + fffd + fffd + "y"},         // cut short
+        {"\xe2\x82", fffd + fffd},                       // at the end
+    };
+    for (const auto &[in, want] : cases) {
+        const std::string text = Json(in).dump();
+        EXPECT_EQ(text, "\"" + want + "\"");
+        // The text parses back, and writing that again changes nothing.
+        EXPECT_EQ(parseOk(text).dump(), text);
+    }
+}
+
+TEST(JsonWriter, DocumentAfterAKeyLaysOutAsThatMember)
+{
+    // The daemon's answer: {"ok": true, "results": <document>}, the
+    // document written by the same writer after its key. Also nested
+    // two levels further in (an array element of a member), the text
+    // must be the tree's dump with the document in place.
+    for (const Json &doc : {writerSample(), Json::object(), Json::array(),
+                            Json(1.5)}) {
+        for (bool pretty : {false, true}) {
+            std::string text;
+            JsonWriter w(text, pretty);
+            w.beginObject().member("ok", true).key("results");
+            writeByHand(w, doc);
+            w.key("more").beginArray();
+            writeByHand(w, doc);
+            w.beginObject().key("m");
+            writeByHand(w, doc);
+            w.endObject().endArray().endObject();
+
+            Json more = Json::array();
+            more.push(doc);
+            more.push(Json::object().set("m", doc));
+            Json answer = Json::object();
+            answer.set("ok", true).set("results", doc).set("more", more);
+            EXPECT_EQ(text, answer.dump(pretty))
+                << (pretty ? "pretty" : "compact");
+        }
+    }
 }
 
 } // namespace

@@ -16,19 +16,25 @@
  *  - the stats' p95 service time covers only the last
  *    kServeServiceWindow requests, its mean every request;
  *  - concurrent socket clients all receive the same bytes, and
- *    requestStop() drains and unlinks the socket.
+ *    requestStop() drains and unlinks the socket;
+ *  - clients that connect and never send their request, or trickle
+ *    it a byte at a time, time out (kServeSocketTimeout), so they
+ *    stall neither queries nor the drain.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -64,10 +70,12 @@ parseResponse(const std::string &resp, Json &out)
     return ok && ok->boolean();
 }
 
-/** The client side of the protocol: write, half-close, read to EOF
- *  (what `ubik_serve --connect` does). */
-std::string
-roundTrip(const std::string &path, const std::string &request)
+/** A client socket connected to the daemon at `path` whose reads give
+ *  up after `timeout`, so a daemon that never answers fails the test
+ *  instead of hanging it. */
+int
+connectTo(const std::string &path,
+          std::chrono::milliseconds timeout = std::chrono::minutes(1))
 {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -80,6 +88,37 @@ roundTrip(const std::string &path, const std::string &request)
                         sizeof(addr)),
               0)
         << std::strerror(errno);
+    const timeval tv{static_cast<time_t>(timeout.count() / 1000),
+                     static_cast<suseconds_t>(timeout.count() % 1000 * 1000)};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    return fd;
+}
+
+/** Read `fd` to EOF. */
+std::string
+readAll(int fd)
+{
+    std::string resp;
+    for (;;) {
+        char buf[4096];
+        ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        EXPECT_GE(n, 0) << std::strerror(errno);
+        if (n <= 0)
+            break;
+        resp.append(buf, static_cast<std::size_t>(n));
+    }
+    return resp;
+}
+
+/** The client side of the protocol: write, half-close, read to EOF
+ *  (what `ubik_serve --connect` does). */
+std::string
+roundTrip(const std::string &path, const std::string &request,
+          std::chrono::milliseconds timeout = std::chrono::minutes(1))
+{
+    int fd = connectTo(path, timeout);
     std::size_t off = 0;
     while (off < request.size()) {
         ssize_t n =
@@ -94,17 +133,7 @@ roundTrip(const std::string &path, const std::string &request)
         off += static_cast<std::size_t>(n);
     }
     ::shutdown(fd, SHUT_WR);
-    std::string resp;
-    for (;;) {
-        char buf[4096];
-        ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0 && errno == EINTR)
-            continue;
-        EXPECT_GE(n, 0) << std::strerror(errno);
-        if (n <= 0)
-            break;
-        resp.append(buf, static_cast<std::size_t>(n));
-    }
+    std::string resp = readAll(fd);
     ::close(fd);
     return resp;
 }
@@ -429,6 +458,106 @@ TEST(ServeDaemon, ConcurrentSocketClientsGetIdenticalBytes)
     ServeStatsSnapshot s = daemon.snapshot();
     EXPECT_EQ(s.requests, static_cast<std::uint64_t>(kClients));
     EXPECT_EQ(s.ok, static_cast<std::uint64_t>(kClients));
+}
+
+TEST(ServeDaemon, IdleClientsCannotStallQueriesOrDrain)
+{
+    TempCacheDir dir("serve_idle");
+    std::string sock =
+        (std::filesystem::temp_directory_path() /
+         ("ubik_serve_idle_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    ASSERT_LT(sock.size(), sizeof(sockaddr_un{}.sun_path));
+
+    ServeOptions opt; // the default worker count
+    opt.socketPath = sock;
+    ServeDaemon daemon(opt, serveTestCfg(dir.path()));
+    std::string err;
+    ASSERT_TRUE(daemon.start(&err)) << err;
+    std::thread server([&] { daemon.run(); });
+    const auto bound = kServeSocketTimeout + std::chrono::seconds(3);
+    using Clock = std::chrono::steady_clock;
+
+    // One connection per worker that never finishes its request; once
+    // the workers hold them, every other client waits behind them.
+    auto holdWorkers = [&] {
+        std::vector<int> fds;
+        for (unsigned i = 0; i < opt.threads; i++)
+            fds.push_back(connectTo(sock, bound));
+        std::this_thread::sleep_for(std::chrono::milliseconds(500));
+        return fds;
+    };
+    // Each held client is answered with the timeout. The answer is
+    // read to EOF or an error: bytes a trickling client sent after the
+    // deadline sit unread, and the daemon's close then resets the
+    // connection behind the answer.
+    auto expectTimedOut = [](int fd) {
+        std::string resp;
+        char buf[4096];
+        for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) != 0;) {
+            if (n < 0 && errno != EINTR)
+                break;
+            if (n > 0)
+                resp.append(buf, static_cast<std::size_t>(n));
+        }
+        Json e;
+        EXPECT_FALSE(parseResponse(resp, e)) << resp;
+        const Json *msg = e.isObject() ? e.find("error") : nullptr;
+        ASSERT_NE(msg, nullptr) << resp;
+        EXPECT_NE(msg->str().find("timed out"), std::string::npos)
+            << msg->str();
+    };
+
+    std::vector<int> held = holdWorkers();
+    auto t0 = Clock::now();
+    Json j;
+    EXPECT_TRUE(parseResponse(
+        roundTrip(sock, "{\"query\": \"list\"}", bound), j));
+    EXPECT_LE(Clock::now() - t0, bound);
+    for (int fd : held) {
+        expectTimedOut(fd);
+        ::close(fd);
+    }
+
+    // The drain waits for in-flight requests, and a stalled one ends
+    // within the timeout too, even while its client trickles the
+    // request a byte every quarter timeout: the deadline covers the
+    // whole request, not each read.
+    held = holdWorkers();
+    std::atomic<bool> trickling{true};
+    std::thread trickler([&] {
+        while (trickling.load()) {
+            for (int fd : held)
+                (void)!::send(fd, " ", 1, MSG_NOSIGNAL);
+            std::this_thread::sleep_for(kServeSocketTimeout / 4);
+        }
+    });
+    t0 = Clock::now();
+    auto drained = std::async(std::launch::async, [&] {
+        daemon.requestStop();
+        server.join();
+    });
+    const bool in_time =
+        drained.wait_for(bound) == std::future_status::ready;
+    trickling.store(false);
+    trickler.join();
+    if (!in_time)
+        for (int fd : held)
+            ::shutdown(fd, SHUT_WR); // frees a worker still reading
+    drained.wait();
+    EXPECT_TRUE(in_time) << "drain took "
+                         << std::chrono::duration<double>(Clock::now() - t0)
+                                .count()
+                         << " s";
+    if (in_time)
+        for (int fd : held)
+            expectTimedOut(fd);
+    for (int fd : held)
+        ::close(fd);
+    EXPECT_FALSE(std::filesystem::exists(sock));
+    ServeStatsSnapshot s = daemon.snapshot();
+    EXPECT_EQ(s.readErrors, 2u * opt.threads);
+    EXPECT_EQ(s.ok, 1u);
 }
 
 } // namespace
